@@ -131,6 +131,51 @@ class RayObjective:
                                           -self.direction_at(t))
 
 
+class RestrictedRayObjective(RayObjective):
+    """RayObjective whose values and slopes come from ``oracle.restrict``.
+
+    The closed-form ray answers each trial in O(m) after one set of products
+    per ray.  Points, transported directions and the endpoint subgradients
+    still go through the generic geometry and oracle.
+    """
+
+    def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
+                 f0: float | None = None, ray=None):
+        super().__init__(oracle, x, v, f0)
+        self.ray = oracle.restrict(x, v) if ray is None else ray
+
+    def value(self, t: float) -> float:
+        val = self._values.get(t)
+        if val is None:
+            val = self.ray.value(t)
+            self._values[t] = val
+            self.evals += 1
+        return val
+
+    def _deriv_pair(self, t: float) -> tuple[float, float]:
+        pair = self._derivs.get(t)
+        if pair is None:
+            pair = self.ray.slopes(t)
+            self._derivs[t] = pair
+        return pair
+
+
+def ray_objective(oracle, x: ManifoldPoint, v: TangentVector,
+                  f0: float | None = None) -> RayObjective:
+    """The restricted ray when the oracle offers ``restrict``, else generic."""
+    if hasattr(oracle, "restrict"):
+        return RestrictedRayObjective(oracle, x, v, f0)
+    return RayObjective(oracle, x, v, f0)
+
+
+def _mirrored(pf: RayObjective, f0: float) -> RayObjective:
+    """t -> f(R_x(-t v)) for the ray of ``pf``, as the same kind of object."""
+    if isinstance(pf, RestrictedRayObjective):
+        return RestrictedRayObjective(pf.oracle, pf.x, -pf.v, f0,
+                                      ray=pf.ray.reversed())
+    return RayObjective(pf.oracle, pf.x, -pf.v, f0=f0)
+
+
 @dataclass
 class LineSearchResult:
     t: float
@@ -215,7 +260,7 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     for the direction update are selected at the final bracket endpoints and
     transported to the accepted iterate.
     """
-    x, eta = pf.x, pf.v
+    x = pf.x
     phi0 = pf.value(0.0)
     dplus0 = pf.right_deriv(0.0)
     dminus0 = pf.left_deriv(0.0)
@@ -230,7 +275,7 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     elif dminus0 > 0.0:
         # Search phi(-tau); its right derivative at 0 is -dminus0 < 0.
         sign = -1
-        l = RayObjective(pf.oracle, x, -eta, f0=phi0)
+        l = _mirrored(pf, phi0)
     else:
         g_fwd = pf.subgrad_fwd(0.0)
         g_bwd = pf.subgrad_bwd(0.0)

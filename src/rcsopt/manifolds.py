@@ -271,12 +271,6 @@ class SPD(Manifold):
         d = rng.uniform(0.1, 10.0, size=self.order)
         return ManifoldPoint(self, _sym((q * d) @ q.T))
 
-    def sqrt_point(self, x: ManifoldPoint) -> np.ndarray:
-        return _eigh_fun(x.data, _floored_sqrt)
-
-    def inv_sqrt_point(self, x: ManifoldPoint) -> np.ndarray:
-        return _eigh_fun(x.data, lambda w: 1.0 / np.sqrt(np.maximum(w, _EIG_FLOOR)))
-
 
 def _require_base(x: ManifoldPoint, xi: TangentVector, what: str) -> None:
     if not same_point(x, xi.base):

@@ -8,14 +8,31 @@ Three families:
 
 Each oracle exposes ``value``, ``dir_deriv`` and ``active_subgrad``; the last
 returns a Clarke subgradient g with <g, xi> = f'(x; xi), which is what the
-direction update consumes.  Oracles are immutable; evaluation counting happens
-in a caller-owned :class:`EvalStats` sink via :class:`CountingOracle`.
+direction update consumes.  Oracles are immutable and reject non-finite data;
+evaluation counting happens in a caller-owned :class:`EvalStats` sink via
+:class:`CountingOracle`.
+
+The two sphere oracles also offer ``restrict(x, v)`` for a unit point x and a
+tangent v: the objective on the projected-retraction ray
+y(t) = (x + t v) / ||x + t v||, with t = 0 meaning x itself.  The returned ray
+pays the O(m n^2) (Rayleigh) or O(m n) (median) products once and then
+answers in O(m) per step size:
+
+* ``value(t)``, which counts as one evaluation (``nf``) under
+  :class:`CountingOracle`, like an oracle ``value`` call;
+* ``slopes(t)``, the one-sided derivatives (f'(y; d), -f'(y; -d)) along the
+  direction d transported to y(t), i.e. ||x + t v||^2 * l'_{+/-}(t) for
+  l(t) = f(y(t)), because the ray's velocity is y'(t) = d / ||x + t v||^2;
+* ``reversed()``, the same ray for -v, with no new products.
+
+The SPD center of mass has no ``restrict``; the line search falls back to
+full oracle calls there.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,6 +51,31 @@ class AmbiguousDirectionError(ValueError):
     """Zero-direction subgradient query at a nonsmooth point."""
 
 
+def _require_finite(*arrays: np.ndarray) -> None:
+    if not all(np.all(np.isfinite(a)) for a in arrays):
+        raise ValueError("oracle data must be finite")
+
+
+def _active_mask(vals: np.ndarray) -> np.ndarray:
+    """Rayleigh components within the active-set tolerance of the max."""
+    fmax = np.max(vals)
+    return vals >= fmax - _ACTIVE_TOL * (1.0 + abs(fmax))
+
+
+def _median_terms(u: np.ndarray, weights: np.ndarray):
+    """Regular-term mask, w_i / sin(angle_i) on it, signed singular weight.
+
+    u holds the cosines x_i^T x; a term is singular with x at its data point
+    (u ~ 1) or antipodal to it (u ~ -1).
+    """
+    sing_hi = u > 1.0 - _SINGULAR_TOL
+    sing_lo = u < -1.0 + _SINGULAR_TOL
+    reg = ~(sing_hi | sing_lo)
+    den = np.maximum(np.sqrt(1.0 - u[reg] ** 2), _DENOM_FLOOR)
+    sing_weight = float(np.sum(weights[sing_hi]) - np.sum(weights[sing_lo]))
+    return reg, weights[reg] / den, sing_weight, not np.all(reg)
+
+
 @dataclass
 class EvalStats:
     """Mutable per-run statistics sink owned by the calling solver."""
@@ -41,11 +83,17 @@ class EvalStats:
 
 
 class CountingOracle:
-    """Wraps an oracle so that every value() call bumps stats.nf once."""
+    """Wraps an oracle so that every value() call bumps stats.nf once.
+
+    Offers ``restrict`` only when the wrapped oracle does; its rays charge one
+    evaluation per ``value`` call.
+    """
 
     def __init__(self, oracle, stats: EvalStats):
         self.oracle = oracle
         self.stats = stats
+        if hasattr(oracle, "restrict"):
+            self.restrict = self._restrict
 
     @property
     def manifold(self):
@@ -60,6 +108,99 @@ class CountingOracle:
 
     def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
         return self.oracle.active_subgrad(x, xi)
+
+    def _restrict(self, x: ManifoldPoint, v: TangentVector) -> "CountingRay":
+        return CountingRay(self.oracle.restrict(x, v), self.stats)
+
+
+class CountingRay:
+    """Wraps a restricted ray so that every value() call bumps stats.nf once."""
+
+    def __init__(self, ray, stats: EvalStats):
+        self.ray = ray
+        self.stats = stats
+
+    def value(self, t: float) -> float:
+        self.stats.nf += 1
+        return self.ray.value(t)
+
+    def slopes(self, t: float) -> tuple[float, float]:
+        return self.ray.slopes(t)
+
+    def reversed(self) -> "CountingRay":
+        return CountingRay(self.ray.reversed(), self.stats)
+
+
+def _qf_scalars(x: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
+    return float(x @ x), float(x @ v), float(v @ v)
+
+
+@dataclass(frozen=True)
+class _QfRay:
+    """Scalars of the ray x + t v shared by the closed-form restrictions."""
+
+    xx: float
+    xv: float
+    vv: float
+
+    def _norm2(self, t: float) -> float:
+        # Exact ||x + t v||^2; the base point itself is used at t = 0.
+        return 1.0 if t == 0.0 else self.xx + t * (2.0 * self.xv + t * self.vv)
+
+
+@dataclass(frozen=True)
+class RayleighRay(_QfRay):
+    """max_i 1/2 y^T A_i y on y(t) from a = x^T A x, b = x^T A v, c = v^T A v."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    def _vals(self, t: float) -> np.ndarray:
+        return 0.5 * (self.a + t * (2.0 * self.b + t * self.c)) / self._norm2(t)
+
+    def value(self, t: float) -> float:
+        return float(np.max(self._vals(t)))
+
+    def slopes(self, t: float) -> tuple[float, float]:
+        vals = self._vals(t)
+        act = _active_mask(vals)
+        # <A_i y - (y^T A_i y) y, d> with d = ||x + t v||^2 y'(t).
+        s = (self.b[act] + t * self.c[act]) \
+            - 2.0 * vals[act] * (self.xv + t * self.vv)
+        return float(np.max(s)), float(np.min(s))
+
+    def reversed(self) -> "RayleighRay":
+        return replace(self, xv=-self.xv, b=-self.b)
+
+
+@dataclass(frozen=True)
+class MedianRay(_QfRay):
+    """sum_i w_i arccos(p_i^T y) on y(t) from p_i^T x and p_i^T v."""
+
+    px: np.ndarray
+    pv: np.ndarray
+    weights: np.ndarray
+
+    def _cosines(self, t: float) -> tuple[np.ndarray, float]:
+        r = np.sqrt(self._norm2(t))
+        return (self.px + t * self.pv) / r, r
+
+    def value(self, t: float) -> float:
+        u, _ = self._cosines(t)
+        return float(self.weights @ np.arccos(np.clip(u, -1.0, 1.0)))
+
+    def slopes(self, t: float) -> tuple[float, float]:
+        u, r = self._cosines(t)
+        reg, coef, sw, _ = _median_terms(u, self.weights)
+        # p_i^T d with d = ||x + t v||^2 y'(t) = r v - (xv + t vv) y.
+        pd = r * self.pv[reg] - u[reg] * (self.xv + t * self.vv)
+        slope = -float(coef @ pd)
+        jump = sw * np.sqrt(self.vv)
+        return slope + jump, slope - jump
+
+    def reversed(self) -> "MedianRay":
+        return replace(self, xv=-self.xv, pv=-self.pv)
 
 
 @dataclass(frozen=True)
@@ -76,6 +217,7 @@ class RayleighQuotientMax:
         a = np.asarray(self.mats, dtype=float)
         if a.shape != (self.m, self.n + 1, self.n + 1):
             raise ValueError("matrix stack has wrong shape")
+        _require_finite(a)
         if np.max(np.abs(a - np.transpose(a, (0, 2, 1)))) > 1e-12:
             raise ValueError("matrices must be symmetric")
         object.__setattr__(self, "mats", a)
@@ -95,11 +237,15 @@ class RayleighQuotientMax:
 
     def _active(self, x: np.ndarray):
         prods, vals = self._components(x)
-        fmax = np.max(vals)
-        idx = np.flatnonzero(vals >= fmax - _ACTIVE_TOL * (1.0 + abs(fmax)))
+        idx = np.flatnonzero(_active_mask(vals))
         # Riemannian gradients of the active components: A_i x - (x^T A_i x) x.
         grads = prods[idx] - (2.0 * vals[idx])[:, None] * x
         return idx, grads
+
+    def restrict(self, x: ManifoldPoint, v: TangentVector) -> RayleighRay:
+        px, pv = self.mats @ x.data, self.mats @ v.data
+        return RayleighRay(*_qf_scalars(x.data, v.data),
+                           a=px @ x.data, b=px @ v.data, c=pv @ v.data)
 
     def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
         _, grads = self._active(x.data)
@@ -131,6 +277,7 @@ class GeometricMedian:
         w = np.asarray(self.weights, dtype=float)
         if p.shape != (self.m, self.n + 1) or w.shape != (self.m,):
             raise ValueError("data has wrong shape")
+        _require_finite(p, w)
         if np.max(np.abs(np.linalg.norm(p, axis=1) - 1.0)) > 1e-12:
             raise ValueError("data points must be unit vectors")
         if np.any(w <= 0.0) or abs(float(np.sum(w)) - 1.0) > 1e-12:
@@ -149,19 +296,17 @@ class GeometricMedian:
     def _split(self, x: np.ndarray):
         """Regular-term gradient sum plus signed weights of singular terms."""
         u = np.clip(self.points @ x, -1.0, 1.0)
-        sing_hi = u > 1.0 - _SINGULAR_TOL     # x at the data point
-        sing_lo = u < -1.0 + _SINGULAR_TOL    # x antipodal to it
-        reg = ~(sing_hi | sing_lo)
+        reg, coef, sing_weight, has_sing = _median_terms(u, self.weights)
         grad = np.zeros_like(x)
         if np.any(reg):
-            den = np.maximum(np.sqrt(1.0 - u[reg] ** 2), _DENOM_FLOOR)
-            coef = self.weights[reg] / den
             tang = self.points[reg] - u[reg, None] * x
             grad = -(coef @ tang)
-        sing_weight = float(np.sum(self.weights[sing_hi])
-                            - np.sum(self.weights[sing_lo]))
-        has_sing = bool(np.any(sing_hi) or np.any(sing_lo))
         return grad, sing_weight, has_sing
+
+    def restrict(self, x: ManifoldPoint, v: TangentVector) -> MedianRay:
+        return MedianRay(*_qf_scalars(x.data, v.data),
+                         px=self.points @ x.data, pv=self.points @ v.data,
+                         weights=self.weights)
 
     def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
         grad, sw, _ = self._split(x.data)
@@ -192,6 +337,7 @@ class SpdCenterOfMass:
         a = np.asarray(self.mats, dtype=float)
         if a.shape != (self.m, self.n, self.n):
             raise ValueError("matrix stack has wrong shape")
+        _require_finite(a)
         if np.max(np.abs(a - np.transpose(a, (0, 2, 1)))) > 1e-12:
             raise ValueError("matrices must be symmetric")
         if np.any(np.linalg.eigvalsh(a)[:, 0] <= 0.0):

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linesearch import (LineSearchConfig, LineSearchResult,
-                         LineSearchStallError, RayObjective, line_search)
+                         LineSearchStallError, line_search, ray_objective)
 from .manifolds import (SPD, ManifoldPoint, Sphere, TangentVector, inner,
                         norm, retract, transport_between)
 from .objectives import CountingOracle, EvalStats
@@ -187,7 +187,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         if rows[-1].eta_norm <= cfg.epsilon_stop:
             stop = "stationary"
             break
-        pf = RayObjective(counting, x, eta, f0=f)
+        pf = ray_objective(counting, x, eta, f0=f)
         try:
             res = line_search(pf, cfg.ls, trace=irp_trace)
         except LineSearchStallError as e:

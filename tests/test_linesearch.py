@@ -5,7 +5,8 @@ import pytest
 
 import rcsopt as r
 from rcsopt.linesearch import (LineSearchConfig, LineSearchStallError,
-                               RayObjective, irp, line_search)
+                               RayObjective, RestrictedRayObjective, irp,
+                               line_search, ray_objective)
 
 
 class ScalarCurve:
@@ -281,3 +282,180 @@ class TestLineSearch:
         assert trace
         assert {"i", "tau_lo", "tau", "tau_hi", "l_tau", "l_lo",
                 "branch"} <= set(trace[0])
+
+
+class GenericOnly:
+    """Oracle proxy without ``restrict``: forces the generic ray path."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.manifold = oracle.manifold
+
+    def value(self, x):
+        return self.oracle.value(x)
+
+    def dir_deriv(self, x, xi):
+        return self.oracle.dir_deriv(x, xi)
+
+    def active_subgrad(self, x, xi):
+        return self.oracle.active_subgrad(x, xi)
+
+
+def assert_restricted_matches_generic(oracle, x, v):
+    """Closed-form values and slopes against the generic ray, both ways."""
+    ray = oracle.restrict(x, v)
+    pairs = [(RestrictedRayObjective(oracle, x, v), RayObjective(oracle, x, v)),
+             (RestrictedRayObjective(oracle, x, -v, ray=ray.reversed()),
+              RayObjective(oracle, x, -v))]
+    for fast, ref in pairs:
+        for t in (0.0, 0.3, 1.2, 4.0):
+            assert fast.value(t) == pytest.approx(ref.value(t), rel=1e-10)
+            assert fast.right_deriv(t) == pytest.approx(
+                ref.right_deriv(t), rel=1e-10, abs=1e-12)
+            assert fast.left_deriv(t) == pytest.approx(
+                ref.left_deriv(t), rel=1e-10, abs=1e-12)
+
+
+def random_descent_direction(oracle, x, seed):
+    rng = np.random.default_rng(seed)
+    xi = oracle.manifold.random_tangent(x, rng)
+    return -1.0 * oracle.active_subgrad(x, xi)
+
+
+class TestRestrictedRay:
+    @pytest.mark.parametrize("kind", ["rayleigh", "median"])
+    @pytest.mark.parametrize("n,m", [(4, 6), (1, 5), (4, 1), (1, 1)])
+    def test_matches_generic_ray(self, kind, n, m):
+        for seed in range(3):
+            oracle = r.generate_instance(kind, n, m, seed=seed)
+            x = oracle.manifold.random_point(np.random.default_rng(50 + seed))
+            v = random_descent_direction(oracle, x, 60 + seed)
+            assert_restricted_matches_generic(oracle, x, v)
+
+    def test_rayleigh_tied_active_components(self):
+        # Components 0 and 1 tie at x with different gradients and dominate
+        # the rest, so l'_-(0) < l'_+(0) on both paths.
+        base = r.generate_instance("rayleigh", 3, 4, seed=70)
+        S = base.manifold
+        rng = np.random.default_rng(71)
+        x = S.random_point(rng)
+        xx = np.outer(x.data, x.data)
+        mats = base.mats.copy()
+        a = np.einsum("i,kij,j->k", x.data, mats, x.data)
+        mats[1] += (a[0] - a[1]) * xx
+        mats[:2] += 20.0 * xx
+        oracle = r.RayleighQuotientMax(3, 4, mats)
+        idx, _ = oracle._active(x.data)
+        assert list(idx) == [0, 1]
+        v = S.random_tangent(x, rng)
+        pf = RestrictedRayObjective(oracle, x, v)
+        assert pf.left_deriv(0.0) < pf.right_deriv(0.0) - 1e-3
+        assert_restricted_matches_generic(oracle, x, v)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_median_at_data_point_and_antipode(self, sign):
+        oracle = r.generate_instance("median", 3, 5, seed=72)
+        S = oracle.manifold
+        x = S.point(sign * oracle.points[2])
+        v = S.random_tangent(x, np.random.default_rng(73))
+        assert_restricted_matches_generic(oracle, x, v)
+
+    def test_value_is_the_retraction_for_any_direction(self):
+        # ||x + t v||^2 is expanded exactly, so the values follow the
+        # projected retraction even for a v with a normal component.
+        for kind in ("rayleigh", "median"):
+            oracle = r.generate_instance(kind, 4, 6, seed=77)
+            S = oracle.manifold
+            rng = np.random.default_rng(78)
+            x = S.random_point(rng)
+            v = r.TangentVector(x, rng.standard_normal(5))
+            ray = oracle.restrict(x, v)
+            for w, fast in ((v, ray), (-v, ray.reversed())):
+                for t in (0.3, 1.2, 4.0):
+                    assert fast.value(t) == pytest.approx(
+                        oracle.value(r.retract(x, t * w)), rel=1e-12)
+
+    def test_right_deriv_matches_fd_with_speed_factor(self):
+        # Slopes are taken along the transported direction: ||x + t v||^2
+        # times the derivative of the closed-form ray values.
+        for kind in ("rayleigh", "median"):
+            oracle = r.generate_instance(kind, 4, 1, seed=74)
+            x = oracle.manifold.random_point(np.random.default_rng(75))
+            eta = random_descent_direction(oracle, x, 76)
+            pf = RestrictedRayObjective(oracle, x, eta)
+            h = 1e-6
+            for t in (0.3, 1.2):
+                c2 = float(np.dot(x.data + t * eta.data,
+                                  x.data + t * eta.data))
+                fd = (pf.value(t + h) - pf.value(t - h)) / (2 * h)
+                assert abs(pf.right_deriv(t) - c2 * fd) <= 1e-4 * (1 + abs(fd))
+
+    def test_line_search_matches_generic(self):
+        for seed in range(10):
+            kind = ("rayleigh", "median")[seed % 2]
+            oracle = r.generate_instance(kind, 5, 8, seed=seed)
+            x = oracle.manifold.random_point(np.random.default_rng(80 + seed))
+            eta = random_descent_direction(oracle, x, 90 + seed)
+            for v in (eta, -eta):  # forward and mirrored searches
+                fast = line_search(RestrictedRayObjective(oracle, x, v),
+                                   LineSearchConfig())
+                ref = line_search(RayObjective(oracle, x, v),
+                                  LineSearchConfig())
+                assert (fast.t, fast.sign, fast.evals, fast.irp_iters) == (
+                    ref.t, ref.sign, ref.evals, ref.irp_iters)
+                assert r.same_point(fast.x_new, ref.x_new)
+                assert fast.phi_at_t == pytest.approx(ref.phi_at_t, rel=1e-12)
+
+
+class TestRayObjectiveChoice:
+    def test_sphere_oracles_get_the_restricted_ray(self):
+        for kind in ("rayleigh", "median"):
+            oracle = r.generate_instance(kind, 3, 4, seed=100)
+            x = oracle.manifold.random_point(np.random.default_rng(101))
+            v = random_descent_direction(oracle, x, 102)
+            counting = r.CountingOracle(oracle, r.EvalStats())
+            assert type(ray_objective(counting, x, v)) is \
+                RestrictedRayObjective
+            assert type(ray_objective(GenericOnly(oracle), x, v)) is \
+                RayObjective
+
+    def test_restricted_values_count_one_evaluation_each(self):
+        oracle = r.generate_instance("median", 3, 4, seed=103)
+        x = oracle.manifold.random_point(np.random.default_rng(104))
+        v = random_descent_direction(oracle, x, 105)
+        stats = r.EvalStats()
+        pf = ray_objective(r.CountingOracle(oracle, stats), x, v)
+        pf.value(0.5), pf.value(0.5), pf.value(2.0)
+        pf.right_deriv(0.5), pf.left_deriv(2.0)
+        assert stats.nf == 2 and pf.evals == 2
+
+    def test_karcher_counting_solve_stays_generic(self):
+        oracle = r.generate_instance("karcher", 3, 5, seed=106)
+        counting = r.CountingOracle(oracle, r.EvalStats())
+        assert not hasattr(counting, "restrict")
+        x0 = r.initial_point("karcher", 3, 106)
+        v = random_descent_direction(oracle, x0, 107)
+        assert type(ray_objective(counting, x0, v)) is RayObjective
+        res = r.conjugate_subgradient_solve(oracle, x0,
+                                            r.SolverConfig(max_iters=30))
+        ref = r.conjugate_subgradient_solve(GenericOnly(oracle), x0,
+                                            r.SolverConfig(max_iters=30))
+        assert (res.iters, res.nf, res.f) == (ref.iters, ref.nf, ref.f)
+
+
+@pytest.mark.parametrize("kind,n,m,rel", [("rayleigh", 50, 200, 1e-12),
+                                          ("median", 100, 200, 1e-8)])
+def test_whole_solve_matches_generic_path(kind, n, m, rel):
+    # The benchmark's sphere sizes: same iterations, evaluations and stop
+    # reason; f agrees to round-off (the median's arccos near +-1 amplifies
+    # it over many nonsmooth iterations).
+    cfg = r.SolverConfig(max_iters=500)
+    for seed in range(3):
+        oracle = r.generate_instance(kind, n, m, seed=seed)
+        x0 = r.initial_point(kind, n, seed)
+        fast = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=seed)
+        ref = r.conjugate_subgradient_solve(GenericOnly(oracle), x0, cfg,
+                                            seed=seed)
+        assert (fast.iters, fast.nf, fast.stop_reason) == (
+            ref.iters, ref.nf, ref.stop_reason)
+        assert fast.f == pytest.approx(ref.f, rel=rel)

@@ -311,3 +311,29 @@ class TestCounting:
         counting.dir_deriv(x, xi)
         counting.active_subgrad(x, xi)
         assert stats.nf == 2
+
+
+class TestDataValidation:
+    @staticmethod
+    def _poisoned(kind, bad, where):
+        a = r.generate_instance(kind, 3, 4, seed=33)
+        if kind == "median":
+            points, weights = a.points.copy(), a.weights.copy()
+            if where == "weights":
+                weights[1] = bad
+            else:
+                points[1, 2] = bad
+            return lambda: r.GeometricMedian(3, 4, points, weights)
+        mats = a.mats.copy()
+        mats[1, 0, 0] = bad
+        cls = r.RayleighQuotientMax if kind == "rayleigh" else r.SpdCenterOfMass
+        return lambda: cls(3, 4, mats)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind,where", [
+        ("rayleigh", "data"), ("median", "data"), ("median", "weights"),
+        ("karcher", "data")])
+    def test_non_finite_data_rejected(self, kind, where, bad):
+        build = self._poisoned(kind, bad, where)
+        with pytest.raises(ValueError, match="finite"):
+            build()
