@@ -28,7 +28,7 @@ print("retracted point norm:", np.linalg.norm(y.data))
 print("distance x -> y:", r.distance(x, y), "(arc length)")
 
 # Parallel transport carries xi to the tangent space at y without stretching.
-carried = r.transport(x, eta, xi)
+carried = r.transport_between(x, y, xi)
 print("norms before/after transport:", r.norm(xi), r.norm(carried))
 print("carried vector tangent at y:", abs(np.dot(carried.data, y.data)) < 1e-12)
 
@@ -46,7 +46,7 @@ print("inner(u, v) =", r.inner(u, v))
 Y = r.retract(X, 1.5 * u)
 print("distance X -> Y:", r.distance(X, Y), "= ||1.5 u|| =", r.norm(1.5 * u))
 
-carried = r.transport(X, 1.5 * u, v)
+carried = r.transport_between(X, Y, v)
 print("transport isometry gap:", abs(r.norm(carried) - r.norm(v)))
 
 # Retraction at zero is the identity, and transports compose with it.

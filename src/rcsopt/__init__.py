@@ -3,8 +3,7 @@
 from .manifolds import (SPD, BasePointMismatchError, DegenerateRetractionError,
                         DegenerateTransportError, ManifoldPoint, Sphere,
                         TangentVector, check_point, check_tangent, distance,
-                        inner, norm, retract, same_point, transport,
-                        transport_between)
+                        inner, norm, retract, same_point, transport_between)
 from .objectives import (AmbiguousDirectionError, CountingOracle, EvalStats,
                          GeometricMedian, RayleighQuotientMax, SpdCenterOfMass,
                          generate_instance, instance_from_json,

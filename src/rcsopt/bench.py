@@ -124,13 +124,19 @@ def initial_point(kind: str, n: int, seed: int) -> ManifoldPoint:
 
 
 def adjudicate(records: list[BenchmarkRecord]) -> float:
-    """Set the solved flags for one problem's records; returns f_opt."""
+    """Set the solved flags for one problem's records; returns f_opt.
+
+    f_opt is the best finite final value (inf when there is none); a record
+    with a non-finite final value never counts as solved.
+    """
     if not records:
         raise EmptySuiteError("no records to adjudicate")
-    f_opt = min(r.final_f for r in records)
+    f_opt = min((r.final_f for r in records if math.isfinite(r.final_f)),
+                default=math.inf)
     for r in records:
-        gap = (r.final_f - f_opt) / (abs(f_opt) + 1.0)
-        r.solved = bool(r.error is None and 0.0 <= gap <= SOLVED_REL_TOL)
+        r.solved = bool(r.error is None and math.isfinite(r.final_f)
+                        and 0.0 <= (r.final_f - f_opt) / (abs(f_opt) + 1.0)
+                        <= SOLVED_REL_TOL)
     return f_opt
 
 

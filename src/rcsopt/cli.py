@@ -102,8 +102,7 @@ def _cmd_check(args) -> int:
     else:
         print("orthogonality: skipped (no recorded inner products)")
 
-    has_tangents = bool(rows) and hasattr(rows[0], "x")
-    if has_tangents:
+    if rows[0].x is not None:
         res = _solver.fr_direction_check(rows)
         ok = res <= 1e-6
         failures += not ok

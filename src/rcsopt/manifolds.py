@@ -104,6 +104,13 @@ def _floored_sqrt(w: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(w, _EIG_FLOOR))
 
 
+def _sqrt_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(X^(1/2), X^(-1/2)) of an SPD matrix from one eigendecomposition."""
+    w, q = np.linalg.eigh(_sym(x))
+    rw = _floored_sqrt(w)
+    return (q * rw) @ q.T, (q / rw) @ q.T
+
+
 class Manifold:
     """Common interface of the two supported manifolds."""
 
@@ -112,6 +119,8 @@ class Manifold:
     def point(self, data: np.ndarray) -> ManifoldPoint:
         """Validate raw coordinates and wrap them as a point."""
         data = np.asarray(data, dtype=float)
+        if not np.all(np.isfinite(data)):
+            raise ValueError("point coordinates must be finite")
         self._check_point(data)
         return ManifoldPoint(self, data)
 
@@ -243,23 +252,18 @@ class SPD(Manifold):
 
     def _retract(self, x, v):
         # X^(1/2) expm(X^(-1/2) v X^(-1/2)) X^(1/2)
-        w, q = np.linalg.eigh(_sym(x))
-        rt = (q * _floored_sqrt(w)) @ q.T
-        irt = (q / _floored_sqrt(w)) @ q.T
+        rt, irt = _sqrt_pair(x)
         return _sym(rt @ _eigh_fun(irt @ v @ irt, np.exp) @ rt)
 
     def _transport(self, a, b, v):
         # E v E^T with E = (B A^-1)^(1/2) = A^(1/2) (A^(-1/2) B A^(-1/2))^(1/2) A^(-1/2)
-        w, q = np.linalg.eigh(_sym(a))
-        rt = (q * _floored_sqrt(w)) @ q.T
-        irt = (q / _floored_sqrt(w)) @ q.T
+        rt, irt = _sqrt_pair(a)
         m = _sym(irt @ b @ irt)
         e = rt @ _eigh_fun(m, _floored_sqrt) @ irt
         return _sym(e @ v @ e.T)
 
     def _distance(self, a, b):
-        w, q = np.linalg.eigh(_sym(a))
-        irt = (q / _floored_sqrt(w)) @ q.T
+        _, irt = _sqrt_pair(a)
         ev = np.linalg.eigvalsh(_sym(irt @ b @ irt))
         return float(np.linalg.norm(_spd_log_eigvals(ev)))
 
@@ -304,16 +308,6 @@ def transport_between(a: ManifoldPoint, b: ManifoldPoint,
         return TangentVector(b, xi.data)
     m = a.manifold
     return TangentVector(b, m._transport(a.data, b.data, xi.data))
-
-
-def transport(x: ManifoldPoint, eta: TangentVector,
-              xi: TangentVector) -> TangentVector:
-    """Transport xi from x to retract(x, eta); identity when eta = 0."""
-    _require_base(x, eta, "transport")
-    _require_base(x, xi, "transport")
-    if np.all(eta.data == 0.0):
-        return TangentVector(x, xi.data)
-    return transport_between(x, retract(x, eta), xi)
 
 
 def distance(x: ManifoldPoint, y: ManifoldPoint) -> float:

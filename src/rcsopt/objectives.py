@@ -36,8 +36,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .manifolds import (SPD, ManifoldPoint, Sphere, TangentVector, _sym,
-                        inner)
+from .manifolds import (SPD, ManifoldPoint, Sphere, TangentVector, _sqrt_pair,
+                        _sym, inner)
 
 # Active-set tolerance for the Rayleigh max (exact float ties never happen).
 _ACTIVE_TOL = 1e-10
@@ -349,21 +349,18 @@ class SpdCenterOfMass:
         return SPD(self.n)
 
     def _whitened(self, x: np.ndarray):
-        w, q = np.linalg.eigh(_sym(x))
-        rw = np.sqrt(np.maximum(w, 1e-14))
-        rt = (q * rw) @ q.T
-        irt = (q / rw) @ q.T
-        return rt, irt, irt @ self.mats @ irt  # (m, n, n)
+        rt, irt = _sqrt_pair(x)
+        return rt, irt @ self.mats @ irt  # (m, n, n)
 
     def value(self, x: ManifoldPoint) -> float:
-        _, _, m = self._whitened(x.data)
+        _, m = self._whitened(x.data)
         ev = np.linalg.eigvalsh(0.5 * (m + np.transpose(m, (0, 2, 1))))
         logs = np.log(np.maximum(ev, 1e-14))
         return 0.5 * float(np.sum(logs ** 2))
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         # grad f(X) = -sum_i X^(1/2) logm(X^(-1/2) A_i X^(-1/2)) X^(1/2)
-        rt, _, m = self._whitened(x)
+        rt, m = self._whitened(x)
         ev, vec = np.linalg.eigh(0.5 * (m + np.transpose(m, (0, 2, 1))))
         logs = np.log(np.maximum(ev, 1e-14))
         logm_sum = np.einsum("kij,kj,klj->il", vec, logs, vec)

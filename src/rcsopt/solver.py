@@ -54,21 +54,25 @@ class SolverConfig:
 
 @dataclass
 class IterationRecord:
-    """One trajectory row; row k describes the state entering iteration k."""
+    """One trajectory row; row k describes the state entering iteration k.
+
+    Rows parsed from a trajectory written without tangent data have ``x``,
+    ``eta`` and ``gtilde`` set to None; the scalar checks need only the rest.
+    """
 
     k: int
-    x: ManifoldPoint
     f: float
-    eta: TangentVector
-    gtilde: TangentVector
     eta_norm: float
     gtilde_norm: float
     nf_cum: int
     time_cum_s: float
+    x: ManifoldPoint | None = None
+    eta: TangentVector | None = None
+    gtilde: TangentVector | None = None
     # Line search performed *from* this row's point (filled once it ran).
     t: float | None = None
     null: bool = False
-    ls: dict | None = None
+    ls: LineSearchResult | None = None
     # Direction-update diagnostics that produced this row (None for k = 1).
     g_plus: TangentVector | None = None
     g_minus: TangentVector | None = None
@@ -76,8 +80,6 @@ class IterationRecord:
     lam: float | None = None
     alpha: float | None = None
     cos2_theta: float | None = None
-    ip_plus: float | None = None
-    ip_minus: float | None = None
     ortho: float | None = None  # <gtilde, d> before stabilization (raw log)
 
 
@@ -93,7 +95,7 @@ class SolveResult:
     wall_time_s: float
     trajectory: list[IterationRecord]
 
-    def line_search_records(self) -> list[dict]:
+    def line_search_records(self) -> list[LineSearchResult]:
         return [r.ls for r in self.trajectory if r.ls is not None]
 
 
@@ -142,16 +144,6 @@ def _cos2_theta(gtilde: TangentVector, d: TangentVector) -> float:
     return float(inner(d, s) ** 2 / (nd2 * ns2))
 
 
-def _ls_record(res: LineSearchResult) -> dict:
-    return {"t": res.t, "phi0": res.phi0, "phi_at_t": res.phi_at_t,
-            "dplus0": res.dplus0, "dminus0": res.dminus0,
-            "dminus_at_lo": res.dminus_at_lo, "dplus_at_hi": res.dplus_at_hi,
-            "tau_lo": res.tau_lo_final, "tau_hi": res.tau_hi_final,
-            "tau_hi_start": res.tau_hi_start, "sign": res.sign,
-            "null": res.null, "approximate": res.approximate,
-            "irp_iters": res.irp_iters}
-
-
 def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
                                 cfg: SolverConfig | None = None,
                                 seed: int = 0,
@@ -163,6 +155,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
     is smooth).  Stops when the direction norm drops to ``epsilon_stop``, after
     ``max_null_steps`` consecutive null steps, or at the iteration cap.
     """
+    x0.manifold.point(x0.data)  # ValueError unless x0 is on its manifold
     cfg = cfg or SolverConfig()
     rng = np.random.default_rng(seed)
     stats = EvalStats()
@@ -195,7 +188,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         ls_calls += 1
         rows[-1].t = res.t
         rows[-1].null = res.null
-        rows[-1].ls = _ls_record(res)
+        rows[-1].ls = res
         # A collapsed bracket at tau_lo = 0 also leaves the iterate in place;
         # such zero steps count toward the consecutive-null stop.
         if res.t == 0.0:
@@ -227,8 +220,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             eta_norm=norm(eta), gtilde_norm=norm(gtilde),
             nf_cum=stats.nf, time_cum_s=time.perf_counter() - start,
             g_plus=res.g_plus, g_minus=res.g_minus, d=d, lam=lam, alpha=alpha,
-            cos2_theta=_cos2_theta(gtilde, d), ip_plus=ip_p, ip_minus=ip_m,
-            ortho=ortho_raw))
+            cos2_theta=_cos2_theta(gtilde, d), ortho=ortho_raw))
 
         if null_run >= cfg.max_null_steps:
             stop = "null_steps"
@@ -251,6 +243,7 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
     Comparison baseline with the same trajectory schema as the conjugate
     solver; it carries no descent guarantee.
     """
+    x0.manifold.point(x0.data)  # ValueError unless x0 is on its manifold
     cfg = cfg or SolverConfig()
     rng = np.random.default_rng(seed)
     stats = EvalStats()
@@ -315,16 +308,12 @@ def fr_direction_check(trajectory: list[IterationRecord]) -> float:
     return worst
 
 
-def norm_recursion_residual(trajectory) -> float:
-    """Max relative error of 1/||eta_k||^2 = sum_{j<=k} 1/||gtilde_j||^2.
-
-    Works on IterationRecord rows or plain dicts with eta_norm/gtilde_norm.
-    """
+def norm_recursion_residual(trajectory: list[IterationRecord]) -> float:
+    """Max relative error of 1/||eta_k||^2 = sum_{j<=k} 1/||gtilde_j||^2."""
     worst = 0.0
     acc = 0.0
     for row in trajectory:
-        en = row.eta_norm if hasattr(row, "eta_norm") else row["eta_norm"]
-        gn = row.gtilde_norm if hasattr(row, "gtilde_norm") else row["gtilde_norm"]
+        gn, en = row.gtilde_norm, row.eta_norm
         if gn == 0.0 or en == 0.0:
             break
         acc += 1.0 / gn ** 2
@@ -333,28 +322,27 @@ def norm_recursion_residual(trajectory) -> float:
     return worst
 
 
-def descent_violations(trajectory, rel_tol: float = 1e-12) -> int:
+def descent_violations(trajectory: list[IterationRecord],
+                       rel_tol: float = 1e-12) -> int:
     """Number of iterations where f increased beyond rel_tol."""
     bad = 0
-    fs = [row.f if hasattr(row, "f") else row["f"] for row in trajectory]
+    fs = [row.f for row in trajectory]
     for a, b in zip(fs, fs[1:]):
         if b > a + rel_tol * (1.0 + abs(a)):
             bad += 1
     return bad
 
 
-def orthogonality_violations(trajectory, scale_tol: float = 1e-6):
+def orthogonality_violations(trajectory: list[IterationRecord],
+                             scale_tol: float = 1e-6):
     """(violations, count) for |<gtilde_{k+1}, T eta_k>| <= tol-scale."""
     bad = total = 0
     rows = list(trajectory)
     for prev, row in zip(rows, rows[1:]):
-        ortho = row.ortho if hasattr(row, "ortho") else row.get("ortho")
-        if ortho is None:
+        if row.ortho is None:
             continue
-        gn = row.gtilde_norm if hasattr(row, "gtilde_norm") else row["gtilde_norm"]
-        en = prev.eta_norm if hasattr(prev, "eta_norm") else prev["eta_norm"]
         total += 1
-        if abs(ortho) > scale_tol * (gn * en + 1.0):
+        if abs(row.ortho) > scale_tol * (row.gtilde_norm * prev.eta_norm + 1.0):
             bad += 1
     return bad, total
 
@@ -399,29 +387,28 @@ def trajectory_to_jsonl(trajectory: list[IterationRecord],
     return "\n".join(lines) + "\n"
 
 
-def trajectory_from_jsonl(text: str) -> list:
+def trajectory_from_jsonl(text: str) -> list[IterationRecord]:
     """Parse trajectory records; rebuilds points/tangents when present.
 
-    Returns IterationRecord rows when tangent data is available, else the
-    plain dicts (sufficient for the scalar checks).
+    Lines written without tangent data give rows whose ``x``, ``eta`` and
+    ``gtilde`` are None, which suffices for the scalar checks.
     """
     rows = []
     for line in text.splitlines():
         if not line.strip():
             continue
         rec = json.loads(line)
+        x = eta = gtilde = None
         if "x" in rec and "manifold" in rec:
-            m = _manifold_from_tag(rec["manifold"])
-            x = ManifoldPoint(m, np.array(rec["x"]))
-            rows.append(IterationRecord(
-                k=rec["k"], x=x, f=rec["f"],
-                eta=TangentVector(x, np.array(rec["eta"])),
-                gtilde=TangentVector(x, np.array(rec["gtilde"])),
-                eta_norm=rec["eta_norm"], gtilde_norm=rec["gtilde_norm"],
-                nf_cum=rec["nf_cum"], time_cum_s=rec["time_cum_s"],
-                t=rec.get("t"), null=bool(rec.get("null", False)),
-                lam=rec.get("lambda"), alpha=rec.get("alpha"),
-                ortho=rec.get("ortho")))
-        else:
-            rows.append(rec)
+            x = ManifoldPoint(_manifold_from_tag(rec["manifold"]),
+                              np.array(rec["x"]))
+            eta = TangentVector(x, np.array(rec["eta"]))
+            gtilde = TangentVector(x, np.array(rec["gtilde"]))
+        rows.append(IterationRecord(
+            k=rec["k"], x=x, f=rec["f"], eta=eta, gtilde=gtilde,
+            eta_norm=rec["eta_norm"], gtilde_norm=rec["gtilde_norm"],
+            nf_cum=rec["nf_cum"], time_cum_s=rec["time_cum_s"],
+            t=rec.get("t"), null=bool(rec.get("null", False)),
+            lam=rec.get("lambda"), alpha=rec.get("alpha"),
+            ortho=rec.get("ortho")))
     return rows

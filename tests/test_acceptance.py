@@ -55,19 +55,18 @@ def test_criterion_2_line_search_optimality(suite_runs):
     for _, res in runs:
         for rec in res.line_search_records():
             total += 1
-            if rec["phi_at_t"] > rec["phi0"] + 1e-12 * (1 + abs(rec["phi0"])):
+            if rec.phi_at_t > rec.phi0 + 1e-12 * (1 + abs(rec.phi0)):
                 nondecrease_bad += 1
-            tol = 1e-6 * (1.0 + abs(rec["dplus0"]))
-            if rec["null"]:
-                if not (rec["dminus0"] <= tol and rec["dplus0"] >= -tol):
+            tol = 1e-6 * (1.0 + abs(rec.dplus0))
+            if rec.null:
+                if not (rec.dminus0 <= tol and rec.dplus0 >= -tol):
                     first_order_bad += 1
-            elif rec["tau_hi"] >= rec["tau_hi_start"]:
+            elif rec.tau_hi_final >= rec.tau_hi_start:
                 # Upper bound never moved: the one-dimensional minimum sits
                 # at or beyond the injectivity clamp and was not bracketed.
                 edge_stops += 1
             else:
-                if not (rec["dminus_at_lo"] <= tol
-                        and rec["dplus_at_hi"] >= -tol):
+                if not (rec.dminus_at_lo <= tol and rec.dplus_at_hi >= -tol):
                     first_order_bad += 1
     ok = (total >= 10_000 and nondecrease_bad == 0 and first_order_bad == 0)
     report(2, "line-search optimality", ok,
@@ -134,7 +133,8 @@ def test_criterion_6_transport_isometry():
             eta = rng.uniform(0.0, 2.0) * manifold.random_tangent(x, rng)
             xi = rng.uniform(0.1, 3.0) * manifold.random_tangent(x, rng)
             nx = r.norm(xi)
-            worst = max(worst, abs(r.norm(r.transport(x, eta, xi)) - nx) / nx)
+            out = r.transport_between(x, r.retract(x, eta), xi)
+            worst = max(worst, abs(r.norm(out) - nx) / nx)
     report(6, "transport isometry", worst <= 1e-10,
            f"max relative norm deviation {worst:.2e} over 2x10^4 cases")
 

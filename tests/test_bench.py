@@ -44,6 +44,19 @@ class TestAdjudicate:
         with pytest.raises(EmptySuiteError):
             r.adjudicate([])
 
+    def test_nan_final_f_ignored_in_either_order(self):
+        for order in ((math.nan, 1.0), (1.0, math.nan)):
+            records = [rec("p0", s, 1.0, f) for s, f in zip("ab", order)]
+            assert r.adjudicate(records) == 1.0
+            assert [x.solved for x in records] \
+                == [not math.isnan(f) for f in order]
+
+    def test_no_finite_final_f_solves_nothing(self):
+        records = [rec("p0", "a", 1.0, math.nan),
+                   rec("p0", "b", 1.0, math.inf)]
+        assert r.adjudicate(records) == math.inf
+        assert not any(x.solved for x in records)
+
 
 class TestPerformanceProfile:
     def test_two_solver_example(self):

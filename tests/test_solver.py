@@ -225,7 +225,7 @@ class TestConjugateSubgradientSolve:
         _, res = solve_small("rayleigh", 4, 10, 27, max_iters=300)
         for row in res.trajectory:
             if row.ls is not None and row.null:
-                assert row.ls["dminus0"] <= 0.0 <= row.ls["dplus0"]
+                assert row.ls.dminus0 <= 0.0 <= row.ls.dplus0
 
     def test_deterministic_given_seed(self):
         _, res1 = solve_small("rayleigh", 3, 6, 28, max_iters=120)
@@ -237,6 +237,16 @@ class TestConjugateSubgradientSolve:
     def test_max_iters_cap(self):
         _, res = solve_small("rayleigh", 4, 10, 29, max_iters=7)
         assert res.iters <= 7
+
+    @pytest.mark.parametrize("solve", [r.conjugate_subgradient_solve,
+                                       r.subgradient_descent_solve])
+    def test_off_manifold_start_rejected(self, solve):
+        oracle = r.generate_instance("rayleigh", 3, 5, seed=29)
+        x0 = r.initial_point("rayleigh", 3, 29)
+        for data in (2.0 * x0.data, np.full(4, np.nan)):
+            with pytest.raises(ValueError) as err:
+                solve(oracle, r.ManifoldPoint(x0.manifold, data))
+            assert not isinstance(err.value, r.BasePointMismatchError)
 
 
 class TestFrDirectionCheck:
@@ -290,18 +300,37 @@ class TestBaselineSolver:
         assert required <= set(json.loads(b))
 
 
+def _scalar_checks(rows):
+    return (r.descent_violations(rows), r.norm_recursion_residual(rows),
+            r.orthogonality_violations(rows),
+            r.orthogonality_violations(rows, scale_tol=0.0))
+
+
 class TestTrajectorySerialization:
     def test_scalar_round_trip(self):
         _, res = solve_small("rayleigh", 3, 5, 36, max_iters=60)
         text = r.trajectory_to_jsonl(res.trajectory)
         rows = r.trajectory_from_jsonl(text)
         assert len(rows) == len(res.trajectory)
-        assert rows[0]["f"] == res.trajectory[0].f
+        assert all(isinstance(row, r.IterationRecord) for row in rows)
+        assert all(row.x is None and row.eta is None and row.gtilde is None
+                   for row in rows)
+        assert rows[0].f == res.trajectory[0].f
         assert r.norm_recursion_residual(rows) <= 1e-6
+        # The checks read the same numbers from either row origin.
+        tangent_rows = r.trajectory_from_jsonl(
+            r.trajectory_to_jsonl(res.trajectory, include_tangents=True))
+        expected = _scalar_checks(res.trajectory)
+        assert expected[3][0] > 0  # scale_tol = 0 counts every nonzero ortho
+        assert _scalar_checks(rows) == expected
+        assert _scalar_checks(tangent_rows) == expected
 
     def test_tangent_round_trip_replayable(self):
         _, res = solve_small("rayleigh", 3, 5, 37, max_iters=50)
         text = r.trajectory_to_jsonl(res.trajectory, include_tangents=True)
         rows = r.trajectory_from_jsonl(text)
+        assert all(isinstance(row, r.IterationRecord) for row in rows)
+        assert all(np.array_equal(row.x.data, mem.x.data)
+                   for row, mem in zip(rows, res.trajectory))
         assert r.fr_direction_check(rows) <= 1e-6
         assert r.descent_violations(rows) == 0
