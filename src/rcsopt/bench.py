@@ -17,13 +17,15 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
 from .manifolds import SPD, ManifoldPoint, Sphere
 from .objectives import KINDS, generate_instance
 from .solver import (SolveResult, SolverConfig, SolveStalledError,
-                     conjugate_subgradient_solve, subgradient_descent_solve)
+                     conjugate_subgradient_solve, subgradient_descent_solve,
+                     trajectory_to_jsonl)
 from .linesearch import LineSearchConfig
 
 SOLVED_REL_TOL = 1e-7
@@ -185,34 +187,44 @@ def performance_profile(records: list[BenchmarkRecord],
 
 
 def _run_cell(kind: str, n: int, m: int, seed: int, solver_name: str,
-              cfg_dict: dict | None, keep_trajectory: bool):
-    """Solve one (instance, solver) cell; timing excludes generation."""
+              cfg_dict: dict | None, trace_dir: Path | None) -> BenchmarkRecord:
+    """Solve one (instance, solver) cell; timing excludes generation.
+
+    A ``ValueError`` or ``ArithmeticError`` from the solve becomes an error
+    row (``final_f`` inf, no iterations).  With ``trace_dir`` set, a cell
+    that finished writes ``traj_<problem>_<solver>.jsonl`` (with tangents)
+    there, plus ``irp_<problem>_<solver>.jsonl`` for the conjugate solver.
+    """
     oracle = generate_instance(kind, n, m, seed)
     x0 = initial_point(kind, n, seed)
     cfg = solver_config_from_dict(cfg_dict)
     solve = SOLVERS[solver_name]
     pid = problem_id(kind, n, m, seed)
-    kwargs = {}
-    irp_trace = None
-    if keep_trajectory and solver_name == "conjugate_subgradient":
-        irp_trace = []
-        kwargs["irp_trace"] = irp_trace
+    traced_cs = trace_dir is not None and solver_name == "conjugate_subgradient"
+    irp_trace = [] if traced_cs else None
+    kwargs = {"irp_trace": irp_trace} if traced_cs else {}
+    rec = BenchmarkRecord(problem=pid, solver=solver_name, seed=seed,
+                          iters=0, nf=0, wall_time_s=0.0, final_f=math.inf)
     t0 = time.perf_counter()
     try:
         result: SolveResult = solve(oracle, x0, cfg, seed=seed, **kwargs)
     except SolveStalledError as e:
-        wall = time.perf_counter() - t0
-        iters = max(len(e.trajectory) - 1, 0)
+        rec.iters = max(len(e.trajectory) - 1, 0)
         nf = e.trajectory[-1].nf_cum if e.trajectory else 0
-        rec = BenchmarkRecord(problem=pid, solver=solver_name, seed=seed,
-                              iters=iters, nf=max(nf, iters), wall_time_s=wall,
-                              final_f=math.inf, error=str(e))
-        return rec, None, None
-    wall = time.perf_counter() - t0
-    rec = BenchmarkRecord(problem=pid, solver=solver_name, seed=seed,
-                          iters=result.iters, nf=result.nf, wall_time_s=wall,
-                          final_f=result.f)
-    return rec, (result if keep_trajectory else None), irp_trace
+        rec.nf, rec.error = max(nf, rec.iters), str(e)
+    except (ValueError, ArithmeticError) as e:
+        rec.error = f"{type(e).__name__}: {e}"
+    else:
+        rec.iters, rec.nf, rec.final_f = result.iters, result.nf, result.f
+    rec.wall_time_s = time.perf_counter() - t0
+    if trace_dir is not None and rec.error is None:
+        name = f"{pid}_{solver_name}.jsonl"
+        (trace_dir / f"traj_{name}").write_text(
+            trajectory_to_jsonl(result.trajectory, include_tangents=True))
+        if irp_trace is not None:
+            (trace_dir / f"irp_{name}").write_text(
+                "".join(json.dumps(r) + "\n" for r in irp_trace))
+    return rec
 
 
 @dataclass
@@ -222,16 +234,16 @@ class SuiteResult:
     profiles: list[ProfileCurve]
     summary: list[dict]
     f_opt: dict[str, float]
-    results: dict | None = None     # (problem, solver) -> SolveResult, if kept
-    irp_traces: dict | None = None  # (problem, solver) -> interval records
 
 
 def run_suite(spec: SuiteSpec, jobs: int = 1,
-              keep_results: bool = False) -> SuiteResult:
+              trace_dir: Path | None = None) -> SuiteResult:
     """Run every (size, run, solver) cell of the suite deterministically.
 
     Instance seeds are base_seed + running index over (size, run) pairs, so
     reruns reproduce iterates and values bit for bit; wall times differ.
+    With ``trace_dir`` (an existing directory) each cell writes its trace
+    files there as it finishes; see ``_run_cell``.
     """
     cells = []
     for si, (n, m) in enumerate(spec.sizes):
@@ -240,27 +252,21 @@ def run_suite(spec: SuiteSpec, jobs: int = 1,
             for solver_name in spec.solvers:
                 cells.append((spec.kind, n, m, seed, solver_name,
                               spec.solver_configs.get(solver_name),
-                              keep_results))
+                              trace_dir))
     if not cells:
         raise EmptySuiteError("suite resolved to zero cells")
 
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outputs = list(pool.map(_run_cell_star, cells))
+            records = list(pool.map(_run_cell_star, cells))
     else:
-        outputs = [_run_cell(*c) for c in cells]
+        records = [_run_cell(*c) for c in cells]
 
-    records = [rec for rec, _, _ in outputs]
-    results = {(rec.problem, rec.solver): res
-               for rec, res, _ in outputs if res is not None} or None
-    irp_traces = {(rec.problem, rec.solver): tr
-                  for rec, _, tr in outputs if tr is not None} or None
     f_opt = adjudicate_all(records)
     profiles = performance_profile(records)
     summary = summarize(spec, records)
     return SuiteResult(spec=spec, records=records, profiles=profiles,
-                       summary=summary, f_opt=f_opt, results=results,
-                       irp_traces=irp_traces)
+                       summary=summary, f_opt=f_opt)
 
 
 def _run_cell_star(args):

@@ -4,7 +4,8 @@ Subcommands:
 
 * ``bench run --suite spec.json --out DIR [--jobs N] [--trace]`` runs a suite
   and writes records.csv, profiles.csv, summary.json (and, with --trace,
-  per-cell trajectory .jsonl files plus line-search interval traces).
+  per-cell trajectory .jsonl files plus line-search interval traces, each
+  written as its cell finishes).
 * ``bench profile --records records.csv --out profiles.csv`` recomputes the
   performance profiles from a records file.
 * ``bench check --trajectory run.jsonl`` verifies the recorded invariants:
@@ -17,6 +18,7 @@ The environment variable ``RCSOPT_SEED`` overrides the suite's base seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,14 +32,12 @@ def _cmd_run(args) -> int:
     spec = _bench.SuiteSpec.from_json(Path(args.suite).read_text())
     env_seed = os.environ.get("RCSOPT_SEED")
     if env_seed is not None:
-        spec = _bench.SuiteSpec(kind=spec.kind, sizes=spec.sizes,
-                                runs=spec.runs, base_seed=int(env_seed),
-                                solvers=spec.solvers,
-                                solver_configs=spec.solver_configs)
+        spec = dataclasses.replace(spec, base_seed=int(env_seed))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
-    result = _bench.run_suite(spec, jobs=args.jobs, keep_results=args.trace)
+    result = _bench.run_suite(spec, jobs=args.jobs,
+                              trace_dir=out if args.trace else None)
 
     (out / "records.csv").write_text(_bench.records_to_csv(result.records))
     (out / "profiles.csv").write_text(_bench.profiles_to_csv(result.profiles))
@@ -47,15 +47,6 @@ def _cmd_run(args) -> int:
     (out / "summary.json").write_text(json.dumps(
         {"spec": json.loads(spec.to_json()), "summary": result.summary,
          "f_opt": result.f_opt}, indent=2))
-    if args.trace and result.results:
-        for (problem, solver_name), res in result.results.items():
-            path = out / f"traj_{problem}_{solver_name}.jsonl"
-            path.write_text(_solver.trajectory_to_jsonl(
-                res.trajectory, include_tangents=True))
-    if args.trace and result.irp_traces:
-        for (problem, solver_name), recs in result.irp_traces.items():
-            path = out / f"irp_{problem}_{solver_name}.jsonl"
-            path.write_text("".join(json.dumps(r) + "\n" for r in recs))
     for row in result.summary:
         print(f"{row['kind']} n={row['n']} m={row['m']} {row['solver']}: "
               f"iter={row['mean_iters']:.1f} nf={row['mean_nf']:.1f} "

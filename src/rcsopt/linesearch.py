@@ -218,12 +218,9 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
         if l_tau < l_lo:
             if l.right_deriv(tau) >= 0.0:
                 if l.left_deriv(tau) <= 0.0:
-                    if trace is not None:
-                        trace.append({"i": i, "tau_lo": tau_lo, "tau": tau,
-                                      "tau_hi": tau_hi, "l_tau": l_tau,
-                                      "l_lo": l_lo, "branch": "return"})
-                    return tau, tau_lo, tau_hi, False, i
-                tau_hi = tau                 # 0 < l'_-(tau)
+                    branch = "return"        # l'_-(tau) <= 0 <= l'_+(tau)
+                else:
+                    tau_hi = tau             # 0 < l'_-(tau)
             else:
                 tau_lo, branch = tau, "lower"  # descent continues to the right
         else:
@@ -232,6 +229,8 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
             trace.append({"i": i, "tau_lo": tau_lo, "tau": tau,
                           "tau_hi": tau_hi, "l_tau": l_tau, "l_lo": l_lo,
                           "branch": branch})
+        if branch == "return":
+            return tau, tau_lo, tau_hi, False, i
         if math.isinf(tau_hi):
             tau = cfg.rho * max(tau_lo, 1.0)
         else:

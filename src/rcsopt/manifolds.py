@@ -121,7 +121,7 @@ class Manifold:
         data = np.asarray(data, dtype=float)
         if not np.all(np.isfinite(data)):
             raise ValueError("point coordinates must be finite")
-        self._check_point(data)
+        self._check_point(data, _POINT_TOL)
         return ManifoldPoint(self, data)
 
     def tangent(self, x: ManifoldPoint, data: np.ndarray) -> TangentVector:
@@ -145,8 +145,18 @@ class Manifold:
             xi = xi * (1.0 / n)
         return xi
 
-    # Subclasses implement the raw-array geometry.
-    def _check_point(self, data: np.ndarray) -> None:
+    @staticmethod
+    def from_tag(tag: dict) -> "Manifold":
+        """The manifold named by a ``tag()`` dict; ValueError when unknown."""
+        for cls in Manifold.__subclasses__():
+            if cls.kind == tag.get("kind"):
+                return cls(tag["dim"])
+        raise ValueError(f"unknown manifold tag {tag!r}")
+
+    # Subclasses implement ``kind``, ``tag()``, the membership checks
+    # ``_check_point`` (raises ValueError) and ``_is_tangent``, and the
+    # raw-array geometry.
+    def _check_point(self, data: np.ndarray, tol: float) -> None:
         raise NotImplementedError
 
     def _project(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -171,17 +181,24 @@ class Sphere(Manifold):
 
     ambient_dim: int
     injectivity_radius: float = field(default=np.pi, init=False)
+    kind = "sphere"
 
     def __post_init__(self):
         if self.ambient_dim < 2:
             raise ValueError("sphere ambient dimension must be >= 2")
 
-    def _check_point(self, data):
+    def tag(self):
+        return {"kind": self.kind, "dim": self.ambient_dim}
+
+    def _check_point(self, data, tol):
         if data.shape != (self.ambient_dim,):
             raise ValueError(f"expected shape ({self.ambient_dim},), "
                              f"got {data.shape}")
-        if abs(np.linalg.norm(data) - 1.0) > _POINT_TOL:
+        if not abs(np.linalg.norm(data) - 1.0) <= tol:
             raise ValueError("point is not unit-norm")
+
+    def _is_tangent(self, x, v, tol):
+        return abs(float(np.dot(v, x))) <= tol * (1.0 + float(np.linalg.norm(v)))
 
     def _project(self, x, v):
         return v - np.dot(v, x) * x
@@ -227,19 +244,26 @@ class SPD(Manifold):
 
     order: int
     injectivity_radius: float = field(default=np.inf, init=False)
+    kind = "spd"
 
     def __post_init__(self):
         if self.order < 1:
             raise ValueError("SPD order must be >= 1")
 
-    def _check_point(self, data):
+    def tag(self):
+        return {"kind": self.kind, "dim": self.order}
+
+    def _check_point(self, data, tol):
         if data.shape != (self.order, self.order):
             raise ValueError(f"expected shape ({self.order}, {self.order}), "
                              f"got {data.shape}")
-        if np.max(np.abs(data - data.T)) > _POINT_TOL:
+        if not np.max(np.abs(data - data.T)) <= tol:
             raise ValueError("matrix is not symmetric")
-        if np.linalg.eigvalsh(_sym(data))[0] <= 0.0:
+        if not np.linalg.eigvalsh(_sym(data))[0] > 0.0:
             raise ValueError("matrix is not positive definite")
+
+    def _is_tangent(self, x, v, tol):
+        return float(np.max(np.abs(v - v.T))) <= max(tol, _POINT_TOL)
 
     def _project(self, x, v):
         return _sym(v)
@@ -320,16 +344,13 @@ def distance(x: ManifoldPoint, y: ManifoldPoint) -> float:
 
 def check_point(x: ManifoldPoint, tol: float = _POINT_TOL) -> bool:
     """True when x satisfies its manifold's membership invariants."""
-    data = x.data
-    if isinstance(x.manifold, Sphere):
-        return abs(float(np.linalg.norm(data)) - 1.0) <= tol
-    sym_ok = float(np.max(np.abs(data - data.T))) <= tol
-    return sym_ok and float(np.linalg.eigvalsh(_sym(data))[0]) > 0.0
+    try:
+        x.manifold._check_point(x.data, tol)
+    except ValueError:
+        return False
+    return True
 
 
 def check_tangent(xi: TangentVector, tol: float = _TANGENT_TOL) -> bool:
     """True when xi lies in the tangent space of its base point."""
-    x, v = xi.base.data, xi.data
-    if isinstance(xi.base.manifold, Sphere):
-        return abs(float(np.dot(v, x))) <= tol * (1.0 + float(np.linalg.norm(v)))
-    return float(np.max(np.abs(v - v.T))) <= max(tol, _POINT_TOL)
+    return xi.base.manifold._is_tangent(xi.base.data, xi.data, tol)

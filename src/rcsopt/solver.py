@@ -23,8 +23,8 @@ import numpy as np
 
 from .linesearch import (LineSearchConfig, LineSearchResult,
                          LineSearchStallError, line_search, ray_objective)
-from .manifolds import (SPD, ManifoldPoint, Sphere, TangentVector, inner,
-                        norm, retract, transport_between)
+from .manifolds import (Manifold, ManifoldPoint, TangentVector, inner, norm,
+                        retract, transport_between)
 from .objectives import CountingOracle, EvalStats
 
 _LAMBDA_TIE_TOL = 1e-14
@@ -74,8 +74,6 @@ class IterationRecord:
     null: bool = False
     ls: LineSearchResult | None = None
     # Direction-update diagnostics that produced this row (None for k = 1).
-    g_plus: TangentVector | None = None
-    g_minus: TangentVector | None = None
     d: TangentVector | None = None
     lam: float | None = None
     alpha: float | None = None
@@ -219,8 +217,8 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             k=k + 1, x=x, f=f, eta=eta, gtilde=gtilde,
             eta_norm=norm(eta), gtilde_norm=norm(gtilde),
             nf_cum=stats.nf, time_cum_s=time.perf_counter() - start,
-            g_plus=res.g_plus, g_minus=res.g_minus, d=d, lam=lam, alpha=alpha,
-            cos2_theta=_cos2_theta(gtilde, d), ortho=ortho_raw))
+            d=d, lam=lam, alpha=alpha, cos2_theta=_cos2_theta(gtilde, d),
+            ortho=ortho_raw))
 
         if null_run >= cfg.max_null_steps:
             stop = "null_steps"
@@ -351,22 +349,6 @@ def orthogonality_violations(trajectory: list[IterationRecord],
 # Trajectory (de)serialization: JSON lines, one record per iteration.
 # ---------------------------------------------------------------------------
 
-def _manifold_tag(m) -> dict:
-    if isinstance(m, Sphere):
-        return {"kind": "sphere", "dim": m.ambient_dim}
-    if isinstance(m, SPD):
-        return {"kind": "spd", "dim": m.order}
-    raise TypeError(f"unknown manifold {m!r}")
-
-
-def _manifold_from_tag(tag: dict):
-    if tag["kind"] == "sphere":
-        return Sphere(tag["dim"])
-    if tag["kind"] == "spd":
-        return SPD(tag["dim"])
-    raise ValueError(f"unknown manifold tag {tag!r}")
-
-
 def trajectory_to_jsonl(trajectory: list[IterationRecord],
                         include_tangents: bool = False) -> str:
     """Serialize a trajectory; tangent data makes it replayable by check()."""
@@ -379,7 +361,7 @@ def trajectory_to_jsonl(trajectory: list[IterationRecord],
         if row.ortho is not None:
             rec["ortho"] = row.ortho
         if include_tangents:
-            rec["manifold"] = _manifold_tag(row.x.manifold)
+            rec["manifold"] = row.x.manifold.tag()
             rec["x"] = row.x.data.tolist()
             rec["eta"] = row.eta.data.tolist()
             rec["gtilde"] = row.gtilde.data.tolist()
@@ -400,7 +382,7 @@ def trajectory_from_jsonl(text: str) -> list[IterationRecord]:
         rec = json.loads(line)
         x = eta = gtilde = None
         if "x" in rec and "manifold" in rec:
-            x = ManifoldPoint(_manifold_from_tag(rec["manifold"]),
+            x = ManifoldPoint(Manifold.from_tag(rec["manifold"]),
                               np.array(rec["x"]))
             eta = TangentVector(x, np.array(rec["eta"]))
             gtilde = TangentVector(x, np.array(rec["gtilde"]))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rcsopt as r
+from rcsopt import bench
 from rcsopt.bench import (BenchmarkRecord, EmptySuiteError, SuiteSpec,
                           performance_profile, profiles_to_csv, run_suite,
                           solver_config_from_dict)
@@ -203,11 +204,29 @@ class TestRunSuite:
         for x, y in zip(a.records, b.records):
             assert x.final_f == y.final_f and x.nf == y.nf
 
-    def test_keep_results_exposes_trajectories(self):
-        out = run_suite(tiny_spec(), keep_results=True)
-        assert out.results
-        res = next(iter(out.results.values()))
-        assert res.trajectory
+    def test_trace_dir_writes_cell_files(self, tmp_path):
+        spec = tiny_spec()
+        dirs = {}
+        for jobs in (1, 2):
+            dirs[jobs] = tmp_path / f"jobs{jobs}"
+            dirs[jobs].mkdir()
+            out = run_suite(spec, jobs=jobs, trace_dir=dirs[jobs])
+            stems = {f"{x.problem}_{x.solver}.jsonl" for x in out.records}
+            assert {p.name for p in dirs[jobs].glob("traj_*")} \
+                == {f"traj_{s}" for s in stems}
+            assert {p.name for p in dirs[jobs].glob("irp_*")} \
+                == {f"irp_{s}" for s in stems if "conjugate" in s}
+        for path in dirs[1].glob("irp_*"):
+            assert path.read_bytes() == (dirs[2] / path.name).read_bytes()
+
+        def rows(path):
+            out = [json.loads(line) for line in path.read_text().splitlines()]
+            for row in out:
+                del row["time_cum_s"]
+            return out
+
+        for path in dirs[1].glob("traj_*"):
+            assert rows(path) == rows(dirs[2] / path.name)
 
     def test_median_and_karcher_suites(self):
         for kind in ("median", "karcher"):
@@ -215,6 +234,55 @@ class TestRunSuite:
             out = run_suite(spec)
             assert len(out.records) == 4
             assert all(math.isfinite(x.final_f) for x in out.records)
+
+
+class TestErrorRows:
+    # A start bracket this wide sends the SPD exponential map to overflow,
+    # and the next eigendecomposition raises LinAlgError.
+    BLOWUP = dict(kind="karcher", sizes=((5, 10),), runs=2,
+                  solvers=("conjugate_subgradient",),
+                  solver_configs={"conjugate_subgradient": {
+                      "max_iters": 20,
+                      "ls": {"tau_init": 1e3, "tau_hi_init": 1e5}}})
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_numpy_error_becomes_error_row(self, jobs):
+        out = run_suite(SuiteSpec(**self.BLOWUP), jobs=jobs)
+        assert len(out.records) == 2
+        for x in out.records:
+            assert x.error.startswith("LinAlgError: ")
+            assert (x.iters, x.nf, x.final_f, x.solved) \
+                == (0, 0, math.inf, False)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_error_row_writes_no_trace_files(self, tmp_path):
+        out = run_suite(SuiteSpec(**self.BLOWUP), trace_dir=tmp_path)
+        assert all(x.error for x in out.records)
+        assert not list(tmp_path.iterdir())
+
+    def test_raising_solver_leaves_other_cells_intact(self, monkeypatch):
+        def broken(oracle, x0, cfg=None, seed=0):
+            raise r.DegenerateTransportError("antipodal endpoints")
+
+        monkeypatch.setitem(bench.SOLVERS, "broken", broken)
+        clean = run_suite(tiny_spec())
+        out = run_suite(tiny_spec(solvers=("conjugate_subgradient", "broken",
+                                           "subgradient")))
+        bad = [x for x in out.records if x.solver == "broken"]
+        assert [x.error for x in bad] \
+            == ["DegenerateTransportError: antipodal endpoints"] * 2
+        good = [x for x in out.records if x.solver != "broken"]
+        assert [(x.problem, x.solver, x.iters, x.nf, x.final_f, x.solved)
+                for x in good] \
+            == [(x.problem, x.solver, x.iters, x.nf, x.final_f, x.solved)
+                for x in clean.records]
+
+    def test_malformed_config_still_raises(self):
+        spec = tiny_spec(solver_configs={
+            "conjugate_subgradient": {"max_iters": 0}})
+        with pytest.raises(ValueError, match="max_iters"):
+            run_suite(spec)
 
 
 class TestPersistence:

@@ -109,6 +109,19 @@ class TestIRP:
             upper_moved = upper_moved or rec["branch"] == "upper"
             prev = rec
 
+    def test_trace_one_record_per_iteration(self):
+        for target, ends in ((0.5, "return"), (1.0, "return"),
+                             (7.3, "upper")):
+            trace = []
+            tau_star, lo, hi, approx, iters = irp(
+                quadratic_at(target), LineSearchConfig(), trace=trace)
+            assert [rec["i"] for rec in trace] == list(range(1, iters + 1))
+            assert trace[-1]["branch"] == ends
+            assert approx == (ends != "return")
+            if not approx:
+                assert (trace[-1]["tau"], trace[-1]["tau_lo"],
+                        trace[-1]["tau_hi"]) == (tau_star, lo, hi)
+
     def test_iteration_cap_raises_with_bracket(self):
         l = ScalarCurve(lambda t: -t, lambda t: -1.0)
         cfg = LineSearchConfig(tau_hi_init=math.inf)

@@ -3,7 +3,7 @@ import pytest
 
 import rcsopt as r
 from rcsopt.manifolds import (BasePointMismatchError, DegenerateRetractionError,
-                              DegenerateTransportError)
+                              DegenerateTransportError, Manifold)
 
 from oracles import sphere_transport_ode, spd_transport_ode
 
@@ -44,6 +44,29 @@ class TestPointsAndTangents:
         X = P.point(np.eye(2))
         v = P.tangent(X, np.array([[1.0, 3.0], [1.0, 2.0]]))
         assert np.allclose(v.data, v.data.T)
+
+    def test_membership_checks(self):
+        S, P = sphere(), spd(2)
+        x, X = S.point([1.0, 0.0, 0.0]), P.point(np.diag([2.0, 1.0]))
+        assert r.check_point(x) and r.check_point(X)
+        for bad in ([1.0, 1.0, 0.0], [np.nan, 0.0, 0.0]):
+            assert not r.check_point(r.ManifoldPoint(S, np.array(bad)))
+        for bad in ([[1.0, 0.5], [0.4, 1.0]], [[1.0, 0.0], [0.0, -1.0]],
+                    [[np.nan, 0.0], [0.0, 1.0]]):
+            assert not r.check_point(r.ManifoldPoint(P, np.array(bad)))
+        assert r.check_tangent(r.TangentVector(x, np.array([0.0, 1.0, 2.0])))
+        assert not r.check_tangent(r.TangentVector(x, np.array([1.0, 0, 0])))
+        assert r.check_tangent(r.TangentVector(X, np.array([[1.0, 3.0],
+                                                            [3.0, 2.0]])))
+        assert not r.check_tangent(r.TangentVector(X, np.array([[1.0, 3.0],
+                                                                [1.0, 2.0]])))
+
+    def test_tag_round_trip(self):
+        for m in (sphere(4), spd(3)):
+            assert Manifold.from_tag(m.tag()) == m
+        for tag in ({"kind": "torus", "dim": 2}, {"dim": 2}):
+            with pytest.raises(ValueError, match="unknown manifold tag"):
+                Manifold.from_tag(tag)
 
     def test_base_mismatch_raises(self):
         S = sphere()

@@ -334,3 +334,13 @@ class TestTrajectorySerialization:
                    for row, mem in zip(rows, res.trajectory))
         assert r.fr_direction_check(rows) <= 1e-6
         assert r.descent_violations(rows) == 0
+
+    def test_spd_tangent_round_trip_and_unknown_tag(self):
+        _, res = solve_small("karcher", 3, 4, 38, max_iters=10)
+        text = r.trajectory_to_jsonl(res.trajectory, include_tangents=True)
+        rows = r.trajectory_from_jsonl(text)
+        assert rows[0].x.manifold == r.SPD(3)
+        assert np.array_equal(rows[-1].x.data, res.x.data)
+        bad = text.replace('"kind": "spd"', '"kind": "torus"')
+        with pytest.raises(ValueError, match="unknown manifold tag"):
+            r.trajectory_from_jsonl(bad)
