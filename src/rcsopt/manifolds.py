@@ -31,6 +31,8 @@ _POINT_TOL = 1e-12
 _TANGENT_TOL = 1e-10
 _BASE_MATCH_TOL = 1e-14
 _EIG_FLOOR = 1e-14
+# Draws random_tangent makes before giving up on a numerically zero sample.
+_TANGENT_DRAWS = 8
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -136,14 +138,19 @@ class Manifold:
 
     def random_tangent(self, x: ManifoldPoint, rng: np.random.Generator,
                        unit: bool = True) -> TangentVector:
-        """Random tangent vector at x, unit-norm unless unit=False."""
-        xi = self.tangent(x, rng.standard_normal(x.data.shape))
-        if unit:
+        """Random tangent vector at x, unit-norm unless unit=False.
+
+        A unit draw is retried while the projected sample is numerically
+        zero, at most ``_TANGENT_DRAWS`` times in all; then ValueError.
+        """
+        for _ in range(_TANGENT_DRAWS):
+            xi = self.tangent(x, rng.standard_normal(x.data.shape))
+            if not unit:
+                return xi
             n = norm(xi)
-            if n < 1e-14:
-                return self.random_tangent(x, rng, unit)
-            xi = xi * (1.0 / n)
-        return xi
+            if n >= 1e-14:
+                return xi * (1.0 / n)
+        raise ValueError(f"no nonzero tangent in {_TANGENT_DRAWS} draws")
 
     @staticmethod
     def from_tag(tag: dict) -> "Manifold":

@@ -12,21 +12,24 @@ direction update consumes.  Oracles are immutable and reject non-finite data;
 evaluation counting happens in a caller-owned :class:`EvalStats` sink via
 :class:`CountingOracle`.
 
-The two sphere oracles also offer ``restrict(x, v)`` for a unit point x and a
-tangent v: the objective on the projected-retraction ray
-y(t) = (x + t v) / ||x + t v||, with t = 0 meaning x itself.  The returned ray
-pays the O(m n^2) (Rayleigh) or O(m n) (median) products once and then
-answers in O(m) per step size:
+Every oracle also offers ``restrict(x, v)``: the objective on the retraction
+ray y(t) = R_x(t v) as a small object with
 
 * ``value(t)``, which counts as one evaluation (``nf``) under
   :class:`CountingOracle`, like an oracle ``value`` call;
 * ``slopes(t)``, the one-sided derivatives (f'(y; d), -f'(y; -d)) along the
-  direction d transported to y(t), i.e. ||x + t v||^2 * l'_{+/-}(t) for
-  l(t) = f(y(t)), because the ray's velocity is y'(t) = d / ||x + t v||^2;
+  direction d = v transported to y(t);
 * ``reversed()``, the same ray for -v, with no new products.
 
-The SPD center of mass has no ``restrict``; the line search falls back to
-full oracle calls there.
+On the sphere the ray is y(t) = (x + t v) / ||x + t v||, with t = 0 meaning x
+itself.  It pays the O(m n^2) (Rayleigh) or O(m n) (median) products once and
+then answers in O(m) per step size.  Its velocity is y'(t) = d / ||x + t v||^2,
+so the slopes are ||x + t v||^2 * l'_{+/-}(t) for l(t) = f(y(t)).
+
+On SPD(n) the ray whitens X and diagonalizes X^(-1/2) V X^(-1/2) once, then
+answers with an O(m n^2) scaling and one batched ``eigvalsh`` per step size.
+The exponential map's velocity is the transported direction, so the slopes
+are l'(t) itself (both sides; the objective is smooth).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .manifolds import (SPD, ManifoldPoint, Sphere, TangentVector, _sqrt_pair,
-                        _sym, inner)
+                        _spd_log_eigvals, _sym, inner)
 
 # Active-set tolerance for the Rayleigh max (exact float ties never happen).
 _ACTIVE_TOL = 1e-10
@@ -204,6 +207,38 @@ class MedianRay(_QfRay):
 
 
 @dataclass(frozen=True)
+class KarcherRay:
+    """1/2 sum_i ||log eig(E B_i E)||^2 on X(t) = R_X(t V), E = exp(-t Lam/2).
+
+    With X^(-1/2) V X^(-1/2) = Q Lam Q^T and S = X^(-1/2) Q, B_i = S^T A_i S
+    and X(t) = X^(1/2) Q exp(t Lam) Q^T X^(1/2), so X(t)^(-1) A_i is similar
+    to E B_i E.
+    """
+
+    lam: np.ndarray  # (n,)
+    b: np.ndarray    # (m, n, n), symmetric
+
+    def _scaled(self, t: float) -> np.ndarray:
+        e = np.exp(-0.5 * t * self.lam)
+        return self.b * np.outer(e, e)
+
+    def value(self, t: float) -> float:
+        ev = np.linalg.eigvalsh(self._scaled(t))
+        return 0.5 * float(np.sum(_spd_log_eigvals(ev) ** 2))
+
+    def slopes(self, t: float) -> tuple[float, float]:
+        # mu'/mu = -u^T Lam u for each eigenpair (mu, u) of E B_i E; the
+        # transported direction is the geodesic velocity, so no speed factor.
+        ev, vec = np.linalg.eigh(self._scaled(t))
+        quad = np.einsum("kij,i,kij->kj", vec, self.lam, vec)
+        slope = -float(np.sum(_spd_log_eigvals(ev) * quad))
+        return slope, slope
+
+    def reversed(self) -> "KarcherRay":
+        return replace(self, lam=-self.lam)
+
+
+@dataclass(frozen=True)
 class RayleighQuotientMax:
     """max_i 1/2 x^T A_i x over the unit sphere S^n (A_i symmetric)."""
 
@@ -355,16 +390,22 @@ class SpdCenterOfMass:
     def value(self, x: ManifoldPoint) -> float:
         _, m = self._whitened(x.data)
         ev = np.linalg.eigvalsh(0.5 * (m + np.transpose(m, (0, 2, 1))))
-        logs = np.log(np.maximum(ev, 1e-14))
-        return 0.5 * float(np.sum(logs ** 2))
+        return 0.5 * float(np.sum(_spd_log_eigvals(ev) ** 2))
 
     def _gradient(self, x: np.ndarray) -> np.ndarray:
         # grad f(X) = -sum_i X^(1/2) logm(X^(-1/2) A_i X^(-1/2)) X^(1/2)
         rt, m = self._whitened(x)
         ev, vec = np.linalg.eigh(0.5 * (m + np.transpose(m, (0, 2, 1))))
-        logs = np.log(np.maximum(ev, 1e-14))
+        logs = _spd_log_eigvals(ev)
         logm_sum = np.einsum("kij,kj,klj->il", vec, logs, vec)
         return _sym(-rt @ logm_sum @ rt)
+
+    def restrict(self, x: ManifoldPoint, v: TangentVector) -> KarcherRay:
+        _, irt = _sqrt_pair(x.data)
+        lam, q = np.linalg.eigh(_sym(irt @ v.data @ irt))
+        s = irt @ q
+        b = s.T @ self.mats @ s
+        return KarcherRay(lam=lam, b=0.5 * (b + np.transpose(b, (0, 2, 1))))
 
     def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
         g = TangentVector(x, self._gradient(x.data))

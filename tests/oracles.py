@@ -145,9 +145,13 @@ def geodesic_grid_min(oracle, a, b, samples=100_000):
 
 def grid_min_norm_alpha(gtilde, d, samples=200_001):
     """Brute-force argmin over alpha in [0,1] of || -a*gtilde + (1-a)*d ||."""
-    from rcsopt import norm
+    from rcsopt import inner
+    gg, gd, dd = inner(gtilde, gtilde), inner(gtilde, d), inner(d, d)
     alphas = np.linspace(0.0, 1.0, samples)
-    vals = [norm((-a) * gtilde + (1.0 - a) * d) for a in alphas]
+    b = 1.0 - alphas
+    # ||-a g + b d||^2 expanded in the Gram entries of g and d.
+    vals = np.sqrt(np.maximum(alphas * alphas * gg - 2.0 * alphas * b * gd
+                              + b * b * dd, 0.0))
     i = int(np.argmin(vals))
     return float(alphas[i]), float(vals[i])
 

@@ -68,6 +68,22 @@ class TestPointsAndTangents:
             with pytest.raises(ValueError, match="unknown manifold tag"):
                 Manifold.from_tag(tag)
 
+    def test_random_tangent_gives_up_on_zero_draws(self):
+        class ZeroRng:
+            draws = 0
+
+            def standard_normal(self, shape):
+                self.draws += 1
+                return np.zeros(shape)
+
+        for m in (sphere(), spd(2)):
+            x = m.random_point(np.random.default_rng(0))
+            rng = ZeroRng()
+            with pytest.raises(ValueError, match="no nonzero tangent"):
+                m.random_tangent(x, rng)
+            assert 1 < rng.draws <= 10
+            assert r.norm(m.random_tangent(x, ZeroRng(), unit=False)) == 0.0
+
     def test_base_mismatch_raises(self):
         S = sphere()
         x = S.point([1.0, 0.0, 0.0])
