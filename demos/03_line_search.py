@@ -7,12 +7,18 @@ points that strictly improve on it, the upper bound moves when the trial is
 worse or the slope turns positive, and the trial point is the midpoint
 clamped away from the edges.  It stops at a point with l'_- <= 0 <= l'_+ or
 when the bracket is narrower than 1e-6.
+
+The solver's own path, ``ray_objective``, takes the oracle's ``restrict``
+ray: it answers values, slopes and the endpoint subgradients in closed form,
+so the search makes no oracle call.  The generic ``RayObjective`` retracts
+to every trial point and asks the oracle; it picks the same step.
 """
 
 import numpy as np
 
 import rcsopt as r
-from rcsopt.linesearch import LineSearchConfig, RayObjective, irp, line_search
+from rcsopt.linesearch import (LineSearchConfig, RayObjective, irp,
+                               line_search, ray_objective)
 
 # --- interval reduction on a plain scalar function ---------------------------
 class Curve:
@@ -42,9 +48,10 @@ g = oracle.active_subgrad(x, oracle.manifold.random_tangent(x, rng))
 eta = -1.0 * g  # steepest-descent-like ray
 
 trace = []
-pf = RayObjective(oracle, x, eta, f0=oracle.value(x))
+pf = ray_objective(oracle, x, eta, f0=oracle.value(x))  # the solver's path
 res = line_search(pf, LineSearchConfig(), trace=trace)
-print(f"\nstep t = {res.t:.6f}  f: {res.phi0:.6f} -> {res.phi_at_t:.6f}")
+print(f"\n{type(pf).__name__}: step t = {res.t:.6f}  "
+      f"f: {res.phi0:.6f} -> {res.phi_at_t:.6f}")
 print(f"bracket [{res.tau_lo_final:.8f}, {res.tau_hi_final:.8f}], "
       f"{res.irp_iters} interval reductions, {res.evals} evaluations")
 print("slope at entry:", res.dplus0,
@@ -60,10 +67,17 @@ for rec in trace[:6]:
 print("\nendpoint subgradients live at the new point:",
       r.same_point(res.g_plus.base, res.x_new))
 
+# The generic ray asks the oracle at each retracted trial point instead.
+ref = line_search(RayObjective(oracle, x, eta, f0=oracle.value(x)),
+                  LineSearchConfig())
+gap = r.norm(res.g_plus - ref.g_plus) / r.norm(ref.g_plus)
+print(f"RayObjective: step t = {ref.t:.6f} (same step: {ref.t == res.t}), "
+      f"{ref.evals} evaluations, g_plus relative gap {gap:.1e}")
+
 # A point that is already optimal along +/- eta produces a null step.
 med = r.GeometricMedian(2, 1, np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
 S = r.Sphere(3)
 x0 = S.point([0.0, 0.0, 1.0])
-res0 = line_search(RayObjective(med, x0, S.tangent(x0, [1.0, 0.0, 0.0])),
+res0 = line_search(ray_objective(med, x0, S.tangent(x0, [1.0, 0.0, 0.0])),
                    LineSearchConfig())
 print("\nat the median's data point: t =", res0.t, " null step:", res0.null)

@@ -5,7 +5,8 @@ from .manifolds import (SPD, BasePointMismatchError, DegenerateRetractionError,
                         TangentVector, check_point, check_tangent, distance,
                         inner, norm, retract, same_point, transport_between)
 from .objectives import (AmbiguousDirectionError, CountingOracle, EvalStats,
-                         GeometricMedian, RayleighQuotientMax, SpdCenterOfMass,
+                         GeometricMedian, NonFiniteRayError,
+                         RayleighQuotientMax, SpdCenterOfMass,
                          generate_instance, instance_from_json,
                          instance_to_json)
 from .linesearch import (LineSearchConfig, LineSearchResult,

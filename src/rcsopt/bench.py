@@ -186,8 +186,22 @@ def performance_profile(records: list[BenchmarkRecord],
     return curves
 
 
+def _suite_configs(spec: SuiteSpec) -> dict[str, SolverConfig]:
+    """Every solver's built config; ValueError naming a bad solver or field."""
+    configs = {}
+    for name in (*spec.solvers, *spec.solver_configs):
+        if name not in SOLVERS:
+            raise ValueError(f"solver_configs names unknown solver {name!r}")
+        try:
+            configs[name] = solver_config_from_dict(
+                spec.solver_configs.get(name))
+        except (TypeError, ValueError) as e:
+            raise ValueError(f"solver_configs[{name!r}]: {e}") from e
+    return configs
+
+
 def _run_cell(kind: str, n: int, m: int, seed: int, solver_name: str,
-              cfg_dict: dict | None, trace_dir: Path | None) -> BenchmarkRecord:
+              cfg: SolverConfig, trace_dir: Path | None) -> BenchmarkRecord:
     """Solve one (instance, solver) cell; timing excludes generation.
 
     A ``ValueError`` or ``ArithmeticError`` from the solve becomes an error
@@ -197,7 +211,6 @@ def _run_cell(kind: str, n: int, m: int, seed: int, solver_name: str,
     """
     oracle = generate_instance(kind, n, m, seed)
     x0 = initial_point(kind, n, seed)
-    cfg = solver_config_from_dict(cfg_dict)
     solve = SOLVERS[solver_name]
     pid = problem_id(kind, n, m, seed)
     traced_cs = trace_dir is not None and solver_name == "conjugate_subgradient"
@@ -243,16 +256,17 @@ def run_suite(spec: SuiteSpec, jobs: int = 1,
     Instance seeds are base_seed + running index over (size, run) pairs, so
     reruns reproduce iterates and values bit for bit; wall times differ.
     With ``trace_dir`` (an existing directory) each cell writes its trace
-    files there as it finishes; see ``_run_cell``.
+    files there as it finishes; see ``_run_cell``.  Solver configs are
+    checked before the first cell runs.
     """
+    configs = _suite_configs(spec)
     cells = []
     for si, (n, m) in enumerate(spec.sizes):
         for run in range(spec.runs):
             seed = spec.base_seed + si * spec.runs + run
             for solver_name in spec.solvers:
                 cells.append((spec.kind, n, m, seed, solver_name,
-                              spec.solver_configs.get(solver_name),
-                              trace_dir))
+                              configs[solver_name], trace_dir))
     if not cells:
         raise EmptySuiteError("suite resolved to zero cells")
 

@@ -1,23 +1,25 @@
 """Bracketing line search with interval reduction for semismooth objectives.
 
 The search works on the univariate restriction l(t) = f(R_x(t v)) of an
-oracle to a retraction ray.  One-sided derivatives are evaluated through the
-oracle's directionally active subgradients, with the ray direction carried to
-the evaluation point by parallel transport.  The interval reduction loop
-keeps a bracket [tau_lo, tau_hi] around a one-dimensional local minimizer and
-stops either at a point satisfying l'_-(t) <= 0 <= l'_+(t) or when the
-bracket is narrower than ``interval_tol`` (returning tau_lo, which never
-increased the objective).
+oracle to a retraction ray.  When the oracle offers ``restrict`` (all three
+built-in oracles do), the ray it returns answers the whole search: values,
+one-sided slopes along the transported direction, and the directionally
+active subgradients at the final bracket endpoints, with no oracle call.
+Otherwise the generic :class:`RayObjective` retracts to each trial point and
+asks the oracle, carrying the ray direction there by parallel transport.
+
+The interval reduction loop keeps a bracket [tau_lo, tau_hi] around a
+one-dimensional local minimizer and stops either at a point satisfying
+l'_-(t) <= 0 <= l'_+(t) or when the bracket is narrower than
+``interval_tol`` (returning tau_lo, which never increased the objective).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-import numpy as np
-
-from .manifolds import (ManifoldPoint, TangentVector, inner, norm, retract,
+from .manifolds import (ManifoldPoint, TangentVector, norm, retract,
                         transport_between)
 
 _IRP_MAX_ITERS = 10_000
@@ -132,11 +134,13 @@ class RayObjective:
 
 
 class RestrictedRayObjective(RayObjective):
-    """RayObjective whose values and slopes come from ``oracle.restrict``.
+    """RayObjective whose values, slopes and subgradients come from
+    ``oracle.restrict``.
 
-    The closed-form ray answers each trial in O(m) after one set of products
-    per ray.  Points, transported directions and the endpoint subgradients
-    still go through the generic geometry and oracle.
+    The closed-form ray answers each trial in O(m) after one pass over the
+    data per ray, and the endpoint subgradients in O(n) (sphere) or from the
+    slopes' eigendecomposition (SPD).  Only the accepted point and the
+    subgradients' base points go through the generic retraction.
     """
 
     def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
@@ -158,6 +162,12 @@ class RestrictedRayObjective(RayObjective):
             pair = self.ray.slopes(t)
             self._derivs[t] = pair
         return pair
+
+    def subgrad_fwd(self, t: float) -> TangentVector:
+        return TangentVector(self.point_at(t), self.ray.subgrad(t, True))
+
+    def subgrad_bwd(self, t: float) -> TangentVector:
+        return TangentVector(self.point_at(t), self.ray.subgrad(t, False))
 
 
 def ray_objective(oracle, x: ManifoldPoint, v: TangentVector,
@@ -289,11 +299,12 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     tau_star, tau_lo, tau_hi, approx, iters = irp(l, eff, inj_bound, trace)
 
     x_new = l.point_at(tau_star)
-    # Endpoint-selected subgradients; the derivative values come for free.
+    # Endpoint-selected subgradients.  Slopes first: on a restricted SPD ray
+    # the subgradient then reuses the slopes' eigendecomposition.
+    dplus_at_hi = l.right_deriv(tau_hi)
     g_fwd = l.subgrad_fwd(tau_hi)
+    dminus_at_lo = l.left_deriv(tau_lo)
     g_bwd = l.subgrad_bwd(tau_lo)
-    dplus_at_hi = inner(g_fwd, l.direction_at(tau_hi))
-    dminus_at_lo = inner(g_bwd, l.direction_at(tau_lo))
     g_fwd = transport_between(l.point_at(tau_hi), x_new, g_fwd)
     g_bwd = transport_between(l.point_at(tau_lo), x_new, g_bwd)
     if sign > 0:

@@ -19,17 +19,26 @@ ray y(t) = R_x(t v) as a small object with
   :class:`CountingOracle`, like an oracle ``value`` call;
 * ``slopes(t)``, the one-sided derivatives (f'(y; d), -f'(y; -d)) along the
   direction d = v transported to y(t);
+* ``subgrad(t, forward)``, the ambient data of the directionally active
+  subgradient at y(t) for +d (``forward``) or -d, as ``active_subgrad``
+  would pick it; it is not an evaluation;
 * ``reversed()``, the same ray for -v, with no new products.
 
+The ray answers a whole line search, so a restricted search makes no oracle
+call.  ``subgrad`` never returns non-finite data; it raises
+:class:`NonFiniteRayError` instead.
+
 On the sphere the ray is y(t) = (x + t v) / ||x + t v||, with t = 0 meaning x
-itself.  It pays the O(m n^2) (Rayleigh) or O(m n) (median) products once and
-then answers in O(m) per step size.  Its velocity is y'(t) = d / ||x + t v||^2,
+itself.  It reads the data once, in one fused product with [x v] (A_i [x v]
+for Rayleigh, P [x v] for the median), and then answers in O(m) per step
+size plus O(n) per subgradient.  Its velocity is y'(t) = d / ||x + t v||^2,
 so the slopes are ||x + t v||^2 * l'_{+/-}(t) for l(t) = f(y(t)).
 
 On SPD(n) the ray whitens X and diagonalizes X^(-1/2) V X^(-1/2) once, then
 answers with an O(m n^2) scaling and one batched ``eigvalsh`` per step size.
 The exponential map's velocity is the transported direction, so the slopes
-are l'(t) itself (both sides; the objective is smooth).
+are l'(t) itself (both sides; the objective is smooth).  ``slopes`` and
+``subgrad`` at one t share one batched ``eigh``.
 """
 
 from __future__ import annotations
@@ -54,9 +63,19 @@ class AmbiguousDirectionError(ValueError):
     """Zero-direction subgradient query at a nonsmooth point."""
 
 
+class NonFiniteRayError(ValueError):
+    """A restricted ray produced non-finite data (e.g. overflow at a huge t)."""
+
+
 def _require_finite(*arrays: np.ndarray) -> None:
     if not all(np.all(np.isfinite(a)) for a in arrays):
         raise ValueError("oracle data must be finite")
+
+
+def _finite(g: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(g)):
+        raise NonFiniteRayError("ray subgradient is not finite")
+    return g
 
 
 def _active_mask(vals: np.ndarray) -> np.ndarray:
@@ -130,18 +149,23 @@ class CountingRay:
     def slopes(self, t: float) -> tuple[float, float]:
         return self.ray.slopes(t)
 
+    def subgrad(self, t: float, forward: bool) -> np.ndarray:
+        return self.ray.subgrad(t, forward)
+
     def reversed(self) -> "CountingRay":
         return CountingRay(self.ray.reversed(), self.stats)
 
 
-def _qf_scalars(x: np.ndarray, v: np.ndarray) -> tuple[float, float, float]:
-    return float(x @ x), float(x @ v), float(v @ v)
+def _qf_fields(x: np.ndarray, v: np.ndarray) -> dict:
+    return dict(x=x, v=v, xx=float(x @ x), xv=float(x @ v), vv=float(v @ v))
 
 
 @dataclass(frozen=True)
 class _QfRay:
-    """Scalars of the ray x + t v shared by the closed-form restrictions."""
+    """The ray x + t v and its scalars, shared by the closed-form restrictions."""
 
+    x: np.ndarray
+    v: np.ndarray
     xx: float
     xv: float
     vv: float
@@ -150,11 +174,17 @@ class _QfRay:
         # Exact ||x + t v||^2; the base point itself is used at t = 0.
         return 1.0 if t == 0.0 else self.xx + t * (2.0 * self.xv + t * self.vv)
 
+    def _flipped(self, **fields) -> "_QfRay":
+        return replace(self, v=-self.v, xv=-self.xv, **fields)
+
 
 @dataclass(frozen=True)
 class RayleighRay(_QfRay):
-    """max_i 1/2 y^T A_i y on y(t) from a = x^T A x, b = x^T A v, c = v^T A v."""
+    """max_i 1/2 y^T A_i y on y(t) from A_i x, A_i v and a = x^T A x,
+    b = x^T A v, c = v^T A v."""
 
+    ax: np.ndarray  # (m, n+1)
+    av: np.ndarray  # (m, n+1)
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
@@ -165,22 +195,40 @@ class RayleighRay(_QfRay):
     def value(self, t: float) -> float:
         return float(np.max(self._vals(t)))
 
-    def slopes(self, t: float) -> tuple[float, float]:
+    def _active_slopes(self, t: float):
         vals = self._vals(t)
-        act = _active_mask(vals)
+        idx = np.flatnonzero(_active_mask(vals))
         # <A_i y - (y^T A_i y) y, d> with d = ||x + t v||^2 y'(t).
-        s = (self.b[act] + t * self.c[act]) \
-            - 2.0 * vals[act] * (self.xv + t * self.vv)
+        s = (self.b[idx] + t * self.c[idx]) \
+            - 2.0 * vals[idx] * (self.xv + t * self.vv)
+        return idx, vals, s
+
+    def slopes(self, t: float) -> tuple[float, float]:
+        _, _, s = self._active_slopes(t)
         return float(np.max(s)), float(np.min(s))
 
+    def subgrad(self, t: float, forward: bool) -> np.ndarray:
+        idx, vals, s = self._active_slopes(t)
+        if len(idx) > 1 and self.vv == 0.0:
+            raise AmbiguousDirectionError(
+                "zero direction at a point with several active components")
+        # argmax/argmin return the smallest tied index, as active_subgrad.
+        i = idx[np.argmax(s) if forward else np.argmin(s)]
+        # A_i y - 2 val_i y with A_i y = (A_i x + t A_i v) / r; r = 1 at t = 0,
+        # where this is exactly A_i x - 2 val_i x.
+        r = np.sqrt(self._norm2(t))
+        y = (self.x + t * self.v) / r
+        return _finite((self.ax[i] + t * self.av[i]) / r - 2.0 * vals[i] * y)
+
     def reversed(self) -> "RayleighRay":
-        return replace(self, xv=-self.xv, b=-self.b)
+        return self._flipped(av=-self.av, b=-self.b)
 
 
 @dataclass(frozen=True)
 class MedianRay(_QfRay):
     """sum_i w_i arccos(p_i^T y) on y(t) from p_i^T x and p_i^T v."""
 
+    points: np.ndarray  # (m, n+1), the oracle's data
     px: np.ndarray
     pv: np.ndarray
     weights: np.ndarray
@@ -202,8 +250,30 @@ class MedianRay(_QfRay):
         jump = sw * np.sqrt(self.vv)
         return slope + jump, slope - jump
 
+    def subgrad(self, t: float, forward: bool) -> np.ndarray:
+        u, r = self._cosines(t)
+        reg, coef, sw, has_sing = _median_terms(u, self.weights)
+        y = (self.x + t * self.v) / r
+        # -sum_reg coef_i (p_i - u_i y), with zero weights on singular terms.
+        w = np.zeros_like(u)
+        w[reg] = coef
+        grad = (w @ u) * y - w @ self.points
+        if has_sing:
+            d = r * self.v - (self.xv + t * self.vv) * y
+            nd = float(np.linalg.norm(d))
+            if nd == 0.0:
+                raise AmbiguousDirectionError(
+                    "zero direction at a median data point")
+            grad = grad + (sw / nd if forward else -sw / nd) * d
+        return _finite(grad)
+
     def reversed(self) -> "MedianRay":
-        return replace(self, xv=-self.xv, pv=-self.pv)
+        return self._flipped(pv=-self.pv)
+
+
+def _logm_sum(logs: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """sum_i U_i diag(log mu_i) U_i^T from a batched eigendecomposition."""
+    return np.einsum("kij,kj,klj->il", vec, logs, vec)
 
 
 @dataclass(frozen=True)
@@ -211,16 +281,33 @@ class KarcherRay:
     """1/2 sum_i ||log eig(E B_i E)||^2 on X(t) = R_X(t V), E = exp(-t Lam/2).
 
     With X^(-1/2) V X^(-1/2) = Q Lam Q^T and S = X^(-1/2) Q, B_i = S^T A_i S
-    and X(t) = X^(1/2) Q exp(t Lam) Q^T X^(1/2), so X(t)^(-1) A_i is similar
-    to E B_i E.
+    and X(t) = W W^T with W = X^(1/2) Q E^(-1), so W^(-1) A_i W^(-T) = E B_i E.
+
+    The batched ``eigh`` of E B_i E is kept for t = 0 and for the latest
+    other t, so ``slopes`` and ``subgrad`` at one step size share it.
     """
 
     lam: np.ndarray  # (n,)
     b: np.ndarray    # (m, n, n), symmetric
+    w0: np.ndarray   # (n, n), X^(1/2) Q
+    _eig: dict = field(default_factory=dict, init=False, repr=False,
+                       compare=False)
 
     def _scaled(self, t: float) -> np.ndarray:
         e = np.exp(-0.5 * t * self.lam)
         return self.b * np.outer(e, e)
+
+    def _eigh(self, t: float):
+        """(log eigenvalues, eigenvectors) of E B_i E."""
+        pair = self._eig.get(t)
+        if pair is None:
+            ev, vec = np.linalg.eigh(self._scaled(t))
+            pair = (_spd_log_eigvals(ev), vec)
+            if t != 0.0:
+                for k in [k for k in self._eig if k != 0.0]:
+                    del self._eig[k]
+            self._eig[t] = pair
+        return pair
 
     def value(self, t: float) -> float:
         ev = np.linalg.eigvalsh(self._scaled(t))
@@ -229,13 +316,19 @@ class KarcherRay:
     def slopes(self, t: float) -> tuple[float, float]:
         # mu'/mu = -u^T Lam u for each eigenpair (mu, u) of E B_i E; the
         # transported direction is the geodesic velocity, so no speed factor.
-        ev, vec = np.linalg.eigh(self._scaled(t))
+        logs, vec = self._eigh(t)
         quad = np.einsum("kij,i,kij->kj", vec, self.lam, vec)
-        slope = -float(np.sum(_spd_log_eigvals(ev) * quad))
+        slope = -float(np.sum(logs * quad))
         return slope, slope
 
+    def subgrad(self, t: float, forward: bool) -> np.ndarray:
+        # grad f(X(t)) = -W (sum_i logm(E B_i E)) W^T; smooth, so both
+        # directions give the same gradient.
+        w = self.w0 * np.exp(0.5 * t * self.lam)
+        return _finite(_sym(-w @ _logm_sum(*self._eigh(t)) @ w.T))
+
     def reversed(self) -> "KarcherRay":
-        return replace(self, lam=-self.lam)
+        return replace(self, lam=-self.lam)  # with an empty eigh cache
 
 
 @dataclass(frozen=True)
@@ -278,9 +371,10 @@ class RayleighQuotientMax:
         return idx, grads
 
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> RayleighRay:
-        px, pv = self.mats @ x.data, self.mats @ v.data
-        return RayleighRay(*_qf_scalars(x.data, v.data),
-                           a=px @ x.data, b=px @ v.data, c=pv @ v.data)
+        p = self.mats @ np.stack([x.data, v.data], 1)  # (m, n+1, 2)
+        ax, av = p[..., 0], p[..., 1]
+        return RayleighRay(**_qf_fields(x.data, v.data), ax=ax, av=av,
+                           a=ax @ x.data, b=ax @ v.data, c=av @ v.data)
 
     def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
         _, grads = self._active(x.data)
@@ -339,9 +433,9 @@ class GeometricMedian:
         return grad, sing_weight, has_sing
 
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> MedianRay:
-        return MedianRay(*_qf_scalars(x.data, v.data),
-                         px=self.points @ x.data, pv=self.points @ v.data,
-                         weights=self.weights)
+        px, pv = np.stack([x.data, v.data]) @ self.points.T  # (2, m)
+        return MedianRay(**_qf_fields(x.data, v.data), points=self.points,
+                         px=px, pv=pv, weights=self.weights)
 
     def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
         grad, sw, _ = self._split(x.data)
@@ -396,16 +490,15 @@ class SpdCenterOfMass:
         # grad f(X) = -sum_i X^(1/2) logm(X^(-1/2) A_i X^(-1/2)) X^(1/2)
         rt, m = self._whitened(x)
         ev, vec = np.linalg.eigh(0.5 * (m + np.transpose(m, (0, 2, 1))))
-        logs = _spd_log_eigvals(ev)
-        logm_sum = np.einsum("kij,kj,klj->il", vec, logs, vec)
-        return _sym(-rt @ logm_sum @ rt)
+        return _sym(-rt @ _logm_sum(_spd_log_eigvals(ev), vec) @ rt)
 
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> KarcherRay:
-        _, irt = _sqrt_pair(x.data)
+        rt, irt = _sqrt_pair(x.data)
         lam, q = np.linalg.eigh(_sym(irt @ v.data @ irt))
         s = irt @ q
         b = s.T @ self.mats @ s
-        return KarcherRay(lam=lam, b=0.5 * (b + np.transpose(b, (0, 2, 1))))
+        return KarcherRay(lam=lam, b=0.5 * (b + np.transpose(b, (0, 2, 1))),
+                          w0=rt @ q)
 
     def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
         g = TangentVector(x, self._gradient(x.data))

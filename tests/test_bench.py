@@ -284,6 +284,28 @@ class TestErrorRows:
         with pytest.raises(ValueError, match="max_iters"):
             run_suite(spec)
 
+    @pytest.mark.parametrize("configs,match", [
+        ({"conjugate_subgradent": {"max_iters": 5}}, "conjugate_subgradent"),
+        ({"conjugate_subgradient": {"max_iter": 5}},
+         "conjugate_subgradient.*max_iter"),
+        ({"subgradient": {"ls": {"tau": 2.0}}}, "subgradient.*tau"),
+    ])
+    def test_bad_config_raises_before_any_cell(self, monkeypatch, configs,
+                                               match):
+        # A misspelled solver key or an unknown field is reported up front,
+        # naming the solver and the field, before a single cell runs.
+        calls = []
+
+        def stub(oracle, x0, cfg=None, seed=0):
+            calls.append(seed)
+            raise AssertionError("no cell may run")
+
+        for name in ("conjugate_subgradient", "subgradient"):
+            monkeypatch.setitem(bench.SOLVERS, name, stub)
+        with pytest.raises(ValueError, match=match):
+            run_suite(tiny_spec(solver_configs=configs))
+        assert calls == []
+
 
 class TestPersistence:
     def test_records_csv_round_trip(self):

@@ -335,6 +335,162 @@ def random_descent_direction(oracle, x, seed):
     return -1.0 * oracle.active_subgrad(x, xi)
 
 
+def tied_rayleigh():
+    """Rayleigh oracle whose components 0 and 1 tie at x, plus x and a v."""
+    base = r.generate_instance("rayleigh", 3, 4, seed=70)
+    S = base.manifold
+    rng = np.random.default_rng(71)
+    x = S.random_point(rng)
+    xx = np.outer(x.data, x.data)
+    mats = base.mats.copy()
+    a = np.einsum("i,kij,j->k", x.data, mats, x.data)
+    mats[1] += (a[0] - a[1]) * xx
+    mats[:2] += 20.0 * xx
+    return r.RayleighQuotientMax(3, 4, mats), x, S.random_tangent(x, rng)
+
+
+def assert_ray_subgrads_match_oracle(oracle, x, v, ts=(0.0, 0.3, 1.2, 4.0)):
+    """ray.subgrad(t, +/-) against active_subgrad at R_x(t v), both rays."""
+    ray = oracle.restrict(x, v)
+    for fast, w in ((ray, v), (ray.reversed(), -v)):
+        for t in ts:
+            y = r.retract(x, t * w)
+            d = r.transport_between(x, y, w)
+            for forward, xi in ((True, d), (False, -d)):
+                got = fast.subgrad(t, forward)
+                ref = oracle.active_subgrad(y, xi).data
+                assert np.all(np.isfinite(got))
+                assert np.linalg.norm(got - ref) \
+                    <= 1e-10 * np.linalg.norm(ref) + 1e-12
+
+
+class SpyOracle(GenericOnly):
+    """Oracle proxy that counts value / dir_deriv / active_subgrad calls and
+    passes ``restrict`` through."""
+
+    def __init__(self, oracle):
+        super().__init__(oracle)
+        self.calls = {"value": 0, "dir_deriv": 0, "active_subgrad": 0}
+        self.restrict = oracle.restrict
+
+    def value(self, x):
+        self.calls["value"] += 1
+        return super().value(x)
+
+    def dir_deriv(self, x, xi):
+        self.calls["dir_deriv"] += 1
+        return super().dir_deriv(x, xi)
+
+    def active_subgrad(self, x, xi):
+        self.calls["active_subgrad"] += 1
+        return super().active_subgrad(x, xi)
+
+
+class TestRaySubgrad:
+    @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (4, 1), (4, 6)])
+    def test_matches_oracle(self, kind, n, m):
+        for seed in range(3):
+            oracle = r.generate_instance(kind, n, m, seed=seed)
+            rng = np.random.default_rng(120 + seed)
+            x = oracle.manifold.random_point(rng)
+            if kind == "karcher":
+                v = oracle.manifold.random_tangent(x, rng)
+            else:
+                v = random_descent_direction(oracle, x, 130 + seed)
+            assert_ray_subgrads_match_oracle(oracle, x, v)
+
+    def test_rayleigh_tie_picks_the_oracle_component(self):
+        # At the tie each direction selects a different active component,
+        # the same one active_subgrad selects.
+        oracle, x, v = tied_rayleigh()
+        ray = oracle.restrict(x, v)
+        grads = oracle._active(x.data)[1]
+        picks = []
+        for forward in (True, False):
+            got = ray.subgrad(0.0, forward)
+            picks.append(int(np.argmin(np.linalg.norm(grads - got, axis=1))))
+        assert sorted(picks) == [0, 1]
+        assert_ray_subgrads_match_oracle(oracle, x, v)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_median_singular_term(self, sign):
+        # At a data point (or its antipode) the two directions differ by the
+        # singular term 2 (w / ||d||) d, here of norm 2 w = 0.4.
+        oracle = r.generate_instance("median", 3, 5, seed=72)
+        S = oracle.manifold
+        x = S.point(sign * oracle.points[2])
+        v = S.random_tangent(x, np.random.default_rng(73))
+        ray = oracle.restrict(x, v)
+        jump = ray.subgrad(0.0, True) - ray.subgrad(0.0, False)
+        assert np.linalg.norm(jump) == pytest.approx(0.4, rel=1e-12)
+        assert_ray_subgrads_match_oracle(oracle, x, v)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises_instead_of_non_finite_data(self):
+        # Along V = X every eigenvalue of X^-1/2 V X^-1/2 is 1: at t = 2000
+        # E B_i E underflows to 0 (finite), while W = X^1/2 Q e^(t/2)
+        # overflows.
+        oracle = r.generate_instance("karcher", 3, 4, seed=140)
+        x = oracle.manifold.random_point(np.random.default_rng(141))
+        ray = oracle.restrict(x, r.TangentVector(x, x.data))
+        assert np.isfinite(ray.slopes(2000.0)[0])
+        for forward in (True, False):
+            with pytest.raises(r.NonFiniteRayError):
+                ray.subgrad(2000.0, forward)
+
+    def test_karcher_eigh_cache_stays_small(self):
+        # slopes and subgrad share one eigh per t, but the ray keeps only the
+        # t = 0 entry and the latest other t.
+        oracle = r.generate_instance("karcher", 3, 5, seed=145)
+        x = oracle.manifold.random_point(np.random.default_rng(146))
+        ray = oracle.restrict(x, oracle.manifold.random_tangent(
+            x, np.random.default_rng(147)))
+        for t in (0.0, 0.5, 1.0, 2.0, 0.25):
+            ray.slopes(t)
+            ray.subgrad(t, True)
+        assert sorted(ray._eig) == [0.0, 0.25]
+
+    def test_subgrad_is_not_an_evaluation(self):
+        oracle = r.generate_instance("median", 3, 4, seed=142)
+        x = oracle.manifold.random_point(np.random.default_rng(143))
+        v = random_descent_direction(oracle, x, 144)
+        stats = r.EvalStats()
+        pf = ray_objective(r.CountingOracle(oracle, stats), x, v)
+        pf.subgrad_fwd(0.5), pf.subgrad_bwd(2.0)
+        assert stats.nf == 0 and pf.evals == 0
+
+    @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
+    def test_no_oracle_calls(self, kind):
+        # A restricted line search asks the oracle nothing; a solve asks it
+        # only for f and the first subgradient at x0.
+        n, m = (3, 5) if kind == "karcher" else (4, 6)
+        oracle = r.generate_instance(kind, n, m, seed=150)
+        x0 = r.initial_point(kind, n, 150)
+        eta = random_descent_direction(oracle, x0, 151)
+        spy = SpyOracle(oracle)
+        for v in (eta, -eta):
+            line_search(ray_objective(spy, x0, v), LineSearchConfig())
+        assert spy.calls == {"value": 0, "dir_deriv": 0, "active_subgrad": 0}
+        res = r.conjugate_subgradient_solve(spy, x0,
+                                            r.SolverConfig(max_iters=20),
+                                            seed=150)
+        assert res.ls_calls >= 1
+        assert spy.calls == {"value": 1, "dir_deriv": 0, "active_subgrad": 1}
+
+    def test_null_step_asks_the_oracle_nothing(self):
+        p = np.array([[0.0, 0.0, 1.0]])
+        spy = SpyOracle(r.GeometricMedian(2, 1, p, np.array([1.0])))
+        S = r.Sphere(3)
+        x = S.point(p[0])
+        res = line_search(ray_objective(spy, x, S.tangent(x, [1.0, 0.0, 0.0])),
+                          LineSearchConfig())
+        assert res.null
+        assert np.allclose(res.g_plus.data, [1.0, 0.0, 0.0], atol=1e-15)
+        assert np.allclose(res.g_minus.data, [-1.0, 0.0, 0.0], atol=1e-15)
+        assert spy.calls == {"value": 0, "dir_deriv": 0, "active_subgrad": 0}
+
+
 class TestRestrictedRay:
     @pytest.mark.parametrize("kind", ["rayleigh", "median"])
     @pytest.mark.parametrize("n,m", [(4, 6), (1, 5), (4, 1), (1, 1)])
@@ -348,19 +504,9 @@ class TestRestrictedRay:
     def test_rayleigh_tied_active_components(self):
         # Components 0 and 1 tie at x with different gradients and dominate
         # the rest, so l'_-(0) < l'_+(0) on both paths.
-        base = r.generate_instance("rayleigh", 3, 4, seed=70)
-        S = base.manifold
-        rng = np.random.default_rng(71)
-        x = S.random_point(rng)
-        xx = np.outer(x.data, x.data)
-        mats = base.mats.copy()
-        a = np.einsum("i,kij,j->k", x.data, mats, x.data)
-        mats[1] += (a[0] - a[1]) * xx
-        mats[:2] += 20.0 * xx
-        oracle = r.RayleighQuotientMax(3, 4, mats)
+        oracle, x, v = tied_rayleigh()
         idx, _ = oracle._active(x.data)
         assert list(idx) == [0, 1]
-        v = S.random_tangent(x, rng)
         pf = RestrictedRayObjective(oracle, x, v)
         assert pf.left_deriv(0.0) < pf.right_deriv(0.0) - 1e-3
         assert_restricted_matches_generic(oracle, x, v)
@@ -446,6 +592,14 @@ class TestRestrictedRay:
                     ref.t, ref.sign, ref.evals, ref.irp_iters)
                 assert r.same_point(fast.x_new, ref.x_new)
                 assert fast.phi_at_t == pytest.approx(ref.phi_at_t, rel=1e-12)
+                for g, g_ref in ((fast.g_plus, ref.g_plus),
+                                 (fast.g_minus, ref.g_minus)):
+                    assert r.same_point(g.base, g_ref.base)
+                    assert r.norm(g - g_ref) <= 1e-10 * r.norm(g_ref) + 1e-12
+                assert fast.dplus_at_hi == pytest.approx(
+                    ref.dplus_at_hi, rel=1e-10, abs=1e-12)
+                assert fast.dminus_at_lo == pytest.approx(
+                    ref.dminus_at_lo, rel=1e-10, abs=1e-12)
 
 
 class TestRayObjectiveChoice:

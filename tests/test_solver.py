@@ -214,8 +214,15 @@ class TestConjugateSubgradientSolve:
                     <= cfg.epsilon_stop * (1 + 1e-6)
 
     def test_f_matches_value_at_final_point(self):
-        oracle, res = solve_small("rayleigh", 3, 5, 25, max_iters=100)
-        assert res.f == oracle.value(res.x)
+        # f is the line search's closed-form ray value at the accepted step,
+        # so it equals the recorded rows exactly and an oracle value at the
+        # final point to round-off (not bit for bit).
+        for seed in range(60):
+            oracle, res = solve_small("rayleigh", 3, 5, seed, max_iters=100)
+            assert res.f == res.trajectory[-1].f
+            for prev, row in zip(res.trajectory, res.trajectory[1:]):
+                assert row.f == prev.ls.phi_at_t
+            assert abs(res.f - oracle.value(res.x)) <= 1e-13 * abs(res.f)
 
     def test_nf_at_least_iters(self):
         _, res = solve_small("rayleigh", 3, 5, 26, max_iters=100)
