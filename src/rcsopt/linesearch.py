@@ -8,6 +8,10 @@ active subgradients at the final bracket endpoints, with no oracle call.
 Otherwise the generic :class:`RayObjective` retracts to each trial point and
 asks the oracle, carrying the ray direction there by parallel transport.
 
+The ray objective checks the direction's base point once, when built; the
+search then runs on raw arrays, wrapped once in the :class:`LineSearchResult`.
+Each fresh ray value is one evaluation (``nf``) of a :class:`CountingOracle`.
+
 The interval reduction loop keeps a bracket [tau_lo, tau_hi] around a
 one-dimensional local minimizer and stops either at a point satisfying
 l'_-(t) <= 0 <= l'_+(t) or when the bracket is narrower than
@@ -19,8 +23,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .manifolds import (ManifoldPoint, TangentVector, norm, retract,
+from .manifolds import (ManifoldPoint, TangentVector, _require_base, norm,
                         transport_between)
+from .objectives import CountingOracle, EvalStats
 
 _IRP_MAX_ITERS = 10_000
 
@@ -67,10 +72,12 @@ class RayObjective:
 
     Caches evaluation points, values, transported directions and one-sided
     derivatives per step size so bracket endpoints are never recomputed.
+    The base point of v is checked once, here.
     """
 
     def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
                  f0: float | None = None):
+        _require_base(x, v, "ray")
         self.oracle = oracle
         self.x = x
         self.v = v
@@ -86,7 +93,8 @@ class RayObjective:
     def point_at(self, t: float) -> ManifoldPoint:
         p = self._points.get(t)
         if p is None:
-            p = retract(self.x, t * self.v)
+            m = self.x.manifold
+            p = ManifoldPoint(m, m._retract(self.x.data, t * self.v.data))
             self._points[t] = p
         return p
 
@@ -100,18 +108,14 @@ class RayObjective:
     def value(self, t: float) -> float:
         val = self._values.get(t)
         if val is None:
-            val = self.oracle.value(self.point_at(t))
-            self._values[t] = val
+            val = self._values[t] = self._value(t)
             self.evals += 1
         return val
 
     def _deriv_pair(self, t: float) -> tuple[float, float]:
         pair = self._derivs.get(t)
         if pair is None:
-            y, d = self.point_at(t), self.direction_at(t)
-            pair = (self.oracle.dir_deriv(y, d),
-                    -self.oracle.dir_deriv(y, -d))
-            self._derivs[t] = pair
+            pair = self._derivs[t] = self._slopes(t)
         return pair
 
     def right_deriv(self, t: float) -> float:
@@ -122,15 +126,26 @@ class RayObjective:
         """l'_-(t) = -f'(y; -d)."""
         return self._deriv_pair(t)[1]
 
-    def subgrad_fwd(self, t: float) -> TangentVector:
-        """Directionally active subgradient at R_x(tv) for +direction."""
-        return self.oracle.active_subgrad(self.point_at(t),
-                                          self.direction_at(t))
+    def subgrad_fwd(self, t: float):
+        """Data of the directionally active subgradient at R_x(tv) for +d."""
+        return self._subgrad(t, True)
 
-    def subgrad_bwd(self, t: float) -> TangentVector:
-        """Directionally active subgradient at R_x(tv) for -direction."""
+    def subgrad_bwd(self, t: float):
+        """Data of the directionally active subgradient at R_x(tv) for -d."""
+        return self._subgrad(t, False)
+
+    # Uncached answers: retract to R_x(tv) and ask the oracle.
+    def _value(self, t: float) -> float:
+        return self.oracle.value(self.point_at(t))
+
+    def _slopes(self, t: float) -> tuple[float, float]:
+        y, d = self.point_at(t), self.direction_at(t)
+        return self.oracle.dir_deriv(y, d), -self.oracle.dir_deriv(y, -d)
+
+    def _subgrad(self, t: float, forward: bool):
+        d = self.direction_at(t)
         return self.oracle.active_subgrad(self.point_at(t),
-                                          -self.direction_at(t))
+                                          d if forward else -d).data
 
 
 class RestrictedRayObjective(RayObjective):
@@ -140,34 +155,26 @@ class RestrictedRayObjective(RayObjective):
     The closed-form ray answers each trial in O(m) after one pass over the
     data per ray, and the endpoint subgradients in O(n) (sphere) or from the
     slopes' eigendecomposition (SPD).  Only the accepted point and the
-    subgradients' base points go through the generic retraction.
+    subgradients' base points are retracted.  Each fresh value is charged to
+    a :class:`CountingOracle`'s ``stats.nf``.
     """
 
     def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
                  f0: float | None = None, ray=None):
         super().__init__(oracle, x, v, f0)
         self.ray = oracle.restrict(x, v) if ray is None else ray
+        self._stats = oracle.stats if isinstance(oracle, CountingOracle) \
+            else EvalStats()
 
-    def value(self, t: float) -> float:
-        val = self._values.get(t)
-        if val is None:
-            val = self.ray.value(t)
-            self._values[t] = val
-            self.evals += 1
-        return val
+    def _value(self, t: float) -> float:
+        self._stats.nf += 1
+        return self.ray.value(t)
 
-    def _deriv_pair(self, t: float) -> tuple[float, float]:
-        pair = self._derivs.get(t)
-        if pair is None:
-            pair = self.ray.slopes(t)
-            self._derivs[t] = pair
-        return pair
+    def _slopes(self, t: float) -> tuple[float, float]:
+        return self.ray.slopes(t)
 
-    def subgrad_fwd(self, t: float) -> TangentVector:
-        return TangentVector(self.point_at(t), self.ray.subgrad(t, True))
-
-    def subgrad_bwd(self, t: float) -> TangentVector:
-        return TangentVector(self.point_at(t), self.ray.subgrad(t, False))
+    def _subgrad(self, t: float, forward: bool):
+        return self.ray.subgrad(t, forward)
 
 
 def ray_objective(oracle, x: ManifoldPoint, v: TangentVector,
@@ -286,11 +293,10 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
         sign = -1
         l = _mirrored(pf, phi0)
     else:
-        g_fwd = pf.subgrad_fwd(0.0)
-        g_bwd = pf.subgrad_bwd(0.0)
         return LineSearchResult(
             t=0.0, phi_at_t=phi0, phi0=phi0, x_new=x,
-            g_plus=g_fwd, g_minus=g_bwd, sign=0,
+            g_plus=TangentVector(x, pf.subgrad_fwd(0.0)),
+            g_minus=TangentVector(x, pf.subgrad_bwd(0.0)), sign=0,
             tau_lo_final=0.0, tau_hi_final=0.0, tau_hi_start=eff.tau_hi_init,
             approximate=False, null=True, dplus0=dplus0, dminus0=dminus0,
             dminus_at_lo=dminus0, dplus_at_hi=dplus0,
@@ -305,8 +311,9 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     g_fwd = l.subgrad_fwd(tau_hi)
     dminus_at_lo = l.left_deriv(tau_lo)
     g_bwd = l.subgrad_bwd(tau_lo)
-    g_fwd = transport_between(l.point_at(tau_hi), x_new, g_fwd)
-    g_bwd = transport_between(l.point_at(tau_lo), x_new, g_bwd)
+    carry = x.manifold._carry
+    g_fwd = carry(l.point_at(tau_hi).data, x_new.data, g_fwd)
+    g_bwd = carry(l.point_at(tau_lo).data, x_new.data, g_bwd)
     if sign > 0:
         g_plus, g_minus = g_fwd, g_bwd
     else:
@@ -315,7 +322,8 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
 
     return LineSearchResult(
         t=sign * tau_star, phi_at_t=l.value(tau_star), phi0=phi0, x_new=x_new,
-        g_plus=g_plus, g_minus=g_minus, sign=sign,
+        g_plus=TangentVector(x_new, g_plus),
+        g_minus=TangentVector(x_new, g_minus), sign=sign,
         tau_lo_final=tau_lo, tau_hi_final=tau_hi, tau_hi_start=eff.tau_hi_init,
         approximate=approx, null=False, dplus0=dplus0, dminus0=dminus0,
         dminus_at_lo=dminus_at_lo, dplus_at_hi=dplus_at_hi,

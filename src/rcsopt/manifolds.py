@@ -5,6 +5,9 @@ pure function.  The sphere uses the projected (qf) retraction and parallel
 transport along the connecting great circle; SPD(n) carries the
 affine-invariant metric with the exponential map as retraction and parallel
 transport along geodesics.
+
+The public functions check base points; the raw-array ``Manifold._*``
+methods do not, and the solver loop calls them after its entry checks.
 """
 
 from __future__ import annotations
@@ -82,9 +85,11 @@ class TangentVector:
 
 def same_point(a: ManifoldPoint, b: ManifoldPoint) -> bool:
     """Whether a and b are the same point up to bitwise-level tolerance."""
-    if a.manifold != b.manifold:
-        return False
-    return float(np.max(np.abs(a.data - b.data))) <= _BASE_MATCH_TOL
+    return a.manifold == b.manifold and _same_data(a.data, b.data)
+
+
+def _same_data(a: np.ndarray, b: np.ndarray) -> bool:
+    return float(np.max(np.abs(a - b))) <= _BASE_MATCH_TOL
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -180,6 +185,13 @@ class Manifold:
 
     def _distance(self, a, b) -> float:
         raise NotImplementedError
+
+    def _norm(self, x, v) -> float:
+        return float(np.sqrt(max(self._inner(x, v, v), 0.0)))
+
+    def _carry(self, a, b, v) -> np.ndarray:
+        """Raw ``transport_between``: v itself when a and b are the same point."""
+        return v if _same_data(a, b) else self._transport(a, b, v)
 
 
 @dataclass(frozen=True)
@@ -319,7 +331,7 @@ def inner(xi: TangentVector, zeta: TangentVector) -> float:
 
 
 def norm(xi: TangentVector) -> float:
-    return float(np.sqrt(max(inner(xi, xi), 0.0)))
+    return xi.base.manifold._norm(xi.base.data, xi.data)
 
 
 def retract(x: ManifoldPoint, eta: TangentVector) -> ManifoldPoint:
@@ -335,10 +347,7 @@ def transport_between(a: ManifoldPoint, b: ManifoldPoint,
     _require_base(a, xi, "transport")
     if a.manifold != b.manifold:
         raise BasePointMismatchError("transport between different manifolds")
-    if same_point(a, b):
-        return TangentVector(b, xi.data)
-    m = a.manifold
-    return TangentVector(b, m._transport(a.data, b.data, xi.data))
+    return TangentVector(b, a.manifold._carry(a.data, b.data, xi.data))
 
 
 def distance(x: ManifoldPoint, y: ManifoldPoint) -> float:

@@ -15,8 +15,8 @@ evaluation counting happens in a caller-owned :class:`EvalStats` sink via
 Every oracle also offers ``restrict(x, v)``: the objective on the retraction
 ray y(t) = R_x(t v) as a small object with
 
-* ``value(t)``, which counts as one evaluation (``nf``) under
-  :class:`CountingOracle`, like an oracle ``value`` call;
+* ``value(t)``, which a line search charges as one evaluation (``nf``) of
+  its :class:`CountingOracle`, like an oracle ``value`` call;
 * ``slopes(t)``, the one-sided derivatives (f'(y; d), -f'(y; -d)) along the
   direction d = v transported to y(t);
 * ``subgrad(t, forward)``, the ambient data of the directionally active
@@ -107,15 +107,15 @@ class EvalStats:
 class CountingOracle:
     """Wraps an oracle so that every value() call bumps stats.nf once.
 
-    Offers ``restrict`` only when the wrapped oracle does; its rays charge one
-    evaluation per ``value`` call.
+    Offers the wrapped oracle's own ``restrict`` when it has one; the line
+    search's ray objective charges ``stats.nf`` once per fresh ray value.
     """
 
     def __init__(self, oracle, stats: EvalStats):
         self.oracle = oracle
         self.stats = stats
         if hasattr(oracle, "restrict"):
-            self.restrict = self._restrict
+            self.restrict = oracle.restrict
 
     @property
     def manifold(self):
@@ -130,30 +130,6 @@ class CountingOracle:
 
     def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
         return self.oracle.active_subgrad(x, xi)
-
-    def _restrict(self, x: ManifoldPoint, v: TangentVector) -> "CountingRay":
-        return CountingRay(self.oracle.restrict(x, v), self.stats)
-
-
-class CountingRay:
-    """Wraps a restricted ray so that every value() call bumps stats.nf once."""
-
-    def __init__(self, ray, stats: EvalStats):
-        self.ray = ray
-        self.stats = stats
-
-    def value(self, t: float) -> float:
-        self.stats.nf += 1
-        return self.ray.value(t)
-
-    def slopes(self, t: float) -> tuple[float, float]:
-        return self.ray.slopes(t)
-
-    def subgrad(self, t: float, forward: bool) -> np.ndarray:
-        return self.ray.subgrad(t, forward)
-
-    def reversed(self) -> "CountingRay":
-        return CountingRay(self.ray.reversed(), self.stats)
 
 
 def _qf_fields(x: np.ndarray, v: np.ndarray) -> dict:
@@ -181,19 +157,25 @@ class _QfRay:
 @dataclass(frozen=True)
 class RayleighRay(_QfRay):
     """max_i 1/2 y^T A_i y on y(t) from A_i x, A_i v and a = x^T A x,
-    b = x^T A v, c = v^T A v."""
+    b = x^T A v, c = v^T A v; a is kept halved, c also halved."""
 
     ax: np.ndarray  # (m, n+1)
     av: np.ndarray  # (m, n+1)
-    a: np.ndarray
+    a_half: np.ndarray
     b: np.ndarray
     c: np.ndarray
+    c_half: np.ndarray
 
     def _vals(self, t: float) -> np.ndarray:
-        return 0.5 * (self.a + t * (2.0 * self.b + t * self.c)) / self._norm2(t)
+        return self._quad(t) / self._norm2(t)
+
+    def _quad(self, t: float) -> np.ndarray:
+        # Bitwise 0.5 * (a + t (2 b + t c)): halving and doubling are exact.
+        return self.a_half + t * (self.b + t * self.c_half)
 
     def value(self, t: float) -> float:
-        return float(np.max(self._vals(t)))
+        # Rounding is monotone, so the max commutes with the division.
+        return float(np.max(self._quad(t))) / self._norm2(t)
 
     def _active_slopes(self, t: float):
         vals = self._vals(t)
@@ -373,8 +355,10 @@ class RayleighQuotientMax:
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> RayleighRay:
         p = self.mats @ np.stack([x.data, v.data], 1)  # (m, n+1, 2)
         ax, av = p[..., 0], p[..., 1]
+        c = av @ v.data
         return RayleighRay(**_qf_fields(x.data, v.data), ax=ax, av=av,
-                           a=ax @ x.data, b=ax @ v.data, c=av @ v.data)
+                           a_half=0.5 * (ax @ x.data), b=ax @ v.data, c=c,
+                           c_half=0.5 * c)
 
     def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
         _, grads = self._active(x.data)

@@ -10,6 +10,10 @@ search direction.  The iterates' objective values never increase.
 Trajectories record enough per-iteration state (points, directions, chosen
 subgradients and the scalar diagnostics) to replay the direction recursion and
 check its algebraic identities after the fact; see the ``*_residual`` helpers.
+
+The solve loops check ``x0`` once, then run on raw arrays with the manifold's
+unchecked methods; only the trajectory rows hold points and tangent vectors.
+:func:`direction_update` and :func:`_cos2_theta` wrap the loop's raw cores.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ import numpy as np
 
 from .linesearch import (LineSearchConfig, LineSearchResult,
                          LineSearchStallError, line_search, ray_objective)
-from .manifolds import (Manifold, ManifoldPoint, TangentVector, inner, norm,
-                        retract, transport_between)
+from .manifolds import (Manifold, ManifoldPoint, TangentVector, norm,
+                        transport_between)
 from .objectives import CountingOracle, EvalStats
 
 _LAMBDA_TIE_TOL = 1e-14
@@ -123,23 +127,38 @@ def direction_update(gtilde: TangentVector,
     and eta_new = -alpha * gtilde + (1 - alpha) * d.  A zero eta_new signals
     Clarke stationarity.
     """
-    ng2 = inner(gtilde, gtilde)
-    nd2 = inner(d, d)
-    tot = ng2 + nd2
-    if tot == 0.0:
-        return gtilde.base.manifold.zero_tangent(gtilde.base), 0.0
-    alpha = nd2 / tot
-    return (-alpha) * gtilde + (1.0 - alpha) * d, float(alpha)
+    gtilde._check_same_base(d)
+    x = gtilde.base
+    eta, alpha = _direction(x.manifold._inner, x.data, gtilde.data, d.data)
+    return TangentVector(x, eta), alpha
 
 
 def _cos2_theta(gtilde: TangentVector, d: TangentVector) -> float:
     """cos^2 of the angle between d and gtilde + d (equals alpha when g _|_ d)."""
-    s = gtilde + d
-    ns2 = inner(s, s)
-    nd2 = inner(d, d)
+    gtilde._check_same_base(d)
+    x = gtilde.base
+    return _cos2(x.manifold._inner, x.data, gtilde.data, d.data)
+
+
+def _direction(ip, x, g, d) -> tuple[np.ndarray, float]:
+    """Raw core of :func:`direction_update`; ``ip`` is ``Manifold._inner``."""
+    ng2 = ip(x, g, g)
+    nd2 = ip(x, d, d)
+    tot = ng2 + nd2
+    if tot == 0.0:
+        return np.zeros_like(x), 0.0
+    alpha = nd2 / tot
+    return (-alpha) * g + (1.0 - alpha) * d, float(alpha)
+
+
+def _cos2(ip, x, g, d) -> float:
+    """Raw core of :func:`_cos2_theta`."""
+    s = g + d
+    ns2 = ip(x, s, s)
+    nd2 = ip(x, d, d)
     if ns2 <= 0.0 or nd2 <= 0.0:
-        return nd2 / (inner(gtilde, gtilde) + nd2) if nd2 > 0.0 else 0.0
-    return float(inner(d, s) ** 2 / (nd2 * ns2))
+        return nd2 / (ip(x, g, g) + nd2) if nd2 > 0.0 else 0.0
+    return float(ip(x, d, s) ** 2 / (nd2 * ns2))
 
 
 def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
@@ -160,13 +179,13 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
     counting = CountingOracle(oracle, stats)
     start = time.perf_counter()
 
+    M = x0.manifold
     x = x0
     f = counting.value(x)
-    xi_rand = x.manifold.random_tangent(x, rng)
-    g1 = counting.active_subgrad(x, xi_rand)
-    gtilde, eta = g1, -g1
-    rows = [IterationRecord(k=1, x=x, f=f, eta=eta, gtilde=gtilde,
-                            eta_norm=norm(eta), gtilde_norm=norm(g1),
+    g1 = counting.active_subgrad(x, M.random_tangent(x, rng))
+    eta1 = -g1
+    rows = [IterationRecord(k=1, x=x, f=f, eta=eta1, gtilde=g1,
+                            eta_norm=norm(eta1), gtilde_norm=norm(g1),
                             nf_cum=stats.nf,
                             time_cum_s=time.perf_counter() - start)]
     null_run = 0
@@ -178,7 +197,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         if rows[-1].eta_norm <= cfg.epsilon_stop:
             stop = "stationary"
             break
-        pf = ray_objective(counting, x, eta, f0=f)
+        pf = ray_objective(counting, x, rows[-1].eta, f0=f)
         try:
             res = line_search(pf, cfg.ls, trace=irp_trace)
         except LineSearchStallError as e:
@@ -195,30 +214,32 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         else:
             null_run = 0
 
+        # Raw arrays at x_new from here on; a null step keeps x_new = x.
         x_new, f_new = res.x_new, res.phi_at_t
-        d = eta if res.null else transport_between(x, x_new, eta)
-        ip_p = inner(res.g_plus, d)
-        ip_m = inner(res.g_minus, d)
-        lam = select_lambda(ip_p, ip_m)
-        gtilde = combine_subgradient(res.g_plus, res.g_minus, lam)
+        xd, ip = x_new.data, M._inner
+        g_plus, g_minus = res.g_plus.data, res.g_minus.data
+        d = M._carry(x.data, xd, rows[-1].eta.data)
+        lam = select_lambda(ip(xd, g_plus, d), ip(xd, g_minus, d))
+        gtilde = combine_subgradient(g_plus, g_minus, lam)
         # When the bracket stops at the width tolerance or the injectivity
         # clamp, no convex weight can zero <gtilde, d> (the slopes need not
         # straddle 0 there).  The direction update annihilates that component
         # in exact arithmetic anyway, so it is removed outright; this keeps
         # the direction and norm recursions exact.  The raw value is logged.
-        ortho_raw = inner(gtilde, d)
-        nd2 = inner(d, d)
+        ortho_raw = ip(xd, gtilde, d)
+        nd2 = ip(xd, d, d)
         if nd2 > 0.0:
             gtilde = gtilde - (ortho_raw / nd2) * d
-        eta_new, alpha = direction_update(gtilde, d)
+        eta, alpha = _direction(ip, xd, gtilde, d)
 
-        x, f, eta = x_new, f_new, eta_new
+        x, f = x_new, f_new
         rows.append(IterationRecord(
-            k=k + 1, x=x, f=f, eta=eta, gtilde=gtilde,
-            eta_norm=norm(eta), gtilde_norm=norm(gtilde),
+            k=k + 1, x=x, f=f, eta=TangentVector(x, eta),
+            gtilde=TangentVector(x, gtilde),
+            eta_norm=M._norm(xd, eta), gtilde_norm=M._norm(xd, gtilde),
             nf_cum=stats.nf, time_cum_s=time.perf_counter() - start,
-            d=d, lam=lam, alpha=alpha, cos2_theta=_cos2_theta(gtilde, d),
-            ortho=ortho_raw))
+            d=TangentVector(x, d), lam=lam, alpha=alpha,
+            cos2_theta=_cos2(ip, xd, gtilde, d), ortho=ortho_raw))
 
         if null_run >= cfg.max_null_steps:
             stop = "null_steps"
@@ -248,13 +269,14 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
     counting = CountingOracle(oracle, stats)
     start = time.perf_counter()
 
+    M = x0.manifold
     x = x0
     f = counting.value(x)
-    g = counting.active_subgrad(x, x.manifold.random_tangent(x, rng))
-    c = 1.0 / (1.0 + norm(g))
+    g = counting.active_subgrad(x, M.random_tangent(x, rng))
+    ng = norm(g)
+    c = 1.0 / (1.0 + ng)
     rows = [IterationRecord(k=1, x=x, f=f, eta=-g, gtilde=g,
-                            eta_norm=norm(g), gtilde_norm=norm(g),
-                            nf_cum=stats.nf,
+                            eta_norm=ng, gtilde_norm=ng, nf_cum=stats.nf,
                             time_cum_s=time.perf_counter() - start)]
     stop = "max_iters"
     for k in range(1, cfg.max_iters + 1):
@@ -263,12 +285,13 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
             break
         t = c / math.sqrt(k)
         rows[-1].t = t
-        x = retract(x, t * rows[-1].eta)
+        x = ManifoldPoint(M, M._retract(x.data, t * rows[-1].eta.data))
         f = counting.value(x)
-        g = counting.active_subgrad(x, x.manifold.random_tangent(x, rng))
+        g = counting.active_subgrad(x, M.random_tangent(x, rng))
+        ng = norm(g)
         rows.append(IterationRecord(
-            k=k + 1, x=x, f=f, eta=-g, gtilde=g, eta_norm=norm(g),
-            gtilde_norm=norm(g), nf_cum=stats.nf,
+            k=k + 1, x=x, f=f, eta=-g, gtilde=g, eta_norm=ng,
+            gtilde_norm=ng, nf_cum=stats.nf,
             time_cum_s=time.perf_counter() - start))
     return SolveResult(x=x, f=f, stop_reason=stop, iters=len(rows) - 1,
                        nf=stats.nf, ls_calls=0, null_steps=0,

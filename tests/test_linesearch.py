@@ -672,3 +672,57 @@ def test_karcher_whole_solve_matches_generic_path():
                                                        "null_steps"}
         assert r.descent_violations(fast.trajectory) == 0
         assert r.norm_recursion_residual(fast.trajectory) <= 1e-6
+
+
+class TestBasePointAtRayEntry:
+    @pytest.mark.parametrize("kind,n,m", [("rayleigh", 5, 20),
+                                          ("karcher", 4, 10)])
+    @pytest.mark.parametrize("restricted", [True, False])
+    def test_mismatch_raised_before_any_work(self, kind, n, m, restricted):
+        # v lives at another point: the ray objective refuses it before the
+        # ray is built, so nothing is evaluated or charged.
+        oracle = r.generate_instance(kind, n, m, seed=3)
+        M = oracle.manifold
+        rng = np.random.default_rng(3)
+        x, y = M.random_point(rng), M.random_point(rng)
+        v = M.random_tangent(y, rng)
+        spy = SpyOracle(oracle)
+        rays = []
+        if restricted:
+            spy.restrict = lambda *a: rays.append(a) or oracle.restrict(*a)
+        else:
+            del spy.restrict
+        stats = r.EvalStats()
+        counting = r.CountingOracle(spy, stats)
+        assert hasattr(counting, "restrict") == restricted
+        with pytest.raises(r.BasePointMismatchError):
+            line_search(ray_objective(counting, x, v), LineSearchConfig())
+        assert stats.nf == 0 and rays == []
+        assert spy.calls == {"value": 0, "dir_deriv": 0, "active_subgrad": 0}
+
+
+class TestFusedRayleighValue:
+    @staticmethod
+    def _cases():
+        cases = [tied_rayleigh()]
+        for n in (5, 50):
+            oracle = r.generate_instance("rayleigh", n, 20, seed=160 + n)
+            x = oracle.manifold.random_point(np.random.default_rng(n))
+            cases.append((oracle, x, random_descent_direction(oracle, x, n)))
+        return cases
+
+    def test_value_is_the_max_of_the_components(self):
+        ts = [0.0] + [2.0 ** -k for k in range(40)] \
+            + list(np.random.default_rng(161).uniform(0.0, 100.0, 200))
+        for oracle, x, v in self._cases():
+            ray = oracle.restrict(x, v)
+            for fast, w in ((ray, v), (ray.reversed(), -v)):
+                assert np.array_equal(2.0 * fast.a_half, fast.ax @ x.data)
+                assert np.array_equal(fast.b, fast.ax @ w.data)
+                for t in ts:
+                    assert fast.value(t) == float(np.max(fast._vals(t)))
+                    # The halved coefficients give the unhalved formula's bits.
+                    ref = 0.5 * (2.0 * fast.a_half
+                                 + t * (2.0 * fast.b + t * fast.c)) \
+                        / fast._norm2(t)
+                    assert np.array_equal(fast._vals(t), ref)

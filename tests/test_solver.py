@@ -351,3 +351,76 @@ class TestTrajectorySerialization:
         bad = text.replace('"kind": "spd"', '"kind": "torus"')
         with pytest.raises(ValueError, match="unknown manifold tag"):
             r.trajectory_from_jsonl(bad)
+
+
+def _median_at_data_point():
+    """Median whose heaviest point is the minimizer, started there."""
+    base = r.generate_instance("median", 3, 5, seed=40)
+    weights = np.array([0.6, 0.1, 0.1, 0.1, 0.1])
+    oracle = r.GeometricMedian(3, 5, base.points, weights)
+    return oracle, oracle.manifold.point(base.points[0])
+
+
+class TestRawLoopReplay:
+    """The solve loops run on raw arrays; replay every row with the exported
+    TangentVector helpers and compare bit for bit."""
+
+    def _cs_solves(self):
+        cases = [solve_small("rayleigh", 4, 10, 41, max_iters=60),
+                 solve_small("median", 4, 10, 42, max_iters=60),
+                 solve_small("karcher", 3, 6, 43, max_iters=30)]
+        oracle, x0 = _median_at_data_point()
+        cases.append((oracle, r.conjugate_subgradient_solve(
+            oracle, x0, r.SolverConfig(max_iters=5), seed=44)))
+        return [res for _, res in cases]
+
+    def test_conjugate_rows_match_public_algebra(self):
+        seen = {"null": 0, "zero": 0, "move": 0}
+        for res in self._cs_solves():
+            rows = res.trajectory
+            for prev, row in zip(rows, rows[1:]):
+                ls = prev.ls
+                seen["null" if ls.null else "zero" if ls.t == 0.0
+                     else "move"] += 1
+                d = r.transport_between(prev.x, row.x, prev.eta)
+                lam = r.select_lambda(r.inner(ls.g_plus, d),
+                                      r.inner(ls.g_minus, d))
+                g = r.combine_subgradient(ls.g_plus, ls.g_minus, lam)
+                ortho = r.inner(g, d)
+                nd2 = r.inner(d, d)
+                if nd2 > 0.0:
+                    g = g - (ortho / nd2) * d
+                eta, alpha = r.direction_update(g, d)
+                assert row.x is ls.x_new
+                for got, ref in ((row.d, d), (row.gtilde, g), (row.eta, eta)):
+                    assert np.array_equal(got.data, ref.data)
+                assert (row.lam, row.ortho, row.alpha) == (lam, ortho, alpha)
+                assert row.cos2_theta == _cos2_theta(g, d)
+                assert row.eta_norm == r.norm(eta)
+                assert row.gtilde_norm == r.norm(g)
+        assert min(seen.values()) >= 1, seen
+
+    def test_subgradient_rows_match_public_algebra(self):
+        for kind, n, m in (("rayleigh", 4, 10), ("median", 4, 10),
+                           ("karcher", 3, 6)):
+            oracle = r.generate_instance(kind, n, m, seed=45)
+            x0 = r.initial_point(kind, n, 45)
+            res = r.subgradient_descent_solve(
+                oracle, x0, r.SolverConfig(max_iters=30), seed=45)
+            rows = res.trajectory
+            assert len(rows) > 1
+            for prev, row in zip(rows, rows[1:]):
+                step = r.retract(prev.x, prev.t * prev.eta)
+                assert np.array_equal(row.x.data, step.data)
+            for row in rows:
+                assert row.eta_norm == row.gtilde_norm == r.norm(row.gtilde)
+                assert np.array_equal(row.eta.data, -row.gtilde.data)
+
+    def test_exported_wrappers_check_base_points(self):
+        S = r.Sphere(4)
+        rng = np.random.default_rng(46)
+        x, y = S.random_point(rng), S.random_point(rng)
+        g, d = S.random_tangent(x, rng), S.random_tangent(y, rng)
+        for fn in (r.direction_update, _cos2_theta):
+            with pytest.raises(r.BasePointMismatchError):
+                fn(g, d)
