@@ -10,7 +10,13 @@ asks the oracle, carrying the ray direction there by parallel transport.
 
 The ray objective checks the direction's base point once, when built; the
 search then runs on raw arrays, wrapped once in the :class:`LineSearchResult`.
-Each fresh ray value is one evaluation (``nf``) of a :class:`CountingOracle`.
+Each ray value the search reads is one evaluation (``nf``) of a
+:class:`CountingOracle`.
+
+When the first trial fails, every later trial is compared with l(0) until
+one decreases, so the trials up to the width stop are known in advance.  A
+ray that offers ``values(ts)`` (the Rayleigh ray) answers that chain in one
+batched call; values the search never reads are not charged.
 
 The interval reduction loop keeps a bracket [tau_lo, tau_hi] around a
 one-dimensional local minimizer and stops either at a point satisfying
@@ -21,7 +27,7 @@ l'_-(t) <= 0 <= l'_+(t) or when the bracket is narrower than
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .manifolds import (ManifoldPoint, TangentVector, _require_base, norm,
                         transport_between)
@@ -46,10 +52,10 @@ class LineSearchConfig:
 
     Defaults follow the benchmark setup: start bracket [0, 100] with first
     trial 1, interior clamp q = 0.33, unbounded growth factor rho = 2, and
-    bracket-width stop 1e-6.
+    bracket-width stop 1e-6.  The bracket always starts at 0, so a step
+    never raises f above f(x).
     """
 
-    tau_lo_init: float = 0.0
     tau_init: float = 1.0
     tau_hi_init: float = 100.0
     q: float = 0.33
@@ -57,8 +63,8 @@ class LineSearchConfig:
     interval_tol: float = 1e-6
 
     def __post_init__(self):
-        if not 0.0 <= self.tau_lo_init < self.tau_init < self.tau_hi_init:
-            raise ValueError("need 0 <= tau_lo_init < tau_init < tau_hi_init")
+        if not 0.0 < self.tau_init < self.tau_hi_init:
+            raise ValueError("need 0 < tau_init < tau_hi_init")
         if not 0.0 < self.q < 0.5:
             raise ValueError("need 0 < q < 1/2")
         if self.rho <= 1.0:
@@ -73,7 +79,13 @@ class RayObjective:
     Caches evaluation points, values, transported directions and one-sided
     derivatives per step size so bracket endpoints are never recomputed.
     The base point of v is checked once, here.
+
+    ``prefetch`` is None here.  A ray objective that can answer many step
+    sizes in one call makes it a callable taking a list of step sizes;
+    :func:`irp` then hands it the trials it will make if every one fails.
     """
+
+    prefetch = None
 
     def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
                  f0: float | None = None):
@@ -155,8 +167,12 @@ class RestrictedRayObjective(RayObjective):
     The closed-form ray answers each trial in O(m) after one pass over the
     data per ray, and the endpoint subgradients in O(n) (sphere) or from the
     slopes' eigendecomposition (SPD).  Only the accepted point and the
-    subgradients' base points are retracted.  Each fresh value is charged to
-    a :class:`CountingOracle`'s ``stats.nf``.
+    subgradients' base points are retracted.  Each value the search reads is
+    charged to a :class:`CountingOracle`'s ``stats.nf``.
+
+    When the ray offers ``values(ts)``, ``prefetch`` answers a run of step
+    sizes in one batched call.  Those values wait until the search reads
+    them, and only a value that is read counts as an evaluation.
     """
 
     def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
@@ -165,10 +181,21 @@ class RestrictedRayObjective(RayObjective):
         self.ray = oracle.restrict(x, v) if ray is None else ray
         self._stats = oracle.stats if isinstance(oracle, CountingOracle) \
             else EvalStats()
+        self._prefetched: dict[float, float] = {}
+
+    @property
+    def prefetch(self):
+        # Looked up, not stored: a bound method kept on the instance would
+        # be a reference cycle that holds the ray's arrays until a gc pass.
+        return self._prefetch if hasattr(self.ray, "values") else None
+
+    def _prefetch(self, ts: list[float]) -> None:
+        self._prefetched.update(zip(ts, self.ray.values(ts)))
 
     def _value(self, t: float) -> float:
         self._stats.nf += 1
-        return self.ray.value(t)
+        val = self._prefetched.pop(t, None)
+        return self.ray.value(t) if val is None else val
 
     def _slopes(self, t: float) -> tuple[float, float]:
         return self.ray.slopes(t)
@@ -215,22 +242,47 @@ class LineSearchResult:
     evals: int
 
 
+def _next_trial(tau_lo: float, tau_hi: float, cfg: LineSearchConfig) -> float:
+    """The IRP's next trial: grow past an infinite upper bound, else the
+    midpoint clamped q * width inside the bracket."""
+    if math.isinf(tau_hi):
+        return cfg.rho * max(tau_lo, 1.0)
+    w = tau_hi - tau_lo
+    mid = 0.5 * (tau_lo + tau_hi)
+    return min(max(mid, tau_lo + cfg.q * w), tau_hi - cfg.q * w)
+
+
+def _fail_chain(tau_hi: float, cfg: LineSearchConfig) -> list[float]:
+    """The trials the IRP makes in [0, tau_hi] when every one of them fails,
+    i.e. until the bracket is ``interval_tol`` wide."""
+    chain = []
+    while tau_hi > cfg.interval_tol:
+        tau_hi = _next_trial(0.0, tau_hi, cfg)
+        chain.append(tau_hi)
+    return chain
+
+
 def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
         trace: list | None = None):
     """Interval reduction on a univariate semismooth function handle.
 
     ``l`` must expose value / right_deriv / left_deriv with l'_+(0) < 0.
+    When the first trial fails and ``l`` has a ``prefetch`` hook that is not
+    None, the hook receives the rest of the all-fail trial chain.
     Returns (tau_star, tau_lo, tau_hi, approximate, iterations).
     """
     if cfg.tau_hi_init > inj_bound:
         raise ValueError("initial upper bound exceeds the injectivity bound")
-    tau_lo, tau, tau_hi = cfg.tau_lo_init, cfg.tau_init, cfg.tau_hi_init
+    tau_lo, tau, tau_hi = 0.0, cfg.tau_init, cfg.tau_hi_init
+    l_lo = None  # l(tau_lo), read at the first trial
+    prefetch = getattr(l, "prefetch", None)
 
     for i in range(1, _IRP_MAX_ITERS + 1):
         if tau_hi - tau_lo <= cfg.interval_tol:
             return tau_lo, tau_lo, tau_hi, True, i - 1
         l_tau = l.value(tau)
-        l_lo = l.value(tau_lo)
+        if l_lo is None:
+            l_lo = l.value(tau_lo)
         branch = "upper"
         if l_tau < l_lo:
             if l.right_deriv(tau) >= 0.0:
@@ -242,18 +294,17 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
                 tau_lo, branch = tau, "lower"  # descent continues to the right
         else:
             tau_hi = tau                     # l(tau_lo) <= l(tau)
+            if i == 1 and prefetch is not None:
+                prefetch(_fail_chain(tau_hi, cfg))
         if trace is not None:
             trace.append({"i": i, "tau_lo": tau_lo, "tau": tau,
                           "tau_hi": tau_hi, "l_tau": l_tau, "l_lo": l_lo,
                           "branch": branch})
         if branch == "return":
             return tau, tau_lo, tau_hi, False, i
-        if math.isinf(tau_hi):
-            tau = cfg.rho * max(tau_lo, 1.0)
-        else:
-            w = tau_hi - tau_lo
-            mid = 0.5 * (tau_lo + tau_hi)
-            tau = min(max(mid, tau_lo + cfg.q * w), tau_hi - cfg.q * w)
+        if branch == "lower":
+            l_lo = l_tau
+        tau = _next_trial(tau_lo, tau_hi, cfg)
     raise LineSearchStallError(tau_lo, tau_hi)
 
 
@@ -262,9 +313,7 @@ def _clamped_config(cfg: LineSearchConfig, inj_bound: float) -> LineSearchConfig
     hi = min(cfg.tau_hi_init, inj_bound * (1.0 - 1e-9))
     if hi >= cfg.tau_hi_init:
         return cfg
-    mid = min(cfg.tau_init, 0.5 * hi)
-    lo = min(cfg.tau_lo_init, 0.5 * mid)
-    return LineSearchConfig(lo, mid, hi, cfg.q, cfg.rho, cfg.interval_tol)
+    return replace(cfg, tau_init=min(cfg.tau_init, 0.5 * hi), tau_hi_init=hi)
 
 
 def line_search(pf: RayObjective, cfg: LineSearchConfig,

@@ -22,10 +22,17 @@ ray y(t) = R_x(t v) as a small object with
 * ``subgrad(t, forward)``, the ambient data of the directionally active
   subgradient at y(t) for +d (``forward``) or -d, as ``active_subgrad``
   would pick it; it is not an evaluation;
-* ``reversed()``, the same ray for -v, with no new products.
+* ``reversed()``, the same ray for -v, with no new products;
+* optionally ``values(ts)``, ``[value(t) for t in ts]`` bit for bit in one
+  call.  The line search asks for it with the trials that follow a failed
+  first trial if all of them fail, and charges only the values it reads.
+  Only :class:`RayleighRay` offers it.
 
 The ray answers a whole line search, so a restricted search makes no oracle
-call.  ``subgrad`` never returns non-finite data; it raises
+call.  Each ray keeps a two-entry per-step memo (t = 0 and the latest other
+t, see :func:`_memoize`), so ``slopes`` and ``subgrad`` at one step size
+share their work, and on the median ray ``value`` shares the cosines too.
+``subgrad`` never returns non-finite data; it raises
 :class:`NonFiniteRayError` instead.
 
 On the sphere the ray is y(t) = (x + t v) / ||x + t v||, with t = 0 meaning x
@@ -44,6 +51,7 @@ are l'(t) itself (both sides; the objective is smooth).  ``slopes`` and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -57,6 +65,8 @@ _ACTIVE_TOL = 1e-10
 _SINGULAR_TOL = 1e-12
 # Gradient denominator floor near the median singularities.
 _DENOM_FLOOR = 1e-6
+# Index of every median term, used when no term is singular.
+_ALL = slice(None)
 
 
 class AmbiguousDirectionError(ValueError):
@@ -78,6 +88,24 @@ def _finite(g: np.ndarray) -> np.ndarray:
     return g
 
 
+def _memoize(cache: dict, t: float, compute):
+    """compute(t) through ``cache``, which keeps t = 0 and the latest other t.
+
+    A line search asks for slopes and subgradients at the bracket endpoints,
+    one of which is often 0, so two entries are enough and a ray stays small.
+    """
+    hit = cache.get(t)
+    if hit is None:
+        hit = compute(t)
+        if t != 0.0:
+            zero = cache.get(0.0)
+            cache.clear()
+            if zero is not None:
+                cache[0.0] = zero
+        cache[t] = hit
+    return hit
+
+
 def _active_mask(vals: np.ndarray) -> np.ndarray:
     """Rayleigh components within the active-set tolerance of the max."""
     fmax = np.max(vals)
@@ -85,17 +113,23 @@ def _active_mask(vals: np.ndarray) -> np.ndarray:
 
 
 def _median_terms(u: np.ndarray, weights: np.ndarray):
-    """Regular-term mask, w_i / sin(angle_i) on it, signed singular weight.
+    """Regular-term index, w_i / sin(angle_i) on it, signed singular weight.
 
     u holds the cosines x_i^T x; a term is singular with x at its data point
-    (u ~ 1) or antipodal to it (u ~ -1).
+    (u ~ 1) or antipodal to it (u ~ -1).  Without singular terms the index
+    is a full slice, so indexing with it makes views, not copies.
     """
-    sing_hi = u > 1.0 - _SINGULAR_TOL
-    sing_lo = u < -1.0 + _SINGULAR_TOL
-    reg = ~(sing_hi | sing_lo)
+    # fl(-1 + tol) = -fl(1 - tol), so this is "some term is singular".
+    if (np.abs(u) > 1.0 - _SINGULAR_TOL).any():
+        sing_hi = u > 1.0 - _SINGULAR_TOL
+        sing_lo = u < -1.0 + _SINGULAR_TOL
+        reg = ~(sing_hi | sing_lo)
+        sing_weight = float(np.sum(weights[sing_hi])
+                            - np.sum(weights[sing_lo]))
+    else:
+        reg, sing_weight = _ALL, 0.0
     den = np.maximum(np.sqrt(1.0 - u[reg] ** 2), _DENOM_FLOOR)
-    sing_weight = float(np.sum(weights[sing_hi]) - np.sum(weights[sing_lo]))
-    return reg, weights[reg] / den, sing_weight, not np.all(reg)
+    return reg, weights[reg] / den, sing_weight, reg is not _ALL
 
 
 @dataclass
@@ -145,6 +179,9 @@ class _QfRay:
     xx: float
     xv: float
     vv: float
+    # Per-step memo (see _memoize); a reversed ray starts with an empty one.
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def _norm2(self, t: float) -> float:
         # Exact ||x + t v||^2; the base point itself is used at t = 0.
@@ -177,7 +214,20 @@ class RayleighRay(_QfRay):
         # Rounding is monotone, so the max commutes with the division.
         return float(np.max(self._quad(t))) / self._norm2(t)
 
+    def values(self, ts: list[float]) -> list[float]:
+        """[value(t) for t in ts] in one vectorized pass, bit for bit: the
+        same elementwise operations with t broadcast, and 1 at t = 0."""
+        t = np.asarray(ts, dtype=float)
+        tc = t[:, None]
+        quad = self.a_half + tc * (self.b + tc * self.c_half)
+        norm2 = np.where(t == 0.0, 1.0,
+                         self.xx + t * (2.0 * self.xv + t * self.vv))
+        return (np.max(quad, axis=1) / norm2).tolist()
+
     def _active_slopes(self, t: float):
+        return _memoize(self._memo, t, self._active_slopes_at)
+
+    def _active_slopes_at(self, t: float):
         vals = self._vals(t)
         idx = np.flatnonzero(_active_mask(vals))
         # <A_i y - (y^T A_i y) y, d> with d = ||x + t v||^2 y'(t).
@@ -216,12 +266,18 @@ class MedianRay(_QfRay):
     weights: np.ndarray
 
     def _cosines(self, t: float) -> tuple[np.ndarray, float]:
-        r = np.sqrt(self._norm2(t))
+        return _memoize(self._memo, t, self._cosines_at)
+
+    def _cosines_at(self, t: float) -> tuple[np.ndarray, float]:
+        # Correctly rounded like np.sqrt, but a Python float: the per-trial
+        # scalar arithmetic then skips numpy's scalar types.
+        r = math.sqrt(self._norm2(t))
         return (self.px + t * self.pv) / r, r
 
     def value(self, t: float) -> float:
         u, _ = self._cosines(t)
-        return float(self.weights @ np.arccos(np.clip(u, -1.0, 1.0)))
+        # The method skips np.clip's dispatch; the result is the same.
+        return float(self.weights @ np.arccos(u.clip(-1.0, 1.0)))
 
     def slopes(self, t: float) -> tuple[float, float]:
         u, r = self._cosines(t)
@@ -229,7 +285,7 @@ class MedianRay(_QfRay):
         # p_i^T d with d = ||x + t v||^2 y'(t) = r v - (xv + t vv) y.
         pd = r * self.pv[reg] - u[reg] * (self.xv + t * self.vv)
         slope = -float(coef @ pd)
-        jump = sw * np.sqrt(self.vv)
+        jump = sw * math.sqrt(self.vv)
         return slope + jump, slope - jump
 
     def subgrad(self, t: float, forward: bool) -> np.ndarray:
@@ -281,15 +337,11 @@ class KarcherRay:
 
     def _eigh(self, t: float):
         """(log eigenvalues, eigenvectors) of E B_i E."""
-        pair = self._eig.get(t)
-        if pair is None:
-            ev, vec = np.linalg.eigh(self._scaled(t))
-            pair = (_spd_log_eigvals(ev), vec)
-            if t != 0.0:
-                for k in [k for k in self._eig if k != 0.0]:
-                    del self._eig[k]
-            self._eig[t] = pair
-        return pair
+        return _memoize(self._eig, t, self._eigh_at)
+
+    def _eigh_at(self, t: float):
+        ev, vec = np.linalg.eigh(self._scaled(t))
+        return _spd_log_eigvals(ev), vec
 
     def value(self, t: float) -> float:
         ev = np.linalg.eigvalsh(self._scaled(t))
@@ -411,7 +463,7 @@ class GeometricMedian:
         u = np.clip(self.points @ x, -1.0, 1.0)
         reg, coef, sing_weight, has_sing = _median_terms(u, self.weights)
         grad = np.zeros_like(x)
-        if np.any(reg):
+        if coef.size:
             tang = self.points[reg] - u[reg, None] * x
             grad = -(coef @ tang)
         return grad, sing_weight, has_sing

@@ -289,6 +289,9 @@ class TestErrorRows:
         ({"conjugate_subgradient": {"max_iter": 5}},
          "conjugate_subgradient.*max_iter"),
         ({"subgradient": {"ls": {"tau": 2.0}}}, "subgradient.*tau"),
+        # The bracket always starts at 0; the old start field is unknown.
+        ({"conjugate_subgradient": {"ls": {"tau_lo_init": 0.5}}},
+         "conjugate_subgradient.*tau_lo_init"),
     ])
     def test_bad_config_raises_before_any_cell(self, monkeypatch, configs,
                                                match):

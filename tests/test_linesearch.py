@@ -1,11 +1,15 @@
+import gc
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import rcsopt as r
 from rcsopt.linesearch import (LineSearchConfig, LineSearchStallError,
-                               RayObjective, RestrictedRayObjective, irp,
+                               RayObjective, RestrictedRayObjective,
+                               _clamped_config, _fail_chain, irp,
                                line_search, ray_objective)
 
 
@@ -42,7 +46,7 @@ class TestConfigValidation:
         assert cfg.q == 0.33 and cfg.rho == 2.0 and cfg.interval_tol == 1e-6
 
     @pytest.mark.parametrize("kw", [
-        dict(tau_lo_init=-1.0), dict(tau_init=0.0), dict(tau_hi_init=0.5),
+        dict(tau_init=-1.0), dict(tau_init=0.0), dict(tau_hi_init=0.5),
         dict(q=0.0), dict(q=0.5), dict(rho=1.0), dict(interval_tol=0.0),
     ])
     def test_invalid_rejected(self, kw):
@@ -121,6 +125,21 @@ class TestIRP:
             if not approx:
                 assert (trace[-1]["tau"], trace[-1]["tau_lo"],
                         trace[-1]["tau_hi"]) == (tau_star, lo, hi)
+
+    def test_each_trial_is_compared_with_l_at_tau_lo(self):
+        # l(tau_lo) is kept across iterations, not re-read; it must follow
+        # tau_lo through every lower move.
+        for curve in (quadratic_at(7.3), quadratic_at(0.3),
+                      ScalarCurve(lambda t: abs(t - 3.1),
+                                  lambda t: 1.0 if t >= 3.1 else -1.0,
+                                  lambda t: 1.0 if t > 3.1 else -1.0)):
+            trace = []
+            irp(curve, LineSearchConfig(), trace=trace)
+            assert any(rec["branch"] == "lower" for rec in trace)
+            for prev, rec in zip([None] + trace, trace):
+                lo = 0.0 if prev is None else prev["tau_lo"]
+                assert rec["l_lo"] == curve.value(lo)
+                assert rec["l_tau"] == curve.value(rec["tau"])
 
     def test_iteration_cap_raises_with_bracket(self):
         l = ScalarCurve(lambda t: -t, lambda t: -1.0)
@@ -726,3 +745,189 @@ class TestFusedRayleighValue:
                                  + t * (2.0 * fast.b + t * fast.c)) \
                         / fast._norm2(t)
                     assert np.array_equal(fast._vals(t), ref)
+
+
+class SpyRay:
+    """Ray proxy that counts method calls; ``hide`` names methods it lacks.
+    Its reversed ray is spied too, into the same counts."""
+
+    def __init__(self, ray, hide=(), calls=None):
+        self.ray, self.hide = ray, set(hide)
+        self.calls = Counter() if calls is None else calls
+
+    def reversed(self):
+        return SpyRay(self.ray.reversed(), self.hide, self.calls)
+
+    def __getattr__(self, name):
+        if name in self.hide:
+            raise AttributeError(name)
+        attr = getattr(self.ray, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            return attr(*args)
+        return counted
+
+
+class IncreasingCurve(ScalarCurve):
+    """l(t) = t, so every trial fails.  Its ``prefetch`` records the chains
+    the IRP hands it."""
+
+    def __init__(self):
+        super().__init__(lambda t: t, lambda t: 1.0)
+        self.chains = []
+
+    def prefetch(self, ts):
+        self.chains.append(list(ts))
+
+
+def zero_step_searches(n=5, m=200, seed=3, iters=20):
+    """(oracle, x, v, f0) of the line searches of a short rayleigh solve;
+    at 5 x 200 most of them fail at every trial."""
+    oracle = r.generate_instance("rayleigh", n, m, seed=seed)
+    res = r.conjugate_subgradient_solve(
+        oracle, r.initial_point("rayleigh", n, seed),
+        r.SolverConfig(max_iters=iters), seed=seed)
+    return [(oracle, row.x, row.eta, row.f) for row in res.trajectory[:-1]]
+
+
+def spied_search(oracle, x, v, f0, hide=()):
+    """A restricted line search on a spied ray; (result, trace, spy, nf)."""
+    stats = r.EvalStats()
+    spy = SpyRay(oracle.restrict(x, v), hide)
+    pf = RestrictedRayObjective(r.CountingOracle(oracle, stats), x, v, f0,
+                                ray=spy)
+    trace = []
+    res = line_search(pf, LineSearchConfig(), trace=trace)
+    return res, trace, spy, stats.nf
+
+
+class TestFailChain:
+    @pytest.mark.parametrize("cfg", [
+        LineSearchConfig(),
+        _clamped_config(LineSearchConfig(), np.pi / 10.0),  # sphere, |v| = 10
+        LineSearchConfig(tau_init=3.0, tau_hi_init=7.0, q=0.1,
+                         interval_tol=1e-3),
+        LineSearchConfig(q=0.45, interval_tol=1e-9),
+    ])
+    def test_chain_is_the_irp_trials_when_all_fail(self, cfg):
+        curve = IncreasingCurve()
+        trace = []
+        tau, lo, hi, approx, iters = irp(curve, cfg, trace=trace)
+        assert (tau, lo, approx) == (0.0, 0.0, True)
+        assert all(rec["branch"] == "upper" for rec in trace)
+        trials = [rec["tau"] for rec in trace]
+        chain = _fail_chain(cfg.tau_init, cfg)
+        assert [t.hex() for t in trials[1:]] == [t.hex() for t in chain]
+        # The IRP hands that chain to the hook once, after the first trial.
+        assert curve.chains == [chain]
+
+    def test_default_chain_halves_to_the_width_stop(self):
+        assert _fail_chain(1.0, LineSearchConfig()) \
+            == [2.0 ** -k for k in range(1, 21)]
+
+    def test_no_chain_when_the_first_trial_decreases(self):
+        curve = quadratic_at(2.0)
+        curve.prefetch = lambda ts: pytest.fail("no chain expected")
+        irp(curve, LineSearchConfig())
+
+    def test_rayleigh_values_match_value_bitwise(self):
+        chain = _fail_chain(1.0, LineSearchConfig())
+        samples = list(np.random.default_rng(170).uniform(0.0, 100.0, 60))
+        for oracle, x, v in TestFusedRayleighValue._cases():  # tied first
+            ray = oracle.restrict(x, v)
+            for fast in (ray, ray.reversed()):
+                for ts in (chain, [0.0], samples, [0.0] + chain + samples):
+                    got = fast.values(ts)
+                    assert all(type(val) is float for val in got)
+                    assert [val.hex() for val in got] \
+                        == [fast.value(t).hex() for t in ts]
+
+    def test_zero_step_search_is_one_value_and_one_batch(self):
+        searches = [s for s in zero_step_searches()
+                    if spied_search(*s)[0].t == 0.0]
+        assert len(searches) >= 5
+        for search in searches:
+            res, trace, spy, nf = spied_search(*search)
+            assert spy.calls["value"] == 1 and spy.calls["values"] == 1
+            assert res.evals == nf == 21
+            ref, ref_trace, ref_spy, ref_nf = spied_search(*search,
+                                                           hide={"values"})
+            assert ref_spy.calls["value"] == 21 and ref_spy.calls["values"] == 0
+            assert trace == ref_trace
+            assert (res.t, res.evals, res.tau_hi_final) \
+                == (ref.t, ref.evals, ref.tau_hi_final)
+
+    def test_broken_chain_charges_only_what_was_read(self):
+        # Searches whose first trial fails and a later one decreases: the
+        # unread rest of the batch is not an evaluation.
+        broken = 0
+        for search in zero_step_searches(iters=30):
+            res, trace, spy, nf = spied_search(*search)
+            ref, ref_trace, _, ref_nf = spied_search(*search, hide={"values"})
+            assert trace == ref_trace
+            assert nf == ref_nf == res.evals == ref.evals
+            assert res.t == ref.t and res.x_new.data.tobytes() \
+                == ref.x_new.data.tobytes()
+            if trace[0]["branch"] == "upper" and res.t != 0.0:
+                broken += 1
+                assert spy.calls["values"] == 1
+        assert broken >= 3
+
+    def test_ray_objective_is_freed_without_gc(self):
+        # The batching hook must not tie the objective into a reference
+        # cycle: the ray's (m, n+1) products would then wait for a gc pass.
+        oracle, x, v, f0 = zero_step_searches(iters=2)[0]
+        gc.disable()
+        try:
+            pf = RestrictedRayObjective(oracle, x, v, f0)
+            line_search(pf, LineSearchConfig())
+            ref = weakref.ref(pf)
+            del pf
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("kind,n,m", [("median", 4, 6), ("karcher", 3, 5)])
+    def test_other_rays_make_no_batch(self, kind, n, m):
+        oracle = r.generate_instance(kind, n, m, seed=175)
+        x = oracle.manifold.random_point(np.random.default_rng(176))
+        v = random_descent_direction(oracle, x, 177)
+        for w in (v, -1.0 * v):
+            res, trace, spy, nf = spied_search(oracle, x, w, oracle.value(x))
+            assert spy.calls["values"] == 0 and spy.calls["value"] == nf
+            assert res.evals == nf
+
+
+class TestRayMemo:
+    @pytest.mark.parametrize("kind,n,m", [("rayleigh", 5, 200),
+                                          ("median", 4, 6),
+                                          ("karcher", 3, 5)])
+    def test_memo_stays_small_after_a_search(self, kind, n, m):
+        for seed in range(3):
+            oracle = r.generate_instance(kind, n, m, seed=180 + seed)
+            x = oracle.manifold.random_point(np.random.default_rng(seed))
+            v = random_descent_direction(oracle, x, 185 + seed)
+            pf = RestrictedRayObjective(oracle, x, v)
+            res = line_search(pf, LineSearchConfig())
+            memo = pf.ray._eig if kind == "karcher" else pf.ray._memo
+            assert 1 <= len(memo) <= 2 and 0.0 in memo
+            assert set(memo) <= {0.0, res.tau_hi_final, res.tau_lo_final}
+
+    @pytest.mark.parametrize("kind", ["rayleigh", "median"])
+    def test_interleaved_calls_match_a_fresh_ray(self, kind):
+        oracle = r.generate_instance(kind, 4, 6, seed=190)
+        x = oracle.manifold.random_point(np.random.default_rng(191))
+        v = random_descent_direction(oracle, x, 192)
+        ray = oracle.restrict(x, v)
+        calls = [("value", ()), ("slopes", ()), ("subgrad", (True,)),
+                 ("subgrad", (False,))]
+        ts = (0.0, 0.5, 0.5, 1.2, 0.0, 0.5, 3.0, 1.2, 0.0)
+        for i, t in enumerate(ts):
+            for name, extra in calls[i % 4:] + calls[:i % 4]:
+                got = getattr(ray, name)(t, *extra)
+                want = getattr(oracle.restrict(x, v), name)(t, *extra)
+                assert np.array_equal(got, want), (name, t)
+            assert len(ray._memo) <= 2

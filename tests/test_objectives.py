@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import rcsopt as r
-from rcsopt.objectives import AmbiguousDirectionError
+from rcsopt.objectives import AmbiguousDirectionError, _median_terms
 
 from oracles import fd_dir_deriv, fd_riemannian_gradient
 
@@ -337,3 +337,55 @@ class TestDataValidation:
         build = self._poisoned(kind, bad, where)
         with pytest.raises(ValueError, match="finite"):
             build()
+
+
+class TestMedianTerms:
+    def test_fast_path_equals_the_masked_path(self):
+        # Without singular terms the index is a full slice; the masked path
+        # (forced by one extra singular term) gives the same regular terms.
+        rng = np.random.default_rng(200)
+        for m in (1, 7, 200):
+            u = rng.uniform(-1.0 + 1e-9, 1.0 - 1e-9, m)
+            w = rng.uniform(0.1, 1.0, m)
+            reg, coef, sw, has_sing = _median_terms(u, w)
+            assert reg == slice(None) and sw == 0.0 and not has_sing
+            for extra in (1.0, -1.0):
+                mreg, mcoef, msw, mhas = _median_terms(np.append(u, extra),
+                                                       np.append(w, 0.5))
+                assert mreg.dtype == bool and list(mreg) == [True] * m + [False]
+                assert mhas and msw == 0.5 * extra
+                assert np.array_equal(mcoef, coef)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_singular_point_keeps_the_masked_path(self, sign):
+        # At a data point or its antipode the term is masked out and carries
+        # the signed weight; the oracle's dir_deriv and active_subgrad match
+        # a term-by-term sum over the other points.
+        oracle = r.generate_instance("median", 3, 5, seed=201)
+        S = oracle.manifold
+        x = S.point(sign * oracle.points[2])
+        u = np.clip(oracle.points @ x.data, -1.0, 1.0)
+        reg, _, sw, has_sing = _median_terms(u, oracle.weights)
+        assert list(reg) == [True, True, False, True, True]
+        assert has_sing and sw == sign * oracle.weights[2]
+        grad = np.zeros(4)
+        for i in (0, 1, 3, 4):
+            p, w = oracle.points[i], oracle.weights[i]
+            grad -= w / np.sqrt(1.0 - u[i] ** 2) * (p - u[i] * x.data)
+        xi = S.random_tangent(x, np.random.default_rng(202))
+        nxi = np.linalg.norm(xi.data)
+        want = grad + (sw / nxi) * xi.data
+        assert np.allclose(oracle.active_subgrad(x, xi).data, want,
+                           rtol=0.0, atol=1e-14)
+        assert oracle.dir_deriv(x, xi) == pytest.approx(
+            grad @ xi.data + sw * nxi, abs=1e-14)
+
+    def test_regular_point_gradient_uses_every_term(self):
+        oracle = r.generate_instance("median", 3, 5, seed=203)
+        x = oracle.manifold.random_point(np.random.default_rng(204))
+        u = oracle.points @ x.data
+        coef = oracle.weights / np.sqrt(1.0 - u ** 2)
+        want = -(coef @ (oracle.points - u[:, None] * x.data))
+        xi = oracle.manifold.random_tangent(x, np.random.default_rng(205))
+        assert np.allclose(oracle.active_subgrad(x, xi).data, want,
+                           rtol=0.0, atol=1e-14)

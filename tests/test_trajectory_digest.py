@@ -1,9 +1,17 @@
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "trajectory_digest.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("trajectory_digest", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def test_two_runs_print_identical_lines():
@@ -16,9 +24,31 @@ def test_two_runs_print_identical_lines():
     # Six suite instances, each solved by both solvers.
     assert len(lines) == 12
     for line in lines:
-        key, solver, iters, nf, stop, f_hex, sha = line.split()
+        key, solver, iters, nf, stop, f_hex, sha, irp_sha = line.split()
         assert solver in ("conjugate_subgradient", "subgradient")
         assert int(iters) <= 5 and int(nf) >= int(iters)
         assert stop in ("max_iters", "stationary", "null_steps")
         float.fromhex(f_hex)
         assert len(sha) == 64
+        # Only the conjugate subgradient solve runs line searches.
+        if solver == "conjugate_subgradient":
+            assert len(irp_sha) == 64 and irp_sha != sha
+        else:
+            assert irp_sha == "-"
+
+
+def test_irp_digest_covers_each_trial_value():
+    # A trial value that moves while its comparison still fails leaves every
+    # iterate alone; the IRP hash still changes.
+    tool = _tool()
+    trace = [{"i": 1, "tau_lo": 0.0, "tau": 1.0, "tau_hi": 1.0,
+              "l_tau": 2.5, "l_lo": 2.0, "branch": "upper"},
+             {"i": 2, "tau_lo": 0.0, "tau": 0.5, "tau_hi": 0.5,
+              "l_tau": 2.25, "l_lo": 2.0, "branch": "upper"}]
+    base = tool.irp_digest(trace)
+    assert base == tool.irp_digest([dict(rec) for rec in trace])
+    for name, value in (("l_tau", 2.2500000000000004), ("l_lo", 1.5),
+                        ("tau", 0.25), ("branch", "lower")):
+        moved = [dict(rec) for rec in trace]
+        moved[1][name] = value
+        assert tool.irp_digest(moved) != base, name

@@ -9,11 +9,16 @@ seed (its ``make_instances``), so the two cannot drift.  Each instance is
 solved by the conjugate subgradient method and by subgradient descent under
 the workload's iteration cap, and one line is printed per solve:
 
-    key solver iters nf stop f.hex() sha256
+    key solver iters nf stop f.hex() rows_sha256 irp_sha256
 
-The hash covers every trajectory row's scalars (as float hex) and the bytes
-of its point, direction, combined subgradient and transported direction.
-Diffing the output of two trees is a bit-identity check of their iterates.
+The row hash covers every trajectory row's scalars (as float hex) and the
+bytes of its point, direction, combined subgradient and transported
+direction.  The IRP hash covers every interval-reduction trial of a
+conjugate subgradient solve: its step, value and comparison value (as float
+hex) and its branch; a subgradient solve makes no line search and prints
+``-`` there.  A trial value can change without moving an iterate, so the
+second hash is what pins the line search's values.  Diffing the output of
+two trees is a bit-identity check of their iterates and trial values.
 """
 
 from __future__ import annotations
@@ -61,6 +66,17 @@ def row_digest(rows) -> str:
     return h.hexdigest()
 
 
+def irp_digest(trace) -> str:
+    """SHA-256 over the step, value, comparison value and branch of each
+    IRP trial record."""
+    h = hashlib.sha256()
+    for rec in trace:
+        for name in ("tau", "l_tau", "l_lo"):
+            h.update(_scalar(rec[name]) + b";")
+        h.update(rec["branch"].encode() + b";")
+    return h.hexdigest()
+
+
 def digest_lines(workload: str, seed: int, max_iters: int | None = None):
     """One digest line per (instance, solver) of the workload's inputs."""
     bench = _load_perfbench()
@@ -73,13 +89,17 @@ def digest_lines(workload: str, seed: int, max_iters: int | None = None):
     for inst in bench.make_instances(rcsopt, workload, seed):
         key = f"{inst.group}-s{inst.seed}"
         for name, solve in solvers:
+            trace = [] if name == bench.CS else None
+            kwargs = {} if trace is None else {"irp_trace": trace}
             try:
-                res = solve(inst.oracle, inst.x0, cfg, seed=inst.seed)
+                res = solve(inst.oracle, inst.x0, cfg, seed=inst.seed,
+                            **kwargs)
             except Exception as exc:  # a failure is part of the digest
                 yield f"{key} {name} error {type(exc).__name__}: {exc}"
                 continue
             yield (f"{key} {name} {res.iters} {res.nf} {res.stop_reason} "
-                   f"{float(res.f).hex()} {row_digest(res.trajectory)}")
+                   f"{float(res.f).hex()} {row_digest(res.trajectory)} "
+                   f"{'-' if trace is None else irp_digest(trace)}")
 
 
 def main(argv=None) -> int:
