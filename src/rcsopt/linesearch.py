@@ -14,9 +14,15 @@ Each ray value the search reads is one evaluation (``nf``) of a
 :class:`CountingOracle`.
 
 When the first trial fails, every later trial is compared with l(0) until
-one decreases, so the trials up to the width stop are known in advance.  A
-ray that offers ``values(ts)`` (the Rayleigh ray) answers that chain in one
-batched call; values the search never reads are not charged.
+one decreases, and each failure halves the bracket, so the trials up to the
+width stop are known in advance (:func:`_fail_chain`).  A ray that offers
+``values(ts)`` (the Rayleigh ray) answers that chain in one batched call;
+:func:`irp` finds the first decrease in one pass over those values, writes
+the trace records of the failures before it, and charges only the values it
+read.
+
+The solvers' other oracle use is one ``value_and_subgrad`` pass at x0 (and,
+for the subgradient baseline, at every iterate); see :mod:`rcsopt.objectives`.
 
 The interval reduction loop keeps a bracket [tau_lo, tau_hi] around a
 one-dimensional local minimizer and stops either at a point satisfying
@@ -81,8 +87,10 @@ class RayObjective:
     The base point of v is checked once, here.
 
     ``prefetch`` is None here.  A ray objective that can answer many step
-    sizes in one call makes it a callable taking a list of step sizes;
-    :func:`irp` then hands it the trials it will make if every one fails.
+    sizes in one call makes it a callable that takes a list of step sizes
+    and returns their values, uncharged; :func:`irp` hands it the trials it
+    will make if every one fails, and hands back the values it read through
+    ``take_values(ts, vals)``.
     """
 
     prefetch = None
@@ -170,9 +178,9 @@ class RestrictedRayObjective(RayObjective):
     subgradients' base points are retracted.  Each value the search reads is
     charged to a :class:`CountingOracle`'s ``stats.nf``.
 
-    When the ray offers ``values(ts)``, ``prefetch`` answers a run of step
-    sizes in one batched call.  Those values wait until the search reads
-    them, and only a value that is read counts as an evaluation.
+    When the ray offers ``values(ts)``, ``prefetch`` is that method: it
+    answers a run of step sizes in one batched call, and only the values
+    the search then reads (:meth:`take_values`) count as evaluations.
     """
 
     def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
@@ -181,21 +189,22 @@ class RestrictedRayObjective(RayObjective):
         self.ray = oracle.restrict(x, v) if ray is None else ray
         self._stats = oracle.stats if isinstance(oracle, CountingOracle) \
             else EvalStats()
-        self._prefetched: dict[float, float] = {}
 
     @property
     def prefetch(self):
-        # Looked up, not stored: a bound method kept on the instance would
-        # be a reference cycle that holds the ray's arrays until a gc pass.
-        return self._prefetch if hasattr(self.ray, "values") else None
+        # Looked up, not stored: the ray's bound method holds the ray only.
+        return getattr(self.ray, "values", None)
 
-    def _prefetch(self, ts: list[float]) -> None:
-        self._prefetched.update(zip(ts, self.ray.values(ts)))
+    def take_values(self, ts: list[float], vals: list[float]) -> None:
+        """Count values of a batched call as read at ``ts``, one evaluation
+        each, as if ``value`` had computed them."""
+        self._values.update(zip(ts, vals))
+        self.evals += len(ts)
+        self._stats.nf += len(ts)
 
     def _value(self, t: float) -> float:
         self._stats.nf += 1
-        val = self._prefetched.pop(t, None)
-        return self.ray.value(t) if val is None else val
+        return self.ray.value(t)
 
     def _slopes(self, t: float) -> tuple[float, float]:
         return self.ray.slopes(t)
@@ -254,10 +263,15 @@ def _next_trial(tau_lo: float, tau_hi: float, cfg: LineSearchConfig) -> float:
 
 def _fail_chain(tau_hi: float, cfg: LineSearchConfig) -> list[float]:
     """The trials the IRP makes in [0, tau_hi] when every one of them fails,
-    i.e. until the bracket is ``interval_tol`` wide."""
+    i.e. until the bracket is ``interval_tol`` wide: tau_hi * 2^-k.
+
+    With tau_lo = 0 the midpoint tau_hi / 2 is exact, and for q < 1/2 the
+    rounded clamp bounds q * tau_hi and tau_hi - q * tau_hi lie on either
+    side of it, so ``_next_trial(0, tau_hi)`` is exactly tau_hi / 2.
+    """
     chain = []
     while tau_hi > cfg.interval_tol:
-        tau_hi = _next_trial(0.0, tau_hi, cfg)
+        tau_hi *= 0.5
         chain.append(tau_hi)
     return chain
 
@@ -268,7 +282,10 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
 
     ``l`` must expose value / right_deriv / left_deriv with l'_+(0) < 0.
     When the first trial fails and ``l`` has a ``prefetch`` hook that is not
-    None, the hook receives the rest of the all-fail trial chain.
+    None, the hook returns the values of the rest of the all-fail trial
+    chain.  While tau_lo stays 0 the trials follow that chain, and each run
+    of failures is settled from those values at once; the values read go
+    back to ``l.take_values``.
     Returns (tau_star, tau_lo, tau_hi, approximate, iterations).
     """
     if cfg.tau_hi_init > inj_bound:
@@ -277,7 +294,11 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
     l_lo = None  # l(tau_lo), read at the first trial
     prefetch = getattr(l, "prefetch", None)
 
-    for i in range(1, _IRP_MAX_ITERS + 1):
+    chain = vals = None  # all-fail chain and its values, while tau_lo = 0
+    nxt = 0              # index in the chain of the trial after this one
+    i = 0
+    while i < _IRP_MAX_ITERS:
+        i += 1
         if tau_hi - tau_lo <= cfg.interval_tol:
             return tau_lo, tau_lo, tau_hi, True, i - 1
         l_tau = l.value(tau)
@@ -295,7 +316,8 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
         else:
             tau_hi = tau                     # l(tau_lo) <= l(tau)
             if i == 1 and prefetch is not None:
-                prefetch(_fail_chain(tau_hi, cfg))
+                chain = _fail_chain(tau_hi, cfg)
+                vals = prefetch(chain)
         if trace is not None:
             trace.append({"i": i, "tau_lo": tau_lo, "tau": tau,
                           "tau_hi": tau_hi, "l_tau": l_tau, "l_lo": l_lo,
@@ -304,6 +326,24 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
             return tau, tau_lo, tau_hi, False, i
         if branch == "lower":
             l_lo = l_tau
+            chain = None                     # tau_lo > 0: off the chain
+        elif chain is not None:
+            # tau_lo = 0, so the next trials are chain[nxt:], each compared
+            # with l(0).  The failures before the next decrease (chain[k])
+            # become tau_hi in turn; settle them in one pass, then read
+            # chain[k] as the next trial.
+            k = next((j for j in range(nxt, len(vals)) if vals[j] < l_lo),
+                     len(vals))
+            l.take_values(chain[nxt:k + 1], vals[nxt:k + 1])
+            if k > nxt:
+                if trace is not None:
+                    trace.extend({"i": i + 1 + j - nxt, "tau_lo": 0.0,
+                                  "tau": chain[j], "tau_hi": chain[j],
+                                  "l_tau": vals[j], "l_lo": l_lo,
+                                  "branch": "upper"} for j in range(nxt, k))
+                i += k - nxt
+                tau_hi = chain[k - 1]
+            nxt = k + 1
         tau = _next_trial(tau_lo, tau_hi, cfg)
     raise LineSearchStallError(tau_lo, tau_hi)
 

@@ -85,7 +85,7 @@ class TangentVector:
 
 def same_point(a: ManifoldPoint, b: ManifoldPoint) -> bool:
     """Whether a and b are the same point up to bitwise-level tolerance."""
-    return a.manifold == b.manifold and _same_data(a.data, b.data)
+    return a is b or (a.manifold == b.manifold and _same_data(a.data, b.data))
 
 
 def _same_data(a: np.ndarray, b: np.ndarray) -> bool:
@@ -148,14 +148,9 @@ class Manifold:
         A unit draw is retried while the projected sample is numerically
         zero, at most ``_TANGENT_DRAWS`` times in all; then ValueError.
         """
-        for _ in range(_TANGENT_DRAWS):
-            xi = self.tangent(x, rng.standard_normal(x.data.shape))
-            if not unit:
-                return xi
-            n = norm(xi)
-            if n >= 1e-14:
-                return xi * (1.0 / n)
-        raise ValueError(f"no nonzero tangent in {_TANGENT_DRAWS} draws")
+        if not unit:
+            return self.tangent(x, rng.standard_normal(x.data.shape))
+        return TangentVector(x, self._random_unit(x.data, rng))
 
     @staticmethod
     def from_tag(tag: dict) -> "Manifold":
@@ -191,7 +186,16 @@ class Manifold:
 
     def _carry(self, a, b, v) -> np.ndarray:
         """Raw ``transport_between``: v itself when a and b are the same point."""
-        return v if _same_data(a, b) else self._transport(a, b, v)
+        return v if a is b or _same_data(a, b) else self._transport(a, b, v)
+
+    def _random_unit(self, x, rng: np.random.Generator) -> np.ndarray:
+        """Raw core of a unit ``random_tangent`` draw, with the same draws."""
+        for _ in range(_TANGENT_DRAWS):
+            v = self._project(x, rng.standard_normal(x.shape))
+            n = self._norm(x, v)
+            if n >= 1e-14:
+                return (1.0 / n) * v
+        raise ValueError(f"no nonzero tangent in {_TANGENT_DRAWS} draws")
 
 
 @dataclass(frozen=True)

@@ -8,9 +8,13 @@ Three families:
 
 Each oracle exposes ``value``, ``dir_deriv`` and ``active_subgrad``; the last
 returns a Clarke subgradient g with <g, xi> = f'(x; xi), which is what the
-direction update consumes.  Oracles are immutable and reject non-finite data;
-evaluation counting happens in a caller-owned :class:`EvalStats` sink via
-:class:`CountingOracle`.
+direction update consumes.  ``value_and_subgrad(x, xi)`` returns
+``(value(x), active_subgrad(x, xi))`` bit for bit from one pass over the data
+(the Rayleigh components, the median cosines, the whitened Karcher stack);
+the solvers ask it at x0 and the subgradient baseline at every iterate.
+Oracles are immutable and reject non-finite data; evaluation counting happens
+in a caller-owned :class:`EvalStats` sink via :class:`CountingOracle`, which
+charges the pair as one evaluation.
 
 Every oracle also offers ``restrict(x, v)``: the objective on the retraction
 ray y(t) = R_x(t v) as a small object with
@@ -106,10 +110,11 @@ def _memoize(cache: dict, t: float, compute):
     return hit
 
 
-def _active_mask(vals: np.ndarray) -> np.ndarray:
-    """Rayleigh components within the active-set tolerance of the max."""
-    fmax = np.max(vals)
-    return vals >= fmax - _ACTIVE_TOL * (1.0 + abs(fmax))
+def _active_index(vals: np.ndarray) -> np.ndarray:
+    """Indices of the Rayleigh components within the active-set tolerance of
+    the max."""
+    fmax = vals.max()
+    return (vals >= fmax - _ACTIVE_TOL * (1.0 + abs(fmax))).nonzero()[0]
 
 
 def _median_terms(u: np.ndarray, weights: np.ndarray):
@@ -141,13 +146,16 @@ class EvalStats:
 class CountingOracle:
     """Wraps an oracle so that every value() call bumps stats.nf once.
 
-    Offers the wrapped oracle's own ``restrict`` when it has one; the line
-    search's ray objective charges ``stats.nf`` once per fresh ray value.
+    ``value_and_subgrad`` is one evaluation too; an oracle without that
+    method answers it with ``value`` and ``active_subgrad``.  Offers the
+    wrapped oracle's own ``restrict`` when it has one; the line search's ray
+    objective charges ``stats.nf`` once per fresh ray value.
     """
 
     def __init__(self, oracle, stats: EvalStats):
         self.oracle = oracle
         self.stats = stats
+        self._pair = getattr(oracle, "value_and_subgrad", None)
         if hasattr(oracle, "restrict"):
             self.restrict = oracle.restrict
 
@@ -164,6 +172,13 @@ class CountingOracle:
 
     def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
         return self.oracle.active_subgrad(x, xi)
+
+    def value_and_subgrad(self, x: ManifoldPoint, xi: TangentVector
+                          ) -> tuple[float, TangentVector]:
+        self.stats.nf += 1
+        if self._pair is None:
+            return self.oracle.value(x), self.oracle.active_subgrad(x, xi)
+        return self._pair(x, xi)
 
 
 def _qf_fields(x: np.ndarray, v: np.ndarray) -> dict:
@@ -212,7 +227,7 @@ class RayleighRay(_QfRay):
 
     def value(self, t: float) -> float:
         # Rounding is monotone, so the max commutes with the division.
-        return float(np.max(self._quad(t))) / self._norm2(t)
+        return float(self._quad(t).max()) / self._norm2(t)
 
     def values(self, ts: list[float]) -> list[float]:
         """[value(t) for t in ts] in one vectorized pass, bit for bit: the
@@ -225,32 +240,46 @@ class RayleighRay(_QfRay):
         return (np.max(quad, axis=1) / norm2).tolist()
 
     def _active_slopes(self, t: float):
+        """(index, value, slope) of the active components at t: an int index
+        and Python floats when one component is active, else arrays over
+        the ties."""
         return _memoize(self._memo, t, self._active_slopes_at)
 
     def _active_slopes_at(self, t: float):
         vals = self._vals(t)
-        idx = np.flatnonzero(_active_mask(vals))
+        idx = _active_index(vals)
+        dot = self.xv + t * self.vv
         # <A_i y - (y^T A_i y) y, d> with d = ||x + t v||^2 y'(t).
-        s = (self.b[idx] + t * self.c[idx]) \
-            - 2.0 * vals[idx] * (self.xv + t * self.vv)
-        return idx, vals, s
+        if len(idx) == 1:
+            # The same operations in the same order on Python floats, so the
+            # same IEEE values as the array path, with far fewer numpy calls.
+            i = int(idx[0])
+            val = float(vals[i])
+            return i, val, float((float(self.b[i]) + t * float(self.c[i]))
+                                 - 2.0 * val * dot)
+        val = vals[idx]
+        return idx, val, (self.b[idx] + t * self.c[idx]) - 2.0 * val * dot
 
     def slopes(self, t: float) -> tuple[float, float]:
-        _, _, s = self._active_slopes(t)
+        i, _, s = self._active_slopes(t)
+        if type(i) is int:
+            return s, s
         return float(np.max(s)), float(np.min(s))
 
     def subgrad(self, t: float, forward: bool) -> np.ndarray:
-        idx, vals, s = self._active_slopes(t)
-        if len(idx) > 1 and self.vv == 0.0:
-            raise AmbiguousDirectionError(
-                "zero direction at a point with several active components")
-        # argmax/argmin return the smallest tied index, as active_subgrad.
-        i = idx[np.argmax(s) if forward else np.argmin(s)]
+        i, val, s = self._active_slopes(t)
+        if type(i) is not int:
+            if self.vv == 0.0:
+                raise AmbiguousDirectionError(
+                    "zero direction at a point with several active components")
+            # argmax/argmin return the smallest tied index, as active_subgrad.
+            j = np.argmax(s) if forward else np.argmin(s)
+            i, val = i[j], val[j]
         # A_i y - 2 val_i y with A_i y = (A_i x + t A_i v) / r; r = 1 at t = 0,
         # where this is exactly A_i x - 2 val_i x.
-        r = np.sqrt(self._norm2(t))
+        r = math.sqrt(self._norm2(t))
         y = (self.x + t * self.v) / r
-        return _finite((self.ax[i] + t * self.av[i]) / r - 2.0 * vals[i] * y)
+        return _finite((self.ax[i] + t * self.av[i]) / r - 2.0 * val * y)
 
     def reversed(self) -> "RayleighRay":
         return self._flipped(av=-self.av, b=-self.b)
@@ -395,14 +424,29 @@ class RayleighQuotientMax:
 
     def value(self, x: ManifoldPoint) -> float:
         _, vals = self._components(x.data)
-        return float(np.max(vals))
+        return float(vals.max())
 
     def _active(self, x: np.ndarray):
-        prods, vals = self._components(x)
-        idx = np.flatnonzero(_active_mask(vals))
+        return self._active_grads(x, *self._components(x))
+
+    @staticmethod
+    def _active_grads(x: np.ndarray, prods: np.ndarray, vals: np.ndarray):
+        idx = _active_index(vals)
         # Riemannian gradients of the active components: A_i x - (x^T A_i x) x.
         grads = prods[idx] - (2.0 * vals[idx])[:, None] * x
         return idx, grads
+
+    def _select(self, x: ManifoldPoint, xi: TangentVector, prods, vals
+                ) -> TangentVector:
+        idx, grads = self._active_grads(x.data, prods, vals)
+        if len(idx) == 1:
+            return TangentVector(x, grads[0])
+        if float(np.linalg.norm(xi.data)) == 0.0:
+            raise AmbiguousDirectionError(
+                "zero direction at a point with several active components")
+        slopes = grads @ xi.data
+        best = int(np.argmax(slopes))  # argmax returns the smallest tied index
+        return TangentVector(x, grads[best])
 
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> RayleighRay:
         p = self.mats @ np.stack([x.data, v.data], 1)  # (m, n+1, 2)
@@ -417,13 +461,12 @@ class RayleighQuotientMax:
         return float(np.max(grads @ xi.data))
 
     def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
-        idx, grads = self._active(x.data)
-        if len(idx) > 1 and float(np.linalg.norm(xi.data)) == 0.0:
-            raise AmbiguousDirectionError(
-                "zero direction at a point with several active components")
-        slopes = grads @ xi.data
-        best = int(np.argmax(slopes))  # argmax returns the smallest tied index
-        return TangentVector(x, grads[best])
+        return self._select(x, xi, *self._components(x.data))
+
+    def value_and_subgrad(self, x: ManifoldPoint, xi: TangentVector
+                          ) -> tuple[float, TangentVector]:
+        prods, vals = self._components(x.data)
+        return float(vals.max()), self._select(x, xi, prods, vals)
 
 
 @dataclass(frozen=True)
@@ -454,13 +497,15 @@ class GeometricMedian:
     def manifold(self) -> Sphere:
         return Sphere(self.n + 1)
 
-    def value(self, x: ManifoldPoint) -> float:
-        u = np.clip(self.points @ x.data, -1.0, 1.0)
-        return float(self.weights @ np.arccos(u))
+    def _cosines(self, x: np.ndarray) -> np.ndarray:
+        return np.clip(self.points @ x, -1.0, 1.0)
 
-    def _split(self, x: np.ndarray):
-        """Regular-term gradient sum plus signed weights of singular terms."""
-        u = np.clip(self.points @ x, -1.0, 1.0)
+    def value(self, x: ManifoldPoint) -> float:
+        return float(self.weights @ np.arccos(self._cosines(x.data)))
+
+    def _split(self, x: np.ndarray, u: np.ndarray):
+        """Regular-term gradient sum plus signed weights of singular terms,
+        from the cosines u."""
         reg, coef, sing_weight, has_sing = _median_terms(u, self.weights)
         grad = np.zeros_like(x)
         if coef.size:
@@ -474,11 +519,20 @@ class GeometricMedian:
                          px=px, pv=pv, weights=self.weights)
 
     def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
-        grad, sw, _ = self._split(x.data)
+        grad, sw, _ = self._split(x.data, self._cosines(x.data))
         return float(grad @ xi.data + sw * np.linalg.norm(xi.data))
 
     def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
-        grad, sw, has_sing = self._split(x.data)
+        return self._select(x, xi, self._cosines(x.data))
+
+    def value_and_subgrad(self, x: ManifoldPoint, xi: TangentVector
+                          ) -> tuple[float, TangentVector]:
+        u = self._cosines(x.data)
+        return float(self.weights @ np.arccos(u)), self._select(x, xi, u)
+
+    def _select(self, x: ManifoldPoint, xi: TangentVector, u: np.ndarray
+                ) -> TangentVector:
+        grad, sw, has_sing = self._split(x.data, u)
         nxi = float(np.linalg.norm(xi.data))
         if has_sing:
             if nxi == 0.0:
@@ -514,19 +568,31 @@ class SpdCenterOfMass:
         return SPD(self.n)
 
     def _whitened(self, x: np.ndarray):
+        """(X^(1/2), the symmetrized stack X^(-1/2) A_i X^(-1/2))."""
         rt, irt = _sqrt_pair(x)
-        return rt, irt @ self.mats @ irt  # (m, n, n)
+        m = irt @ self.mats @ irt  # (m, n, n)
+        return rt, 0.5 * (m + np.transpose(m, (0, 2, 1)))
 
-    def value(self, x: ManifoldPoint) -> float:
-        _, m = self._whitened(x.data)
-        ev = np.linalg.eigvalsh(0.5 * (m + np.transpose(m, (0, 2, 1))))
+    @staticmethod
+    def _value_of(m: np.ndarray) -> float:
+        ev = np.linalg.eigvalsh(m)
         return 0.5 * float(np.sum(_spd_log_eigvals(ev) ** 2))
 
-    def _gradient(self, x: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _gradient_of(rt: np.ndarray, m: np.ndarray) -> np.ndarray:
         # grad f(X) = -sum_i X^(1/2) logm(X^(-1/2) A_i X^(-1/2)) X^(1/2)
-        rt, m = self._whitened(x)
-        ev, vec = np.linalg.eigh(0.5 * (m + np.transpose(m, (0, 2, 1))))
+        ev, vec = np.linalg.eigh(m)
         return _sym(-rt @ _logm_sum(_spd_log_eigvals(ev), vec) @ rt)
+
+    def value(self, x: ManifoldPoint) -> float:
+        return self._value_of(self._whitened(x.data)[1])
+
+    def value_and_subgrad(self, x: ManifoldPoint, xi: TangentVector
+                          ) -> tuple[float, TangentVector]:
+        # eigvalsh for the value and eigh for the gradient, as value and
+        # active_subgrad compute them, so the bits are theirs.
+        rt, m = self._whitened(x.data)
+        return self._value_of(m), TangentVector(x, self._gradient_of(rt, m))
 
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> KarcherRay:
         rt, irt = _sqrt_pair(x.data)
@@ -537,11 +603,11 @@ class SpdCenterOfMass:
                           w0=rt @ q)
 
     def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
-        g = TangentVector(x, self._gradient(x.data))
+        g = TangentVector(x, self._gradient_of(*self._whitened(x.data)))
         return inner(g, xi)
 
     def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
-        return TangentVector(x, self._gradient(x.data))
+        return TangentVector(x, self._gradient_of(*self._whitened(x.data)))
 
 
 Oracle = RayleighQuotientMax | GeometricMedian | SpdCenterOfMass

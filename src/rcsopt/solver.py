@@ -14,6 +14,9 @@ check its algebraic identities after the fact; see the ``*_residual`` helpers.
 The solve loops check ``x0`` once, then run on raw arrays with the manifold's
 unchecked methods; only the trajectory rows hold points and tangent vectors.
 :func:`direction_update` and :func:`_cos2_theta` wrap the loop's raw cores.
+Both solvers take the value and the first subgradient at x0 from one
+``value_and_subgrad`` pass (one evaluation); the subgradient baseline makes
+that one pass at every iterate.
 """
 
 from __future__ import annotations
@@ -181,8 +184,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
 
     M = x0.manifold
     x = x0
-    f = counting.value(x)
-    g1 = counting.active_subgrad(x, M.random_tangent(x, rng))
+    f, g1 = counting.value_and_subgrad(x, M.random_tangent(x, rng))
     eta1 = -g1
     rows = [IterationRecord(k=1, x=x, f=f, eta=eta1, gtilde=g1,
                             eta_norm=norm(eta1), gtilde_norm=norm(g1),
@@ -271,24 +273,22 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
 
     M = x0.manifold
     x = x0
-    f = counting.value(x)
-    g = counting.active_subgrad(x, M.random_tangent(x, rng))
-    ng = norm(g)
+    f, g = counting.value_and_subgrad(x, M.random_tangent(x, rng))
+    ng = M._norm(x.data, g.data)
     c = 1.0 / (1.0 + ng)
     rows = [IterationRecord(k=1, x=x, f=f, eta=-g, gtilde=g,
                             eta_norm=ng, gtilde_norm=ng, nf_cum=stats.nf,
                             time_cum_s=time.perf_counter() - start)]
     stop = "max_iters"
     for k in range(1, cfg.max_iters + 1):
-        if rows[-1].gtilde_norm <= cfg.epsilon_stop:
+        if ng <= cfg.epsilon_stop:
             stop = "stationary"
             break
         t = c / math.sqrt(k)
         rows[-1].t = t
         x = ManifoldPoint(M, M._retract(x.data, t * rows[-1].eta.data))
-        f = counting.value(x)
-        g = counting.active_subgrad(x, M.random_tangent(x, rng))
-        ng = norm(g)
+        f, g = counting.value_and_subgrad(x, M.random_tangent(x, rng))
+        ng = M._norm(x.data, g.data)
         rows.append(IterationRecord(
             k=k + 1, x=x, f=f, eta=-g, gtilde=g, eta_norm=ng,
             gtilde_norm=ng, nf_cum=stats.nf,

@@ -5,12 +5,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rcsopt as r
 from rcsopt.linesearch import (LineSearchConfig, LineSearchStallError,
                                RayObjective, RestrictedRayObjective,
-                               _clamped_config, _fail_chain, irp,
+                               _clamped_config, _fail_chain, _next_trial, irp,
                                line_search, ray_objective)
+from rcsopt.objectives import _ACTIVE_TOL
 
 
 class ScalarCurve:
@@ -773,7 +776,7 @@ class SpyRay:
 
 class IncreasingCurve(ScalarCurve):
     """l(t) = t, so every trial fails.  Its ``prefetch`` records the chains
-    the IRP hands it."""
+    the IRP hands it and answers them."""
 
     def __init__(self):
         super().__init__(lambda t: t, lambda t: 1.0)
@@ -781,6 +784,11 @@ class IncreasingCurve(ScalarCurve):
 
     def prefetch(self, ts):
         self.chains.append(list(ts))
+        return list(ts)
+
+    def take_values(self, ts, vals):
+        self._cache.update(zip(ts, vals))
+        self.evals += len(ts)
 
 
 def zero_step_searches(n=5, m=200, seed=3, iters=20):
@@ -899,6 +907,186 @@ class TestFailChain:
             res, trace, spy, nf = spied_search(oracle, x, w, oracle.value(x))
             assert spy.calls["values"] == 0 and spy.calls["value"] == nf
             assert res.evals == nf
+
+
+class ScriptedRay:
+    """Ray whose trials on the default all-fail chain 2^-1 ... 2^-20 fail
+    except at the chain indices in ``drops``, where the value falls below
+    l(0) and the slopes send the IRP to ``modes[k]`` ("upper", "lower" or
+    "return").  The first trial (t = 1) fails; elsewhere off the chain the
+    value and slopes follow fixed curves."""
+
+    def __init__(self, f0, drops, modes):
+        self.f0, self.drops, self.modes = f0, set(drops), modes
+
+    def _index(self, t):
+        # t = 2^-k exactly gives m = 0.5, e = 1 - k: chain index k - 1 = -e.
+        m, e = math.frexp(t)
+        return -e if m == 0.5 and 0 <= -e <= 19 else None
+
+    def value(self, t):
+        if t == 0.0:
+            return self.f0
+        k = self._index(t)
+        if k is None:
+            return self.f0 + t if t >= 1.0 \
+                else self.f0 - 0.5 + math.sin(37.0 * t)
+        return self.f0 - 1.0 - t if k in self.drops else self.f0 + t
+
+    def values(self, ts):
+        return [self.value(t) for t in ts]
+
+    def slopes(self, t):
+        k = self._index(t)
+        if k is None or k not in self.drops:
+            s = math.cos(53.0 * t)
+            return s, s - 0.25
+        return {"upper": (1.0, 1.0), "lower": (-1.0, -1.0),
+                "return": (1.0, -1.0)}[self.modes[k]]
+
+
+def scripted_irp(drops, modes, hide=()):
+    """irp on a restricted ray objective over a ScriptedRay; (result, trace,
+    evals, nf, spy calls)."""
+    oracle = r.generate_instance("rayleigh", 2, 3, seed=1)
+    x = oracle.manifold.point([1.0, 0.0, 0.0])
+    v = oracle.manifold.tangent(x, [0.0, 1.0, 0.0])
+    stats = r.EvalStats()
+    spy = SpyRay(ScriptedRay(2.0, drops, modes), hide)
+    pf = RestrictedRayObjective(r.CountingOracle(oracle, stats), x, v, 2.0,
+                                ray=spy)
+    trace = []
+    out = irp(pf, LineSearchConfig(), trace=trace)
+    return out, trace, pf.evals, stats.nf, spy.calls
+
+
+_MODES = st.lists(st.sampled_from(["upper", "lower", "return"]),
+                  min_size=20, max_size=20)
+
+
+class TestChainProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(q=st.floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+           tol=st.floats(5e-324, 1.0),
+           tau_hi=st.floats(5e-324, 1e6),
+           dir_norm=st.one_of(st.none(), st.floats(1e-3, 1e6)))
+    @example(q=0.33, tol=1e-6, tau_hi=1e-6, dir_norm=None)   # empty chain
+    @example(q=0.33, tol=1e-6, tau_hi=1e-7, dir_norm=None)
+    @example(q=0.49999999999999994, tol=5e-324, tau_hi=3e-323,
+             dir_norm=None)
+    def test_closed_form_is_the_iterated_update(self, q, tol, tau_hi,
+                                                dir_norm):
+        cfg = LineSearchConfig(q=q, interval_tol=tol)
+        if dir_norm is not None:
+            # A clamped sphere start: the chain follows the first trial.
+            cfg = _clamped_config(cfg, np.pi / dir_norm)
+            tau_hi = cfg.tau_init
+        ref, hi = [], tau_hi
+        while hi > tol:
+            hi = _next_trial(0.0, hi, cfg)
+            ref.append(hi)
+        assert [t.hex() for t in _fail_chain(tau_hi, cfg)] \
+            == [t.hex() for t in ref]
+
+    @settings(max_examples=150, deadline=None)
+    @given(drops=st.sets(st.integers(0, 19), max_size=6), modes=_MODES)
+    @example(drops={0}, modes=["upper"] * 20)      # breaks at the first
+    @example(drops={9}, modes=["lower"] * 20)      # ... a middle
+    @example(drops={19}, modes=["return"] * 20)    # ... the last trial
+    @example(drops=set(), modes=["upper"] * 20)    # never breaks
+    @example(drops={3, 4, 11}, modes=["upper"] * 20)
+    def test_batched_walk_matches_single_values(self, drops, modes):
+        out, trace, evals, nf, calls = scripted_irp(drops, modes)
+        ref, ref_trace, ref_evals, ref_nf, ref_calls = scripted_irp(
+            drops, modes, hide={"values"})
+        assert out == ref and trace == ref_trace
+        assert evals == ref_evals == nf == ref_nf
+        # The trials on the chain (up to the first that leaves it) read the
+        # batch; the first trial and any after that read single values.
+        rest = [rec["branch"] for rec in trace[1:]]
+        on_chain = next((j + 1 for j, b in enumerate(rest) if b != "upper"),
+                        len(rest))
+        assert calls["values"] == 1 and ref_calls["values"] == 0
+        assert calls["value"] == ref_calls["value"] - on_chain
+        assert ref_calls["value"] == ref_evals  # l(0) is given, not read
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 6),
+           m=st.integers(1, 60), scale=st.floats(0.05, 20.0))
+    def test_real_rays_forward_and_mirrored(self, seed, n, m, scale):
+        oracle = r.generate_instance("rayleigh", n, m, seed=seed)
+        x = oracle.manifold.random_point(np.random.default_rng(seed))
+        v = scale * random_descent_direction(oracle, x, seed + 1)
+        f0 = oracle.value(x)
+        for w in (v, -1.0 * v):  # -v gives the mirrored search
+            res, trace, spy, nf = spied_search(oracle, x, w, f0)
+            ref, ref_trace, _, ref_nf = spied_search(oracle, x, w, f0,
+                                                     hide={"values"})
+            assert trace == ref_trace
+            assert nf == ref_nf == res.evals == ref.evals
+            assert (res.t, res.irp_iters, res.tau_hi_final) \
+                == (ref.t, ref.irp_iters, ref.tau_hi_final)
+            assert res.x_new.data.tobytes() == ref.x_new.data.tobytes()
+            assert spy.calls["values"] <= 1
+
+
+def _tie_path(ray, t):
+    """RayleighRay's slopes and both subgradients at t on arrays over the
+    active set, as computed for ties; (active count, slopes, subgrads)."""
+    vals = ray._vals(t)
+    fmax = np.max(vals)
+    idx = np.flatnonzero(vals >= fmax - _ACTIVE_TOL * (1.0 + abs(fmax)))
+    s = (ray.b[idx] + t * ray.c[idx]) \
+        - 2.0 * vals[idx] * (ray.xv + t * ray.vv)
+    rr = np.sqrt(ray._norm2(t))
+    y = (ray.x + t * ray.v) / rr
+    subs = []
+    for forward in (True, False):
+        i = idx[np.argmax(s) if forward else np.argmin(s)]
+        subs.append((ray.ax[i] + t * ray.av[i]) / rr - 2.0 * vals[i] * y)
+    return len(idx), (float(np.max(s)), float(np.min(s))), subs
+
+
+class TestRayleighScalarPath:
+    def test_single_active_matches_the_array_path(self):
+        ts = [0.0, 1e-6, 2.0 ** -7, 0.3, 1.0, 7.5, 80.0]
+        single = ties = 0
+        for oracle, x, v in TestFusedRayleighValue._cases():  # tied first
+            ray = oracle.restrict(x, v)
+            for fast in (ray, ray.reversed()):
+                for t in ts:
+                    count, slopes, subs = _tie_path(fast, t)
+                    single += count == 1
+                    ties += count > 1
+                    got = fast.slopes(t)
+                    assert [s.hex() for s in got] == [s.hex() for s in slopes]
+                    assert all(type(s) is float for s in got)
+                    for forward, ref in zip((True, False), subs):
+                        assert fast.subgrad(t, forward).tobytes() \
+                            == ref.tobytes()
+                    # A NumPy scalar step takes the same path, with the
+                    # same values and Python-float slopes.
+                    fresh = oracle.restrict(x, v) if fast is ray \
+                        else ray.reversed()
+                    t64 = np.float64(t)
+                    got64 = fresh.slopes(t64)
+                    assert [s.hex() for s in got64] == [s.hex() for s in got]
+                    assert all(type(s) is float for s in got64)
+                    for forward, ref in zip((True, False), subs):
+                        assert fresh.subgrad(t64, forward).tobytes() \
+                            == ref.tobytes()
+        assert single >= 20 and ties >= 2
+
+    def test_zero_direction_with_one_active_component(self):
+        oracle = r.generate_instance("rayleigh", 4, 6, seed=3)
+        x = oracle.manifold.random_point(np.random.default_rng(4))
+        zero = oracle.manifold.zero_tangent(x)
+        want = oracle.active_subgrad(x, zero).data
+        for t in (0.0, np.float64(0.0)):
+            ray = oracle.restrict(x, zero)
+            assert ray.vv == 0.0
+            for forward in (True, False):
+                assert ray.subgrad(t, forward).tobytes() == want.tobytes()
 
 
 class TestRayMemo:

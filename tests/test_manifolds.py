@@ -84,6 +84,17 @@ class TestPointsAndTangents:
             assert 1 < rng.draws <= 10
             assert r.norm(m.random_tangent(x, ZeroRng(), unit=False)) == 0.0
 
+    def test_unit_draw_is_the_projected_normalized_sample(self):
+        # Reference: project a normal sample, wrap it, divide by its norm.
+        for m in (sphere(5), spd(3)):
+            x = m.random_point(np.random.default_rng(1))
+            got, ref = np.random.default_rng(2), np.random.default_rng(2)
+            for _ in range(5):
+                xi = m.tangent(x, ref.standard_normal(x.data.shape))
+                want = xi * (1.0 / r.norm(xi))
+                assert m.random_tangent(x, got).data.tobytes() \
+                    == want.data.tobytes()
+
     def test_base_mismatch_raises(self):
         S = sphere()
         x = S.point([1.0, 0.0, 0.0])

@@ -313,6 +313,70 @@ class TestCounting:
         assert stats.nf == 2
 
 
+class NoPair:
+    """Oracle proxy without ``value_and_subgrad``."""
+
+    def __init__(self, oracle):
+        self.value = oracle.value
+        self.active_subgrad = oracle.active_subgrad
+
+
+def _pair_cases():
+    """(oracle, x, xi): smooth points, ties, median kinks, both directions."""
+    from test_linesearch import tied_rayleigh
+    g = rng_for(50)
+    cases = []
+    for kind in ("rayleigh", "median", "karcher"):
+        for n, m in ((1, 1), (3, 4), (6, 20)):
+            oracle = r.generate_instance(kind, n, m, seed=51 + n)
+            for _ in range(3):
+                x = oracle.manifold.random_point(g)
+                cases.append((oracle, x, oracle.manifold.random_tangent(x, g)))
+    oracle, x, v = tied_rayleigh()
+    cases += [(oracle, x, v), (oracle, x, -v)]
+    a1, a2 = np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])
+    exact = r.RayleighQuotientMax(2, 2, np.stack([a1, a2]))
+    xt = r.Sphere(3).point(np.array([1.0, 1.0, 0.0]) / np.sqrt(2))
+    for sign in (1.0, -1.0):
+        cases.append((exact, xt, r.Sphere(3).tangent(xt, [sign, -sign, 0.0])))
+    median = r.generate_instance("median", 3, 5, seed=55)
+    for sign in (1.0, -1.0):  # at a data point and at its antipode
+        xm = median.manifold.point(sign * median.points[2])
+        cases.append((median, xm, median.manifold.random_tangent(xm, g)))
+    return cases
+
+
+class TestValueAndSubgrad:
+    def test_equals_the_two_calls_bitwise(self):
+        for oracle, x, xi in _pair_cases():
+            f, g = oracle.value_and_subgrad(x, xi)
+            assert type(f) is float
+            assert f.hex() == oracle.value(x).hex()
+            assert g.base is x
+            ref = oracle.active_subgrad(x, xi)
+            assert g.data.tobytes() == ref.data.tobytes()
+
+    def test_zero_direction_at_a_kink_raises(self):
+        from test_linesearch import tied_rayleigh
+        oracle, x, _ = tied_rayleigh()
+        p = np.array([[0.0, 0.0, 1.0]])
+        median = r.GeometricMedian(2, 1, p, np.array([1.0]))
+        for o, y in ((oracle, x), (median, r.Sphere(3).point(p[0]))):
+            zero = o.manifold.zero_tangent(y)
+            for call in (o.active_subgrad, o.value_and_subgrad):
+                with pytest.raises(AmbiguousDirectionError):
+                    call(y, zero)
+
+    def test_counting_charges_one_evaluation(self):
+        for oracle, x, xi in _pair_cases()[::4]:
+            for wrapped in (oracle, NoPair(oracle)):
+                stats = r.EvalStats()
+                f, g = r.CountingOracle(wrapped, stats).value_and_subgrad(x, xi)
+                assert stats.nf == 1
+                ref_f, ref_g = oracle.value_and_subgrad(x, xi)
+                assert f == ref_f and np.array_equal(g.data, ref_g.data)
+
+
 class TestDataValidation:
     @staticmethod
     def _poisoned(kind, bad, where):

@@ -412,9 +412,17 @@ class TestRawLoopReplay:
             for prev, row in zip(rows, rows[1:]):
                 step = r.retract(prev.x, prev.t * prev.eta)
                 assert np.array_equal(row.x.data, step.data)
+            # One value_and_subgrad pass per row: value and active_subgrad
+            # at the row's point, for the solver's random direction draws.
+            rng = np.random.default_rng(45)
             for row in rows:
+                xi = oracle.manifold.random_tangent(row.x, rng)
+                assert row.f == oracle.value(row.x)
+                assert np.array_equal(row.gtilde.data,
+                                      oracle.active_subgrad(row.x, xi).data)
                 assert row.eta_norm == row.gtilde_norm == r.norm(row.gtilde)
                 assert np.array_equal(row.eta.data, -row.gtilde.data)
+            assert res.nf == len(rows)
 
     def test_exported_wrappers_check_base_points(self):
         S = r.Sphere(4)
