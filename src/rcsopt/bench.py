@@ -15,7 +15,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -271,6 +270,9 @@ def run_suite(spec: SuiteSpec, jobs: int = 1,
         raise EmptySuiteError("suite resolved to zero cells")
 
     if jobs > 1:
+        # Imported here: it pulls in multiprocessing, which a serial run
+        # (and a plain ``import rcsopt``) does not need.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(_run_cell_star, cells))
     else:

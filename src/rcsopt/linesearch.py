@@ -33,10 +33,10 @@ l'_-(t) <= 0 <= l'_+(t) or when the bracket is narrower than
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .manifolds import (ManifoldPoint, TangentVector, _require_base, norm,
-                        transport_between)
+from .manifolds import (ManifoldPoint, TangentVector, _adopt, _require_base,
+                        norm, transport_between)
 from .objectives import CountingOracle, EvalStats
 
 _IRP_MAX_ITERS = 10_000
@@ -84,7 +84,9 @@ class RayObjective:
 
     Caches evaluation points, values, transported directions and one-sided
     derivatives per step size so bracket endpoints are never recomputed.
-    The base point of v is checked once, here.
+    The base point of v is checked once, here.  ``dir_norm`` is ||v|| when
+    the caller already has it (the solver's row ``eta_norm``); else it is
+    computed.
 
     ``prefetch`` is None here.  A ray objective that can answer many step
     sizes in one call makes it a callable that takes a list of step sizes
@@ -96,12 +98,12 @@ class RayObjective:
     prefetch = None
 
     def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
-                 f0: float | None = None):
+                 f0: float | None = None, dir_norm: float | None = None):
         _require_base(x, v, "ray")
         self.oracle = oracle
         self.x = x
         self.v = v
-        self.dir_norm = norm(v)
+        self.dir_norm = norm(v) if dir_norm is None else dir_norm
         self._points: dict[float, ManifoldPoint] = {0.0: x}
         self._values: dict[float, float] = {}
         self._dirs: dict[float, TangentVector] = {0.0: v}
@@ -114,7 +116,8 @@ class RayObjective:
         p = self._points.get(t)
         if p is None:
             m = self.x.manifold
-            p = ManifoldPoint(m, m._retract(self.x.data, t * self.v.data))
+            p = _adopt(ManifoldPoint, m,
+                       m._retract(self.x.data, t * self.v.data))
             self._points[t] = p
         return p
 
@@ -184,8 +187,9 @@ class RestrictedRayObjective(RayObjective):
     """
 
     def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
-                 f0: float | None = None, ray=None):
-        super().__init__(oracle, x, v, f0)
+                 f0: float | None = None, ray=None,
+                 dir_norm: float | None = None):
+        super().__init__(oracle, x, v, f0, dir_norm)
         self.ray = oracle.restrict(x, v) if ray is None else ray
         self._stats = oracle.stats if isinstance(oracle, CountingOracle) \
             else EvalStats()
@@ -214,19 +218,21 @@ class RestrictedRayObjective(RayObjective):
 
 
 def ray_objective(oracle, x: ManifoldPoint, v: TangentVector,
-                  f0: float | None = None) -> RayObjective:
+                  f0: float | None = None,
+                  dir_norm: float | None = None) -> RayObjective:
     """The restricted ray when the oracle offers ``restrict``, else generic."""
     if hasattr(oracle, "restrict"):
-        return RestrictedRayObjective(oracle, x, v, f0)
-    return RayObjective(oracle, x, v, f0)
+        return RestrictedRayObjective(oracle, x, v, f0, dir_norm=dir_norm)
+    return RayObjective(oracle, x, v, f0, dir_norm)
 
 
 def _mirrored(pf: RayObjective, f0: float) -> RayObjective:
     """t -> f(R_x(-t v)) for the ray of ``pf``, as the same kind of object."""
     if isinstance(pf, RestrictedRayObjective):
         return RestrictedRayObjective(pf.oracle, pf.x, -pf.v, f0,
-                                      ray=pf.ray.reversed())
-    return RayObjective(pf.oracle, pf.x, -pf.v, f0=f0)
+                                      ray=pf.ray.reversed(),
+                                      dir_norm=pf.dir_norm)
+    return RayObjective(pf.oracle, pf.x, -pf.v, f0, pf.dir_norm)
 
 
 @dataclass
@@ -277,10 +283,14 @@ def _fail_chain(tau_hi: float, cfg: LineSearchConfig) -> list[float]:
 
 
 def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
-        trace: list | None = None):
+        trace: list | None = None,
+        start: tuple[float, float] | None = None):
     """Interval reduction on a univariate semismooth function handle.
 
     ``l`` must expose value / right_deriv / left_deriv with l'_+(0) < 0.
+    ``start`` is the first trial and the initial upper bound, by default
+    ``(cfg.tau_init, cfg.tau_hi_init)``; :func:`line_search` passes the
+    injectivity-clamped pair from :func:`_clamped_start`.
     When the first trial fails and ``l`` has a ``prefetch`` hook that is not
     None, the hook returns the values of the rest of the all-fail trial
     chain.  While tau_lo stays 0 the trials follow that chain, and each run
@@ -288,9 +298,10 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
     back to ``l.take_values``.
     Returns (tau_star, tau_lo, tau_hi, approximate, iterations).
     """
-    if cfg.tau_hi_init > inj_bound:
+    tau, tau_hi = (cfg.tau_init, cfg.tau_hi_init) if start is None else start
+    if tau_hi > inj_bound:
         raise ValueError("initial upper bound exceeds the injectivity bound")
-    tau_lo, tau, tau_hi = 0.0, cfg.tau_init, cfg.tau_hi_init
+    tau_lo = 0.0
     l_lo = None  # l(tau_lo), read at the first trial
     prefetch = getattr(l, "prefetch", None)
 
@@ -348,12 +359,18 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
     raise LineSearchStallError(tau_lo, tau_hi)
 
 
-def _clamped_config(cfg: LineSearchConfig, inj_bound: float) -> LineSearchConfig:
-    """Shrink the initial bracket so tau_hi stays below the injectivity bound."""
+def _clamped_start(cfg: LineSearchConfig,
+                   inj_bound: float) -> tuple[float, float]:
+    """(first trial, upper bound) of the initial bracket, shrunk so that
+    tau_hi stays below the injectivity bound; ValueError if nothing of the
+    bracket is left (a direction norm near overflow)."""
     hi = min(cfg.tau_hi_init, inj_bound * (1.0 - 1e-9))
     if hi >= cfg.tau_hi_init:
-        return cfg
-    return replace(cfg, tau_init=min(cfg.tau_init, 0.5 * hi), tau_hi_init=hi)
+        return cfg.tau_init, cfg.tau_hi_init
+    tau = min(cfg.tau_init, 0.5 * hi)
+    if not 0.0 < tau < hi:
+        raise ValueError("need 0 < tau_init < tau_hi_init")
+    return tau, hi
 
 
 def line_search(pf: RayObjective, cfg: LineSearchConfig,
@@ -373,7 +390,7 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     inj = x.manifold.injectivity_radius
     inj_bound = inj / pf.dir_norm if (math.isfinite(inj)
                                       and pf.dir_norm > 0.0) else math.inf
-    eff = _clamped_config(cfg, inj_bound)
+    start = _clamped_start(cfg, inj_bound)
 
     if dplus0 < 0.0:
         sign, l = 1, pf
@@ -384,14 +401,15 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     else:
         return LineSearchResult(
             t=0.0, phi_at_t=phi0, phi0=phi0, x_new=x,
-            g_plus=TangentVector(x, pf.subgrad_fwd(0.0)),
-            g_minus=TangentVector(x, pf.subgrad_bwd(0.0)), sign=0,
-            tau_lo_final=0.0, tau_hi_final=0.0, tau_hi_start=eff.tau_hi_init,
+            g_plus=_adopt(TangentVector, x, pf.subgrad_fwd(0.0)),
+            g_minus=_adopt(TangentVector, x, pf.subgrad_bwd(0.0)), sign=0,
+            tau_lo_final=0.0, tau_hi_final=0.0, tau_hi_start=start[1],
             approximate=False, null=True, dplus0=dplus0, dminus0=dminus0,
             dminus_at_lo=dminus0, dplus_at_hi=dplus0,
             irp_iters=0, evals=pf.evals)
 
-    tau_star, tau_lo, tau_hi, approx, iters = irp(l, eff, inj_bound, trace)
+    tau_star, tau_lo, tau_hi, approx, iters = irp(l, cfg, inj_bound, trace,
+                                                  start)
 
     x_new = l.point_at(tau_star)
     # Endpoint-selected subgradients.  Slopes first: on a restricted SPD ray
@@ -411,9 +429,9 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
 
     return LineSearchResult(
         t=sign * tau_star, phi_at_t=l.value(tau_star), phi0=phi0, x_new=x_new,
-        g_plus=TangentVector(x_new, g_plus),
-        g_minus=TangentVector(x_new, g_minus), sign=sign,
-        tau_lo_final=tau_lo, tau_hi_final=tau_hi, tau_hi_start=eff.tau_hi_init,
+        g_plus=_adopt(TangentVector, x_new, g_plus),
+        g_minus=_adopt(TangentVector, x_new, g_minus), sign=sign,
+        tau_lo_final=tau_lo, tau_hi_final=tau_hi, tau_hi_start=start[1],
         approximate=approx, null=False, dplus0=dplus0, dminus0=dminus0,
         dminus_at_lo=dminus_at_lo, dplus_at_hi=dplus_at_hi,
         irp_iters=iters, evals=pf.evals + (l.evals if l is not pf else 0))

@@ -12,6 +12,7 @@ methods do not, and the solver loop calls them after its entry checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,10 +45,24 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def _adopt(cls, owner, data: np.ndarray):
+    """``cls(owner, data)`` without the copy, for ManifoldPoint and
+    TangentVector: ``data`` is made read-only in place.
+
+    Only for a float array that the caller has just computed and that no
+    one will write to; the public constructors copy their input.
+    """
+    data.setflags(write=False)
+    obj = object.__new__(cls)
+    obj.__dict__.update({cls._owner: owner, "data": data})
+    return obj
+
+
 @dataclass(frozen=True)
 class ManifoldPoint:
     manifold: "Manifold"
     data: np.ndarray
+    _owner = "manifold"
 
     def __post_init__(self):
         object.__setattr__(self, "data", _readonly(self.data))
@@ -57,6 +72,7 @@ class ManifoldPoint:
 class TangentVector:
     base: ManifoldPoint
     data: np.ndarray
+    _owner = "base"
 
     def __post_init__(self):
         object.__setattr__(self, "data", _readonly(self.data))
@@ -68,19 +84,19 @@ class TangentVector:
 
     def __add__(self, other: "TangentVector") -> "TangentVector":
         self._check_same_base(other)
-        return TangentVector(self.base, self.data + other.data)
+        return _adopt(TangentVector, self.base, self.data + other.data)
 
     def __sub__(self, other: "TangentVector") -> "TangentVector":
         self._check_same_base(other)
-        return TangentVector(self.base, self.data - other.data)
+        return _adopt(TangentVector, self.base, self.data - other.data)
 
     def __mul__(self, c: float) -> "TangentVector":
-        return TangentVector(self.base, c * self.data)
+        return _adopt(TangentVector, self.base, c * self.data)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "TangentVector":
-        return TangentVector(self.base, -self.data)
+        return _adopt(TangentVector, self.base, -self.data)
 
 
 def same_point(a: ManifoldPoint, b: ManifoldPoint) -> bool:
@@ -89,7 +105,7 @@ def same_point(a: ManifoldPoint, b: ManifoldPoint) -> bool:
 
 
 def _same_data(a: np.ndarray, b: np.ndarray) -> bool:
-    return float(np.max(np.abs(a - b))) <= _BASE_MATCH_TOL
+    return bool(abs(a - b).max() <= _BASE_MATCH_TOL)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -133,10 +149,11 @@ class Manifold:
 
     def tangent(self, x: ManifoldPoint, data: np.ndarray) -> TangentVector:
         """Project raw coordinates onto T_x and wrap them."""
-        return TangentVector(x, self._project(x.data, np.asarray(data, float)))
+        return _adopt(TangentVector, x,
+                      self._project(x.data, np.asarray(data, float)))
 
     def zero_tangent(self, x: ManifoldPoint) -> TangentVector:
-        return TangentVector(x, np.zeros_like(x.data))
+        return _adopt(TangentVector, x, np.zeros_like(x.data))
 
     def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
         raise NotImplementedError
@@ -150,7 +167,7 @@ class Manifold:
         """
         if not unit:
             return self.tangent(x, rng.standard_normal(x.data.shape))
-        return TangentVector(x, self._random_unit(x.data, rng))
+        return _adopt(TangentVector, x, self._random_unit(x.data, rng))
 
     @staticmethod
     def from_tag(tag: dict) -> "Manifold":
@@ -182,7 +199,7 @@ class Manifold:
         raise NotImplementedError
 
     def _norm(self, x, v) -> float:
-        return float(np.sqrt(max(self._inner(x, v, v), 0.0)))
+        return math.sqrt(max(self._inner(x, v, v), 0.0))
 
     def _carry(self, a, b, v) -> np.ndarray:
         """Raw ``transport_between``: v itself when a and b are the same point."""
@@ -223,15 +240,20 @@ class Sphere(Manifold):
     def _is_tangent(self, x, v, tol):
         return abs(float(np.dot(v, x))) <= tol * (1.0 + float(np.linalg.norm(v)))
 
+    # The raw geometry runs its scalar steps on Python floats: ndarray.dot
+    # for np.dot, math.sqrt of w.dot(w) for np.linalg.norm (which computes
+    # exactly that), min/max for np.clip, math.cos/sin for np.cos/sin.
+    # These give the same bits with less dispatch.  np.arccos stays, as
+    # math.acos rounds differently on some inputs.
     def _project(self, x, v):
-        return v - np.dot(v, x) * x
+        return v - v.dot(x) * x
 
     def _inner(self, x, u, v):
-        return float(np.dot(u, v))
+        return float(u.dot(v))
 
     def _retract(self, x, v):
         w = x + v
-        nw = np.linalg.norm(w)
+        nw = math.sqrt(w.dot(w))
         if nw < 1e-14:
             raise DegenerateRetractionError("x + eta is numerically zero")
         return w / nw
@@ -240,17 +262,17 @@ class Sphere(Manifold):
         # Parallel transport along the minimal great circle from a to b:
         # the component of v along the geodesic direction u rotates in the
         # (a, u) plane, the orthogonal complement is untouched.
-        c = float(np.clip(np.dot(a, b), -1.0, 1.0))
+        c = min(max(float(a.dot(b)), -1.0), 1.0)
         if c <= -1.0 + _BASE_MATCH_TOL:
             raise DegenerateTransportError("antipodal endpoints")
         w = b - c * a
-        nw = np.linalg.norm(w)
+        nw = math.sqrt(w.dot(w))
         if nw < 1e-14:
             return self._project(b, v)
         u = w / nw
-        theta = np.arccos(c)
-        vu = np.dot(v, u)
-        out = v - vu * u + vu * (np.cos(theta) * u - np.sin(theta) * a)
+        theta = float(np.arccos(c))
+        vu = float(v.dot(u))
+        out = v - vu * u + vu * (math.cos(theta) * u - math.sin(theta) * a)
         return self._project(b, out)
 
     def _distance(self, a, b):
@@ -342,7 +364,7 @@ def retract(x: ManifoldPoint, eta: TangentVector) -> ManifoldPoint:
     """Move from x along eta; R_x(0) = x."""
     _require_base(x, eta, "retract")
     m = x.manifold
-    return ManifoldPoint(m, m._retract(x.data, eta.data))
+    return _adopt(ManifoldPoint, m, m._retract(x.data, eta.data))
 
 
 def transport_between(a: ManifoldPoint, b: ManifoldPoint,
@@ -351,7 +373,7 @@ def transport_between(a: ManifoldPoint, b: ManifoldPoint,
     _require_base(a, xi, "transport")
     if a.manifold != b.manifold:
         raise BasePointMismatchError("transport between different manifolds")
-    return TangentVector(b, a.manifold._carry(a.data, b.data, xi.data))
+    return _adopt(TangentVector, b, a.manifold._carry(a.data, b.data, xi.data))
 
 
 def distance(x: ManifoldPoint, y: ManifoldPoint) -> float:

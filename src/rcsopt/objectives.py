@@ -60,8 +60,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .manifolds import (SPD, ManifoldPoint, Sphere, TangentVector, _sqrt_pair,
-                        _spd_log_eigvals, _sym, inner)
+from .manifolds import (SPD, ManifoldPoint, Sphere, TangentVector, _adopt,
+                        _sqrt_pair, _spd_log_eigvals, _sym, inner)
 
 # Active-set tolerance for the Rayleigh max (exact float ties never happen).
 _ACTIVE_TOL = 1e-10
@@ -87,7 +87,7 @@ def _require_finite(*arrays: np.ndarray) -> None:
 
 
 def _finite(g: np.ndarray) -> np.ndarray:
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise NonFiniteRayError("ray subgradient is not finite")
     return g
 
@@ -110,10 +110,9 @@ def _memoize(cache: dict, t: float, compute):
     return hit
 
 
-def _active_index(vals: np.ndarray) -> np.ndarray:
+def _active_index(vals: np.ndarray, fmax) -> np.ndarray:
     """Indices of the Rayleigh components within the active-set tolerance of
-    the max."""
-    fmax = vals.max()
+    their max, ``fmax = vals.max()``."""
     return (vals >= fmax - _ACTIVE_TOL * (1.0 + abs(fmax))).nonzero()[0]
 
 
@@ -237,7 +236,7 @@ class RayleighRay(_QfRay):
         quad = self.a_half + tc * (self.b + tc * self.c_half)
         norm2 = np.where(t == 0.0, 1.0,
                          self.xx + t * (2.0 * self.xv + t * self.vv))
-        return (np.max(quad, axis=1) / norm2).tolist()
+        return (quad.max(axis=1) / norm2).tolist()
 
     def _active_slopes(self, t: float):
         """(index, value, slope) of the active components at t: an int index
@@ -247,7 +246,7 @@ class RayleighRay(_QfRay):
 
     def _active_slopes_at(self, t: float):
         vals = self._vals(t)
-        idx = _active_index(vals)
+        idx = _active_index(vals, vals.max())
         dot = self.xv + t * self.vv
         # <A_i y - (y^T A_i y) y, d> with d = ||x + t v||^2 y'(t).
         if len(idx) == 1:
@@ -427,29 +426,38 @@ class RayleighQuotientMax:
         return float(vals.max())
 
     def _active(self, x: np.ndarray):
-        return self._active_grads(x, *self._components(x))
+        """(indices, Riemannian gradients) of the active components at x."""
+        prods, vals = self._components(x)
+        idx = _active_index(vals, vals.max())
+        return idx, self._grads(x, prods, vals, idx)
 
     @staticmethod
-    def _active_grads(x: np.ndarray, prods: np.ndarray, vals: np.ndarray):
-        idx = _active_index(vals)
-        # Riemannian gradients of the active components: A_i x - (x^T A_i x) x.
-        grads = prods[idx] - (2.0 * vals[idx])[:, None] * x
-        return idx, grads
+    def _grads(x: np.ndarray, prods: np.ndarray, vals: np.ndarray, idx):
+        # Riemannian gradients of the components idx: A_i x - (x^T A_i x) x.
+        return prods[idx] - (2.0 * vals[idx])[:, None] * x
 
-    def _select(self, x: ManifoldPoint, xi: TangentVector, prods, vals
-                ) -> TangentVector:
-        idx, grads = self._active_grads(x.data, prods, vals)
+    def _select(self, x: ManifoldPoint, xi: TangentVector, prods, vals,
+                fmax) -> TangentVector:
+        """The active subgradient from the components and their max."""
+        idx = _active_index(vals, fmax)
         if len(idx) == 1:
-            return TangentVector(x, grads[0])
+            # The one row of _grads, by the same operations.
+            i = idx[0]
+            return _adopt(TangentVector, x,
+                          prods[i] - (2.0 * vals[i]) * x.data)
+        grads = self._grads(x.data, prods, vals, idx)
         if float(np.linalg.norm(xi.data)) == 0.0:
             raise AmbiguousDirectionError(
                 "zero direction at a point with several active components")
         slopes = grads @ xi.data
         best = int(np.argmax(slopes))  # argmax returns the smallest tied index
-        return TangentVector(x, grads[best])
+        return _adopt(TangentVector, x, grads[best])
 
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> RayleighRay:
-        p = self.mats @ np.stack([x.data, v.data], 1)  # (m, n+1, 2)
+        # The (n+1, 2) matrix [x v], laid out as np.stack would make it.
+        xv = np.empty((x.data.size, 2))
+        xv[:, 0], xv[:, 1] = x.data, v.data
+        p = self.mats @ xv  # (m, n+1, 2)
         ax, av = p[..., 0], p[..., 1]
         c = av @ v.data
         return RayleighRay(**_qf_fields(x.data, v.data), ax=ax, av=av,
@@ -461,12 +469,14 @@ class RayleighQuotientMax:
         return float(np.max(grads @ xi.data))
 
     def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
-        return self._select(x, xi, *self._components(x.data))
+        prods, vals = self._components(x.data)
+        return self._select(x, xi, prods, vals, vals.max())
 
     def value_and_subgrad(self, x: ManifoldPoint, xi: TangentVector
                           ) -> tuple[float, TangentVector]:
         prods, vals = self._components(x.data)
-        return float(vals.max()), self._select(x, xi, prods, vals)
+        fmax = vals.max()
+        return float(fmax), self._select(x, xi, prods, vals, fmax)
 
 
 @dataclass(frozen=True)
@@ -539,7 +549,7 @@ class GeometricMedian:
                 raise AmbiguousDirectionError(
                     "zero direction at a median data point")
             grad = grad + (sw / nxi) * xi.data
-        return TangentVector(x, grad)
+        return _adopt(TangentVector, x, grad)
 
 
 @dataclass(frozen=True)
@@ -592,7 +602,8 @@ class SpdCenterOfMass:
         # eigvalsh for the value and eigh for the gradient, as value and
         # active_subgrad compute them, so the bits are theirs.
         rt, m = self._whitened(x.data)
-        return self._value_of(m), TangentVector(x, self._gradient_of(rt, m))
+        return self._value_of(m), _adopt(TangentVector, x,
+                                         self._gradient_of(rt, m))
 
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> KarcherRay:
         rt, irt = _sqrt_pair(x.data)
@@ -607,7 +618,8 @@ class SpdCenterOfMass:
         return inner(g, xi)
 
     def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
-        return TangentVector(x, self._gradient_of(*self._whitened(x.data)))
+        return _adopt(TangentVector, x,
+                      self._gradient_of(*self._whitened(x.data)))
 
 
 Oracle = RayleighQuotientMax | GeometricMedian | SpdCenterOfMass

@@ -30,7 +30,7 @@ import numpy as np
 
 from .linesearch import (LineSearchConfig, LineSearchResult,
                          LineSearchStallError, line_search, ray_objective)
-from .manifolds import (Manifold, ManifoldPoint, TangentVector, norm,
+from .manifolds import (Manifold, ManifoldPoint, TangentVector, _adopt, norm,
                         transport_between)
 from .objectives import CountingOracle, EvalStats
 
@@ -132,21 +132,22 @@ def direction_update(gtilde: TangentVector,
     """
     gtilde._check_same_base(d)
     x = gtilde.base
-    eta, alpha = _direction(x.manifold._inner, x.data, gtilde.data, d.data)
-    return TangentVector(x, eta), alpha
+    ip, xd, g, dd = x.manifold._inner, x.data, gtilde.data, d.data
+    eta, alpha = _direction(xd, g, dd, ip(xd, g, g), ip(xd, dd, dd))
+    return _adopt(TangentVector, x, eta), alpha
 
 
 def _cos2_theta(gtilde: TangentVector, d: TangentVector) -> float:
     """cos^2 of the angle between d and gtilde + d (equals alpha when g _|_ d)."""
     gtilde._check_same_base(d)
     x = gtilde.base
-    return _cos2(x.manifold._inner, x.data, gtilde.data, d.data)
+    ip, xd, g, dd = x.manifold._inner, x.data, gtilde.data, d.data
+    return _cos2(ip, xd, g, dd, ip(xd, g, g), ip(xd, dd, dd))
 
 
-def _direction(ip, x, g, d) -> tuple[np.ndarray, float]:
-    """Raw core of :func:`direction_update`; ``ip`` is ``Manifold._inner``."""
-    ng2 = ip(x, g, g)
-    nd2 = ip(x, d, d)
+def _direction(x, g, d, ng2: float, nd2: float) -> tuple[np.ndarray, float]:
+    """Raw core of :func:`direction_update`, given ng2 = <g, g> and
+    nd2 = <d, d>."""
     tot = ng2 + nd2
     if tot == 0.0:
         return np.zeros_like(x), 0.0
@@ -154,13 +155,13 @@ def _direction(ip, x, g, d) -> tuple[np.ndarray, float]:
     return (-alpha) * g + (1.0 - alpha) * d, float(alpha)
 
 
-def _cos2(ip, x, g, d) -> float:
-    """Raw core of :func:`_cos2_theta`."""
+def _cos2(ip, x, g, d, ng2: float, nd2: float) -> float:
+    """Raw core of :func:`_cos2_theta`; ``ip`` is ``Manifold._inner``, and
+    ng2, nd2 are as for :func:`_direction`."""
     s = g + d
     ns2 = ip(x, s, s)
-    nd2 = ip(x, d, d)
     if ns2 <= 0.0 or nd2 <= 0.0:
-        return nd2 / (ip(x, g, g) + nd2) if nd2 > 0.0 else 0.0
+        return nd2 / (ng2 + nd2) if nd2 > 0.0 else 0.0
     return float(ip(x, d, s) ** 2 / (nd2 * ns2))
 
 
@@ -196,18 +197,20 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
     stop = "max_iters"
 
     for k in range(1, cfg.max_iters + 1):
-        if rows[-1].eta_norm <= cfg.epsilon_stop:
+        prev = rows[-1]
+        if prev.eta_norm <= cfg.epsilon_stop:
             stop = "stationary"
             break
-        pf = ray_objective(counting, x, rows[-1].eta, f0=f)
+        pf = ray_objective(counting, x, prev.eta, f0=f,
+                           dir_norm=prev.eta_norm)
         try:
             res = line_search(pf, cfg.ls, trace=irp_trace)
         except LineSearchStallError as e:
             raise SolveStalledError(e, rows) from e
         ls_calls += 1
-        rows[-1].t = res.t
-        rows[-1].null = res.null
-        rows[-1].ls = res
+        prev.t = res.t
+        prev.null = res.null
+        prev.ls = res
         # A collapsed bracket at tau_lo = 0 also leaves the iterate in place;
         # such zero steps count toward the consecutive-null stop.
         if res.t == 0.0:
@@ -217,10 +220,12 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             null_run = 0
 
         # Raw arrays at x_new from here on; a null step keeps x_new = x.
+        # Each inner product is taken once: <d, d> and <gtilde, gtilde>
+        # serve the direction update, cos^2 and the row's gtilde_norm.
         x_new, f_new = res.x_new, res.phi_at_t
         xd, ip = x_new.data, M._inner
         g_plus, g_minus = res.g_plus.data, res.g_minus.data
-        d = M._carry(x.data, xd, rows[-1].eta.data)
+        d = M._carry(x.data, xd, prev.eta.data)
         lam = select_lambda(ip(xd, g_plus, d), ip(xd, g_minus, d))
         gtilde = combine_subgradient(g_plus, g_minus, lam)
         # When the bracket stops at the width tolerance or the injectivity
@@ -232,16 +237,21 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         nd2 = ip(xd, d, d)
         if nd2 > 0.0:
             gtilde = gtilde - (ortho_raw / nd2) * d
-        eta, alpha = _direction(ip, xd, gtilde, d)
+        ng2 = ip(xd, gtilde, gtilde)
+        eta, alpha = _direction(xd, gtilde, d, ng2, nd2)
 
+        # After a zero step d is the previous row's eta array itself, and
+        # that row's vector already has this base point.
+        same = d is prev.eta.data and x_new is x
         x, f = x_new, f_new
         rows.append(IterationRecord(
-            k=k + 1, x=x, f=f, eta=TangentVector(x, eta),
-            gtilde=TangentVector(x, gtilde),
-            eta_norm=M._norm(xd, eta), gtilde_norm=M._norm(xd, gtilde),
+            k=k + 1, x=x, f=f, eta=_adopt(TangentVector, x, eta),
+            gtilde=_adopt(TangentVector, x, gtilde),
+            eta_norm=M._norm(xd, eta), gtilde_norm=math.sqrt(max(ng2, 0.0)),
             nf_cum=stats.nf, time_cum_s=time.perf_counter() - start,
-            d=TangentVector(x, d), lam=lam, alpha=alpha,
-            cos2_theta=_cos2(ip, xd, gtilde, d), ortho=ortho_raw))
+            d=prev.eta if same else _adopt(TangentVector, x, d),
+            lam=lam, alpha=alpha,
+            cos2_theta=_cos2(ip, xd, gtilde, d, ng2, nd2), ortho=ortho_raw))
 
         if null_run >= cfg.max_null_steps:
             stop = "null_steps"
@@ -286,7 +296,7 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
             break
         t = c / math.sqrt(k)
         rows[-1].t = t
-        x = ManifoldPoint(M, M._retract(x.data, t * rows[-1].eta.data))
+        x = _adopt(ManifoldPoint, M, M._retract(x.data, t * rows[-1].eta.data))
         f, g = counting.value_and_subgrad(x, M.random_tangent(x, rng))
         ng = M._norm(x.data, g.data)
         rows.append(IterationRecord(

@@ -174,3 +174,40 @@ def brute_force_profile(records, solver, tau):
         if r_ps <= tau:
             count += 1
     return count / len(problems)
+
+
+# ---------------------------------------------------------------------------
+# The sphere's raw geometry in its earlier numpy form (np.clip, np.linalg.norm,
+# np.cos/np.sin, np.dot).  The library's scalar paths must return the same
+# bits; these are the references for that check.
+# ---------------------------------------------------------------------------
+
+def sphere_project_np(x, v):
+    return v - np.dot(v, x) * x
+
+
+def sphere_norm_np(v):
+    return float(np.sqrt(max(float(np.dot(v, v)), 0.0)))
+
+
+def sphere_retract_np(x, v):
+    w = x + v
+    nw = np.linalg.norm(w)
+    if nw < 1e-14:
+        raise ValueError("x + eta is numerically zero")
+    return w / nw
+
+
+def sphere_transport_np(a, b, v):
+    c = float(np.clip(np.dot(a, b), -1.0, 1.0))
+    if c <= -1.0 + 1e-14:
+        raise ValueError("antipodal endpoints")
+    w = b - c * a
+    nw = np.linalg.norm(w)
+    if nw < 1e-14:
+        return sphere_project_np(b, v)
+    u = w / nw
+    theta = np.arccos(c)
+    vu = np.dot(v, u)
+    out = v - vu * u + vu * (np.cos(theta) * u - np.sin(theta) * a)
+    return sphere_project_np(b, out)

@@ -60,3 +60,40 @@ def test_bound_and_seed_parsing():
 def test_runs_last_as_long_as_the_benchmark_sets():
     spec = json.loads((TOOL.parent.parent / "BENCHMARK.json").read_text())
     assert ab.RUN_SECONDS == spec["run_seconds"]
+
+
+def _result_file(tree, workload, seed, groups):
+    out = tree / ".perfbench_out"
+    out.mkdir(parents=True, exist_ok=True)
+    (out / f"result-{workload}-s{seed}-t0.json").write_text(json.dumps(
+        {"workload": workload, "seed": seed, "groups": groups}))
+
+
+def test_group_ms_per_iter_is_read_from_each_tree(tmp_path):
+    figures = {"conjugate_subgradient": {"ms_per_iter": 0.36,
+                                         "evals_per_iter": 4.6, "iters": 9},
+               "subgradient": {"ms_per_iter": 0.07, "iters": 12}}
+    _result_file(tmp_path, "bench-trace", 7, figures)
+    assert ab.read_groups(tmp_path, "bench-trace", 7) \
+        == {"conjugate_subgradient": 0.36, "subgradient": 0.07}
+    _result_file(tmp_path, "spd-cs", 7, {})
+    assert ab.read_groups(tmp_path, "spd-cs", 7) == {}
+    with pytest.raises(FileNotFoundError):
+        ab.read_groups(tmp_path, "sphere-cs", 7)
+
+
+def test_group_verdicts_pair_each_group():
+    def rec(p_cs, c_cs, c_sg=0.05):
+        return {"parent": {"groups": {"cs": p_cs, "sg": 0.07}},
+                "change": {"groups": {"cs": c_cs, "sg": c_sg}}}
+
+    recs = [rec(0.40 + 0.01 * k, 0.36 + 0.01 * k) for k in range(10)]
+    table = ab.group_verdicts({"bench-trace": recs})["bench-trace"]
+    assert sorted(table) == ["cs", "sg"]
+    assert table["cs"]["parent"]["median"] == pytest.approx(0.445)
+    assert table["cs"]["change"]["median"] == pytest.approx(0.405)
+    assert table["cs"]["wins"] == 10 and table["sg"]["wins"] == 10
+    # A group one side lacks in a pair is compared over the other pairs.
+    del recs[0]["change"]["groups"]["sg"]
+    table = ab.group_verdicts({"bench-trace": recs})["bench-trace"]
+    assert table["sg"]["pairs"] == 9 and table["cs"]["pairs"] == 10

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -110,3 +112,17 @@ def test_installed_entry_point(tmp_path):
          "--out", str(out)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (out / "records.csv").exists()
+
+
+def test_import_leaves_multiprocessing_out():
+    # A serial run never needs a process pool, so importing the package and
+    # its command line pulls in neither multiprocessing nor the executor.
+    src = str(Path(r.__file__).resolve().parent.parent)
+    code = ("import sys, rcsopt, rcsopt.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+            "('multiprocessing', 'concurrent')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import rcsopt as r
 from rcsopt.linesearch import (LineSearchConfig, LineSearchStallError,
                                RayObjective, RestrictedRayObjective,
-                               _clamped_config, _fail_chain, _next_trial, irp,
+                               _clamped_start, _fail_chain, _next_trial, irp,
                                line_search, ray_objective)
 from rcsopt.objectives import _ACTIVE_TOL
 
@@ -301,6 +301,34 @@ class TestLineSearch:
         bound = np.pi / r.norm(eta)
         assert res.tau_hi_start <= bound
         assert abs(res.t) * r.norm(eta) <= np.pi
+
+    def test_clamped_start_is_a_pair_of_numbers(self):
+        cfg = LineSearchConfig()
+        assert _clamped_start(cfg, math.inf) == (1.0, 100.0)
+        assert _clamped_start(cfg, 200.0) == (1.0, 100.0)
+        hi = (np.pi / 10.0) * (1.0 - 1e-9)
+        assert _clamped_start(cfg, np.pi / 10.0) == (0.5 * hi, hi)
+        # Nothing of the bracket is left: the LineSearchConfig check's error.
+        for bound in (0.0, 5e-324):
+            with pytest.raises(ValueError, match="tau_init < tau_hi_init"):
+                _clamped_start(cfg, bound)
+
+    def test_clamped_solve_builds_no_config(self, monkeypatch):
+        cfg = r.SolverConfig(max_iters=30)
+        built = []
+        check = LineSearchConfig.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(LineSearchConfig, "__post_init__", counted)
+        oracle = r.generate_instance("rayleigh", 5, 20, seed=14)
+        res = r.conjugate_subgradient_solve(
+            oracle, r.initial_point("rayleigh", 5, 14), cfg, seed=14)
+        clamped = [ls for ls in res.line_search_records()
+                   if ls.tau_hi_start < cfg.ls.tau_hi_init]
+        assert clamped and built == []
 
     def test_endpoint_subgradients_live_at_new_point(self):
         oracle, x, eta = rayleigh_ray(13)
@@ -813,21 +841,24 @@ def spied_search(oracle, x, v, f0, hide=()):
 
 
 class TestFailChain:
-    @pytest.mark.parametrize("cfg", [
-        LineSearchConfig(),
-        _clamped_config(LineSearchConfig(), np.pi / 10.0),  # sphere, |v| = 10
-        LineSearchConfig(tau_init=3.0, tau_hi_init=7.0, q=0.1,
-                         interval_tol=1e-3),
-        LineSearchConfig(q=0.45, interval_tol=1e-9),
-    ])
-    def test_chain_is_the_irp_trials_when_all_fail(self, cfg):
+    @pytest.mark.parametrize("cfg, bound", [
+        (LineSearchConfig(), math.inf),
+        (LineSearchConfig(), np.pi / 10.0),  # clamped sphere start, |v| = 10
+        (LineSearchConfig(tau_init=3.0, tau_hi_init=7.0, q=0.1,
+                          interval_tol=1e-3), math.inf),
+        (LineSearchConfig(q=0.45, interval_tol=1e-9), math.inf),
+    ], ids=[f"cfg{i}" for i in range(4)])
+    def test_chain_is_the_irp_trials_when_all_fail(self, cfg, bound):
         curve = IncreasingCurve()
         trace = []
-        tau, lo, hi, approx, iters = irp(curve, cfg, trace=trace)
+        start = _clamped_start(cfg, bound)
+        tau, lo, hi, approx, iters = irp(curve, cfg, bound, trace=trace,
+                                         start=start)
         assert (tau, lo, approx) == (0.0, 0.0, True)
         assert all(rec["branch"] == "upper" for rec in trace)
         trials = [rec["tau"] for rec in trace]
-        chain = _fail_chain(cfg.tau_init, cfg)
+        assert trials[0] == start[0]
+        chain = _fail_chain(start[0], cfg)
         assert [t.hex() for t in trials[1:]] == [t.hex() for t in chain]
         # The IRP hands that chain to the hook once, after the first trial.
         assert curve.chains == [chain]
@@ -979,8 +1010,7 @@ class TestChainProperties:
         cfg = LineSearchConfig(q=q, interval_tol=tol)
         if dir_norm is not None:
             # A clamped sphere start: the chain follows the first trial.
-            cfg = _clamped_config(cfg, np.pi / dir_norm)
-            tau_hi = cfg.tau_init
+            tau_hi, _ = _clamped_start(cfg, np.pi / dir_norm)
         ref, hi = [], tau_hi
         while hi > tol:
             hi = _next_trial(0.0, hi, cfg)

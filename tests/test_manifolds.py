@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcsopt as r
 from rcsopt.manifolds import (BasePointMismatchError, DegenerateRetractionError,
-                              DegenerateTransportError, Manifold)
+                              DegenerateTransportError, Manifold, _adopt)
 
-from oracles import sphere_transport_ode, spd_transport_ode
+from oracles import (sphere_norm_np, sphere_project_np, sphere_retract_np,
+                     sphere_transport_np, sphere_transport_ode,
+                     spd_transport_ode)
 
 
 def sphere(n=3):
@@ -363,3 +367,117 @@ class TestDistance:
     def test_injectivity_radius(self):
         assert sphere().injectivity_radius == np.pi
         assert spd().injectivity_radius == np.inf
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+def _outcome(fn, *args):
+    """fn's result as bytes, or the fact that it raised a ValueError."""
+    try:
+        return _bits(fn(*args))
+    except ValueError:
+        return "raised"
+
+
+@st.composite
+def sphere_cases(draw):
+    """(a, b, v): a unit point a, a point b at angle theta from it, and a
+    tangent v at a of a drawn norm.  The angles cover b = a (a.b rounds to
+    1 or just above it, the clip), b = -a (the antipodal raise), angles so
+    small that ||b - c a|| < 1e-14, and steps near 1e-6."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal(n)
+    a /= np.linalg.norm(a)
+    u = sphere_project_np(a, rng.standard_normal(n))
+    u /= np.linalg.norm(u)
+    theta = draw(st.one_of(
+        st.floats(0.0, np.pi), st.floats(0.0, 1e-14),
+        st.floats(1e-7, 1e-5), st.floats(np.pi - 1e-7, np.pi),
+        st.sampled_from([0.0, 1e-6, np.pi])))
+    b = np.cos(theta) * a + np.sin(theta) * u
+    b /= np.linalg.norm(b)
+    scale = draw(st.one_of(st.floats(0.0, 10.0), st.floats(1e-7, 1e-5)))
+    v = sphere_project_np(a, rng.standard_normal(n))
+    nv = np.linalg.norm(v)
+    v = v * (scale / nv) if nv > 0.0 else v
+    return a, b, v
+
+
+class TestScalarSpherePaths:
+    """The sphere's raw geometry gives the bits of its earlier numpy form."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=sphere_cases())
+    def test_transport(self, case):
+        a, b, v = case
+        S = r.Sphere(a.size)
+        assert _outcome(S._transport, a, b, v) \
+            == _outcome(sphere_transport_np, a, b, v)
+        # The reversed pair, where v is not tangent at b, and b = a itself.
+        assert _outcome(S._transport, b, a, v) \
+            == _outcome(sphere_transport_np, b, a, v)
+        assert _bits(S._transport(a, a, v)) \
+            == _bits(sphere_transport_np(a, a, v))
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=sphere_cases(), t=st.one_of(st.floats(-1e3, 1e3),
+                                           st.floats(5e-7, 2e-6)))
+    def test_retract_norm_project_inner(self, case, t):
+        a, b, v = case
+        S = r.Sphere(a.size)
+        assert _outcome(S._retract, a, t * v) \
+            == _outcome(sphere_retract_np, a, t * v)
+        assert S._norm(a, v).hex() == sphere_norm_np(v).hex()
+        assert _bits(S._project(b, v)) == _bits(sphere_project_np(b, v))
+        assert S._inner(a, v, b).hex() == float(np.dot(v, b)).hex()
+
+    def test_clip_binds_where_a_dot_a_rounds_above_one(self):
+        # A unit vector whose self inner product rounds to 1 + 2^-52.
+        rng = np.random.default_rng(5)
+        a = np.zeros(4)
+        while not float(a.dot(a)) > 1.0:
+            a = rng.standard_normal(4)
+            a /= np.linalg.norm(a)
+        v = sphere_project_np(a, rng.standard_normal(4))
+        S = r.Sphere(4)
+        assert _bits(S._transport(a, a, v)) \
+            == _bits(sphere_transport_np(a, a, v))
+
+
+class TestWrapping:
+    """Public constructors copy their input; the internal one adopts it."""
+
+    def test_public_constructors_copy(self):
+        S = sphere()
+        raw = np.array([1.0, 0.0, 0.0])
+        x = r.ManifoldPoint(S, raw)
+        tv_raw = np.array([0.0, 2.0, 0.0])
+        xi = r.TangentVector(x, tv_raw)
+        for arr, obj in ((raw, x), (tv_raw, xi)):
+            assert arr.flags.writeable
+            assert not np.shares_memory(arr, obj.data)
+            assert not obj.data.flags.writeable
+            before = obj.data.copy()
+            arr[1] = 7.0
+            assert np.array_equal(obj.data, before)
+
+    def test_adopt_freezes_in_place_without_a_copy(self):
+        S = sphere()
+        raw = np.array([1.0, 0.0, 0.0])
+        x = _adopt(r.ManifoldPoint, S, raw)
+        assert type(x) is r.ManifoldPoint and x.manifold is S
+        assert x.data is raw and not raw.flags.writeable
+        tv_raw = np.array([0.0, 2.0, 0.0])
+        xi = _adopt(r.TangentVector, x, tv_raw)
+        assert type(xi) is r.TangentVector and xi.base is x
+        assert xi.data is tv_raw and not tv_raw.flags.writeable
+        with pytest.raises(ValueError):
+            tv_raw[0] = 1.0
+        # The adopted objects behave like constructed ones.
+        assert r.norm(xi) == 2.0 and r.check_point(x)
+        assert np.array_equal((xi + xi).data, [0.0, 4.0, 0.0])
+        with pytest.raises(AttributeError):
+            xi.data = tv_raw

@@ -432,3 +432,47 @@ class TestRawLoopReplay:
         for fn in (r.direction_update, _cos2_theta):
             with pytest.raises(r.BasePointMismatchError):
                 fn(g, d)
+
+
+class TestPerIterationWork:
+    """Fixed work per conjugate-subgradient iteration."""
+
+    # One random unit draw and the two norms of row 1, then per iteration:
+    # <g+, d>, <g-, d>, <gtilde, d>, <d, d>, <gtilde, gtilde>, ||eta||^2 and
+    # the two of cos^2 (<s, s>, <d, s>).  The ray objective takes ||eta|| from
+    # the row.
+    SETUP, PER_ITER = 3, 8
+
+    @pytest.mark.parametrize("kind, n, m", [("rayleigh", 5, 200),
+                                            ("karcher", 5, 50)])
+    def test_inner_products_per_iteration(self, kind, n, m, monkeypatch):
+        oracle = r.generate_instance(kind, n, m, seed=47)
+        x0 = r.initial_point(kind, n, 47)
+        cls = type(x0.manifold)
+        calls = []
+        inner = cls._inner
+
+        def counted(self, x, u, v):
+            calls.append(1)
+            return inner(self, x, u, v)
+
+        monkeypatch.setattr(cls, "_inner", counted)
+        res = r.conjugate_subgradient_solve(
+            oracle, x0, r.SolverConfig(max_iters=25), seed=47)
+        assert res.stop_reason == "max_iters" and res.iters == 25
+        assert len(calls) == self.SETUP + self.PER_ITER * res.iters
+
+    def test_rows_hold_the_loop_arrays_read_only(self):
+        reused = 0
+        for res in TestRawLoopReplay()._cs_solves():
+            rows = res.trajectory
+            for prev, row in zip(rows, rows[1:]):
+                for vec in (row.eta, row.gtilde, row.d, prev.ls.g_plus,
+                            prev.ls.g_minus):
+                    assert not vec.data.flags.writeable
+                    assert vec.base is row.x
+                if row.x is prev.x:
+                    # A zero step: d is the previous row's direction itself.
+                    assert row.d is prev.eta
+                    reused += 1
+        assert reused >= 1

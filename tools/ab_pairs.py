@@ -14,7 +14,12 @@ medians against the metric's bound in the parent's ``BENCHMARK.json``, and
 whether a gain may be claimed: at least 9 wins in 10 over at least ten pairs,
 and a median gap in the better direction larger than the parent's
 interquartile range.  Both sides always run at the benchmark's fixed
-length, ``RUN_SECONDS``, so every pair compares like with like.
+length, ``RUN_SECONDS``, so every pair compares like with like.  Then the
+same figures for each problem group's ``ms_per_iter`` (on bench-trace the
+``conjugate_subgradient`` and ``subgradient`` cells, on sphere-cs the
+rayleigh and median groups), read from the ``groups`` field of the result
+file each run leaves in its tree,
+``.perfbench_out/result-<workload>-s<seed>-t0.json``.
 
     python3 tools/ab_pairs.py --parent ../parent --change . \
         --workload sphere-cs --seeds 1-3 --digest
@@ -90,8 +95,16 @@ def parse_seeds(text: str) -> list[int]:
     return [int(s) for s in text.split(",")]
 
 
+def read_groups(tree: Path, workload: str, seed: int) -> dict:
+    """group -> ms_per_iter from the untraced result file of one run."""
+    path = tree / ".perfbench_out" / f"result-{workload}-s{seed}-t0.json"
+    groups = json.loads(path.read_text()).get("groups", {})
+    return {g: fig["ms_per_iter"] for g, fig in groups.items()}
+
+
 def run_bench(tree: Path, workload: str, seed: int) -> dict:
-    """One untraced perfbench run; the JSON summary from its last line."""
+    """One untraced perfbench run: the JSON summary from its last line, plus
+    the per-group ms_per_iter under ``"groups"``."""
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--trace", "0", "--seconds", str(RUN_SECONDS)],
@@ -100,7 +113,9 @@ def run_bench(tree: Path, workload: str, seed: int) -> dict:
     if out.returncode != 0 or not lines:
         raise RuntimeError(f"{tree}: perfbench exited {out.returncode}: "
                            f"{out.stderr.strip()[-500:]}")
-    return json.loads(lines[-1])
+    summary = json.loads(lines[-1])
+    summary["groups"] = read_groups(tree, workload, seed)
+    return summary
 
 
 def metric_specs(tree: Path) -> dict:
@@ -127,8 +142,10 @@ def run_pairs(parent: Path, change: Path, workloads: list[str],
             print(f"{w} seed {seed} ({rec['first']} first)", flush=True)
             for side in ("parent", "change"):
                 summ = rec[side]
-                vals = " ".join(f"{k}={m['value']:.6g}"
-                                for k, m in summ["metrics"].items())
+                vals = " ".join(
+                    [f"{k}={m['value']:.6g}" for k, m in summ["metrics"].items()]
+                    + [f"{g}.ms_per_iter={v:.6g}"
+                       for g, v in summ["groups"].items()])
                 print(f"  {side}: correct={summ['correct']} "
                       f"failed={summ['failed']}/{summ['attempted']} {vals}",
                       flush=True)
@@ -156,12 +173,46 @@ def verdicts(runs: dict, specs: dict) -> dict:
     return out
 
 
+def group_verdicts(runs: dict) -> dict:
+    """workload -> group -> gain verdict on the group's ms_per_iter, over the
+    pairs where both sides report the group."""
+    out = {}
+    for w, recs in runs.items():
+        out[w] = {}
+        names = sorted({g for r in recs for g in r["parent"]["groups"]})
+        for g in names:
+            pairs = [(r["parent"]["groups"][g], r["change"]["groups"][g])
+                     for r in recs if g in r["change"]["groups"]
+                     and g in r["parent"]["groups"]]
+            if pairs:
+                out[w][g] = gain_verdict([p for p, _ in pairs],
+                                         [c for _, c in pairs])
+    return out
+
+
+def _relative(v: dict) -> float:
+    p, c = v["parent"]["median"], v["change"]["median"]
+    return c / p - 1.0 if p else 0.0
+
+
+def print_groups(table: dict) -> None:
+    for w, groups in table.items():
+        if groups:
+            print(f"\n{w} ms_per_iter by group (lower is better)")
+        for g, v in groups.items():
+            p, c = v["parent"], v["change"]
+            print(f"  {g}\n"
+                  f"    parent {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}]"
+                  f"  change {c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]"
+                  f"  {_relative(v):+.1%}  wins {v['wins']}/{v['pairs']}")
+
+
 def print_verdicts(table: dict) -> None:
     for w, metrics in table.items():
         print(f"\n{w}")
         for name, v in metrics.items():
             p, c = v["parent"], v["change"]
-            rel = (c["median"] / p["median"] - 1.0) if p["median"] else 0.0
+            rel = _relative(v)
             bound = "" if v["bound"] is None else (
                 f"  bound {v['bound']:g}: "
                 + ("ok" if v["within_bound"] else "EXCEEDED"))
@@ -219,6 +270,7 @@ def main(argv=None) -> int:
                                  args.seeds) else 1
     runs = run_pairs(parent, change, args.workload, args.seeds)
     print_verdicts(verdicts(runs, metric_specs(parent)))
+    print_groups(group_verdicts(runs))
     return 0
 
 
