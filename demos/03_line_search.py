@@ -8,17 +8,17 @@ worse or the slope turns positive, and the trial point is the midpoint
 clamped away from the edges.  It stops at a point with l'_- <= 0 <= l'_+ or
 when the bracket is narrower than 1e-6.
 
-The solver's own path, ``ray_objective``, takes the oracle's ``restrict``
-ray: it answers values, slopes and the endpoint subgradients in closed form,
-so the search makes no oracle call.  The generic ``RayObjective`` retracts
-to every trial point and asks the oracle; it picks the same step.
+The search reads the objective through ``RayObjective``, which takes the
+oracle's ``restrict`` ray: it answers values, slopes and the endpoint
+subgradients in closed form, so the search makes no oracle call.  Each value
+the search reads is one evaluation.  When f decreases against the direction,
+the objective mirrors itself and the search runs backward.
 """
 
 import numpy as np
 
 import rcsopt as r
-from rcsopt.linesearch import (LineSearchConfig, RayObjective, irp,
-                               line_search, ray_objective)
+from rcsopt.linesearch import LineSearchConfig, RayObjective, irp, line_search
 
 # --- interval reduction on a plain scalar function ---------------------------
 class Curve:
@@ -48,9 +48,9 @@ g = oracle.active_subgrad(x, oracle.manifold.random_tangent(x, rng))
 eta = -1.0 * g  # steepest-descent-like ray
 
 trace = []
-pf = ray_objective(oracle, x, eta, f0=oracle.value(x))  # the solver's path
+pf = RayObjective(oracle, x, eta, f0=oracle.value(x))
 res = line_search(pf, LineSearchConfig(), trace=trace)
-print(f"\n{type(pf).__name__}: step t = {res.t:.6f}  "
+print(f"\n{type(pf.ray).__name__}: step t = {res.t:.6f}  "
       f"f: {res.phi0:.6f} -> {res.phi_at_t:.6f}")
 print(f"bracket [{res.tau_lo_final:.8f}, {res.tau_hi_final:.8f}], "
       f"{res.irp_iters} interval reductions, {res.evals} evaluations")
@@ -67,17 +67,17 @@ for rec in trace[:6]:
 print("\nendpoint subgradients live at the new point:",
       r.same_point(res.g_plus.base, res.x_new))
 
-# The generic ray asks the oracle at each retracted trial point instead.
-ref = line_search(RayObjective(oracle, x, eta, f0=oracle.value(x)),
-                  LineSearchConfig())
-gap = r.norm(res.g_plus - ref.g_plus) / r.norm(ref.g_plus)
-print(f"RayObjective: step t = {ref.t:.6f} (same step: {ref.t == res.t}), "
-      f"{ref.evals} evaluations, g_plus relative gap {gap:.1e}")
+# Along -eta the slope at 0 is positive: the search mirrors the ray and
+# takes the same step backward.
+back = line_search(RayObjective(oracle, x, -1.0 * eta, f0=oracle.value(x)),
+                   LineSearchConfig())
+print(f"along -eta: step t = {back.t:.6f} (sign {back.sign:+d}), "
+      f"same point: {r.same_point(back.x_new, res.x_new)}")
 
 # A point that is already optimal along +/- eta produces a null step.
 med = r.GeometricMedian(2, 1, np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
 S = r.Sphere(3)
 x0 = S.point([0.0, 0.0, 1.0])
-res0 = line_search(ray_objective(med, x0, S.tangent(x0, [1.0, 0.0, 0.0])),
+res0 = line_search(RayObjective(med, x0, S.tangent(x0, [1.0, 0.0, 0.0])),
                    LineSearchConfig())
 print("\nat the median's data point: t =", res0.t, " null step:", res0.null)

@@ -4,11 +4,10 @@ from .manifolds import (SPD, BasePointMismatchError, DegenerateRetractionError,
                         DegenerateTransportError, ManifoldPoint, Sphere,
                         TangentVector, check_point, check_tangent, distance,
                         inner, norm, retract, same_point, transport_between)
-from .objectives import (AmbiguousDirectionError, CountingOracle, EvalStats,
-                         GeometricMedian, NonFiniteRayError,
-                         RayleighQuotientMax, SpdCenterOfMass,
-                         generate_instance, instance_from_json,
-                         instance_to_json)
+from .objectives import (AmbiguousDirectionError, GeometricMedian,
+                         NonFiniteRayError, RayleighQuotientMax,
+                         SpdCenterOfMass, generate_instance,
+                         instance_from_json, instance_to_json)
 from .linesearch import (LineSearchConfig, LineSearchResult,
                          LineSearchStallError, RayObjective, irp, line_search)
 from .solver import (IterationRecord, SolveResult, SolverConfig,

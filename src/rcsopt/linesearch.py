@@ -1,17 +1,15 @@
 """Bracketing line search with interval reduction for semismooth objectives.
 
 The search works on the univariate restriction l(t) = f(R_x(t v)) of an
-oracle to a retraction ray.  When the oracle offers ``restrict`` (all three
-built-in oracles do), the ray it returns answers the whole search: values,
-one-sided slopes along the transported direction, and the directionally
-active subgradients at the final bracket endpoints, with no oracle call.
-Otherwise the generic :class:`RayObjective` retracts to each trial point and
-asks the oracle, carrying the ray direction there by parallel transport.
-
-The ray objective checks the direction's base point once, when built; the
-search then runs on raw arrays, wrapped once in the :class:`LineSearchResult`.
-Each ray value the search reads is one evaluation (``nf``) of a
-:class:`CountingOracle`.
+oracle to a retraction ray.  Every oracle offers ``restrict(x, v)`` (see
+:mod:`rcsopt.objectives`), and the ray it returns answers the whole search:
+values, one-sided slopes along the transported direction, and the
+directionally active subgradients at the final bracket endpoints.  The
+search makes no other oracle call.  :class:`RayObjective` is the one ray
+objective: it checks the direction's base point once, when built, caches
+what the ray answers, counts each value it reads as one evaluation
+(``evals``), and mirrors itself for a backward search.  The search runs on
+raw arrays, wrapped once in the :class:`LineSearchResult`.
 
 When the first trial fails, every later trial is compared with l(0) until
 one decreases, and each failure halves the bracket, so the trials up to the
@@ -20,9 +18,6 @@ width stop are known in advance (:func:`_fail_chain`).  A ray that offers
 :func:`irp` finds the first decrease in one pass over those values, writes
 the trace records of the failures before it, and charges only the values it
 read.
-
-The solvers' other oracle use is one ``value_and_subgrad`` pass at x0 (and,
-for the subgradient baseline, at every iterate); see :mod:`rcsopt.objectives`.
 
 The interval reduction loop keeps a bracket [tau_lo, tau_hi] around a
 one-dimensional local minimizer and stops either at a point satisfying
@@ -36,8 +31,7 @@ import math
 from dataclasses import dataclass
 
 from .manifolds import (ManifoldPoint, TangentVector, _adopt, _require_base,
-                        norm, transport_between)
-from .objectives import CountingOracle, EvalStats
+                        norm)
 
 _IRP_MAX_ITERS = 10_000
 
@@ -80,119 +74,41 @@ class LineSearchConfig:
 
 
 class RayObjective:
-    """Objective restricted to a retraction ray t -> f(R_x(t v)).
+    """Objective restricted to a retraction ray, l(t) = f(R_x(t v)).
 
-    Caches evaluation points, values, transported directions and one-sided
-    derivatives per step size so bracket endpoints are never recomputed.
-    The base point of v is checked once, here.  ``dir_norm`` is ||v|| when
-    the caller already has it (the solver's row ``eta_norm``); else it is
-    computed.
+    The base point of v is checked once, here, before ``oracle.restrict``
+    builds the ray; the ray then answers every value, slope and endpoint
+    subgradient of the search.  Values and slopes are cached per step size
+    so bracket endpoints are never recomputed, and each value read is one
+    evaluation (``evals``).  Only the accepted point and the bracket
+    endpoints are retracted.  ``dir_norm`` is ||v|| when the caller already
+    has it (the solver's row ``eta_norm``); else it is computed.
 
-    ``prefetch`` is None here.  A ray objective that can answer many step
-    sizes in one call makes it a callable that takes a list of step sizes
-    and returns their values, uncharged; :func:`irp` hands it the trials it
-    will make if every one fails, and hands back the values it read through
-    ``take_values(ts, vals)``.
+    When the ray offers ``values(ts)``, ``prefetch`` is that method:
+    :func:`irp` hands it the trials it will make if every one fails, and
+    hands back the values it read through ``take_values``; only those count
+    as evaluations.
     """
-
-    prefetch = None
 
     def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
                  f0: float | None = None, dir_norm: float | None = None):
         _require_base(x, v, "ray")
-        self.oracle = oracle
-        self.x = x
-        self.v = v
-        self.dir_norm = norm(v) if dir_norm is None else dir_norm
+        self._start(x, v, oracle.restrict(x, v), f0,
+                    norm(v) if dir_norm is None else dir_norm)
+
+    def _start(self, x, v, ray, f0, dir_norm) -> None:
+        self.x, self.v, self.ray, self.dir_norm = x, v, ray, dir_norm
         self._points: dict[float, ManifoldPoint] = {0.0: x}
-        self._values: dict[float, float] = {}
-        self._dirs: dict[float, TangentVector] = {0.0: v}
+        self._values: dict[float, float] = {} if f0 is None else {0.0: f0}
         self._derivs: dict[float, tuple[float, float]] = {}
         self.evals = 0
-        if f0 is not None:
-            self._values[0.0] = f0
 
-    def point_at(self, t: float) -> ManifoldPoint:
-        p = self._points.get(t)
-        if p is None:
-            m = self.x.manifold
-            p = _adopt(ManifoldPoint, m,
-                       m._retract(self.x.data, t * self.v.data))
-            self._points[t] = p
-        return p
-
-    def direction_at(self, t: float) -> TangentVector:
-        d = self._dirs.get(t)
-        if d is None:
-            d = transport_between(self.x, self.point_at(t), self.v)
-            self._dirs[t] = d
-        return d
-
-    def value(self, t: float) -> float:
-        val = self._values.get(t)
-        if val is None:
-            val = self._values[t] = self._value(t)
-            self.evals += 1
-        return val
-
-    def _deriv_pair(self, t: float) -> tuple[float, float]:
-        pair = self._derivs.get(t)
-        if pair is None:
-            pair = self._derivs[t] = self._slopes(t)
-        return pair
-
-    def right_deriv(self, t: float) -> float:
-        """l'_+(t), evaluated along the transported ray direction."""
-        return self._deriv_pair(t)[0]
-
-    def left_deriv(self, t: float) -> float:
-        """l'_-(t) = -f'(y; -d)."""
-        return self._deriv_pair(t)[1]
-
-    def subgrad_fwd(self, t: float):
-        """Data of the directionally active subgradient at R_x(tv) for +d."""
-        return self._subgrad(t, True)
-
-    def subgrad_bwd(self, t: float):
-        """Data of the directionally active subgradient at R_x(tv) for -d."""
-        return self._subgrad(t, False)
-
-    # Uncached answers: retract to R_x(tv) and ask the oracle.
-    def _value(self, t: float) -> float:
-        return self.oracle.value(self.point_at(t))
-
-    def _slopes(self, t: float) -> tuple[float, float]:
-        y, d = self.point_at(t), self.direction_at(t)
-        return self.oracle.dir_deriv(y, d), -self.oracle.dir_deriv(y, -d)
-
-    def _subgrad(self, t: float, forward: bool):
-        d = self.direction_at(t)
-        return self.oracle.active_subgrad(self.point_at(t),
-                                          d if forward else -d).data
-
-
-class RestrictedRayObjective(RayObjective):
-    """RayObjective whose values, slopes and subgradients come from
-    ``oracle.restrict``.
-
-    The closed-form ray answers each trial in O(m) after one pass over the
-    data per ray, and the endpoint subgradients in O(n) (sphere) or from the
-    slopes' eigendecomposition (SPD).  Only the accepted point and the
-    subgradients' base points are retracted.  Each value the search reads is
-    charged to a :class:`CountingOracle`'s ``stats.nf``.
-
-    When the ray offers ``values(ts)``, ``prefetch`` is that method: it
-    answers a run of step sizes in one batched call, and only the values
-    the search then reads (:meth:`take_values`) count as evaluations.
-    """
-
-    def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
-                 f0: float | None = None, ray=None,
-                 dir_norm: float | None = None):
-        super().__init__(oracle, x, v, f0, dir_norm)
-        self.ray = oracle.restrict(x, v) if ray is None else ray
-        self._stats = oracle.stats if isinstance(oracle, CountingOracle) \
-            else EvalStats()
+    def reversed(self) -> "RayObjective":
+        """t -> f(R_x(-t v)) from the ray's ``reversed()``, with l(0) kept."""
+        pf = object.__new__(RayObjective)
+        pf._start(self.x, -self.v, self.ray.reversed(),
+                  self._values.get(0.0), self.dir_norm)
+        return pf
 
     @property
     def prefetch(self):
@@ -204,35 +120,44 @@ class RestrictedRayObjective(RayObjective):
         each, as if ``value`` had computed them."""
         self._values.update(zip(ts, vals))
         self.evals += len(ts)
-        self._stats.nf += len(ts)
 
-    def _value(self, t: float) -> float:
-        self._stats.nf += 1
-        return self.ray.value(t)
+    def point_at(self, t: float) -> ManifoldPoint:
+        p = self._points.get(t)
+        if p is None:
+            m = self.x.manifold
+            p = _adopt(ManifoldPoint, m,
+                       m._retract(self.x.data, t * self.v.data))
+            self._points[t] = p
+        return p
 
-    def _slopes(self, t: float) -> tuple[float, float]:
-        return self.ray.slopes(t)
+    def value(self, t: float) -> float:
+        val = self._values.get(t)
+        if val is None:
+            val = self._values[t] = self.ray.value(t)
+            self.evals += 1
+        return val
 
-    def _subgrad(self, t: float, forward: bool):
-        return self.ray.subgrad(t, forward)
+    def _deriv_pair(self, t: float) -> tuple[float, float]:
+        pair = self._derivs.get(t)
+        if pair is None:
+            pair = self._derivs[t] = self.ray.slopes(t)
+        return pair
 
+    def right_deriv(self, t: float) -> float:
+        """l'_+(t), along the ray direction transported to R_x(tv)."""
+        return self._deriv_pair(t)[0]
 
-def ray_objective(oracle, x: ManifoldPoint, v: TangentVector,
-                  f0: float | None = None,
-                  dir_norm: float | None = None) -> RayObjective:
-    """The restricted ray when the oracle offers ``restrict``, else generic."""
-    if hasattr(oracle, "restrict"):
-        return RestrictedRayObjective(oracle, x, v, f0, dir_norm=dir_norm)
-    return RayObjective(oracle, x, v, f0, dir_norm)
+    def left_deriv(self, t: float) -> float:
+        """l'_-(t) = -f'(y; -d)."""
+        return self._deriv_pair(t)[1]
 
+    def subgrad_fwd(self, t: float):
+        """Data of the directionally active subgradient at R_x(tv) for +d."""
+        return self.ray.subgrad(t, True)
 
-def _mirrored(pf: RayObjective, f0: float) -> RayObjective:
-    """t -> f(R_x(-t v)) for the ray of ``pf``, as the same kind of object."""
-    if isinstance(pf, RestrictedRayObjective):
-        return RestrictedRayObjective(pf.oracle, pf.x, -pf.v, f0,
-                                      ray=pf.ray.reversed(),
-                                      dir_norm=pf.dir_norm)
-    return RayObjective(pf.oracle, pf.x, -pf.v, f0, pf.dir_norm)
+    def subgrad_bwd(self, t: float):
+        """Data of the directionally active subgradient at R_x(tv) for -d."""
+        return self.ray.subgrad(t, False)
 
 
 @dataclass
@@ -397,7 +322,7 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     elif dminus0 > 0.0:
         # Search phi(-tau); its right derivative at 0 is -dminus0 < 0.
         sign = -1
-        l = _mirrored(pf, phi0)
+        l = pf.reversed()
     else:
         return LineSearchResult(
             t=0.0, phi_at_t=phi0, phi0=phi0, x_new=x,
@@ -412,8 +337,8 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
                                                   start)
 
     x_new = l.point_at(tau_star)
-    # Endpoint-selected subgradients.  Slopes first: on a restricted SPD ray
-    # the subgradient then reuses the slopes' eigendecomposition.
+    # Endpoint-selected subgradients.  Slopes first: on the SPD ray the
+    # subgradient then reuses the slopes' eigendecomposition.
     dplus_at_hi = l.right_deriv(tau_hi)
     g_fwd = l.subgrad_fwd(tau_hi)
     dminus_at_lo = l.left_deriv(tau_lo)

@@ -6,21 +6,21 @@ Three families:
 * geometric median on the sphere,            f(x) = sum_i w_i arccos(x_i^T x)
 * center of mass of SPD matrices,            f(X) = 1/2 sum_i ||logm(X^-1/2 A_i X^-1/2)||_F^2
 
-Each oracle exposes ``value``, ``dir_deriv`` and ``active_subgrad``; the last
-returns a Clarke subgradient g with <g, xi> = f'(x; xi), which is what the
-direction update consumes.  ``value_and_subgrad(x, xi)`` returns
-``(value(x), active_subgrad(x, xi))`` bit for bit from one pass over the data
-(the Rayleigh components, the median cosines, the whitened Karcher stack);
-the solvers ask it at x0 and the subgradient baseline at every iterate.
-Oracles are immutable and reject non-finite data; evaluation counting happens
-in a caller-owned :class:`EvalStats` sink via :class:`CountingOracle`, which
-charges the pair as one evaluation.
+Each oracle has a ``manifold`` and exposes ``value``, ``dir_deriv`` and
+``active_subgrad``; the last returns a Clarke subgradient g with
+<g, xi> = f'(x; xi), which is what the direction update consumes.  The
+solvers require two more methods, and check for them once at entry:
 
-Every oracle also offers ``restrict(x, v)``: the objective on the retraction
-ray y(t) = R_x(t v) as a small object with
+``value_and_subgrad(x, xi)`` returns ``(value(x), active_subgrad(x, xi))``
+bit for bit from one pass over the data (the Rayleigh components, the median
+cosines, the whitened Karcher stack); the solvers ask it at x0 and the
+subgradient baseline at every iterate, one evaluation (``nf``) each.
+Oracles are immutable and reject non-finite data.
 
-* ``value(t)``, which a line search charges as one evaluation (``nf``) of
-  its :class:`CountingOracle`, like an oracle ``value`` call;
+``restrict(x, v)`` returns the objective on the retraction ray
+y(t) = R_x(t v) as a small object with
+
+* ``value(t)``, which the line search counts as one evaluation;
 * ``slopes(t)``, the one-sided derivatives (f'(y; d), -f'(y; -d)) along the
   direction d = v transported to y(t);
 * ``subgrad(t, forward)``, the ambient data of the directionally active
@@ -32,7 +32,7 @@ ray y(t) = R_x(t v) as a small object with
   first trial if all of them fail, and charges only the values it reads.
   Only :class:`RayleighRay` offers it.
 
-The ray answers a whole line search, so a restricted search makes no oracle
+The ray answers a whole line search, so a line search makes no oracle
 call.  Each ray keeps a two-entry per-step memo (t = 0 and the latest other
 t, see :func:`_memoize`), so ``slopes`` and ``subgrad`` at one step size
 share their work, and on the median ray ``value`` shares the cosines too.
@@ -134,50 +134,6 @@ def _median_terms(u: np.ndarray, weights: np.ndarray):
         reg, sing_weight = _ALL, 0.0
     den = np.maximum(np.sqrt(1.0 - u[reg] ** 2), _DENOM_FLOOR)
     return reg, weights[reg] / den, sing_weight, reg is not _ALL
-
-
-@dataclass
-class EvalStats:
-    """Mutable per-run statistics sink owned by the calling solver."""
-    nf: int = 0
-
-
-class CountingOracle:
-    """Wraps an oracle so that every value() call bumps stats.nf once.
-
-    ``value_and_subgrad`` is one evaluation too; an oracle without that
-    method answers it with ``value`` and ``active_subgrad``.  Offers the
-    wrapped oracle's own ``restrict`` when it has one; the line search's ray
-    objective charges ``stats.nf`` once per fresh ray value.
-    """
-
-    def __init__(self, oracle, stats: EvalStats):
-        self.oracle = oracle
-        self.stats = stats
-        self._pair = getattr(oracle, "value_and_subgrad", None)
-        if hasattr(oracle, "restrict"):
-            self.restrict = oracle.restrict
-
-    @property
-    def manifold(self):
-        return self.oracle.manifold
-
-    def value(self, x: ManifoldPoint) -> float:
-        self.stats.nf += 1
-        return self.oracle.value(x)
-
-    def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
-        return self.oracle.dir_deriv(x, xi)
-
-    def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
-        return self.oracle.active_subgrad(x, xi)
-
-    def value_and_subgrad(self, x: ManifoldPoint, xi: TangentVector
-                          ) -> tuple[float, TangentVector]:
-        self.stats.nf += 1
-        if self._pair is None:
-            return self.oracle.value(x), self.oracle.active_subgrad(x, xi)
-        return self._pair(x, xi)
 
 
 def _qf_fields(x: np.ndarray, v: np.ndarray) -> dict:

@@ -11,12 +11,17 @@ Trajectories record enough per-iteration state (points, directions, chosen
 subgradients and the scalar diagnostics) to replay the direction recursion and
 check its algebraic identities after the fact; see the ``*_residual`` helpers.
 
-The solve loops check ``x0`` once, then run on raw arrays with the manifold's
-unchecked methods; only the trajectory rows hold points and tangent vectors.
-:func:`direction_update` and :func:`_cos2_theta` wrap the loop's raw cores.
-Both solvers take the value and the first subgradient at x0 from one
-``value_and_subgrad`` pass (one evaluation); the subgradient baseline makes
-that one pass at every iterate.
+Both solvers check their inputs once, at entry and before any evaluation:
+the oracle must offer ``value_and_subgrad`` and ``restrict`` (TypeError), and
+``x0`` must be a point of the oracle's manifold (ValueError).  The solve
+loops then run on raw arrays with the manifold's unchecked methods; only the
+trajectory rows hold points and tangent vectors.  :func:`direction_update`
+and :func:`_cos2_theta` wrap the loop's raw cores.
+
+The evaluation count ``nf`` is summed where the evaluations happen: one for
+the ``value_and_subgrad`` pass at x0 that gives the value and the first
+subgradient, plus each line search's ``evals`` (the ray values it read); the
+subgradient baseline makes one ``value_and_subgrad`` pass at every iterate.
 """
 
 from __future__ import annotations
@@ -29,12 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linesearch import (LineSearchConfig, LineSearchResult,
-                         LineSearchStallError, line_search, ray_objective)
+                         LineSearchStallError, RayObjective, line_search)
 from .manifolds import (Manifold, ManifoldPoint, TangentVector, _adopt, norm,
                         transport_between)
-from .objectives import CountingOracle, EvalStats
 
 _LAMBDA_TIE_TOL = 1e-14
+# The oracle methods the solvers need besides ``manifold``.
+_REQUIRED_METHODS = ("value_and_subgrad", "restrict")
 
 
 class SolveStalledError(RuntimeError):
@@ -165,6 +171,19 @@ def _cos2(ip, x, g, d, ng2: float, nd2: float) -> float:
     return float(ip(x, d, s) ** 2 / (nd2 * ns2))
 
 
+def _check_entry(oracle, x0: ManifoldPoint) -> None:
+    """TypeError unless the oracle has the required methods; ValueError
+    unless x0 is a point of its manifold and that is the oracle's."""
+    for meth in _REQUIRED_METHODS:
+        if not callable(getattr(oracle, meth, None)):
+            raise TypeError(f"oracle has no {meth} method; the solvers "
+                            f"require {' and '.join(_REQUIRED_METHODS)}")
+    x0.manifold.point(x0.data)  # ValueError unless x0 is on its manifold
+    if x0.manifold != oracle.manifold:
+        raise ValueError(f"x0 lies on {x0.manifold.tag()}, the oracle on "
+                         f"{oracle.manifold.tag()}")
+
+
 def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
                                 cfg: SolverConfig | None = None,
                                 seed: int = 0,
@@ -176,20 +195,19 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
     is smooth).  Stops when the direction norm drops to ``epsilon_stop``, after
     ``max_null_steps`` consecutive null steps, or at the iteration cap.
     """
-    x0.manifold.point(x0.data)  # ValueError unless x0 is on its manifold
+    _check_entry(oracle, x0)
     cfg = cfg or SolverConfig()
     rng = np.random.default_rng(seed)
-    stats = EvalStats()
-    counting = CountingOracle(oracle, stats)
     start = time.perf_counter()
 
     M = x0.manifold
     x = x0
-    f, g1 = counting.value_and_subgrad(x, M.random_tangent(x, rng))
+    f, g1 = oracle.value_and_subgrad(x, M.random_tangent(x, rng))
+    nf = 1
     eta1 = -g1
     rows = [IterationRecord(k=1, x=x, f=f, eta=eta1, gtilde=g1,
                             eta_norm=norm(eta1), gtilde_norm=norm(g1),
-                            nf_cum=stats.nf,
+                            nf_cum=nf,
                             time_cum_s=time.perf_counter() - start)]
     null_run = 0
     null_total = 0
@@ -201,13 +219,13 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         if prev.eta_norm <= cfg.epsilon_stop:
             stop = "stationary"
             break
-        pf = ray_objective(counting, x, prev.eta, f0=f,
-                           dir_norm=prev.eta_norm)
+        pf = RayObjective(oracle, x, prev.eta, f0=f, dir_norm=prev.eta_norm)
         try:
             res = line_search(pf, cfg.ls, trace=irp_trace)
         except LineSearchStallError as e:
             raise SolveStalledError(e, rows) from e
         ls_calls += 1
+        nf += res.evals
         prev.t = res.t
         prev.null = res.null
         prev.ls = res
@@ -248,7 +266,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             k=k + 1, x=x, f=f, eta=_adopt(TangentVector, x, eta),
             gtilde=_adopt(TangentVector, x, gtilde),
             eta_norm=M._norm(xd, eta), gtilde_norm=math.sqrt(max(ng2, 0.0)),
-            nf_cum=stats.nf, time_cum_s=time.perf_counter() - start,
+            nf_cum=nf, time_cum_s=time.perf_counter() - start,
             d=prev.eta if same else _adopt(TangentVector, x, d),
             lam=lam, alpha=alpha,
             cos2_theta=_cos2(ip, xd, gtilde, d, ng2, nd2), ortho=ortho_raw))
@@ -261,7 +279,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             break
 
     return SolveResult(x=x, f=f, stop_reason=stop, iters=len(rows) - 1,
-                       nf=stats.nf, ls_calls=ls_calls, null_steps=null_total,
+                       nf=nf, ls_calls=ls_calls, null_steps=null_total,
                        wall_time_s=time.perf_counter() - start,
                        trajectory=rows)
 
@@ -274,20 +292,18 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
     Comparison baseline with the same trajectory schema as the conjugate
     solver; it carries no descent guarantee.
     """
-    x0.manifold.point(x0.data)  # ValueError unless x0 is on its manifold
+    _check_entry(oracle, x0)
     cfg = cfg or SolverConfig()
     rng = np.random.default_rng(seed)
-    stats = EvalStats()
-    counting = CountingOracle(oracle, stats)
     start = time.perf_counter()
 
     M = x0.manifold
     x = x0
-    f, g = counting.value_and_subgrad(x, M.random_tangent(x, rng))
+    f, g = oracle.value_and_subgrad(x, M.random_tangent(x, rng))
     ng = M._norm(x.data, g.data)
     c = 1.0 / (1.0 + ng)
     rows = [IterationRecord(k=1, x=x, f=f, eta=-g, gtilde=g,
-                            eta_norm=ng, gtilde_norm=ng, nf_cum=stats.nf,
+                            eta_norm=ng, gtilde_norm=ng, nf_cum=1,
                             time_cum_s=time.perf_counter() - start)]
     stop = "max_iters"
     for k in range(1, cfg.max_iters + 1):
@@ -297,14 +313,14 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
         t = c / math.sqrt(k)
         rows[-1].t = t
         x = _adopt(ManifoldPoint, M, M._retract(x.data, t * rows[-1].eta.data))
-        f, g = counting.value_and_subgrad(x, M.random_tangent(x, rng))
+        f, g = oracle.value_and_subgrad(x, M.random_tangent(x, rng))
         ng = M._norm(x.data, g.data)
         rows.append(IterationRecord(
             k=k + 1, x=x, f=f, eta=-g, gtilde=g, eta_norm=ng,
-            gtilde_norm=ng, nf_cum=stats.nf,
+            gtilde_norm=ng, nf_cum=k + 1,
             time_cum_s=time.perf_counter() - start))
     return SolveResult(x=x, f=f, stop_reason=stop, iters=len(rows) - 1,
-                       nf=stats.nf, ls_calls=0, null_steps=0,
+                       nf=len(rows), ls_calls=0, null_steps=0,
                        wall_time_s=time.perf_counter() - start,
                        trajectory=rows)
 

@@ -211,3 +211,65 @@ def sphere_transport_np(a, b, v):
     vu = np.dot(v, u)
     out = v - vu * u + vu * (np.cos(theta) * u - np.sin(theta) * a)
     return sphere_project_np(b, out)
+
+
+# ---------------------------------------------------------------------------
+# The line search's ray by retraction and oracle calls.  The closed-form
+# ``restrict`` rays must answer the same values, slopes and subgradients.
+# ---------------------------------------------------------------------------
+
+class GenericRay:
+    """The objective on the ray t -> R_x(t v), answered at y = R_x(t v) by
+    the oracle's value / dir_deriv / active_subgrad along d, the direction v
+    carried to y by parallel transport (y = x and d = v at t = 0)."""
+
+    def __init__(self, oracle, x, v):
+        self.oracle, self.x, self.v = oracle, x, v
+        self._at = {0.0: (x, v)}
+
+    def _point_and_direction(self, t):
+        from rcsopt import retract, transport_between
+        at = self._at.get(t)
+        if at is None:
+            y = retract(self.x, t * self.v)
+            at = self._at[t] = (y, transport_between(self.x, y, self.v))
+        return at
+
+    def value(self, t):
+        return self.oracle.value(self._point_and_direction(t)[0])
+
+    def slopes(self, t):
+        y, d = self._point_and_direction(t)
+        return self.oracle.dir_deriv(y, d), -self.oracle.dir_deriv(y, -d)
+
+    def subgrad(self, t, forward):
+        y, d = self._point_and_direction(t)
+        return self.oracle.active_subgrad(y, d if forward else -d).data
+
+    def reversed(self):
+        return GenericRay(self.oracle, self.x, -self.v)
+
+
+class GenericOnly:
+    """Oracle proxy whose ``restrict`` is the :class:`GenericRay` and whose
+    ``value_and_subgrad`` is the two single calls: the reference path a
+    closed-form solve is compared with."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.manifold = oracle.manifold
+
+    def value(self, x):
+        return self.oracle.value(x)
+
+    def dir_deriv(self, x, xi):
+        return self.oracle.dir_deriv(x, xi)
+
+    def active_subgrad(self, x, xi):
+        return self.oracle.active_subgrad(x, xi)
+
+    def value_and_subgrad(self, x, xi):
+        return self.value(x), self.active_subgrad(x, xi)
+
+    def restrict(self, x, v):
+        return GenericRay(self, x, v)

@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import rcsopt as r
 from rcsopt.linesearch import (LineSearchConfig, LineSearchStallError,
-                               RayObjective, RestrictedRayObjective,
-                               _clamped_start, _fail_chain, _next_trial, irp,
-                               line_search, ray_objective)
+                               RayObjective, _clamped_start, _fail_chain,
+                               _next_trial, irp, line_search)
 from rcsopt.objectives import _ACTIVE_TOL
+
+from oracles import GenericOnly
 
 
 class ScalarCurve:
@@ -173,8 +174,10 @@ class TestRayObjective:
         assert pf.value(0.0) == oracle.value(x)
 
     def test_value_matches_retract_bitwise(self):
+        # The reference ray is the retraction itself, bit for bit; the
+        # closed-form ray follows it to round-off (TestRestrictedRay).
         oracle, x, eta = rayleigh_ray(2)
-        pf = RayObjective(oracle, x, eta)
+        pf = RayObjective(GenericOnly(oracle), x, eta)
         for t in (0.17, 1.3, 4.0):
             assert pf.value(t) == oracle.value(r.retract(x, t * eta))
 
@@ -189,10 +192,9 @@ class TestRayObjective:
 
     def test_caching_saves_evaluations(self):
         oracle, x, eta = rayleigh_ray(4)
-        stats = r.EvalStats()
-        pf = RayObjective(r.CountingOracle(oracle, stats), x, eta)
+        pf = RayObjective(oracle, x, eta)
         pf.value(1.0), pf.value(1.0), pf.value(1.0)
-        assert stats.nf == 1
+        assert pf.evals == 1
 
     def test_one_sided_derivatives_ordered(self):
         # left <= right along rays of a max-of-smooth objective
@@ -347,30 +349,11 @@ class TestLineSearch:
                 "branch"} <= set(trace[0])
 
 
-class GenericOnly:
-    """Oracle proxy without ``restrict``: forces the generic ray path."""
-
-    def __init__(self, oracle):
-        self.oracle = oracle
-        self.manifold = oracle.manifold
-
-    def value(self, x):
-        return self.oracle.value(x)
-
-    def dir_deriv(self, x, xi):
-        return self.oracle.dir_deriv(x, xi)
-
-    def active_subgrad(self, x, xi):
-        return self.oracle.active_subgrad(x, xi)
-
-
 def assert_restricted_matches_generic(oracle, x, v):
     """Closed-form values and slopes against the generic ray, both ways."""
-    ray = oracle.restrict(x, v)
-    pairs = [(RestrictedRayObjective(oracle, x, v), RayObjective(oracle, x, v)),
-             (RestrictedRayObjective(oracle, x, -v, ray=ray.reversed()),
-              RayObjective(oracle, x, -v))]
-    for fast, ref in pairs:
+    fast = RayObjective(oracle, x, v)
+    ref = RayObjective(GenericOnly(oracle), x, v)
+    for fast, ref in ((fast, ref), (fast.reversed(), ref.reversed())):
         for t in (0.0, 0.3, 1.2, 4.0):
             assert fast.value(t) == pytest.approx(ref.value(t), rel=1e-10)
             assert fast.right_deriv(t) == pytest.approx(
@@ -505,10 +488,9 @@ class TestRaySubgrad:
         oracle = r.generate_instance("median", 3, 4, seed=142)
         x = oracle.manifold.random_point(np.random.default_rng(143))
         v = random_descent_direction(oracle, x, 144)
-        stats = r.EvalStats()
-        pf = ray_objective(r.CountingOracle(oracle, stats), x, v)
+        pf = RayObjective(oracle, x, v)
         pf.subgrad_fwd(0.5), pf.subgrad_bwd(2.0)
-        assert stats.nf == 0 and pf.evals == 0
+        assert pf.evals == 0
 
     @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
     def test_no_oracle_calls(self, kind):
@@ -520,7 +502,7 @@ class TestRaySubgrad:
         eta = random_descent_direction(oracle, x0, 151)
         spy = SpyOracle(oracle)
         for v in (eta, -eta):
-            line_search(ray_objective(spy, x0, v), LineSearchConfig())
+            line_search(RayObjective(spy, x0, v), LineSearchConfig())
         assert spy.calls == {"value": 0, "dir_deriv": 0, "active_subgrad": 0}
         res = r.conjugate_subgradient_solve(spy, x0,
                                             r.SolverConfig(max_iters=20),
@@ -533,7 +515,7 @@ class TestRaySubgrad:
         spy = SpyOracle(r.GeometricMedian(2, 1, p, np.array([1.0])))
         S = r.Sphere(3)
         x = S.point(p[0])
-        res = line_search(ray_objective(spy, x, S.tangent(x, [1.0, 0.0, 0.0])),
+        res = line_search(RayObjective(spy, x, S.tangent(x, [1.0, 0.0, 0.0])),
                           LineSearchConfig())
         assert res.null
         assert np.allclose(res.g_plus.data, [1.0, 0.0, 0.0], atol=1e-15)
@@ -557,7 +539,7 @@ class TestRestrictedRay:
         oracle, x, v = tied_rayleigh()
         idx, _ = oracle._active(x.data)
         assert list(idx) == [0, 1]
-        pf = RestrictedRayObjective(oracle, x, v)
+        pf = RayObjective(oracle, x, v)
         assert pf.left_deriv(0.0) < pf.right_deriv(0.0) - 1e-3
         assert_restricted_matches_generic(oracle, x, v)
 
@@ -591,7 +573,7 @@ class TestRestrictedRay:
             oracle = r.generate_instance(kind, 4, 1, seed=74)
             x = oracle.manifold.random_point(np.random.default_rng(75))
             eta = random_descent_direction(oracle, x, 76)
-            pf = RestrictedRayObjective(oracle, x, eta)
+            pf = RayObjective(oracle, x, eta)
             h = 1e-6
             for t in (0.3, 1.2):
                 c2 = float(np.dot(x.data + t * eta.data,
@@ -614,8 +596,7 @@ class TestRestrictedRay:
         oracle = r.generate_instance("karcher", 3, 5, seed=111)
         rng = np.random.default_rng(112)
         x = oracle.manifold.random_point(rng)
-        pf = RestrictedRayObjective(oracle, x,
-                                    oracle.manifold.random_tangent(x, rng))
+        pf = RayObjective(oracle, x, oracle.manifold.random_tangent(x, rng))
         h = 1e-6
         for t in (0.0, 0.3, 1.2):
             fd = (pf.value(t + h) - pf.value(t - h)) / (2 * h)
@@ -634,9 +615,9 @@ class TestRestrictedRay:
             if kind == "karcher":
                 eta = (1.0 / r.norm(eta)) * eta
             for v in (eta, -eta):  # forward and mirrored searches
-                fast = line_search(RestrictedRayObjective(oracle, x, v),
+                fast = line_search(RayObjective(oracle, x, v),
                                    LineSearchConfig())
-                ref = line_search(RayObjective(oracle, x, v),
+                ref = line_search(RayObjective(GenericOnly(oracle), x, v),
                                   LineSearchConfig())
                 assert (fast.t, fast.sign, fast.evals, fast.irp_iters) == (
                     ref.t, ref.sign, ref.evals, ref.irp_iters)
@@ -653,35 +634,17 @@ class TestRestrictedRay:
 
 
 class TestRayObjectiveChoice:
-    def test_sphere_oracles_get_the_restricted_ray(self):
-        for kind in ("rayleigh", "median"):
-            oracle = r.generate_instance(kind, 3, 4, seed=100)
-            x = oracle.manifold.random_point(np.random.default_rng(101))
-            v = random_descent_direction(oracle, x, 102)
-            counting = r.CountingOracle(oracle, r.EvalStats())
-            assert type(ray_objective(counting, x, v)) is \
-                RestrictedRayObjective
-            assert type(ray_objective(GenericOnly(oracle), x, v)) is \
-                RayObjective
-
-    def test_karcher_gets_the_restricted_ray(self):
-        oracle = r.generate_instance("karcher", 3, 5, seed=106)
-        counting = r.CountingOracle(oracle, r.EvalStats())
-        assert hasattr(counting, "restrict")
-        x0 = r.initial_point("karcher", 3, 106)
-        v = random_descent_direction(oracle, x0, 107)
-        assert type(ray_objective(counting, x0, v)) is RestrictedRayObjective
-        assert type(ray_objective(GenericOnly(oracle), x0, v)) is RayObjective
-
     def test_restricted_values_count_one_evaluation_each(self):
+        # The oracle's closed-form ray answers the search: one evaluation
+        # per value read, slopes free.
         oracle = r.generate_instance("median", 3, 4, seed=103)
         x = oracle.manifold.random_point(np.random.default_rng(104))
         v = random_descent_direction(oracle, x, 105)
-        stats = r.EvalStats()
-        pf = ray_objective(r.CountingOracle(oracle, stats), x, v)
+        pf = RayObjective(oracle, x, v)
+        assert type(pf.ray) is r.objectives.MedianRay
         pf.value(0.5), pf.value(0.5), pf.value(2.0)
         pf.right_deriv(0.5), pf.left_deriv(2.0)
-        assert stats.nf == 2 and pf.evals == 2
+        assert pf.evals == 2
 
 
 @pytest.mark.parametrize("kind,n,m,rel", [("rayleigh", 50, 200, 1e-12),
@@ -730,24 +693,19 @@ class TestBasePointAtRayEntry:
     @pytest.mark.parametrize("restricted", [True, False])
     def test_mismatch_raised_before_any_work(self, kind, n, m, restricted):
         # v lives at another point: the ray objective refuses it before the
-        # ray is built, so nothing is evaluated or charged.
+        # ray is built (closed-form or generic), so nothing is evaluated.
         oracle = r.generate_instance(kind, n, m, seed=3)
         M = oracle.manifold
         rng = np.random.default_rng(3)
         x, y = M.random_point(rng), M.random_point(rng)
         v = M.random_tangent(y, rng)
         spy = SpyOracle(oracle)
+        restrict = oracle.restrict if restricted else GenericOnly(spy).restrict
         rays = []
-        if restricted:
-            spy.restrict = lambda *a: rays.append(a) or oracle.restrict(*a)
-        else:
-            del spy.restrict
-        stats = r.EvalStats()
-        counting = r.CountingOracle(spy, stats)
-        assert hasattr(counting, "restrict") == restricted
+        spy.restrict = lambda *a: rays.append(a) or restrict(*a)
         with pytest.raises(r.BasePointMismatchError):
-            line_search(ray_objective(counting, x, v), LineSearchConfig())
-        assert stats.nf == 0 and rays == []
+            line_search(RayObjective(spy, x, v), LineSearchConfig())
+        assert rays == []
         assert spy.calls == {"value": 0, "dir_deriv": 0, "active_subgrad": 0}
 
 
@@ -829,15 +787,23 @@ def zero_step_searches(n=5, m=200, seed=3, iters=20):
     return [(oracle, row.x, row.eta, row.f) for row in res.trajectory[:-1]]
 
 
+class RayOracle:
+    """Oracle stub whose ``restrict`` hands out a given ray."""
+
+    def __init__(self, ray):
+        self.ray = ray
+
+    def restrict(self, x, v):
+        return self.ray
+
+
 def spied_search(oracle, x, v, f0, hide=()):
-    """A restricted line search on a spied ray; (result, trace, spy, nf)."""
-    stats = r.EvalStats()
+    """A line search on a spied closed-form ray; (result, trace, spy)."""
     spy = SpyRay(oracle.restrict(x, v), hide)
-    pf = RestrictedRayObjective(r.CountingOracle(oracle, stats), x, v, f0,
-                                ray=spy)
     trace = []
-    res = line_search(pf, LineSearchConfig(), trace=trace)
-    return res, trace, spy, stats.nf
+    res = line_search(RayObjective(RayOracle(spy), x, v, f0),
+                      LineSearchConfig(), trace=trace)
+    return res, trace, spy
 
 
 class TestFailChain:
@@ -889,11 +855,10 @@ class TestFailChain:
                     if spied_search(*s)[0].t == 0.0]
         assert len(searches) >= 5
         for search in searches:
-            res, trace, spy, nf = spied_search(*search)
+            res, trace, spy = spied_search(*search)
             assert spy.calls["value"] == 1 and spy.calls["values"] == 1
-            assert res.evals == nf == 21
-            ref, ref_trace, ref_spy, ref_nf = spied_search(*search,
-                                                           hide={"values"})
+            assert res.evals == 21
+            ref, ref_trace, ref_spy = spied_search(*search, hide={"values"})
             assert ref_spy.calls["value"] == 21 and ref_spy.calls["values"] == 0
             assert trace == ref_trace
             assert (res.t, res.evals, res.tau_hi_final) \
@@ -904,10 +869,10 @@ class TestFailChain:
         # unread rest of the batch is not an evaluation.
         broken = 0
         for search in zero_step_searches(iters=30):
-            res, trace, spy, nf = spied_search(*search)
-            ref, ref_trace, _, ref_nf = spied_search(*search, hide={"values"})
+            res, trace, spy = spied_search(*search)
+            ref, ref_trace, ref_spy = spied_search(*search, hide={"values"})
             assert trace == ref_trace
-            assert nf == ref_nf == res.evals == ref.evals
+            assert res.evals == ref.evals == ref_spy.calls["value"]
             assert res.t == ref.t and res.x_new.data.tobytes() \
                 == ref.x_new.data.tobytes()
             if trace[0]["branch"] == "upper" and res.t != 0.0:
@@ -921,7 +886,7 @@ class TestFailChain:
         oracle, x, v, f0 = zero_step_searches(iters=2)[0]
         gc.disable()
         try:
-            pf = RestrictedRayObjective(oracle, x, v, f0)
+            pf = RayObjective(oracle, x, v, f0)
             line_search(pf, LineSearchConfig())
             ref = weakref.ref(pf)
             del pf
@@ -935,9 +900,9 @@ class TestFailChain:
         x = oracle.manifold.random_point(np.random.default_rng(176))
         v = random_descent_direction(oracle, x, 177)
         for w in (v, -1.0 * v):
-            res, trace, spy, nf = spied_search(oracle, x, w, oracle.value(x))
-            assert spy.calls["values"] == 0 and spy.calls["value"] == nf
-            assert res.evals == nf
+            res, trace, spy = spied_search(oracle, x, w, oracle.value(x))
+            assert spy.calls["values"] == 0
+            assert spy.calls["value"] == res.evals
 
 
 class ScriptedRay:
@@ -977,18 +942,16 @@ class ScriptedRay:
 
 
 def scripted_irp(drops, modes, hide=()):
-    """irp on a restricted ray objective over a ScriptedRay; (result, trace,
-    evals, nf, spy calls)."""
-    oracle = r.generate_instance("rayleigh", 2, 3, seed=1)
-    x = oracle.manifold.point([1.0, 0.0, 0.0])
-    v = oracle.manifold.tangent(x, [0.0, 1.0, 0.0])
-    stats = r.EvalStats()
+    """irp on a ray objective over a ScriptedRay; (result, trace, evals,
+    spy calls)."""
+    S = r.Sphere(3)
+    x = S.point([1.0, 0.0, 0.0])
+    v = S.tangent(x, [0.0, 1.0, 0.0])
     spy = SpyRay(ScriptedRay(2.0, drops, modes), hide)
-    pf = RestrictedRayObjective(r.CountingOracle(oracle, stats), x, v, 2.0,
-                                ray=spy)
+    pf = RayObjective(RayOracle(spy), x, v, 2.0)
     trace = []
     out = irp(pf, LineSearchConfig(), trace=trace)
-    return out, trace, pf.evals, stats.nf, spy.calls
+    return out, trace, pf.evals, spy.calls
 
 
 _MODES = st.lists(st.sampled_from(["upper", "lower", "return"]),
@@ -1026,11 +989,11 @@ class TestChainProperties:
     @example(drops=set(), modes=["upper"] * 20)    # never breaks
     @example(drops={3, 4, 11}, modes=["upper"] * 20)
     def test_batched_walk_matches_single_values(self, drops, modes):
-        out, trace, evals, nf, calls = scripted_irp(drops, modes)
-        ref, ref_trace, ref_evals, ref_nf, ref_calls = scripted_irp(
+        out, trace, evals, calls = scripted_irp(drops, modes)
+        ref, ref_trace, ref_evals, ref_calls = scripted_irp(
             drops, modes, hide={"values"})
         assert out == ref and trace == ref_trace
-        assert evals == ref_evals == nf == ref_nf
+        assert evals == ref_evals
         # The trials on the chain (up to the first that leaves it) read the
         # batch; the first trial and any after that read single values.
         rest = [rec["branch"] for rec in trace[1:]]
@@ -1049,11 +1012,11 @@ class TestChainProperties:
         v = scale * random_descent_direction(oracle, x, seed + 1)
         f0 = oracle.value(x)
         for w in (v, -1.0 * v):  # -v gives the mirrored search
-            res, trace, spy, nf = spied_search(oracle, x, w, f0)
-            ref, ref_trace, _, ref_nf = spied_search(oracle, x, w, f0,
-                                                     hide={"values"})
+            res, trace, spy = spied_search(oracle, x, w, f0)
+            ref, ref_trace, ref_spy = spied_search(oracle, x, w, f0,
+                                                   hide={"values"})
             assert trace == ref_trace
-            assert nf == ref_nf == res.evals == ref.evals
+            assert res.evals == ref.evals == ref_spy.calls["value"]
             assert (res.t, res.irp_iters, res.tau_hi_final) \
                 == (ref.t, ref.irp_iters, ref.tau_hi_final)
             assert res.x_new.data.tobytes() == ref.x_new.data.tobytes()
@@ -1128,7 +1091,7 @@ class TestRayMemo:
             oracle = r.generate_instance(kind, n, m, seed=180 + seed)
             x = oracle.manifold.random_point(np.random.default_rng(seed))
             v = random_descent_direction(oracle, x, 185 + seed)
-            pf = RestrictedRayObjective(oracle, x, v)
+            pf = RayObjective(oracle, x, v)
             res = line_search(pf, LineSearchConfig())
             memo = pf.ray._eig if kind == "karcher" else pf.ray._memo
             assert 1 <= len(memo) <= 2 and 0.0 in memo

@@ -298,29 +298,6 @@ class TestSerialization:
                 {"kind": "rayleigh", "n": 3, "m": 5, "seed": None}))
 
 
-class TestCounting:
-    def test_counts_value_calls_only(self):
-        oracle = r.generate_instance("rayleigh", 3, 4, seed=31)
-        stats = r.EvalStats()
-        counting = r.CountingOracle(oracle, stats)
-        g = rng_for(32)
-        x = oracle.manifold.random_point(g)
-        xi = oracle.manifold.random_tangent(x, g)
-        counting.value(x)
-        counting.value(x)
-        counting.dir_deriv(x, xi)
-        counting.active_subgrad(x, xi)
-        assert stats.nf == 2
-
-
-class NoPair:
-    """Oracle proxy without ``value_and_subgrad``."""
-
-    def __init__(self, oracle):
-        self.value = oracle.value
-        self.active_subgrad = oracle.active_subgrad
-
-
 def _pair_cases():
     """(oracle, x, xi): smooth points, ties, median kinks, both directions."""
     from test_linesearch import tied_rayleigh
@@ -366,15 +343,6 @@ class TestValueAndSubgrad:
             for call in (o.active_subgrad, o.value_and_subgrad):
                 with pytest.raises(AmbiguousDirectionError):
                     call(y, zero)
-
-    def test_counting_charges_one_evaluation(self):
-        for oracle, x, xi in _pair_cases()[::4]:
-            for wrapped in (oracle, NoPair(oracle)):
-                stats = r.EvalStats()
-                f, g = r.CountingOracle(wrapped, stats).value_and_subgrad(x, xi)
-                assert stats.nf == 1
-                ref_f, ref_g = oracle.value_and_subgrad(x, xi)
-                assert f == ref_f and np.array_equal(g.data, ref_g.data)
 
 
 class TestDataValidation:

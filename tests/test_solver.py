@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,9 @@ import rcsopt as r
 from rcsopt.solver import _cos2_theta
 
 from oracles import geodesic_grid_min, grid_min_norm_alpha
+from test_linesearch import SpyRay
+
+SOLVERS = [r.conjugate_subgradient_solve, r.subgradient_descent_solve]
 
 
 def solve_small(kind, n, m, seed, **cfg_kw):
@@ -476,3 +481,115 @@ class TestPerIterationWork:
                     assert row.d is prev.eta
                     reused += 1
         assert reused >= 1
+
+
+class CallLog:
+    """Oracle proxy that forwards every attribute through ``__getattr__``, as
+    the benchmark's timing proxy does, and counts the method calls.  It
+    lacks the methods named in ``hide``.  The rays that ``restrict`` hands
+    out count their calls into ``ray_calls`` and lack the ray methods named
+    in ``hide_ray``."""
+
+    def __init__(self, oracle, hide=(), hide_ray=()):
+        self._oracle, self._hide, self._hide_ray = oracle, set(hide), hide_ray
+        self.calls, self.ray_calls = Counter(), Counter()
+
+    def __getattr__(self, name):
+        if name in self._hide:
+            raise AttributeError(name)
+        attr = getattr(self._oracle, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            out = attr(*args)
+            if name == "restrict":
+                return SpyRay(out, self._hide_ray, self.ray_calls)
+            return out
+        return counted
+
+
+class TestEntryChecks:
+    """Inputs are validated where they enter, before any evaluation."""
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    @pytest.mark.parametrize("method", ["restrict", "value_and_subgrad"])
+    def test_missing_required_method(self, solve, method):
+        oracle = r.generate_instance("rayleigh", 3, 5, seed=50)
+        log = CallLog(oracle, hide={method})
+        assert not hasattr(log, method)
+        with pytest.raises(TypeError, match=method):
+            solve(log, r.initial_point("rayleigh", 3, 50))
+        assert log.calls == {} and log.ray_calls == {}
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_forwarding_proxy_is_accepted(self, solve):
+        cfg = r.SolverConfig(max_iters=40)
+        for kind, n, m in (("rayleigh", 5, 20), ("karcher", 3, 6)):
+            oracle = r.generate_instance(kind, n, m, seed=51)
+            x0 = r.initial_point(kind, n, 51)
+            ref = solve(oracle, x0, cfg, seed=51)
+            log = CallLog(oracle)
+            res = solve(log, x0, cfg, seed=51)
+            assert (res.iters, res.nf, res.f) == (ref.iters, ref.nf, ref.f)
+            assert log.calls["value_and_subgrad"] >= 1
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    @pytest.mark.parametrize("kind,n,x0", [
+        ("rayleigh", 5, r.Sphere(8).point(np.eye(8)[0])),
+        ("karcher", 3, r.Sphere(3).point(np.eye(3)[0])),
+        ("karcher", 3, r.SPD(4).point(np.eye(4))),
+    ], ids=["rayleigh-n7-start", "karcher-sphere-start",
+            "karcher-spd4-start"])
+    def test_start_on_another_manifold(self, solve, kind, n, x0):
+        log = CallLog(r.generate_instance(kind, n, 6, seed=52))
+        with pytest.raises(ValueError) as err:
+            solve(log, x0)
+        msg = str(err.value)
+        assert str(x0.manifold.tag()) in msg
+        assert str(log.manifold.tag()) in msg
+        assert log.calls == {} and log.ray_calls == {}
+
+
+class TestEvaluationCount:
+    """nf is the sum of the evaluations where they are made."""
+
+    @pytest.mark.parametrize("kind,n,m", [("rayleigh", 5, 40),
+                                          ("median", 4, 10),
+                                          ("karcher", 3, 6)])
+    def test_conjugate_nf_is_one_plus_the_line_search_evals(self, kind, n, m):
+        oracle = r.generate_instance(kind, n, m, seed=53)
+        x0 = r.initial_point(kind, n, 53)
+        cfg = r.SolverConfig(max_iters=40)
+        res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=53)
+        searches = res.line_search_records()
+        assert len(searches) == res.ls_calls >= 1
+        assert res.nf == 1 + sum(ls.evals for ls in searches)
+        rows = res.trajectory
+        assert rows[0].nf_cum == 1 and rows[-1].nf_cum == res.nf
+        for prev, row in zip(rows, rows[1:]):
+            assert row.nf_cum == prev.nf_cum + prev.ls.evals
+        # Counted independently: one value_and_subgrad pass plus one ray
+        # value call per evaluation, with the batched values hidden.
+        log = CallLog(oracle, hide_ray={"values"})
+        ref = r.conjugate_subgradient_solve(log, x0, cfg, seed=53)
+        assert (ref.iters, ref.nf, ref.f) == (res.iters, res.nf, res.f)
+        assert log.calls["value_and_subgrad"] == 1
+        assert res.nf == 1 + log.ray_calls["value"]
+        assert log.calls["restrict"] == res.ls_calls
+        assert log.calls["value"] == log.calls["active_subgrad"] == 0
+
+    @pytest.mark.parametrize("kind,n,m", [("rayleigh", 5, 40),
+                                          ("karcher", 3, 6)])
+    def test_subgradient_nf_is_one_per_iterate(self, kind, n, m):
+        oracle = r.generate_instance(kind, n, m, seed=54)
+        log = CallLog(oracle)
+        res = r.subgradient_descent_solve(log, r.initial_point(kind, n, 54),
+                                          r.SolverConfig(max_iters=30),
+                                          seed=54)
+        assert res.iters == 30
+        assert res.nf == res.iters + 1 == log.calls["value_and_subgrad"]
+        assert [row.nf_cum for row in res.trajectory] \
+            == list(range(1, res.nf + 1))
+        assert sum(log.calls.values()) == res.nf and log.ray_calls == {}
