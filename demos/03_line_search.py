@@ -18,7 +18,8 @@ the objective mirrors itself and the search runs backward.
 import numpy as np
 
 import rcsopt as r
-from rcsopt.linesearch import LineSearchConfig, RayObjective, irp, line_search
+from rcsopt.linesearch import (LineSearchConfig, RayObjective, irp,
+                               irp_records, line_search)
 
 # --- interval reduction on a plain scalar function ---------------------------
 class Curve:
@@ -57,8 +58,10 @@ print(f"bracket [{res.tau_lo_final:.8f}, {res.tau_hi_final:.8f}], "
 print("slope at entry:", res.dplus0,
       " slopes at the final bracket:", res.dminus_at_lo, res.dplus_at_hi)
 
+# The trace is compact (a run of failed trials is one entry); irp_records
+# reads it back as one dict per trial.
 print("\nfirst bracket updates:")
-for rec in trace[:6]:
+for rec in list(irp_records(trace))[:6]:
     print(f"  i={rec['i']:2d} [{rec['tau_lo']:10.5f}, {rec['tau_hi']:10.5f}] "
           f"trial {rec['tau']:10.5f} -> {rec['branch']}")
 

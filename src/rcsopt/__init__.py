@@ -9,7 +9,8 @@ from .objectives import (AmbiguousDirectionError, GeometricMedian,
                          SpdCenterOfMass, generate_instance,
                          instance_from_json, instance_to_json)
 from .linesearch import (LineSearchConfig, LineSearchResult,
-                         LineSearchStallError, RayObjective, irp, line_search)
+                         LineSearchStallError, RayObjective, irp, irp_records,
+                         line_search)
 from .solver import (IterationRecord, SolveResult, SolverConfig,
                      SolveStalledError, combine_subgradient,
                      conjugate_subgradient_solve, descent_violations,

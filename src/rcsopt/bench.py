@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,8 +25,8 @@ from .manifolds import SPD, ManifoldPoint, Sphere
 from .objectives import KINDS, generate_instance
 from .solver import (SolveResult, SolverConfig, SolveStalledError,
                      conjugate_subgradient_solve, subgradient_descent_solve,
-                     trajectory_to_jsonl)
-from .linesearch import LineSearchConfig
+                     trajectory_lines)
+from .linesearch import LineSearchConfig, irp_records
 
 SOLVED_REL_TOL = 1e-7
 _TIME_FLOOR = 1e-9  # guards ratio computation against zero clock readings
@@ -61,6 +62,13 @@ class SuiteSpec:
             raise ValueError(f"unknown problem kind {self.kind!r}")
         if not self.sizes or self.runs < 1:
             raise EmptySuiteError("suite needs at least one size and one run")
+        for sz in self.sizes:
+            if len(sz) != 2 or not all(isinstance(d, numbers.Integral)
+                                       and d >= 1 for d in sz):
+                raise ValueError(f"suite size {list(sz)!r} is not a pair "
+                                 f"(n, m) of integers >= 1")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         if not self.solvers:
             raise EmptySuiteError("suite needs at least one solver")
         for s in self.solvers:
@@ -206,7 +214,10 @@ def _run_cell(kind: str, n: int, m: int, seed: int, solver_name: str,
     A ``ValueError`` or ``ArithmeticError`` from the solve becomes an error
     row (``final_f`` inf, no iterations).  With ``trace_dir`` set, a cell
     that finished writes ``traj_<problem>_<solver>.jsonl`` (with tangents)
-    there, plus ``irp_<problem>_<solver>.jsonl`` for the conjugate solver.
+    there, plus ``irp_<problem>_<solver>.jsonl`` for the conjugate solver
+    (one JSON object per interval-reduction trial, from ``irp_records``).
+    Both files are written line by line from the cell's rows and compact
+    line-search trace, never held as one string.
     """
     oracle = generate_instance(kind, n, m, seed)
     x0 = initial_point(kind, n, seed)
@@ -231,12 +242,19 @@ def _run_cell(kind: str, n: int, m: int, seed: int, solver_name: str,
     rec.wall_time_s = time.perf_counter() - t0
     if trace_dir is not None and rec.error is None:
         name = f"{pid}_{solver_name}.jsonl"
-        (trace_dir / f"traj_{name}").write_text(
-            trajectory_to_jsonl(result.trajectory, include_tangents=True))
+        _write_lines(trace_dir / f"traj_{name}",
+                     trajectory_lines(result.trajectory,
+                                      include_tangents=True))
         if irp_trace is not None:
-            (trace_dir / f"irp_{name}").write_text(
-                "".join(json.dumps(r) + "\n" for r in irp_trace))
+            _write_lines(trace_dir / f"irp_{name}",
+                         map(json.dumps, irp_records(irp_trace)))
     return rec
+
+
+def _write_lines(path: Path, lines) -> None:
+    """Write each line of an iterable, plus a newline, as it is produced."""
+    with path.open("w") as fh:
+        fh.writelines(line + "\n" for line in lines)
 
 
 @dataclass

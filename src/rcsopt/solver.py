@@ -194,6 +194,8 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
     for a seeded random direction (the plain gradient wherever the objective
     is smooth).  Stops when the direction norm drops to ``epsilon_stop``, after
     ``max_null_steps`` consecutive null steps, or at the iteration cap.
+    ``irp_trace``, when given, is passed to every line search as its
+    ``trace``; read it with :func:`rcsopt.linesearch.irp_records`.
     """
     _check_entry(oracle, x0)
     cfg = cfg or SolverConfig()
@@ -398,10 +400,11 @@ def orthogonality_violations(trajectory: list[IterationRecord],
 # Trajectory (de)serialization: JSON lines, one record per iteration.
 # ---------------------------------------------------------------------------
 
-def trajectory_to_jsonl(trajectory: list[IterationRecord],
-                        include_tangents: bool = False) -> str:
-    """Serialize a trajectory; tangent data makes it replayable by check()."""
-    lines = []
+def trajectory_lines(trajectory: list[IterationRecord],
+                     include_tangents: bool = False):
+    """The JSON line of each row, without its newline, one at a time, so a
+    writer can stream a trajectory; tangent data makes it replayable by
+    check()."""
     for row in trajectory:
         rec = {"k": row.k, "f": row.f, "eta_norm": row.eta_norm,
                "gtilde_norm": row.gtilde_norm, "t": row.t,
@@ -414,8 +417,13 @@ def trajectory_to_jsonl(trajectory: list[IterationRecord],
             rec["x"] = row.x.data.tolist()
             rec["eta"] = row.eta.data.tolist()
             rec["gtilde"] = row.gtilde.data.tolist()
-        lines.append(json.dumps(rec))
-    return "\n".join(lines) + "\n"
+        yield json.dumps(rec)
+
+
+def trajectory_to_jsonl(trajectory: list[IterationRecord],
+                        include_tangents: bool = False) -> str:
+    """The lines of :func:`trajectory_lines` as one JSONL string."""
+    return "\n".join(trajectory_lines(trajectory, include_tangents)) + "\n"
 
 
 def trajectory_from_jsonl(text: str) -> list[IterationRecord]:

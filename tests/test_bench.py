@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,45 @@ class TestRunSuite:
             out = run_suite(spec)
             assert len(out.records) == 4
             assert all(math.isfinite(x.final_f) for x in out.records)
+
+
+class TestTracedCellMemory:
+    """A traced cell's memory grows with its line searches, not with its
+    trials, and its trace files are streamed rather than built as one
+    string."""
+
+    CELL = ("rayleigh", 5, 200, 3, "conjugate_subgradient")
+
+    def _peak(self, trace_dir):
+        cfg = r.SolverConfig(max_iters=200)
+        tracemalloc.start()
+        try:
+            rec = bench._run_cell(*self.CELL, cfg, trace_dir)
+            return tracemalloc.get_traced_memory()[1], rec
+        finally:
+            tracemalloc.stop()
+
+    def test_traced_peak_at_most_twice_untraced(self, tmp_path):
+        self._peak(None)  # first-call allocations stay out of both figures
+        untraced, plain = self._peak(None)
+        traced, rec = self._peak(tmp_path)
+        assert rec.error is None and (rec.iters, rec.nf, rec.final_f) \
+            == (plain.iters, plain.nf, plain.final_f)
+        assert traced <= 2 * untraced, (traced, untraced)
+
+    def test_irp_file_is_the_trace_records(self, tmp_path):
+        kind, n, m, seed, _ = self.CELL
+        rec = bench._run_cell(*self.CELL, r.SolverConfig(max_iters=200),
+                              tmp_path)
+        trace = []
+        r.conjugate_subgradient_solve(
+            r.generate_instance(kind, n, m, seed),
+            r.initial_point(kind, n, seed), r.SolverConfig(max_iters=200),
+            seed=seed, irp_trace=trace)
+        path = tmp_path / f"irp_{rec.problem}_{rec.solver}.jsonl"
+        lines = path.read_text().splitlines()
+        assert lines == [json.dumps(x) for x in r.irp_records(trace)]
+        assert len(lines) > len(trace)  # runs of failures are one entry
 
 
 class TestErrorRows:

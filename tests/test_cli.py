@@ -103,6 +103,87 @@ def test_env_seed_override(tmp_path, monkeypatch):
     assert rec2[0].seed == 12345
 
 
+def _one_error_line(capsys, command):
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1, err
+    assert err.startswith(f"bench {command}: ")
+    return err
+
+
+@pytest.mark.parametrize("case", ["missing", "not_json", "no_kind",
+                                  "bad_size", "negative_seed", "bad_config"])
+def test_run_rejects_bad_suite_file(tmp_path, capsys, case):
+    suite = tmp_path / "suite.json"
+    if case == "not_json":
+        suite.write_text("{kind: rayleigh")
+    elif case == "no_kind":
+        write_suite(suite)
+        spec = json.loads(suite.read_text())
+        del spec["kind"]
+        suite.write_text(json.dumps(spec))
+    elif case == "bad_size":
+        write_suite(suite, sizes=[[3]])
+    elif case == "negative_seed":
+        write_suite(suite, base_seed=-1)
+    elif case == "bad_config":
+        write_suite(suite, solver_configs={"subgradient": {"max_iter": 5}})
+    out = tmp_path / "out"
+    assert main(["run", "--suite", str(suite), "--out", str(out)]) == 2
+    err = _one_error_line(capsys, "run")
+    assert str(suite) in err
+    assert not out.exists()
+
+
+def test_run_rejects_out_that_is_a_file(tmp_path, capsys):
+    suite = write_suite(tmp_path / "suite.json")
+    out = tmp_path / "out"
+    out.write_text("keep")
+    assert main(["run", "--suite", str(suite), "--out", str(out)]) == 2
+    assert str(out) in _one_error_line(capsys, "run")
+    assert out.read_text() == "keep"
+
+
+@pytest.mark.parametrize("seed", ["abc", "-5"])
+def test_run_rejects_bad_seed(tmp_path, capsys, monkeypatch, seed):
+    suite = write_suite(tmp_path / "suite.json")
+    out = tmp_path / "out"
+    monkeypatch.setenv("RCSOPT_SEED", seed)
+    assert main(["run", "--suite", str(suite), "--out", str(out)]) == 2
+    assert "RCSOPT_SEED" in _one_error_line(capsys, "run")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("content", [None, "not json\n", '{"k": 1}\n'])
+def test_check_rejects_unreadable_trajectory(tmp_path, capsys, content):
+    path = tmp_path / "run.jsonl"
+    if content is not None:
+        path.write_text(content)
+    assert main(["check", "--trajectory", str(path)]) == 2
+    assert str(path) in _one_error_line(capsys, "check")
+
+
+@pytest.mark.parametrize("content", [None, "not,a,records,file\n",
+                                     r.records_to_csv([])])
+def test_profile_rejects_unreadable_records(tmp_path, capsys, content):
+    path = tmp_path / "records.csv"
+    if content is not None:
+        path.write_text(content)
+    prof = tmp_path / "prof.csv"
+    assert main(["profile", "--records", str(path), "--out", str(prof)]) == 2
+    assert str(path) in _one_error_line(capsys, "profile")
+    assert not prof.exists()
+
+
+def test_bad_input_exits_2_without_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "rcsopt.cli", "run", "--suite",
+         str(tmp_path / "missing.json"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
 def test_installed_entry_point(tmp_path):
     suite = write_suite(tmp_path / "suite.json", runs=1,
                         solvers=["conjugate_subgradient"])

@@ -2,6 +2,7 @@ import gc
 import math
 import weakref
 from collections import Counter
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rcsopt as r
-from rcsopt.linesearch import (LineSearchConfig, LineSearchStallError,
-                               RayObjective, _clamped_start, _fail_chain,
-                               _next_trial, irp, line_search)
+from rcsopt.linesearch import (IRP_FIELDS, LineSearchConfig,
+                               LineSearchStallError, RayObjective,
+                               _clamped_start, _fail_chain, _next_trial, irp,
+                               irp_records, line_search)
 from rcsopt.objectives import _ACTIVE_TOL
 
 from oracles import GenericOnly
@@ -105,7 +107,7 @@ class TestIRP:
         q = 0.33
         prev = None
         upper_moved = False
-        for rec in trace:
+        for rec in irp_records(trace):
             assert rec["tau_lo"] < rec["tau_hi"]
             if prev is not None:
                 assert rec["tau_lo"] >= prev["tau_lo"]
@@ -120,9 +122,10 @@ class TestIRP:
     def test_trace_one_record_per_iteration(self):
         for target, ends in ((0.5, "return"), (1.0, "return"),
                              (7.3, "upper")):
-            trace = []
+            raw = []
             tau_star, lo, hi, approx, iters = irp(
-                quadratic_at(target), LineSearchConfig(), trace=trace)
+                quadratic_at(target), LineSearchConfig(), trace=raw)
+            trace = list(irp_records(raw))
             assert [rec["i"] for rec in trace] == list(range(1, iters + 1))
             assert trace[-1]["branch"] == ends
             assert approx == (ends != "return")
@@ -137,8 +140,9 @@ class TestIRP:
                       ScalarCurve(lambda t: abs(t - 3.1),
                                   lambda t: 1.0 if t >= 3.1 else -1.0,
                                   lambda t: 1.0 if t > 3.1 else -1.0)):
-            trace = []
-            irp(curve, LineSearchConfig(), trace=trace)
+            raw = []
+            irp(curve, LineSearchConfig(), trace=raw)
+            trace = list(irp_records(raw))
             assert any(rec["branch"] == "lower" for rec in trace)
             for prev, rec in zip([None] + trace, trace):
                 lo = 0.0 if prev is None else prev["tau_lo"]
@@ -341,9 +345,10 @@ class TestLineSearch:
 
     def test_trace_records_emitted(self):
         oracle, x, eta = rayleigh_ray(14)
-        trace = []
+        raw = []
         line_search(RayObjective(oracle, x, eta), LineSearchConfig(),
-                    trace=trace)
+                    trace=raw)
+        trace = list(irp_records(raw))
         assert trace
         assert {"i", "tau_lo", "tau", "tau_hi", "l_tau", "l_lo",
                 "branch"} <= set(trace[0])
@@ -798,12 +803,13 @@ class RayOracle:
 
 
 def spied_search(oracle, x, v, f0, hide=()):
-    """A line search on a spied closed-form ray; (result, trace, spy)."""
+    """A line search on a spied closed-form ray; (result, trace records,
+    spy)."""
     spy = SpyRay(oracle.restrict(x, v), hide)
     trace = []
     res = line_search(RayObjective(RayOracle(spy), x, v, f0),
                       LineSearchConfig(), trace=trace)
-    return res, trace, spy
+    return res, list(irp_records(trace)), spy
 
 
 class TestFailChain:
@@ -816,10 +822,11 @@ class TestFailChain:
     ], ids=[f"cfg{i}" for i in range(4)])
     def test_chain_is_the_irp_trials_when_all_fail(self, cfg, bound):
         curve = IncreasingCurve()
-        trace = []
+        raw = []
         start = _clamped_start(cfg, bound)
-        tau, lo, hi, approx, iters = irp(curve, cfg, bound, trace=trace,
+        tau, lo, hi, approx, iters = irp(curve, cfg, bound, trace=raw,
                                          start=start)
+        trace = list(irp_records(raw))
         assert (tau, lo, approx) == (0.0, 0.0, True)
         assert all(rec["branch"] == "upper" for rec in trace)
         trials = [rec["tau"] for rec in trace]
@@ -989,9 +996,11 @@ class TestChainProperties:
     @example(drops=set(), modes=["upper"] * 20)    # never breaks
     @example(drops={3, 4, 11}, modes=["upper"] * 20)
     def test_batched_walk_matches_single_values(self, drops, modes):
-        out, trace, evals, calls = scripted_irp(drops, modes)
-        ref, ref_trace, ref_evals, ref_calls = scripted_irp(
+        out, raw, evals, calls = scripted_irp(drops, modes)
+        ref, ref_raw, ref_evals, ref_calls = scripted_irp(
             drops, modes, hide={"values"})
+        trace = list(irp_records(raw))
+        ref_trace = list(irp_records(ref_raw))
         assert out == ref and trace == ref_trace
         assert evals == ref_evals
         # The trials on the chain (up to the first that leaves it) read the
@@ -1002,6 +1011,15 @@ class TestChainProperties:
         assert calls["values"] == 1 and ref_calls["values"] == 0
         assert calls["value"] == ref_calls["value"] - on_chain
         assert ref_calls["value"] == ref_evals  # l(0) is given, not read
+        # Each run of failures on the chain is one trace entry; every other
+        # trial is one entry of its own.  Unbatched, each trial is one.
+        fails = [rec["l_tau"] >= rec["l_lo"] for rec in trace[1:on_chain + 1]]
+        runs = [len(list(g)) for failed, g in groupby(fails) if failed]
+        assert len(raw) == len(trace) - sum(runs) + len(runs)
+        assert len(ref_raw) == len(ref_trace)
+        assert all(tuple(rec) == IRP_FIELDS for rec in trace)
+        if not drops:  # never breaks: the first trial, then one run of 20
+            assert (len(raw), len(trace)) == (2, 21)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 6),

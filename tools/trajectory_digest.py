@@ -66,11 +66,11 @@ def row_digest(rows) -> str:
     return h.hexdigest()
 
 
-def irp_digest(trace) -> str:
+def irp_digest(records) -> str:
     """SHA-256 over the step, value, comparison value and branch of each
-    IRP trial record."""
+    IRP trial record (the dicts of ``rcsopt.linesearch.irp_records``)."""
     h = hashlib.sha256()
-    for rec in trace:
+    for rec in records:
         for name in ("tau", "l_tau", "l_lo"):
             h.update(_scalar(rec[name]) + b";")
         h.update(rec["branch"].encode() + b";")
@@ -97,9 +97,11 @@ def digest_lines(workload: str, seed: int, max_iters: int | None = None):
             except Exception as exc:  # a failure is part of the digest
                 yield f"{key} {name} error {type(exc).__name__}: {exc}"
                 continue
+            irp_sha = "-" if trace is None \
+                else irp_digest(rcsopt.irp_records(trace))
             yield (f"{key} {name} {res.iters} {res.nf} {res.stop_reason} "
                    f"{float(res.f).hex()} {row_digest(res.trajectory)} "
-                   f"{'-' if trace is None else irp_digest(trace)}")
+                   f"{irp_sha}")
 
 
 def main(argv=None) -> int:
