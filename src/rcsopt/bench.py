@@ -126,6 +126,8 @@ def problem_id(kind: str, n: int, m: int, seed: int) -> str:
 
 def initial_point(kind: str, n: int, seed: int) -> ManifoldPoint:
     """Deterministic random start, shared by every solver on an instance."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown problem kind {kind!r}")
     rng = np.random.default_rng([seed, 1])
     if kind == "karcher":
         return SPD(n).random_point(rng)

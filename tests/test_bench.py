@@ -170,6 +170,12 @@ def tiny_spec(**kw):
     return SuiteSpec(**args)
 
 
+class TestInitialPoint:
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown problem kind 'nope'"):
+            r.initial_point("nope", 3, 1)
+
+
 class TestRunSuite:
     def test_records_shape_and_summary(self):
         out = run_suite(tiny_spec())

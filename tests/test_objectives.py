@@ -1,10 +1,14 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rcsopt as r
-from rcsopt.objectives import AmbiguousDirectionError, _median_terms
+from rcsopt.objectives import (_BLOCK_ENTRIES, AmbiguousDirectionError,
+                               _median_terms, _require_symmetric)
 
 from oracles import fd_dir_deriv, fd_riemannian_gradient
 
@@ -266,6 +270,24 @@ class TestGeneration:
         assert np.allclose(np.linalg.norm(a.points, axis=1), 1.0, atol=1e-14)
         assert np.allclose(a.weights, 1.0 / 11)
 
+    # Matrices of order 51 (n = 50) per symmetrization block.
+    PER_BLOCK = _BLOCK_ENTRIES // 51 ** 2
+
+    @pytest.mark.parametrize("m", [PER_BLOCK - 1, PER_BLOCK, PER_BLOCK + 1,
+                                   PER_BLOCK + PER_BLOCK // 2, 200])
+    def test_rayleigh_stack_is_the_out_of_place_symmetrization(self, m):
+        b = rng_for(34).standard_normal((m, 51, 51))
+        mats = r.generate_instance("rayleigh", 50, m, seed=34).mats
+        assert mats.tobytes() == (0.5 * (b + np.transpose(b, (0, 2, 1)))
+                                  ).tobytes()
+
+    @pytest.mark.parametrize("n,m", [(50, 200), (100, 200), (100, 2000)])
+    def test_median_points_are_the_whole_stack_normalization(self, n, m):
+        p = rng_for(35).standard_normal((m, n + 1))
+        p /= np.linalg.norm(p, axis=1, keepdims=True)
+        points = r.generate_instance("median", n, m, seed=35).points
+        assert points.tobytes() == p.tobytes()
+
     def test_invalid_args(self):
         with pytest.raises(ValueError):
             r.generate_instance("rayleigh", 0, 5, seed=0)
@@ -369,6 +391,108 @@ class TestDataValidation:
         build = self._poisoned(kind, bad, where)
         with pytest.raises(ValueError, match="finite"):
             build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: r.RayleighQuotientMax(1, 1, np.eye(2)[None] * (1 + 1j)),
+        lambda: r.SpdCenterOfMass(2, 1, np.eye(2)[None] * (1 + 1j)),
+        lambda: r.GeometricMedian(1, 1, np.array([[1j, 0.0]]),
+                                  np.array([1.0])),
+        lambda: r.GeometricMedian(1, 1, np.array([[1.0, 0.0]]),
+                                  np.array([1.0 + 0j])),
+    ], ids=["rayleigh", "karcher", "median-points", "median-weights"])
+    def test_complex_data_rejected(self, build):
+        with pytest.raises(ValueError, match="real, not complex"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: r.RayleighQuotientMax(3, 0, np.zeros((0, 4, 4))),
+        lambda: r.SpdCenterOfMass(3, 0, np.zeros((0, 3, 3))),
+        lambda: r.SpdCenterOfMass(0, 2, np.zeros((2, 0, 0))),
+        lambda: r.GeometricMedian(3, 0, np.zeros((0, 4)), np.zeros(0)),
+    ], ids=["rayleigh-m0", "karcher-m0", "karcher-n0", "median-m0"])
+    def test_empty_stack_rejected(self, build):
+        with pytest.raises(ValueError, match="n and m must be >= 1"):
+            build()
+
+    @pytest.mark.parametrize("kind", ["rayleigh", "karcher"])
+    def test_asymmetric_stack_rejected(self, kind):
+        mats = r.generate_instance(kind, 3, 4, seed=36).mats.copy()
+        mats[2, 0, 1] += 1e-9
+        cls = r.RayleighQuotientMax if kind == "rayleigh" else r.SpdCenterOfMass
+        with pytest.raises(ValueError, match="symmetric"):
+            cls(3, 4, mats)
+
+
+def _old_asymmetric(a):
+    """The whole-stack symmetry test the blockwise check replaces."""
+    return np.max(np.abs(a - np.transpose(a, (0, 2, 1)))) > 1e-12
+
+
+# Matrices of order 64 per check block; a stack of 2 full blocks plus a
+# partial last one.
+_K = 64
+_PER = _BLOCK_ENTRIES // _K ** 2
+_M = 2 * _PER + 3
+_BASE = np.random.default_rng(37).standard_normal((_M, _K, _K))
+_BASE = 0.5 * (_BASE + np.transpose(_BASE, (0, 2, 1)))
+_BASE[:, 0, 1] = _BASE[:, 1, 0] = 0.0  # exact perturbation sizes at (0, 1)
+
+
+class TestSymmetryCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(block=st.sampled_from([0, 1, 2]),
+           offset=st.integers(0, _PER - 1),
+           jk=st.sampled_from([(0, 1), (1, 0), (3, 60), (63, 5)]),
+           delta=st.one_of(st.floats(5e-13, 2e-12),
+                           st.sampled_from([1e-12, np.nextafter(1e-12, 1.0),
+                                            np.nextafter(1e-12, 0.0)])),
+           sign=st.sampled_from([1.0, -1.0]))
+    @example(block=2, offset=2, jk=(0, 1), delta=1e-12, sign=1.0)
+    @example(block=2, offset=2, jk=(0, 1), delta=np.nextafter(1e-12, 1.0),
+             sign=-1.0)
+    def test_accepts_exactly_when_the_whole_stack_check_does(
+            self, block, offset, jk, delta, sign):
+        # Block 0 is the first, block 2 the partial last one.
+        i = min(block * _PER + offset, _M - 1)
+        a = _BASE.copy()
+        a[(i,) + jk] += sign * delta
+        if _old_asymmetric(a):
+            with pytest.raises(ValueError, match="symmetric"):
+                _require_symmetric(a)
+        else:
+            _require_symmetric(a)
+
+    def test_symmetric_stack_accepted(self):
+        _require_symmetric(_BASE)
+        assert not _old_asymmetric(_BASE)
+
+
+class TestConstructionMemory:
+    """Building and checking a data stack allocates O(block) beyond it."""
+
+    @staticmethod
+    def _peak(build):
+        build()  # first-call allocations stay out of the figure
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_rayleigh_generation_peak(self):
+        nbytes = r.generate_instance("rayleigh", 50, 200, seed=38).mats.nbytes
+        peak = self._peak(lambda: r.generate_instance("rayleigh", 50, 200,
+                                                      seed=38))
+        assert peak <= 1.5 * nbytes, (peak, nbytes)
+
+    @pytest.mark.parametrize("kind,n,m", [("rayleigh", 50, 200),
+                                          ("karcher", 20, 1000)])
+    def test_constructor_overhead(self, kind, n, m):
+        mats = r.generate_instance(kind, n, m, seed=39).mats
+        cls = r.RayleighQuotientMax if kind == "rayleigh" else r.SpdCenterOfMass
+        peak = self._peak(lambda: cls(n, m, mats))
+        assert peak <= 0.5 * mats.nbytes, (peak, mats.nbytes)
 
 
 class TestMedianTerms:
