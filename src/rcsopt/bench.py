@@ -42,6 +42,10 @@ SOLVERS = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def solver_config_from_dict(obj: dict | None) -> SolverConfig:
     obj = dict(obj or {})
     ls = LineSearchConfig(**obj.pop("ls", {}))
@@ -60,33 +64,42 @@ class SuiteSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown problem kind {self.kind!r}")
+        for name in ("runs", "base_seed"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
+        if not isinstance(self.sizes, (list, tuple)):
+            raise ValueError(f"sizes must be a list of (n, m) pairs, got "
+                             f"{self.sizes!r}")
         if not self.sizes or self.runs < 1:
             raise EmptySuiteError("suite needs at least one size and one run")
         for sz in self.sizes:
-            if len(sz) != 2 or not all(isinstance(d, numbers.Integral)
-                                       and d >= 1 for d in sz):
-                raise ValueError(f"suite size {list(sz)!r} is not a pair "
+            if not isinstance(sz, (list, tuple)) or len(sz) != 2 \
+                    or not all(_is_int(d) and d >= 1 for d in sz):
+                raise ValueError(f"suite size {sz!r} is not a pair "
                                  f"(n, m) of integers >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
+        if not isinstance(self.solvers, (list, tuple)):
+            raise ValueError(f"solvers must be a list of solver names, got "
+                             f"{self.solvers!r}")
         if not self.solvers:
             raise EmptySuiteError("suite needs at least one solver")
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver {s!r}")
+        if not isinstance(self.solver_configs, dict) or not all(
+                isinstance(c, dict) for c in self.solver_configs.values()):
+            raise ValueError(f"solver_configs must map solver names to "
+                             f"objects, got {self.solver_configs!r}")
         object.__setattr__(self, "sizes", tuple(tuple(sz) for sz in self.sizes))
         object.__setattr__(self, "solvers", tuple(self.solvers))
 
     @staticmethod
     def from_json(text: str) -> "SuiteSpec":
-        obj = json.loads(text)
-        return SuiteSpec(
-            kind=obj["kind"], sizes=tuple(tuple(s) for s in obj["sizes"]),
-            runs=int(obj.get("runs", 10)),
-            base_seed=int(obj.get("base_seed", 0)),
-            solvers=tuple(obj.get("solvers",
-                                  ("conjugate_subgradient", "subgradient"))),
-            solver_configs=obj.get("solver_configs", {}))
+        """The spec of a JSON object with the field names; absent fields
+        take the defaults above."""
+        return SuiteSpec(**json.loads(text))
 
     def to_json(self) -> str:
         return json.dumps({
@@ -286,15 +299,13 @@ def run_suite(spec: SuiteSpec, jobs: int = 1,
             for solver_name in spec.solvers:
                 cells.append((spec.kind, n, m, seed, solver_name,
                               configs[solver_name], trace_dir))
-    if not cells:
-        raise EmptySuiteError("suite resolved to zero cells")
 
     if jobs > 1:
         # Imported here: it pulls in multiprocessing, which a serial run
         # (and a plain ``import rcsopt``) does not need.
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_run_cell_star, cells))
+            records = list(pool.map(_run_cell, *zip(*cells)))
     else:
         records = [_run_cell(*c) for c in cells]
 
@@ -303,10 +314,6 @@ def run_suite(spec: SuiteSpec, jobs: int = 1,
     summary = summarize(spec, records)
     return SuiteResult(spec=spec, records=records, profiles=profiles,
                        summary=summary, f_opt=f_opt)
-
-
-def _run_cell_star(args):
-    return _run_cell(*args)
 
 
 def summarize(spec: SuiteSpec, records: list[BenchmarkRecord]) -> list[dict]:

@@ -15,10 +15,10 @@ Subcommands:
 The environment variable ``RCSOPT_SEED`` overrides the suite's base seed.
 
 Bad input (an unreadable or malformed suite, records or trajectory file, a
-``RCSOPT_SEED`` that is not an integer >= 0, an invalid solver config, an
-``--out`` that cannot be made a directory) is reported as one line on
-stderr with exit code 2, before anything is written to ``--out``.  Errors
-inside a suite cell stay error rows of the records.
+``RCSOPT_SEED`` that is not an integer >= 0, an invalid solver config, a
+``--jobs`` below 1, an ``--out`` that cannot be made a directory) is
+reported as one line on stderr with exit code 2, before anything is written
+to ``--out``.  Errors inside a suite cell stay error rows of the records.
 """
 
 from __future__ import annotations
@@ -48,6 +48,8 @@ def _load(path: str, parse, what: str):
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise _BadInput(f"--jobs must be >= 1, got {args.jobs}")
     spec = _load(args.suite, _bench.SuiteSpec.from_json, "suite file")
     env_seed = os.environ.get("RCSOPT_SEED")
     if env_seed is not None:

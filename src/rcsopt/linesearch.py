@@ -8,8 +8,11 @@ directionally active subgradients at the final bracket endpoints.  The
 search makes no other oracle call.  :class:`RayObjective` is the one ray
 objective: it checks the direction's base point once, when built, caches
 what the ray answers, counts each value it reads as one evaluation
-(``evals``), and mirrors itself for a backward search.  The search runs on
-raw arrays, wrapped once in the :class:`LineSearchResult`.
+(``evals``), and mirrors itself for a backward search; the search asks
+its ``ray`` for the endpoint subgradients directly.  The search runs on raw
+arrays, wrapped once in the :class:`LineSearchResult`.  A null step (no
+descent either way) is the bracket [0, 0] and builds its result on the same
+path, from the cached slopes and the subgradients at x.
 
 When the first trial fails, every later trial is compared with l(0) until
 one decreases, and each failure halves the bracket, so the trials up to the
@@ -158,14 +161,6 @@ class RayObjective:
     def left_deriv(self, t: float) -> float:
         """l'_-(t) = -f'(y; -d)."""
         return self._deriv_pair(t)[1]
-
-    def subgrad_fwd(self, t: float):
-        """Data of the directionally active subgradient at R_x(tv) for +d."""
-        return self.ray.subgrad(t, True)
-
-    def subgrad_bwd(self, t: float):
-        """Data of the directionally active subgradient at R_x(tv) for -d."""
-        return self.ray.subgrad(t, False)
 
 
 @dataclass
@@ -332,8 +327,9 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     Searches forward when f decreases to the right of 0, backward when it
     decreases to the left, and otherwise reports a null step.  Subgradients
     for the direction update are selected at the final bracket endpoints and
-    transported to the accepted iterate.  ``trace``, when given, is handed
-    to :func:`irp` and receives its compact entries (a null step adds none);
+    transported to the accepted iterate; a null step is the bracket [0, 0],
+    so both come from x itself.  ``trace``, when given, is handed to
+    :func:`irp` and receives its compact entries (a null step adds none);
     :func:`irp_records` reads them back as dicts.
     """
     x = pf.x
@@ -350,42 +346,35 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
         sign, l = 1, pf
     elif dminus0 > 0.0:
         # Search phi(-tau); its right derivative at 0 is -dminus0 < 0.
-        sign = -1
-        l = pf.reversed()
+        sign, l = -1, pf.reversed()
     else:
-        return LineSearchResult(
-            t=0.0, phi_at_t=phi0, phi0=phi0, x_new=x,
-            g_plus=_adopt(TangentVector, x, pf.subgrad_fwd(0.0)),
-            g_minus=_adopt(TangentVector, x, pf.subgrad_bwd(0.0)), sign=0,
-            tau_lo_final=0.0, tau_hi_final=0.0, tau_hi_start=start[1],
-            approximate=False, null=True, dplus0=dplus0, dminus0=dminus0,
-            dminus_at_lo=dminus0, dplus_at_hi=dplus0,
-            irp_iters=0, evals=pf.evals)
-
-    tau_star, tau_lo, tau_hi, approx, iters = irp(l, cfg, inj_bound, trace,
-                                                  start)
+        sign, l = 0, pf
+    tau_star = tau_lo = tau_hi = 0.0
+    approx, iters = False, 0
+    if sign:
+        tau_star, tau_lo, tau_hi, approx, iters = irp(l, cfg, inj_bound,
+                                                      trace, start)
 
     x_new = l.point_at(tau_star)
     # Endpoint-selected subgradients.  Slopes first: on the SPD ray the
-    # subgradient then reuses the slopes' eigendecomposition.
+    # subgradient then reuses the slopes' eigendecomposition.  At a null
+    # step the slopes are the cached ones at 0, and ``_carry`` returns the
+    # subgradients of x unmoved.
     dplus_at_hi = l.right_deriv(tau_hi)
-    g_fwd = l.subgrad_fwd(tau_hi)
+    g_fwd = l.ray.subgrad(tau_hi, True)
     dminus_at_lo = l.left_deriv(tau_lo)
-    g_bwd = l.subgrad_bwd(tau_lo)
+    g_bwd = l.ray.subgrad(tau_lo, False)
     carry = x.manifold._carry
     g_fwd = carry(l.point_at(tau_hi).data, x_new.data, g_fwd)
     g_bwd = carry(l.point_at(tau_lo).data, x_new.data, g_bwd)
-    if sign > 0:
-        g_plus, g_minus = g_fwd, g_bwd
-    else:
-        # Mirrored search: forward in l-space is backward along eta.
-        g_plus, g_minus = g_bwd, g_fwd
+    # A mirrored search's forward in l-space is backward along eta.
+    g_plus, g_minus = (g_bwd, g_fwd) if sign < 0 else (g_fwd, g_bwd)
 
     return LineSearchResult(
         t=sign * tau_star, phi_at_t=l.value(tau_star), phi0=phi0, x_new=x_new,
         g_plus=_adopt(TangentVector, x_new, g_plus),
         g_minus=_adopt(TangentVector, x_new, g_minus), sign=sign,
         tau_lo_final=tau_lo, tau_hi_final=tau_hi, tau_hi_start=start[1],
-        approximate=approx, null=False, dplus0=dplus0, dminus0=dminus0,
+        approximate=approx, null=sign == 0, dplus0=dplus0, dminus0=dminus0,
         dminus_at_lo=dminus_at_lo, dplus_at_hi=dplus_at_hi,
         irp_iters=iters, evals=pf.evals + (l.evals if l is not pf else 0))

@@ -112,6 +112,13 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
+def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Q D Q^T with random orthogonal Q and eigenvalues D in [0.1, 10]."""
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    q = q * np.sign(np.diag(r))
+    return _sym((q * rng.uniform(0.1, 10.0, size=n)) @ q.T)
+
+
 def _eigh_fun(a: np.ndarray, fun) -> np.ndarray:
     """Apply a scalar function to a symmetric matrix via eigendecomposition."""
     w, v = np.linalg.eigh(_sym(a))
@@ -337,12 +344,7 @@ class SPD(Manifold):
         return float(np.linalg.norm(_spd_log_eigvals(ev)))
 
     def random_point(self, rng):
-        # Q D Q^T with random orthogonal Q and eigenvalues in [0.1, 10].
-        g = rng.standard_normal((self.order, self.order))
-        q, r = np.linalg.qr(g)
-        q = q * np.sign(np.diag(r))
-        d = rng.uniform(0.1, 10.0, size=self.order)
-        return ManifoldPoint(self, _sym((q * d) @ q.T))
+        return ManifoldPoint(self, _random_spd(rng, self.order))
 
 
 def _require_base(x: ManifoldPoint, xi: TangentVector, what: str) -> None:

@@ -69,7 +69,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .manifolds import (SPD, ManifoldPoint, Sphere, TangentVector, _adopt,
-                        _sqrt_pair, _spd_log_eigvals, _sym, inner)
+                        _random_spd, _sqrt_pair, _spd_log_eigvals, _sym,
+                        inner)
 
 # Active-set tolerance for the Rayleigh max (exact float ties never happen).
 _ACTIVE_TOL = 1e-10
@@ -344,6 +345,12 @@ class MedianRay(_QfRay):
         return self._flipped(pv=-self.pv)
 
 
+def _karcher_value(stack: np.ndarray) -> float:
+    """1/2 sum_i ||log eig(M_i)||^2 over a stack of SPD matrices M_i."""
+    return 0.5 * float(np.sum(_spd_log_eigvals(np.linalg.eigvalsh(stack))
+                              ** 2))
+
+
 def _logm_sum(logs: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """sum_i U_i diag(log mu_i) U_i^T from a batched eigendecomposition."""
     return np.einsum("kij,kj,klj->il", vec, logs, vec)
@@ -379,8 +386,7 @@ class KarcherRay:
         return _spd_log_eigvals(ev), vec
 
     def value(self, t: float) -> float:
-        ev = np.linalg.eigvalsh(self._scaled(t))
-        return 0.5 * float(np.sum(_spd_log_eigvals(ev) ** 2))
+        return _karcher_value(self._scaled(t))
 
     def slopes(self, t: float) -> tuple[float, float]:
         # mu'/mu = -u^T Lam u for each eigenpair (mu, u) of E B_i E; the
@@ -592,26 +598,21 @@ class SpdCenterOfMass:
         return rt, 0.5 * (m + np.transpose(m, (0, 2, 1)))
 
     @staticmethod
-    def _value_of(m: np.ndarray) -> float:
-        ev = np.linalg.eigvalsh(m)
-        return 0.5 * float(np.sum(_spd_log_eigvals(ev) ** 2))
-
-    @staticmethod
     def _gradient_of(rt: np.ndarray, m: np.ndarray) -> np.ndarray:
         # grad f(X) = -sum_i X^(1/2) logm(X^(-1/2) A_i X^(-1/2)) X^(1/2)
         ev, vec = np.linalg.eigh(m)
         return _sym(-rt @ _logm_sum(_spd_log_eigvals(ev), vec) @ rt)
 
     def value(self, x: ManifoldPoint) -> float:
-        return self._value_of(self._whitened(x.data)[1])
+        return _karcher_value(self._whitened(x.data)[1])
 
     def value_and_subgrad(self, x: ManifoldPoint, xi: TangentVector
                           ) -> tuple[float, TangentVector]:
         # eigvalsh for the value and eigh for the gradient, as value and
         # active_subgrad compute them, so the bits are theirs.
         rt, m = self._whitened(x.data)
-        return self._value_of(m), _adopt(TangentVector, x,
-                                         self._gradient_of(rt, m))
+        return _karcher_value(m), _adopt(TangentVector, x,
+                                      self._gradient_of(rt, m))
 
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> KarcherRay:
         rt, irt = _sqrt_pair(x.data)
@@ -657,10 +658,7 @@ def generate_instance(kind: str, n: int, m: int, seed: int) -> Oracle:
     if kind == "karcher":
         mats = np.empty((m, n, n))
         for i in range(m):
-            q, r = np.linalg.qr(rng.standard_normal((n, n)))
-            q = q * np.sign(np.diag(r))
-            d = rng.uniform(0.1, 10.0, size=n)
-            mats[i] = _sym((q * d) @ q.T)
+            mats[i] = _random_spd(rng, n)
         return SpdCenterOfMass(n, m, mats, seed=seed)
     raise ValueError(f"unknown problem kind {kind!r}")
 

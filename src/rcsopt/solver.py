@@ -11,12 +11,15 @@ Trajectories record enough per-iteration state (points, directions, chosen
 subgradients and the scalar diagnostics) to replay the direction recursion and
 check its algebraic identities after the fact; see the ``*_residual`` helpers.
 
-Both solvers check their inputs once, at entry and before any evaluation:
-the oracle must offer ``value_and_subgrad`` and ``restrict`` (TypeError), and
-``x0`` must be a point of the oracle's manifold (ValueError).  The solve
-loops then run on raw arrays with the manifold's unchecked methods; only the
-trajectory rows hold points and tangent vectors.  :func:`direction_update`
-and :func:`_cos2_theta` wrap the loop's raw cores.
+Both solvers share one entry prologue (:func:`_start`), which checks the
+inputs once, before any evaluation: the oracle must offer
+``value_and_subgrad`` and ``restrict`` (TypeError), and ``x0`` must be a
+point of the oracle's manifold (ValueError).  The solve loops then run on
+raw arrays with the manifold's unchecked methods; only the trajectory rows
+hold points and tangent vectors.  :func:`direction_update` is the loop's
+own raw-array update, not a wrapper around it.  A row does not keep the
+transported direction d: it is ``transport_between(prev.x, row.x,
+prev.eta)``, bit for bit.
 
 The evaluation count ``nf`` is summed where the evaluations happen: one for
 the ``value_and_subgrad`` pass at x0 that gives the value and the first
@@ -87,7 +90,6 @@ class IterationRecord:
     null: bool = False
     ls: LineSearchResult | None = None
     # Direction-update diagnostics that produced this row (None for k = 1).
-    d: TangentVector | None = None
     lam: float | None = None
     alpha: float | None = None
     cos2_theta: float | None = None
@@ -128,42 +130,27 @@ def combine_subgradient(g_plus: TangentVector, g_minus: TangentVector,
     return lam * g_minus + (1.0 - lam) * g_plus
 
 
-def direction_update(gtilde: TangentVector,
-                     d: TangentVector) -> tuple[TangentVector, float]:
-    """Minimum-norm convex combination of -gtilde and the transported d.
+def direction_update(g: np.ndarray, d: np.ndarray, ng2: float,
+                     nd2: float) -> tuple[np.ndarray, float]:
+    """Minimum-norm convex combination of -g and the transported d.
 
-    Returns (eta_new, alpha) with alpha = ||d||^2 / (||gtilde||^2 + ||d||^2)
-    and eta_new = -alpha * gtilde + (1 - alpha) * d.  A zero eta_new signals
-    Clarke stationarity.
+    ``g`` and ``d`` are the data of tangent vectors at one point, with
+    ng2 = <g, g> and nd2 = <d, d>.  Returns (eta_new, alpha) with
+    alpha = ||d||^2 / (||g||^2 + ||d||^2) and
+    eta_new = -alpha * g + (1 - alpha) * d.  A zero eta_new signals Clarke
+    stationarity.
     """
-    gtilde._check_same_base(d)
-    x = gtilde.base
-    ip, xd, g, dd = x.manifold._inner, x.data, gtilde.data, d.data
-    eta, alpha = _direction(xd, g, dd, ip(xd, g, g), ip(xd, dd, dd))
-    return _adopt(TangentVector, x, eta), alpha
-
-
-def _cos2_theta(gtilde: TangentVector, d: TangentVector) -> float:
-    """cos^2 of the angle between d and gtilde + d (equals alpha when g _|_ d)."""
-    gtilde._check_same_base(d)
-    x = gtilde.base
-    ip, xd, g, dd = x.manifold._inner, x.data, gtilde.data, d.data
-    return _cos2(ip, xd, g, dd, ip(xd, g, g), ip(xd, dd, dd))
-
-
-def _direction(x, g, d, ng2: float, nd2: float) -> tuple[np.ndarray, float]:
-    """Raw core of :func:`direction_update`, given ng2 = <g, g> and
-    nd2 = <d, d>."""
     tot = ng2 + nd2
     if tot == 0.0:
-        return np.zeros_like(x), 0.0
+        return np.zeros_like(g), 0.0
     alpha = nd2 / tot
     return (-alpha) * g + (1.0 - alpha) * d, float(alpha)
 
 
 def _cos2(ip, x, g, d, ng2: float, nd2: float) -> float:
-    """Raw core of :func:`_cos2_theta`; ``ip`` is ``Manifold._inner``, and
-    ng2, nd2 are as for :func:`_direction`."""
+    """cos^2 of the angle between d and g + d (equals alpha when g _|_ d);
+    ``ip`` is ``Manifold._inner``, and ng2, nd2 are as for
+    :func:`direction_update`."""
     s = g + d
     ns2 = ip(x, s, s)
     if ns2 <= 0.0 or nd2 <= 0.0:
@@ -171,9 +158,13 @@ def _cos2(ip, x, g, d, ng2: float, nd2: float) -> float:
     return float(ip(x, d, s) ** 2 / (nd2 * ns2))
 
 
-def _check_entry(oracle, x0: ManifoldPoint) -> None:
-    """TypeError unless the oracle has the required methods; ValueError
-    unless x0 is a point of its manifold and that is the oracle's."""
+def _start(oracle, x0: ManifoldPoint, cfg: SolverConfig | None, seed: int):
+    """Entry prologue of both solvers: (cfg, rng, clock start, f(x0), g),
+    with g the subgradient at x0 for a seeded random direction.
+
+    TypeError unless the oracle has the required methods; ValueError unless
+    x0 is a point of its manifold and that is the oracle's.
+    """
     for meth in _REQUIRED_METHODS:
         if not callable(getattr(oracle, meth, None)):
             raise TypeError(f"oracle has no {meth} method; the solvers "
@@ -182,6 +173,10 @@ def _check_entry(oracle, x0: ManifoldPoint) -> None:
     if x0.manifold != oracle.manifold:
         raise ValueError(f"x0 lies on {x0.manifold.tag()}, the oracle on "
                          f"{oracle.manifold.tag()}")
+    rng = np.random.default_rng(seed)
+    start = time.perf_counter()
+    f, g = oracle.value_and_subgrad(x0, x0.manifold.random_tangent(x0, rng))
+    return cfg or SolverConfig(), rng, start, f, g
 
 
 def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
@@ -197,14 +192,9 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
     ``irp_trace``, when given, is passed to every line search as its
     ``trace``; read it with :func:`rcsopt.linesearch.irp_records`.
     """
-    _check_entry(oracle, x0)
-    cfg = cfg or SolverConfig()
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-
+    cfg, _, start, f, g1 = _start(oracle, x0, cfg, seed)
     M = x0.manifold
     x = x0
-    f, g1 = oracle.value_and_subgrad(x, M.random_tangent(x, rng))
     nf = 1
     eta1 = -g1
     rows = [IterationRecord(k=1, x=x, f=f, eta=eta1, gtilde=g1,
@@ -258,18 +248,14 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         if nd2 > 0.0:
             gtilde = gtilde - (ortho_raw / nd2) * d
         ng2 = ip(xd, gtilde, gtilde)
-        eta, alpha = _direction(xd, gtilde, d, ng2, nd2)
+        eta, alpha = direction_update(gtilde, d, ng2, nd2)
 
-        # After a zero step d is the previous row's eta array itself, and
-        # that row's vector already has this base point.
-        same = d is prev.eta.data and x_new is x
         x, f = x_new, f_new
         rows.append(IterationRecord(
             k=k + 1, x=x, f=f, eta=_adopt(TangentVector, x, eta),
             gtilde=_adopt(TangentVector, x, gtilde),
             eta_norm=M._norm(xd, eta), gtilde_norm=math.sqrt(max(ng2, 0.0)),
             nf_cum=nf, time_cum_s=time.perf_counter() - start,
-            d=prev.eta if same else _adopt(TangentVector, x, d),
             lam=lam, alpha=alpha,
             cos2_theta=_cos2(ip, xd, gtilde, d, ng2, nd2), ortho=ortho_raw))
 
@@ -294,14 +280,9 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
     Comparison baseline with the same trajectory schema as the conjugate
     solver; it carries no descent guarantee.
     """
-    _check_entry(oracle, x0)
-    cfg = cfg or SolverConfig()
-    rng = np.random.default_rng(seed)
-    start = time.perf_counter()
-
+    cfg, rng, start, f, g = _start(oracle, x0, cfg, seed)
     M = x0.manifold
     x = x0
-    f, g = oracle.value_and_subgrad(x, M.random_tangent(x, rng))
     ng = M._norm(x.data, g.data)
     c = 1.0 / (1.0 + ng)
     rows = [IterationRecord(k=1, x=x, f=f, eta=-g, gtilde=g,

@@ -110,11 +110,24 @@ def _one_error_line(capsys, command):
     return err
 
 
+# Suite fields of the wrong JSON type: each is bad input, not a traceback,
+# and a number is never truncated to an integer.
+BAD_FIELDS = {"runs_float": {"runs": 1.7}, "runs_bool": {"runs": True},
+              "seed_float": {"base_seed": 2.9}, "sizes_int": {"sizes": 5},
+              "solvers_string": {"solvers": "subgradient"},
+              "configs_int": {"solver_configs": 5},
+              "configs_null": {"solver_configs": None},
+              "config_not_object": {"solver_configs": {"subgradient": 5}}}
+
+
 @pytest.mark.parametrize("case", ["missing", "not_json", "no_kind",
-                                  "bad_size", "negative_seed", "bad_config"])
+                                  "bad_size", "negative_seed", "bad_config",
+                                  "unknown_field", *BAD_FIELDS])
 def test_run_rejects_bad_suite_file(tmp_path, capsys, case):
     suite = tmp_path / "suite.json"
-    if case == "not_json":
+    if case in BAD_FIELDS:
+        write_suite(suite, **BAD_FIELDS[case])
+    elif case == "not_json":
         suite.write_text("{kind: rayleigh")
     elif case == "no_kind":
         write_suite(suite)
@@ -127,10 +140,24 @@ def test_run_rejects_bad_suite_file(tmp_path, capsys, case):
         write_suite(suite, base_seed=-1)
     elif case == "bad_config":
         write_suite(suite, solver_configs={"subgradient": {"max_iter": 5}})
+    elif case == "unknown_field":
+        write_suite(suite, run=3)  # a misspelt field is not ignored
     out = tmp_path / "out"
     assert main(["run", "--suite", str(suite), "--out", str(out)]) == 2
     err = _one_error_line(capsys, "run")
     assert str(suite) in err
+    if case in BAD_FIELDS:
+        assert f"{next(iter(BAD_FIELDS[case]))} must" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_run_rejects_jobs_below_one(tmp_path, capsys, jobs):
+    suite = write_suite(tmp_path / "suite.json")
+    out = tmp_path / "out"
+    assert main(["run", "--suite", str(suite), "--out", str(out),
+                 "--jobs", jobs]) == 2
+    assert "--jobs" in _one_error_line(capsys, "run")
     assert not out.exists()
 
 

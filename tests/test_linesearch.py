@@ -494,8 +494,13 @@ class TestRaySubgrad:
         x = oracle.manifold.random_point(np.random.default_rng(143))
         v = random_descent_direction(oracle, x, 144)
         pf = RayObjective(oracle, x, v)
-        pf.subgrad_fwd(0.5), pf.subgrad_bwd(2.0)
+        pf.ray.subgrad(0.5, True), pf.ray.subgrad(2.0, False)
         assert pf.evals == 0
+        # The search reads its endpoint subgradients from the ray too: only
+        # the values it read are evaluations.
+        res = line_search(pf, LineSearchConfig())
+        assert res.sign == 1
+        assert res.evals == pf.evals == len(pf._values)
 
     @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
     def test_no_oracle_calls(self, kind):

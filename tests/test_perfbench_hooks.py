@@ -38,4 +38,6 @@ def test_hooks_install_on_the_package_and_leave_the_solve_unchanged():
     totals = spans.span_totals(tracer)
     assert totals["solver.solve"][0] == 1
     assert totals["linesearch.line_search"][0] == traced.ls_calls >= 1
+    # The loop calls the hooked name, once per iteration.
+    assert totals["solver.direction_update"][0] == traced.iters == 25
     assert r.solver.line_search is original  # unhooked after the block

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import rcsopt as r
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "trajectory_digest.py"
 
@@ -52,3 +54,31 @@ def test_irp_digest_covers_each_trial_value():
         moved = [dict(rec) for rec in trace]
         moved[1][name] = value
         assert tool.irp_digest(moved) != base, name
+
+
+def test_rows_digest_the_loop_transported_direction(monkeypatch):
+    # Rows keep no d; the tool derives it, and what it hashes is the d the
+    # solve loop handed to direction_update, bit for bit, with nothing (-)
+    # for row 1 and for subgradient rows.
+    tool = _tool()
+    calls = []
+    core = r.solver.direction_update
+
+    def recorded(g, d, ng2, nd2):
+        calls.append(d)
+        return core(g, d, ng2, nd2)
+
+    monkeypatch.setattr(r.solver, "direction_update", recorded)
+    oracle = r.generate_instance("rayleigh", 5, 20, seed=3)
+    x0 = r.initial_point("rayleigh", 5, 3)
+    cfg = r.SolverConfig(max_iters=30)
+    rows = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=3).trajectory
+    assert len(calls) == len(rows) - 1 >= 1
+    assert tool.row_arrays(None, rows[0])[3] is None
+    for d, prev, row in zip(calls, rows, rows[1:]):
+        x, eta, gtilde, got = tool.row_arrays(prev, row)
+        assert (x, eta, gtilde) == (row.x, row.eta, row.gtilde)
+        assert got.data.tobytes() == d.tobytes()
+    sg = r.subgradient_descent_solve(oracle, x0, cfg, seed=3).trajectory
+    assert all(tool.row_arrays(prev, row)[3] is None
+               for prev, row in zip(sg, sg[1:]))

@@ -13,12 +13,16 @@ the workload's iteration cap, and one line is printed per solve:
 
 The row hash covers every trajectory row's scalars (as float hex) and the
 bytes of its point, direction, combined subgradient and transported
-direction.  The IRP hash covers every interval-reduction trial of a
-conjugate subgradient solve: its step, value and comparison value (as float
-hex) and its branch; a subgradient solve makes no line search and prints
-``-`` there.  A trial value can change without moving an iterate, so the
-second hash is what pins the line search's values.  Diffing the output of
-two trees is a bit-identity check of their iterates and trial values.
+direction.  Rows do not keep the transported direction d; it is derived as
+``transport_between(prev.x, row.x, prev.eta)``, which is the solve loop's d
+bit for bit, and hashed as ``-`` for row 1 and for subgradient rows (no
+line search ran from the previous row).  The IRP hash covers every
+interval-reduction trial of a conjugate subgradient solve: its step, value
+and comparison value (as float hex) and its branch; a subgradient solve
+makes no line search and prints ``-`` there.  A trial value can change
+without moving an iterate, so the second hash is what pins the line
+search's values.  Diffing the output of two trees is a bit-identity check
+of their iterates and trial values.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ def _load_perfbench():
 
 _SCALARS = ("k", "f", "eta_norm", "gtilde_norm", "nf_cum", "t", "null",
             "lam", "alpha", "cos2_theta", "ortho")
-_ARRAYS = ("x", "eta", "gtilde", "d")
 
 
 def _scalar(v) -> bytes:
@@ -53,16 +56,30 @@ def _scalar(v) -> bytes:
     return float(v).hex().encode()
 
 
+def row_arrays(prev, row):
+    """The hashed arrays of ``row``: point, direction, combined subgradient
+    and the transported direction d (None unless a line search ran from
+    ``prev``, the row before)."""
+    d = None
+    if prev is not None and prev.ls is not None:
+        # Imported here: the package is the one perfbench's loader put on
+        # the path, so it is this checkout's.
+        from rcsopt import transport_between
+        d = transport_between(prev.x, row.x, prev.eta)
+    return row.x, row.eta, row.gtilde, d
+
+
 def row_digest(rows) -> str:
     """SHA-256 over the scalars and tangent bytes of trajectory rows."""
     h = hashlib.sha256()
+    prev = None
     for row in rows:
         for name in _SCALARS:
             h.update(_scalar(getattr(row, name)) + b";")
-        for name in _ARRAYS:
-            obj = getattr(row, name)
+        for obj in row_arrays(prev, row):
             h.update(b"-" if obj is None else obj.data.tobytes())
             h.update(b";")
+        prev = row
     return h.hexdigest()
 
 
