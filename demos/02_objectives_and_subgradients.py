@@ -20,9 +20,11 @@ xi = oracle.manifold.random_tangent(x, rng)
 print("rayleigh value:", oracle.value(x))
 print("directional derivative:", oracle.dir_deriv(x, xi))
 
+# f'(x; xi) is <g, xi> for that g; the line search reads the same slope in
+# closed form from the objective restricted to the ray t -> R_x(t xi).
 g = oracle.active_subgrad(x, xi)
-print("defining property <g, xi> - f'(x; xi):",
-      r.inner(g, xi) - oracle.dir_deriv(x, xi))
+print("defining property <g, xi> - ray slope at t = 0:",
+      r.inner(g, xi) - oracle.restrict(x, xi).slopes(0.0)[0])
 
 # Compare against a one-sided finite difference along the retraction ray.
 t = 1e-6

@@ -289,8 +289,11 @@ def run_suite(spec: SuiteSpec, jobs: int = 1,
     reruns reproduce iterates and values bit for bit; wall times differ.
     With ``trace_dir`` (an existing directory) each cell writes its trace
     files there as it finishes; see ``_run_cell``.  Solver configs are
-    checked before the first cell runs.
+    checked before the first cell runs, and so is ``jobs`` (``ValueError``
+    below 1).
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     configs = _suite_configs(spec)
     cells = []
     for si, (n, m) in enumerate(spec.sizes):

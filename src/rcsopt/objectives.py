@@ -1,4 +1,4 @@
-"""Benchmark objectives: value, directional derivative, active subgradients.
+"""Benchmark objectives: values, active subgradients, restrictions to rays.
 
 Three families:
 
@@ -6,15 +6,20 @@ Three families:
 * geometric median on the sphere,            f(x) = sum_i w_i arccos(x_i^T x)
 * center of mass of SPD matrices,            f(X) = 1/2 sum_i ||logm(X^-1/2 A_i X^-1/2)||_F^2
 
-Each oracle has a ``manifold`` and exposes ``value``, ``dir_deriv`` and
-``active_subgrad``; the last returns a Clarke subgradient g with
-<g, xi> = f'(x; xi), which is what the direction update consumes.  The
-solvers require two more methods, and check for them once at entry:
+Each oracle has a ``manifold`` and offers ``value``, ``value_and_subgrad``
+and ``restrict``; the solvers check for the last two once at entry.
 
-``value_and_subgrad(x, xi)`` returns ``(value(x), active_subgrad(x, xi))``
-bit for bit from one pass over the data (the Rayleigh components, the median
-cosines, the whitened Karcher stack); the solvers ask it at x0 and the
-subgradient baseline at every iterate, one evaluation (``nf``) each.
+``value_and_subgrad(x, xi)`` returns ``value(x)`` bit for bit and the
+directionally active Clarke subgradient g, with <g, xi> = f'(x; xi), which
+is what the direction update consumes.  It makes one pass over the data
+(the Rayleigh components, the median cosines, the whitened Karcher stack);
+the solvers ask it at x0 and the subgradient baseline at every iterate, one
+evaluation (``nf``) each.
+
+``active_subgrad(x, xi)`` (that g) and ``dir_deriv(x, xi)`` (<g, xi>) are
+derived from it once, for all three families.  No solver calls them; they
+stay as the one-point queries of the demos and tests, and because the
+benchmark's timing proxy reports the calls to them by name.
 
 Oracles are immutable.  Their constructors raise ``ValueError`` on n < 1 or
 m < 1 (so no stack is empty), complex data, a wrong shape, non-finite data,
@@ -406,8 +411,24 @@ class KarcherRay:
         return replace(self, lam=-self.lam)  # with an empty eigh cache
 
 
+class _DerivedQueries:
+    """``active_subgrad`` and ``dir_deriv`` for every oracle, derived from its
+    ``value_and_subgrad`` (see the module docstring for why they stay)."""
+
+    def active_subgrad(self, x: ManifoldPoint, xi: TangentVector
+                       ) -> TangentVector:
+        """The directionally active subgradient g: <g, xi> = f'(x; xi)."""
+        return self.value_and_subgrad(x, xi)[1]
+
+    def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
+        """The one-sided directional derivative f'(x; xi) = <g, xi>; like
+        ``active_subgrad`` it raises :class:`AmbiguousDirectionError` for
+        xi = 0 at a kink."""
+        return inner(self.active_subgrad(x, xi), xi)
+
+
 @dataclass(frozen=True)
-class RayleighQuotientMax:
+class RayleighQuotientMax(_DerivedQueries):
     """max_i 1/2 x^T A_i x over the unit sphere S^n (A_i symmetric)."""
 
     n: int
@@ -438,34 +459,6 @@ class RayleighQuotientMax:
         _, vals = self._components(x.data)
         return float(vals.max())
 
-    def _active(self, x: np.ndarray):
-        """(indices, Riemannian gradients) of the active components at x."""
-        prods, vals = self._components(x)
-        idx = _active_index(vals, vals.max())
-        return idx, self._grads(x, prods, vals, idx)
-
-    @staticmethod
-    def _grads(x: np.ndarray, prods: np.ndarray, vals: np.ndarray, idx):
-        # Riemannian gradients of the components idx: A_i x - (x^T A_i x) x.
-        return prods[idx] - (2.0 * vals[idx])[:, None] * x
-
-    def _select(self, x: ManifoldPoint, xi: TangentVector, prods, vals,
-                fmax) -> TangentVector:
-        """The active subgradient from the components and their max."""
-        idx = _active_index(vals, fmax)
-        if len(idx) == 1:
-            # The one row of _grads, by the same operations.
-            i = idx[0]
-            return _adopt(TangentVector, x,
-                          prods[i] - (2.0 * vals[i]) * x.data)
-        grads = self._grads(x.data, prods, vals, idx)
-        if float(np.linalg.norm(xi.data)) == 0.0:
-            raise AmbiguousDirectionError(
-                "zero direction at a point with several active components")
-        slopes = grads @ xi.data
-        best = int(np.argmax(slopes))  # argmax returns the smallest tied index
-        return _adopt(TangentVector, x, grads[best])
-
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> RayleighRay:
         # The (n+1, 2) matrix [x v], laid out as np.stack would make it.
         xv = np.empty((x.data.size, 2))
@@ -477,23 +470,28 @@ class RayleighQuotientMax:
                            a_half=0.5 * (ax @ x.data), b=ax @ v.data, c=c,
                            c_half=0.5 * c)
 
-    def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
-        _, grads = self._active(x.data)
-        return float(np.max(grads @ xi.data))
-
-    def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
-        prods, vals = self._components(x.data)
-        return self._select(x, xi, prods, vals, vals.max())
-
     def value_and_subgrad(self, x: ManifoldPoint, xi: TangentVector
                           ) -> tuple[float, TangentVector]:
         prods, vals = self._components(x.data)
         fmax = vals.max()
-        return float(fmax), self._select(x, xi, prods, vals, fmax)
+        idx = _active_index(vals, fmax)
+        if len(idx) == 1:
+            # The one row of the tied path below, by the same operations.
+            grad = prods[idx[0]] - (2.0 * vals[idx[0]]) * x.data
+        else:
+            # Riemannian gradients of the active components,
+            # A_i x - (x^T A_i x) x.
+            grads = prods[idx] - (2.0 * vals[idx])[:, None] * x.data
+            if float(np.linalg.norm(xi.data)) == 0.0:
+                raise AmbiguousDirectionError(
+                    "zero direction at a point with several active components")
+            # argmax returns the smallest tied index.
+            grad = grads[int(np.argmax(grads @ xi.data))]
+        return float(fmax), _adopt(TangentVector, x, grad)
 
 
 @dataclass(frozen=True)
-class GeometricMedian:
+class GeometricMedian(_DerivedQueries):
     """sum_i w_i arccos(x_i^T x) over S^n; nonsmooth at the data points."""
 
     n: int
@@ -527,47 +525,31 @@ class GeometricMedian:
     def value(self, x: ManifoldPoint) -> float:
         return float(self.weights @ np.arccos(self._cosines(x.data)))
 
-    def _split(self, x: np.ndarray, u: np.ndarray):
-        """Regular-term gradient sum plus signed weights of singular terms,
-        from the cosines u."""
-        reg, coef, sing_weight, has_sing = _median_terms(u, self.weights)
-        grad = np.zeros_like(x)
-        if coef.size:
-            tang = self.points[reg] - u[reg, None] * x
-            grad = -(coef @ tang)
-        return grad, sing_weight, has_sing
-
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> MedianRay:
         px, pv = np.stack([x.data, v.data]) @ self.points.T  # (2, m)
         return MedianRay(**_qf_fields(x.data, v.data), points=self.points,
                          px=px, pv=pv, weights=self.weights)
 
-    def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
-        grad, sw, _ = self._split(x.data, self._cosines(x.data))
-        return float(grad @ xi.data + sw * np.linalg.norm(xi.data))
-
-    def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
-        return self._select(x, xi, self._cosines(x.data))
-
     def value_and_subgrad(self, x: ManifoldPoint, xi: TangentVector
                           ) -> tuple[float, TangentVector]:
         u = self._cosines(x.data)
-        return float(self.weights @ np.arccos(u)), self._select(x, xi, u)
-
-    def _select(self, x: ManifoldPoint, xi: TangentVector, u: np.ndarray
-                ) -> TangentVector:
-        grad, sw, has_sing = self._split(x.data, u)
-        nxi = float(np.linalg.norm(xi.data))
+        f = float(self.weights @ np.arccos(u))
+        # The regular-term gradient sum plus, at a data point or its
+        # antipode, the signed singular weight along xi.
+        reg, coef, sw, has_sing = _median_terms(u, self.weights)
+        grad = (-(coef @ (self.points[reg] - u[reg, None] * x.data))
+                if coef.size else np.zeros_like(x.data))
         if has_sing:
+            nxi = float(np.linalg.norm(xi.data))
             if nxi == 0.0:
                 raise AmbiguousDirectionError(
                     "zero direction at a median data point")
             grad = grad + (sw / nxi) * xi.data
-        return _adopt(TangentVector, x, grad)
+        return f, _adopt(TangentVector, x, grad)
 
 
 @dataclass(frozen=True)
-class SpdCenterOfMass:
+class SpdCenterOfMass(_DerivedQueries):
     """1/2 sum_i dist(X, A_i)^2 over SPD(n); smooth with unique minimizer."""
 
     n: int
@@ -597,22 +579,19 @@ class SpdCenterOfMass:
         m = irt @ self.mats @ irt  # (m, n, n)
         return rt, 0.5 * (m + np.transpose(m, (0, 2, 1)))
 
-    @staticmethod
-    def _gradient_of(rt: np.ndarray, m: np.ndarray) -> np.ndarray:
-        # grad f(X) = -sum_i X^(1/2) logm(X^(-1/2) A_i X^(-1/2)) X^(1/2)
-        ev, vec = np.linalg.eigh(m)
-        return _sym(-rt @ _logm_sum(_spd_log_eigvals(ev), vec) @ rt)
-
     def value(self, x: ManifoldPoint) -> float:
         return _karcher_value(self._whitened(x.data)[1])
 
     def value_and_subgrad(self, x: ManifoldPoint, xi: TangentVector
                           ) -> tuple[float, TangentVector]:
-        # eigvalsh for the value and eigh for the gradient, as value and
-        # active_subgrad compute them, so the bits are theirs.
+        # The value by eigvalsh, as ``value`` computes it, so the bits are
+        # its; the gradient -sum_i X^(1/2) logm(X^(-1/2) A_i X^(-1/2)) X^(1/2)
+        # by eigh.
         rt, m = self._whitened(x.data)
-        return _karcher_value(m), _adopt(TangentVector, x,
-                                      self._gradient_of(rt, m))
+        f = _karcher_value(m)
+        ev, vec = np.linalg.eigh(m)
+        return f, _adopt(TangentVector, x, _sym(
+            -rt @ _logm_sum(_spd_log_eigvals(ev), vec) @ rt))
 
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> KarcherRay:
         rt, irt = _sqrt_pair(x.data)
@@ -621,14 +600,6 @@ class SpdCenterOfMass:
         b = s.T @ self.mats @ s
         return KarcherRay(lam=lam, b=0.5 * (b + np.transpose(b, (0, 2, 1))),
                           w0=rt @ q)
-
-    def dir_deriv(self, x: ManifoldPoint, xi: TangentVector) -> float:
-        g = TangentVector(x, self._gradient_of(*self._whitened(x.data)))
-        return inner(g, xi)
-
-    def active_subgrad(self, x: ManifoldPoint, xi: TangentVector) -> TangentVector:
-        return _adopt(TangentVector, x,
-                      self._gradient_of(*self._whitened(x.data)))
 
 
 Oracle = RayleighQuotientMax | GeometricMedian | SpdCenterOfMass

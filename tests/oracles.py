@@ -77,6 +77,21 @@ def fd_dir_deriv(oracle, x, xi, t=1e-6):
     return (oracle.value(retract(x, t * xi)) - oracle.value(x)) / t
 
 
+def rayleigh_active_components(oracle, x, tol=1e-10):
+    """(indices, gradients) of the Rayleigh components active at x.
+
+    Component i is active when 1/2 x^T A_i x is within tol (1 + |max|) of
+    the largest; its Riemannian gradient is A_i x - (x^T A_i x) x.  Both are
+    computed one matrix at a time from ``oracle.mats``, in increasing index.
+    """
+    x = np.asarray(x.data, float)
+    vals = [0.5 * float(np.dot(x, np.dot(a, x))) for a in oracle.mats]
+    top = max(vals)
+    idx = [i for i, v in enumerate(vals) if v >= top - tol * (1.0 + abs(top))]
+    grads = [np.dot(oracle.mats[i], x) - 2.0 * vals[i] * x for i in idx]
+    return np.array(idx), np.array(grads)
+
+
 def fd_riemannian_gradient(oracle, x, h=1e-6):
     """Central-difference gradient in an orthonormal tangent basis."""
     from rcsopt import TangentVector, retract, inner

@@ -355,6 +355,21 @@ class TestErrorRows:
             run_suite(tiny_spec(solver_configs=configs))
         assert calls == []
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_raises_before_any_cell(self, monkeypatch, jobs):
+        calls = []
+
+        def stub(oracle, x0, cfg=None, seed=0):
+            calls.append(seed)
+            raise AssertionError("no cell may run")
+
+        monkeypatch.setitem(bench.SOLVERS, "conjugate_subgradient", stub)
+        spec = tiny_spec(sizes=((2, 3),), runs=1,
+                         solvers=("conjugate_subgradient",), solver_configs={})
+        with pytest.raises(ValueError, match=rf"jobs must be >= 1, got {jobs}"):
+            run_suite(spec, jobs=jobs)
+        assert calls == []
+
 
 class TestPersistence:
     def test_records_csv_round_trip(self):

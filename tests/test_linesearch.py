@@ -16,7 +16,7 @@ from rcsopt.linesearch import (IRP_FIELDS, LineSearchConfig,
                                irp_records, line_search)
 from rcsopt.objectives import _ACTIVE_TOL
 
-from oracles import GenericOnly
+from oracles import GenericOnly, rayleigh_active_components
 
 
 class ScalarCurve:
@@ -443,7 +443,7 @@ class TestRaySubgrad:
         # the same one active_subgrad selects.
         oracle, x, v = tied_rayleigh()
         ray = oracle.restrict(x, v)
-        grads = oracle._active(x.data)[1]
+        _, grads = rayleigh_active_components(oracle, x)
         picks = []
         for forward in (True, False):
             got = ray.subgrad(0.0, forward)
@@ -547,7 +547,7 @@ class TestRestrictedRay:
         # Components 0 and 1 tie at x with different gradients and dominate
         # the rest, so l'_-(0) < l'_+(0) on both paths.
         oracle, x, v = tied_rayleigh()
-        idx, _ = oracle._active(x.data)
+        idx, _ = rayleigh_active_components(oracle, x)
         assert list(idx) == [0, 1]
         pf = RayObjective(oracle, x, v)
         assert pf.left_deriv(0.0) < pf.right_deriv(0.0) - 1e-3

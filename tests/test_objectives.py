@@ -10,7 +10,8 @@ import rcsopt as r
 from rcsopt.objectives import (_BLOCK_ENTRIES, AmbiguousDirectionError,
                                _median_terms, _require_symmetric)
 
-from oracles import fd_dir_deriv, fd_riemannian_gradient
+from oracles import (fd_dir_deriv, fd_riemannian_gradient,
+                     rayleigh_active_components)
 
 
 def rng_for(seed):
@@ -140,7 +141,8 @@ class TestDirDeriv:
 
 class TestActiveSubgrad:
     def test_defining_property(self):
-        # <g, xi> equals the directional derivative
+        # <g, xi> equals the directional derivative, here the closed-form
+        # slope of the restricted ray at t = 0.
         g = rng_for(14)
         for kind in ("rayleigh", "median", "karcher"):
             oracle = r.generate_instance(kind, 3, 6, seed=15)
@@ -149,7 +151,8 @@ class TestActiveSubgrad:
                 xi = oracle.manifold.random_tangent(x, g)
                 gv = oracle.active_subgrad(x, xi)
                 assert r.inner(gv, xi) == pytest.approx(
-                    oracle.dir_deriv(x, xi), rel=1e-8, abs=1e-10)
+                    oracle.restrict(x, xi).slopes(0.0)[0], rel=1e-8,
+                    abs=1e-10)
 
     def test_matches_fd_gradient_at_smooth_points(self):
         g = rng_for(16)
@@ -202,8 +205,11 @@ class TestActiveSubgrad:
         g = rng_for(18)
         x = S.random_point(g)
         xi = S.random_tangent(x, g)
-        idx, _ = oracle._active(x.data)
+        idx, grads = rayleigh_active_components(oracle, x)
         assert idx[0] == 0
+        assert list(idx) == [0, 1]
+        assert np.allclose(oracle.active_subgrad(x, xi).data, grads[0],
+                           rtol=0.0, atol=1e-12)
 
     def test_median_singular_component(self):
         p = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
@@ -214,8 +220,8 @@ class TestActiveSubgrad:
         xi = S.tangent(x, [0.0, 2.0, 0.0])
         gv = oracle.active_subgrad(x, xi)
         # singular term contributes w1 * xi / ||xi||
-        assert r.inner(gv, xi) == pytest.approx(oracle.dir_deriv(x, xi),
-                                                rel=1e-12)
+        assert r.inner(gv, xi) == pytest.approx(
+            oracle.restrict(x, xi).slopes(0.0)[0], rel=1e-12)
         assert oracle.dir_deriv(x, xi) == pytest.approx(
             0.25 * r.norm(xi) + 0.75 * np.dot(
                 -(p[1] - 0.0 * x.data) / 1.0, xi.data), rel=1e-10)
@@ -227,6 +233,8 @@ class TestActiveSubgrad:
         x = S.point(p[0])
         with pytest.raises(AmbiguousDirectionError):
             oracle.active_subgrad(x, S.zero_tangent(x))
+        with pytest.raises(AmbiguousDirectionError):
+            oracle.dir_deriv(x, S.zero_tangent(x))
 
     def test_karcher_gradient_zero_at_mean(self):
         P = r.SPD(3)

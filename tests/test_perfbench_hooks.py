@@ -7,6 +7,8 @@ its per-layer metrics are reported absent; here that fails the suite.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import rcsopt as r
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -19,10 +21,13 @@ def load_spans():
     return mod
 
 
-def test_hooks_install_on_the_package_and_leave_the_solve_unchanged():
+@pytest.mark.parametrize("kind,n,m", [("rayleigh", 5, 20), ("median", 5, 20),
+                                      ("karcher", 3, 10)])
+def test_hooks_install_on_the_package_and_leave_the_solve_unchanged(kind, n,
+                                                                    m):
     spans = load_spans()
-    oracle = r.generate_instance("rayleigh", 5, 20, seed=7)
-    x0 = r.initial_point("rayleigh", 5, 7)
+    oracle = r.generate_instance(kind, n, m, seed=7)
+    x0 = r.initial_point(kind, n, 7)
     cfg = r.SolverConfig(max_iters=25)
     plain = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=7)
 
@@ -38,6 +43,7 @@ def test_hooks_install_on_the_package_and_leave_the_solve_unchanged():
     totals = spans.span_totals(tracer)
     assert totals["solver.solve"][0] == 1
     assert totals["linesearch.line_search"][0] == traced.ls_calls >= 1
-    # The loop calls the hooked name, once per iteration.
-    assert totals["solver.direction_update"][0] == traced.iters == 25
+    # The loop calls the hooked name, once per iteration (a Karcher solve
+    # can stop before max_iters).
+    assert totals["solver.direction_update"][0] == traced.iters >= 1
     assert r.solver.line_search is original  # unhooked after the block
