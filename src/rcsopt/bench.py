@@ -227,20 +227,20 @@ def _run_cell(kind: str, n: int, m: int, seed: int, solver_name: str,
     """Solve one (instance, solver) cell; timing excludes generation.
 
     A ``ValueError`` or ``ArithmeticError`` from the solve becomes an error
-    row (``final_f`` inf, no iterations).  With ``trace_dir`` set, a cell
-    that finished writes ``traj_<problem>_<solver>.jsonl`` (with tangents)
-    there, plus ``irp_<problem>_<solver>.jsonl`` for the conjugate solver
-    (one JSON object per interval-reduction trial, from ``irp_records``).
-    Both files are written line by line from the cell's rows and compact
-    line-search trace, never held as one string.
+    row (``final_f`` inf, no iterations).  With ``trace_dir`` set, the cell
+    solves with ``record=True``, and if it finished it writes
+    ``traj_<problem>_<solver>.jsonl`` (with tangents) there, plus
+    ``irp_<problem>_<solver>.jsonl`` when the result has an IRP trace (one
+    JSON object per interval-reduction trial, from ``irp_records``).  Both
+    files are written line by line from the cell's rows and compact
+    line-search trace, never held as one string.  An untraced cell passes
+    the solver no ``record`` keyword and keeps only scalar rows.
     """
     oracle = generate_instance(kind, n, m, seed)
     x0 = initial_point(kind, n, seed)
     solve = SOLVERS[solver_name]
     pid = problem_id(kind, n, m, seed)
-    traced_cs = trace_dir is not None and solver_name == "conjugate_subgradient"
-    irp_trace = [] if traced_cs else None
-    kwargs = {"irp_trace": irp_trace} if traced_cs else {}
+    kwargs = {} if trace_dir is None else {"record": True}
     rec = BenchmarkRecord(problem=pid, solver=solver_name, seed=seed,
                           iters=0, nf=0, wall_time_s=0.0, final_f=math.inf)
     t0 = time.perf_counter()
@@ -260,9 +260,9 @@ def _run_cell(kind: str, n: int, m: int, seed: int, solver_name: str,
         _write_lines(trace_dir / f"traj_{name}",
                      trajectory_lines(result.trajectory,
                                       include_tangents=True))
-        if irp_trace is not None:
+        if result.irp_trace is not None:
             _write_lines(trace_dir / f"irp_{name}",
-                         map(json.dumps, irp_records(irp_trace)))
+                         map(json.dumps, irp_records(result.irp_trace)))
     return rec
 
 

@@ -329,7 +329,12 @@ class SPD(Manifold):
     def _retract(self, x, v):
         # X^(1/2) expm(X^(-1/2) v X^(-1/2)) X^(1/2)
         rt, irt = _sqrt_pair(x)
-        return _sym(rt @ _eigh_fun(irt @ v @ irt, np.exp) @ rt)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _sym(rt @ _eigh_fun(irt @ v @ irt, np.exp) @ rt)
+        if not np.isfinite(out).all():
+            raise DegenerateRetractionError("exp(X^(-1/2) eta X^(-1/2)) "
+                                            "overflows")
+        return out
 
     def _transport(self, a, b, v):
         # E v E^T with E = (B A^-1)^(1/2) = A^(1/2) (A^(-1/2) B A^(-1/2))^(1/2) A^(-1/2)

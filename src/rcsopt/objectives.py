@@ -391,7 +391,13 @@ class KarcherRay:
         return _spd_log_eigvals(ev), vec
 
     def value(self, t: float) -> float:
-        return _karcher_value(self._scaled(t))
+        # A step far beyond the data's scale overflows E B_i E; the value
+        # there is +inf, a failed trial that shrinks the bracket.
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = self._scaled(t)
+        if not np.isfinite(stack).all():
+            return math.inf
+        return _karcher_value(stack)
 
     def slopes(self, t: float) -> tuple[float, float]:
         # mu'/mu = -u^T Lam u for each eigenpair (mu, u) of E B_i E; the

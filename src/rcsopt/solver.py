@@ -7,18 +7,25 @@ the transported direction, and takes the minimum-norm convex combination of
 that subgradient's negative and the transported previous direction as the next
 search direction.  The iterates' objective values never increase.
 
-Trajectories record enough per-iteration state (points, directions, chosen
-subgradients and the scalar diagnostics) to replay the direction recursion and
-check its algebraic identities after the fact; see the ``*_residual`` helpers.
+Every trajectory row holds the scalar diagnostics of its iteration, which is
+all the descent, norm-recursion and orthogonality checks read.  A solve
+keeps no tangent vector beyond the current iterate unless it is asked to:
+with ``record=True`` each row also keeps its point, direction and combined
+subgradient (and a conjugate subgradient row its :class:`LineSearchResult`),
+enough to replay the direction recursion after the fact
+(:func:`fr_direction_check`), and the conjugate solver keeps the compact
+IRP trace of its line searches in :attr:`SolveResult.irp_trace`.  Recording
+changes no operation of the solve, so iterates, trial values and ``nf`` are
+bit-identical either way.
 
 Both solvers share one entry prologue (:func:`_start`), which checks the
 inputs once, before any evaluation: the oracle must offer
 ``value_and_subgrad`` and ``restrict`` (TypeError), and ``x0`` must be a
 point of the oracle's manifold (ValueError).  The solve loops then run on
-raw arrays with the manifold's unchecked methods; only the trajectory rows
-hold points and tangent vectors.  :func:`direction_update` is the loop's
-own raw-array update, not a wrapper around it.  A row does not keep the
-transported direction d: it is ``transport_between(prev.x, row.x,
+raw arrays with the manifold's unchecked methods, holding the current point
+and direction in local variables.  :func:`direction_update` is the loop's
+own raw-array update, not a wrapper around it.  A recorded row does not
+keep the transported direction d: it is ``transport_between(prev.x, row.x,
 prev.eta)``, bit for bit.
 
 The evaluation count ``nf`` is summed where the evaluations happen: one for
@@ -72,8 +79,9 @@ class SolverConfig:
 class IterationRecord:
     """One trajectory row; row k describes the state entering iteration k.
 
-    Rows parsed from a trajectory written without tangent data have ``x``,
-    ``eta`` and ``gtilde`` set to None; the scalar checks need only the rest.
+    Rows of a solve run without ``record=True``, and rows parsed from a
+    trajectory written without tangent data, have ``x``, ``eta``,
+    ``gtilde`` and ``ls`` set to None; the scalar checks need only the rest.
     """
 
     k: int
@@ -107,8 +115,12 @@ class SolveResult:
     null_steps: int
     wall_time_s: float
     trajectory: list[IterationRecord]
+    # Compact IRP trace of a recorded conjugate subgradient solve, read with
+    # rcsopt.linesearch.irp_records; None otherwise.
+    irp_trace: list | None = None
 
     def line_search_records(self) -> list[LineSearchResult]:
+        """The line-search results of a recorded solve (empty otherwise)."""
         return [r.ls for r in self.trajectory if r.ls is not None]
 
 
@@ -182,25 +194,30 @@ def _start(oracle, x0: ManifoldPoint, cfg: SolverConfig | None, seed: int):
 def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
                                 cfg: SolverConfig | None = None,
                                 seed: int = 0,
-                                irp_trace: list | None = None) -> SolveResult:
+                                record: bool = False) -> SolveResult:
     """Run the conjugate subgradient method from x0.
 
     The first direction is the negative of a directionally active subgradient
     for a seeded random direction (the plain gradient wherever the objective
     is smooth).  Stops when the direction norm drops to ``epsilon_stop``, after
     ``max_null_steps`` consecutive null steps, or at the iteration cap.
-    ``irp_trace``, when given, is passed to every line search as its
-    ``trace``; read it with :func:`rcsopt.linesearch.irp_records`.
+    With ``record`` each row keeps its point, direction, combined subgradient
+    and line-search result, and the result's ``irp_trace`` is the compact
+    trace of every line search (read it with
+    :func:`rcsopt.linesearch.irp_records`); otherwise rows hold scalars only.
     """
     cfg, _, start, f, g1 = _start(oracle, x0, cfg, seed)
     M = x0.manifold
     x = x0
     nf = 1
-    eta1 = -g1
-    rows = [IterationRecord(k=1, x=x, f=f, eta=eta1, gtilde=g1,
-                            eta_norm=norm(eta1), gtilde_norm=norm(g1),
-                            nf_cum=nf,
+    eta = -g1
+    eta_norm = norm(eta)
+    trace = [] if record else None
+    rows = [IterationRecord(k=1, f=f, eta_norm=eta_norm,
+                            gtilde_norm=norm(g1), nf_cum=nf,
                             time_cum_s=time.perf_counter() - start)]
+    if record:
+        rows[0].x, rows[0].eta, rows[0].gtilde = x, eta, g1
     null_run = 0
     null_total = 0
     ls_calls = 0
@@ -208,19 +225,20 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
 
     for k in range(1, cfg.max_iters + 1):
         prev = rows[-1]
-        if prev.eta_norm <= cfg.epsilon_stop:
+        if eta_norm <= cfg.epsilon_stop:
             stop = "stationary"
             break
-        pf = RayObjective(oracle, x, prev.eta, f0=f, dir_norm=prev.eta_norm)
+        pf = RayObjective(oracle, x, eta, f0=f, dir_norm=eta_norm)
         try:
-            res = line_search(pf, cfg.ls, trace=irp_trace)
+            res = line_search(pf, cfg.ls, trace=trace)
         except LineSearchStallError as e:
             raise SolveStalledError(e, rows) from e
         ls_calls += 1
         nf += res.evals
         prev.t = res.t
         prev.null = res.null
-        prev.ls = res
+        if record:
+            prev.ls = res
         # A collapsed bracket at tau_lo = 0 also leaves the iterate in place;
         # such zero steps count toward the consecutive-null stop.
         if res.t == 0.0:
@@ -235,7 +253,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         x_new, f_new = res.x_new, res.phi_at_t
         xd, ip = x_new.data, M._inner
         g_plus, g_minus = res.g_plus.data, res.g_minus.data
-        d = M._carry(x.data, xd, prev.eta.data)
+        d = M._carry(x.data, xd, eta.data)
         lam = select_lambda(ip(xd, g_plus, d), ip(xd, g_minus, d))
         gtilde = combine_subgradient(g_plus, g_minus, lam)
         # When the bracket stops at the width tolerance or the injectivity
@@ -248,46 +266,61 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         if nd2 > 0.0:
             gtilde = gtilde - (ortho_raw / nd2) * d
         ng2 = ip(xd, gtilde, gtilde)
-        eta, alpha = direction_update(gtilde, d, ng2, nd2)
+        eta_data, alpha = direction_update(gtilde, d, ng2, nd2)
 
         x, f = x_new, f_new
+        eta = _adopt(TangentVector, x, eta_data)
+        eta_norm = M._norm(xd, eta_data)
         rows.append(IterationRecord(
-            k=k + 1, x=x, f=f, eta=_adopt(TangentVector, x, eta),
-            gtilde=_adopt(TangentVector, x, gtilde),
-            eta_norm=M._norm(xd, eta), gtilde_norm=math.sqrt(max(ng2, 0.0)),
-            nf_cum=nf, time_cum_s=time.perf_counter() - start,
-            lam=lam, alpha=alpha,
+            k=k + 1, f=f, eta_norm=eta_norm,
+            gtilde_norm=math.sqrt(max(ng2, 0.0)), nf_cum=nf,
+            time_cum_s=time.perf_counter() - start, lam=lam, alpha=alpha,
             cos2_theta=_cos2(ip, xd, gtilde, d, ng2, nd2), ortho=ortho_raw))
+        if record:
+            rows[-1].x, rows[-1].eta = x, eta
+            rows[-1].gtilde = _adopt(TangentVector, x, gtilde)
 
         if null_run >= cfg.max_null_steps:
             stop = "null_steps"
             break
-        if rows[-1].eta_norm <= cfg.epsilon_stop:
+        if eta_norm <= cfg.epsilon_stop:
             stop = "stationary"
             break
 
     return SolveResult(x=x, f=f, stop_reason=stop, iters=len(rows) - 1,
                        nf=nf, ls_calls=ls_calls, null_steps=null_total,
                        wall_time_s=time.perf_counter() - start,
-                       trajectory=rows)
+                       trajectory=rows, irp_trace=trace)
 
 
 def subgradient_descent_solve(oracle, x0: ManifoldPoint,
                               cfg: SolverConfig | None = None,
-                              seed: int = 0) -> SolveResult:
+                              seed: int = 0,
+                              record: bool = False) -> SolveResult:
     """Riemannian subgradient descent with diminishing steps c / sqrt(k).
 
     Comparison baseline with the same trajectory schema as the conjugate
-    solver; it carries no descent guarantee.
+    solver; it carries no descent guarantee.  With ``record`` each row keeps
+    its point, direction and subgradient; it makes no line search, so its
+    rows have no ``ls`` and the result no ``irp_trace``.
     """
     cfg, rng, start, f, g = _start(oracle, x0, cfg, seed)
     M = x0.manifold
     x = x0
+    eta = -g
     ng = M._norm(x.data, g.data)
     c = 1.0 / (1.0 + ng)
-    rows = [IterationRecord(k=1, x=x, f=f, eta=-g, gtilde=g,
-                            eta_norm=ng, gtilde_norm=ng, nf_cum=1,
-                            time_cum_s=time.perf_counter() - start)]
+    rows = []
+
+    def add_row(k: int) -> None:
+        row = IterationRecord(k=k, f=f, eta_norm=ng, gtilde_norm=ng,
+                              nf_cum=k,
+                              time_cum_s=time.perf_counter() - start)
+        if record:
+            row.x, row.eta, row.gtilde = x, eta, g
+        rows.append(row)
+
+    add_row(1)
     stop = "max_iters"
     for k in range(1, cfg.max_iters + 1):
         if ng <= cfg.epsilon_stop:
@@ -295,13 +328,11 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
             break
         t = c / math.sqrt(k)
         rows[-1].t = t
-        x = _adopt(ManifoldPoint, M, M._retract(x.data, t * rows[-1].eta.data))
+        x = _adopt(ManifoldPoint, M, M._retract(x.data, t * eta.data))
         f, g = oracle.value_and_subgrad(x, M.random_tangent(x, rng))
+        eta = -g
         ng = M._norm(x.data, g.data)
-        rows.append(IterationRecord(
-            k=k + 1, x=x, f=f, eta=-g, gtilde=g, eta_norm=ng,
-            gtilde_norm=ng, nf_cum=k + 1,
-            time_cum_s=time.perf_counter() - start))
+        add_row(k + 1)
     return SolveResult(x=x, f=f, stop_reason=stop, iters=len(rows) - 1,
                        nf=len(rows), ls_calls=0, null_steps=0,
                        wall_time_s=time.perf_counter() - start,
@@ -312,6 +343,15 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
 # Trajectory verification: the algebraic identities of the direction update.
 # ---------------------------------------------------------------------------
 
+def _require_tangents(trajectory: list[IterationRecord], what: str) -> None:
+    """ValueError unless every row keeps its point, direction and combined
+    subgradient."""
+    if any(row.x is None or row.eta is None or row.gtilde is None
+           for row in trajectory):
+        raise ValueError(f"{what} needs the rows' tangent vectors; solve "
+                         f"with record=True")
+
+
 def fr_direction_check(trajectory: list[IterationRecord]) -> float:
     """Max relative residual of the Fletcher-Reeves equivalence.
 
@@ -319,7 +359,11 @@ def fr_direction_check(trajectory: list[IterationRecord]) -> float:
     * T(eta_{k-1}^FR) along the recorded points and returns
     max_k ||  ||eta_k||^2 eta_k^FR - ||gtilde_k||^2 eta_k  ||
           / (||gtilde_k||^2 ||eta_k|| + 1e-300).
+
+    The replay needs every row's point and tangent vectors: ValueError for
+    rows of a solve run without ``record=True``.
     """
+    _require_tangents(trajectory, "fr_direction_check")
     if not trajectory:
         return 0.0
     eta_fr = -1.0 * trajectory[0].gtilde
@@ -385,7 +429,14 @@ def trajectory_lines(trajectory: list[IterationRecord],
                      include_tangents: bool = False):
     """The JSON line of each row, without its newline, one at a time, so a
     writer can stream a trajectory; tangent data makes it replayable by
-    check()."""
+    check().  ``include_tangents`` needs rows of a solve run with
+    ``record=True``: ValueError otherwise, before any line is produced."""
+    if include_tangents:
+        _require_tangents(trajectory, "include_tangents")
+    return _row_lines(trajectory, include_tangents)
+
+
+def _row_lines(trajectory: list[IterationRecord], include_tangents: bool):
     for row in trajectory:
         rec = {"k": row.k, "f": row.f, "eta_norm": row.eta_norm,
                "gtilde_norm": row.gtilde_norm, "t": row.t,

@@ -34,7 +34,9 @@ def suite_runs():
         for seed in SEEDS:
             oracle = r.generate_instance(kind, n, m, seed=seed)
             x0 = r.initial_point(kind, n, seed)
-            res = r.conjugate_subgradient_solve(oracle, x0, CAP, seed=seed)
+            # Recorded: criterion 2 reads each row's line-search result.
+            res = r.conjugate_subgradient_solve(oracle, x0, CAP, seed=seed,
+                                                record=True)
             runs.append(((kind, n, m, seed), res))
     elapsed = time.perf_counter() - t0
     return runs, elapsed
@@ -68,6 +70,8 @@ def test_criterion_2_line_search_optimality(suite_runs):
             else:
                 if not (rec.dminus_at_lo <= tol and rec.dplus_at_hi >= -tol):
                     first_order_bad += 1
+    assert all(len(res.line_search_records()) == res.ls_calls
+               for _, res in runs)
     ok = (total >= 10_000 and nondecrease_bad == 0 and first_order_bad == 0)
     report(2, "line-search optimality", ok,
            f"{total} line searches (>= 10000), {nondecrease_bad} ascent, "
@@ -104,18 +108,21 @@ def test_criterion_5_fr_equivalence():
         a = np.diag(np.linspace(1.0, 4.0, 11))
         oracle = r.RayleighQuotientMax(10, 1, a[None])
         x0 = r.Sphere(11).random_point(np.random.default_rng(seed))
-        res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=seed)
+        res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=seed,
+                                            record=True)
         worst_smooth = max(worst_smooth, r.fr_direction_check(res.trajectory))
         oracle = r.generate_instance("karcher", 5, 50, seed=seed)
         res = r.conjugate_subgradient_solve(
-            oracle, r.initial_point("karcher", 5, seed), cfg, seed=seed)
+            oracle, r.initial_point("karcher", 5, seed), cfg, seed=seed,
+            record=True)
         worst_smooth = max(worst_smooth, r.fr_direction_check(res.trajectory))
     worst_nonsmooth = 0.0
     for seed in range(5):
         for kind, n, m in (("rayleigh", 5, 200), ("median", 100, 200)):
             oracle = r.generate_instance(kind, n, m, seed=seed)
             res = r.conjugate_subgradient_solve(
-                oracle, r.initial_point(kind, n, seed), cfg, seed=seed)
+                oracle, r.initial_point(kind, n, seed), cfg, seed=seed,
+                record=True)
             worst_nonsmooth = max(worst_nonsmooth,
                                   r.fr_direction_check(res.trajectory))
     ok = worst_smooth <= 1e-8 and worst_nonsmooth <= 1e-6

@@ -331,7 +331,9 @@ class TestLineSearch:
         monkeypatch.setattr(LineSearchConfig, "__post_init__", counted)
         oracle = r.generate_instance("rayleigh", 5, 20, seed=14)
         res = r.conjugate_subgradient_solve(
-            oracle, r.initial_point("rayleigh", 5, 14), cfg, seed=14)
+            oracle, r.initial_point("rayleigh", 5, 14), cfg, seed=14,
+            record=True)
+        assert len(res.line_search_records()) == res.ls_calls >= 1
         clamped = [ls for ls in res.line_search_records()
                    if ls.tau_hi_start < cfg.ls.tau_hi_init]
         assert clamped and built == []
@@ -793,7 +795,7 @@ def zero_step_searches(n=5, m=200, seed=3, iters=20):
     oracle = r.generate_instance("rayleigh", n, m, seed=seed)
     res = r.conjugate_subgradient_solve(
         oracle, r.initial_point("rayleigh", n, seed),
-        r.SolverConfig(max_iters=iters), seed=seed)
+        r.SolverConfig(max_iters=iters), seed=seed, record=True)
     return [(oracle, row.x, row.eta, row.f) for row in res.trajectory[:-1]]
 
 

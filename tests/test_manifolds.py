@@ -185,6 +185,13 @@ class TestRetract:
         with pytest.raises(DegenerateRetractionError):
             r.retract(x, eta)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spd_overflow_is_degenerate(self):
+        X = spd(2).point(np.eye(2))
+        eta = r.TangentVector(X, np.diag([800.0, 0.0]))  # exp(800) = inf
+        with pytest.raises(DegenerateRetractionError):
+            r.retract(X, eta)
+
     def test_spd_closure_random(self):
         # Retraction output stays SPD for 1000 random (X, eta), ||eta|| <= 5
         P = spd(3)

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -31,11 +32,12 @@ def transported(prev, row):
     return r.transport_between(prev.x, row.x, prev.eta)
 
 
-def solve_small(kind, n, m, seed, **cfg_kw):
+def solve_small(kind, n, m, seed, record=False, **cfg_kw):
     oracle = r.generate_instance(kind, n, m, seed=seed)
     x0 = r.initial_point(kind, n, seed)
     cfg = r.SolverConfig(**cfg_kw) if cfg_kw else None
-    return oracle, r.conjugate_subgradient_solve(oracle, x0, cfg, seed=seed)
+    return oracle, r.conjugate_subgradient_solve(oracle, x0, cfg, seed=seed,
+                                                 record=record)
 
 
 class TestSelectLambda:
@@ -183,7 +185,8 @@ class TestConjugateSubgradientSolve:
 
     def test_direction_minimality(self):
         # ||eta_{k+1}|| <= min(||gtilde_{k+1}||, ||T eta_k||)
-        _, res = solve_small("rayleigh", 4, 8, 15, max_iters=200)
+        _, res = solve_small("rayleigh", 4, 8, 15, record=True,
+                             max_iters=200)
         rows = res.trajectory
         for prev, row in zip(rows, rows[1:]):
             bound = min(row.gtilde_norm, r.norm(transported(prev, row))) \
@@ -191,7 +194,8 @@ class TestConjugateSubgradientSolve:
             assert row.eta_norm <= bound
 
     def test_transport_isometry_bookkeeping(self):
-        _, res = solve_small("rayleigh", 4, 8, 16, max_iters=200)
+        _, res = solve_small("rayleigh", 4, 8, 16, record=True,
+                             max_iters=200)
         rows = res.trajectory
         for prev, row in zip(rows, rows[1:]):
             assert abs(r.norm(transported(prev, row)) - prev.eta_norm) \
@@ -238,12 +242,31 @@ class TestConjugateSubgradientSolve:
                 assert gk * ek / np.sqrt(gk ** 2 + ek ** 2) \
                     <= cfg.epsilon_stop * (1 + 1e-6)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_spd_steps_past_overflow_shrink_the_bracket(self):
+        # A start bracket this wide sends the SPD exponential map past
+        # overflow.  The ray reads +inf there, a failed trial that shrinks
+        # the bracket, so the solves end normally and warn of nothing.
+        cfg = r.SolverConfig(ls=r.LineSearchConfig(tau_init=1e3,
+                                                   tau_hi_init=1e5))
+        for seed in range(6):
+            oracle = r.generate_instance("karcher", 5, 10, seed)
+            x0 = r.initial_point("karcher", 5, seed)
+            ray = oracle.restrict(x0, oracle.manifold.random_tangent(
+                x0, np.random.default_rng(seed)))
+            assert ray.value(1e5) == np.inf
+            res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=seed)
+            assert res.stop_reason == "stationary"
+            assert r.descent_violations(res.trajectory) == 0
+            assert r.norm_recursion_residual(res.trajectory) <= 1e-13
+
     def test_f_matches_value_at_final_point(self):
         # f is the line search's closed-form ray value at the accepted step,
         # so it equals the recorded rows exactly and an oracle value at the
         # final point to round-off (not bit for bit).
         for seed in range(60):
-            oracle, res = solve_small("rayleigh", 3, 5, seed, max_iters=100)
+            oracle, res = solve_small("rayleigh", 3, 5, seed, record=True,
+                                      max_iters=100)
             assert res.f == res.trajectory[-1].f
             for prev, row in zip(res.trajectory, res.trajectory[1:]):
                 assert row.f == prev.ls.phi_at_t
@@ -254,7 +277,9 @@ class TestConjugateSubgradientSolve:
         assert res.nf >= res.iters >= 1
 
     def test_null_flag_implies_entry_condition(self):
-        _, res = solve_small("rayleigh", 4, 10, 27, max_iters=300)
+        _, res = solve_small("rayleigh", 4, 10, 27, record=True,
+                             max_iters=300)
+        assert len(res.line_search_records()) == res.ls_calls >= 1
         for row in res.trajectory:
             if row.ls is not None and row.null:
                 assert row.ls.dminus0 <= 0.0 <= row.ls.dplus0
@@ -283,19 +308,28 @@ class TestConjugateSubgradientSolve:
 
 class TestFrDirectionCheck:
     def test_first_iteration_residual_zero(self):
-        _, res = solve_small("rayleigh", 3, 5, 30, max_iters=1)
+        _, res = solve_small("rayleigh", 3, 5, 30, record=True, max_iters=1)
         assert r.fr_direction_check(res.trajectory[:1]) == 0.0
 
     def test_smooth_run_residual(self):
         oracle = r.generate_instance("karcher", 3, 5, seed=31)
         x0 = r.initial_point("karcher", 3, 31)
         cfg = r.SolverConfig(max_iters=50)
-        res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=31)
+        res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=31,
+                                            record=True)
         assert r.fr_direction_check(res.trajectory) <= 1e-8
 
     def test_nonsmooth_run_residual(self):
-        _, res = solve_small("rayleigh", 4, 12, 32, max_iters=50)
+        _, res = solve_small("rayleigh", 4, 12, 32, record=True, max_iters=50)
         assert r.fr_direction_check(res.trajectory) <= 1e-6
+
+    def test_unrecorded_rows_raise(self):
+        # Rows of a default solve hold scalars only; the replay says so
+        # instead of failing on a missing vector.
+        _, res = solve_small("rayleigh", 3, 5, 32, max_iters=5)
+        assert res.trajectory[0].x is None
+        with pytest.raises(ValueError, match="record=True"):
+            r.fr_direction_check(res.trajectory)
 
 
 class TestBaselineSolver:
@@ -340,7 +374,7 @@ def _scalar_checks(rows):
 
 class TestTrajectorySerialization:
     def test_scalar_round_trip(self):
-        _, res = solve_small("rayleigh", 3, 5, 36, max_iters=60)
+        _, res = solve_small("rayleigh", 3, 5, 36, record=True, max_iters=60)
         text = r.trajectory_to_jsonl(res.trajectory)
         rows = r.trajectory_from_jsonl(text)
         assert len(rows) == len(res.trajectory)
@@ -358,7 +392,7 @@ class TestTrajectorySerialization:
         assert _scalar_checks(tangent_rows) == expected
 
     def test_tangent_round_trip_replayable(self):
-        _, res = solve_small("rayleigh", 3, 5, 37, max_iters=50)
+        _, res = solve_small("rayleigh", 3, 5, 37, record=True, max_iters=50)
         text = r.trajectory_to_jsonl(res.trajectory, include_tangents=True)
         rows = r.trajectory_from_jsonl(text)
         assert all(isinstance(row, r.IterationRecord) for row in rows)
@@ -368,7 +402,7 @@ class TestTrajectorySerialization:
         assert r.descent_violations(rows) == 0
 
     def test_spd_tangent_round_trip_and_unknown_tag(self):
-        _, res = solve_small("karcher", 3, 4, 38, max_iters=10)
+        _, res = solve_small("karcher", 3, 4, 38, record=True, max_iters=10)
         text = r.trajectory_to_jsonl(res.trajectory, include_tangents=True)
         rows = r.trajectory_from_jsonl(text)
         assert rows[0].x.manifold == r.SPD(3)
@@ -376,6 +410,15 @@ class TestTrajectorySerialization:
         bad = text.replace('"kind": "spd"', '"kind": "torus"')
         with pytest.raises(ValueError, match="unknown manifold tag"):
             r.trajectory_from_jsonl(bad)
+
+    def test_tangent_lines_of_unrecorded_rows_raise(self):
+        # Raised when the lines are asked for, before any line is made, so a
+        # streaming writer leaves no partial file.
+        _, res = solve_small("rayleigh", 3, 5, 37, max_iters=5)
+        with pytest.raises(ValueError, match="record=True"):
+            r.solver.trajectory_lines(res.trajectory, include_tangents=True)
+        assert r.trajectory_to_jsonl(res.trajectory).count("\n") \
+            == len(res.trajectory)
 
 
 def _median_at_data_point():
@@ -392,12 +435,13 @@ class TestRawLoopReplay:
     compare bit for bit."""
 
     def _cs_solves(self):
-        cases = [solve_small("rayleigh", 4, 10, 41, max_iters=60),
-                 solve_small("median", 4, 10, 42, max_iters=60),
-                 solve_small("karcher", 3, 6, 43, max_iters=30)]
+        cases = [solve_small("rayleigh", 4, 10, 41, record=True,
+                             max_iters=60),
+                 solve_small("median", 4, 10, 42, record=True, max_iters=60),
+                 solve_small("karcher", 3, 6, 43, record=True, max_iters=30)]
         oracle, x0 = _median_at_data_point()
         cases.append((oracle, r.conjugate_subgradient_solve(
-            oracle, x0, r.SolverConfig(max_iters=5), seed=44)))
+            oracle, x0, r.SolverConfig(max_iters=5), seed=44, record=True)))
         return [res for _, res in cases]
 
     def test_conjugate_rows_match_public_algebra(self):
@@ -432,7 +476,8 @@ class TestRawLoopReplay:
             oracle = r.generate_instance(kind, n, m, seed=45)
             x0 = r.initial_point(kind, n, 45)
             res = r.subgradient_descent_solve(
-                oracle, x0, r.SolverConfig(max_iters=30), seed=45)
+                oracle, x0, r.SolverConfig(max_iters=30), seed=45,
+                record=True)
             rows = res.trajectory
             assert len(rows) > 1
             for prev, row in zip(rows, rows[1:]):
@@ -571,7 +616,8 @@ class TestEvaluationCount:
         oracle = r.generate_instance(kind, n, m, seed=53)
         x0 = r.initial_point(kind, n, 53)
         cfg = r.SolverConfig(max_iters=40)
-        res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=53)
+        res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=53,
+                                            record=True)
         searches = res.line_search_records()
         assert len(searches) == res.ls_calls >= 1
         assert res.nf == 1 + sum(ls.evals for ls in searches)
@@ -602,3 +648,61 @@ class TestEvaluationCount:
         assert [row.nf_cum for row in res.trajectory] \
             == list(range(1, res.nf + 1))
         assert sum(log.calls.values()) == res.nf and log.ray_calls == {}
+
+
+_SCALAR_FIELDS = ("k", "f", "eta_norm", "gtilde_norm", "nf_cum", "t", "null",
+                  "lam", "alpha", "cos2_theta", "ortho")
+
+
+class TestRecord:
+    """``record`` decides what the rows keep, never what the solve does."""
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    @pytest.mark.parametrize("kind,n,m", [("rayleigh", 5, 40),
+                                          ("median", 4, 10),
+                                          ("karcher", 3, 6)])
+    def test_recording_changes_no_result(self, solve, kind, n, m):
+        oracle = r.generate_instance(kind, n, m, seed=55)
+        x0 = r.initial_point(kind, n, 55)
+        cfg = r.SolverConfig(max_iters=60)
+        plain = solve(oracle, x0, cfg, seed=55)
+        rec = solve(oracle, x0, cfg, seed=55, record=True)
+        assert (plain.iters, plain.nf, plain.stop_reason, plain.f.hex()) \
+            == (rec.iters, rec.nf, rec.stop_reason, rec.f.hex())
+        assert plain.iters >= 1
+        assert np.array_equal(plain.x.data, rec.x.data)
+        for a, b in zip(plain.trajectory, rec.trajectory, strict=True):
+            assert [getattr(a, k) for k in _SCALAR_FIELDS] \
+                == [getattr(b, k) for k in _SCALAR_FIELDS]
+            assert (a.x, a.eta, a.gtilde, a.ls) == (None,) * 4
+            assert None not in (b.x, b.eta, b.gtilde)
+        assert plain.irp_trace is None and plain.line_search_records() == []
+        if solve is r.conjugate_subgradient_solve:
+            assert len(rec.line_search_records()) == rec.ls_calls >= 1
+            assert rec.irp_trace
+        else:
+            assert rec.irp_trace is None and rec.line_search_records() == []
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_unrecorded_solve_holds_scalars_only(self, solve):
+        # Rows without tangent vectors or line-search results: what the
+        # result keeps per iteration is a few hundred bytes of scalars,
+        # where the 21-entry vectors of a recorded row alone take ~800.
+        oracle = r.generate_instance("rayleigh", 20, 50, seed=3)
+        x0 = r.initial_point("rayleigh", 20, 3)
+        cfg = r.SolverConfig(max_iters=1000)
+        solve(oracle, x0, r.SolverConfig(max_iters=5), seed=3)  # warm up
+        held = {}
+        for record in (False, True):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                res = solve(oracle, x0, cfg, seed=3, record=record)
+                held[record] = \
+                    (tracemalloc.get_traced_memory()[0] - base) / res.iters
+            finally:
+                tracemalloc.stop()
+            assert res.iters == 1000
+            del res
+        assert held[False] < 700, held
+        assert held[True] > 2 * held[False], held

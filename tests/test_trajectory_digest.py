@@ -72,13 +72,15 @@ def test_rows_digest_the_loop_transported_direction(monkeypatch):
     oracle = r.generate_instance("rayleigh", 5, 20, seed=3)
     x0 = r.initial_point("rayleigh", 5, 3)
     cfg = r.SolverConfig(max_iters=30)
-    rows = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=3).trajectory
+    rows = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=3,
+                                         record=True).trajectory
     assert len(calls) == len(rows) - 1 >= 1
     assert tool.row_arrays(None, rows[0])[3] is None
     for d, prev, row in zip(calls, rows, rows[1:]):
         x, eta, gtilde, got = tool.row_arrays(prev, row)
         assert (x, eta, gtilde) == (row.x, row.eta, row.gtilde)
         assert got.data.tobytes() == d.tobytes()
-    sg = r.subgradient_descent_solve(oracle, x0, cfg, seed=3).trajectory
+    sg = r.subgradient_descent_solve(oracle, x0, cfg, seed=3,
+                                     record=True).trajectory
     assert all(tool.row_arrays(prev, row)[3] is None
                for prev, row in zip(sg, sg[1:]))

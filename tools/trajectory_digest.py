@@ -7,7 +7,9 @@ Usage (from the repository root):
 The inputs are the ones ``perfbench/run.py`` builds for the workload and
 seed (its ``make_instances``), so the two cannot drift.  Each instance is
 solved by the conjugate subgradient method and by subgradient descent under
-the workload's iteration cap, and one line is printed per solve:
+the workload's iteration cap, with ``record=True`` so that rows keep their
+tangent vectors and the IRP trace is kept, and one line is printed per
+solve:
 
     key solver iters nf stop f.hex() rows_sha256 irp_sha256
 
@@ -106,16 +108,14 @@ def digest_lines(workload: str, seed: int, max_iters: int | None = None):
     for inst in bench.make_instances(rcsopt, workload, seed):
         key = f"{inst.group}-s{inst.seed}"
         for name, solve in solvers:
-            trace = [] if name == bench.CS else None
-            kwargs = {} if trace is None else {"irp_trace": trace}
             try:
                 res = solve(inst.oracle, inst.x0, cfg, seed=inst.seed,
-                            **kwargs)
+                            record=True)
             except Exception as exc:  # a failure is part of the digest
                 yield f"{key} {name} error {type(exc).__name__}: {exc}"
                 continue
-            irp_sha = "-" if trace is None \
-                else irp_digest(rcsopt.irp_records(trace))
+            irp_sha = "-" if res.irp_trace is None \
+                else irp_digest(rcsopt.irp_records(res.irp_trace))
             yield (f"{key} {name} {res.iters} {res.nf} {res.stop_reason} "
                    f"{float(res.f).hex()} {row_digest(res.trajectory)} "
                    f"{irp_sha}")
