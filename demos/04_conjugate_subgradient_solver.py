@@ -8,8 +8,9 @@ Objective values never increase, and the direction norms obey
 1/||eta_k||^2 = sum_j 1/||gtilde_j||^2, which makes the recorded
 trajectories fully checkable after the fact.
 
-By default a trajectory row keeps only the scalars of its iteration, which
-is all the descent, norm-recursion and orthogonality checks read.  Replaying
+``check_trajectory`` checks all of them in one pass over the rows.  By
+default a trajectory row keeps only the scalars of its iteration, which is
+all the descent, norm-recursion and orthogonality checks read.  Replaying
 the Fletcher-Reeves form of the direction recursion needs each row's point
 and tangent vectors, which a solve keeps when called with ``record=True``.
 """
@@ -25,13 +26,14 @@ for kind, n, m in (("rayleigh", 10, 50), ("median", 20, 50), ("karcher", 4, 20))
     x0 = r.initial_point(kind, n, 7)
     res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=7, record=True)
     rows = res.trajectory
+    check = r.check_trajectory(rows)
     print(f"{kind}(n={n}, m={m}): f {rows[0].f:.6f} -> {res.f:.6f} "
           f"in {res.iters} iterations ({res.nf} evaluations, "
           f"stop: {res.stop_reason})")
-    print(f"  descent violations:      {r.descent_violations(rows)}")
-    print(f"  norm-recursion residual: {r.norm_recursion_residual(rows):.2e}")
-    print(f"  direction residual:      {r.fr_direction_check(rows):.2e}")
-    bad, total = r.orthogonality_violations(rows)
+    print(f"  descent violations:      {check.descent_violations}")
+    print(f"  norm-recursion residual: {check.norm_residual:.2e}")
+    print(f"  direction residual:      {check.fr_residual:.2e}")
+    bad, total = check.orthogonality
     print(f"  orthogonality:           {total - bad}/{total} within tolerance")
 
 # The smooth single-matrix problem has a known optimum: half the smallest
@@ -50,14 +52,17 @@ print(f"subgradient baseline:  reached {base.f:.12f} "
       f"after {base.iters} iterations")
 
 # The default solve keeps scalar rows only: enough for the scalar checks,
-# and a few hundred bytes per iteration whatever the problem size.
+# and a few hundred bytes per iteration whatever the problem size.  The
+# direction replay is then skipped (fr_residual is None).
+check = r.check_trajectory(res.trajectory)
 print("unrecorded rows keep x:", res.trajectory[-1].x,
-      "| norm-recursion residual:",
-      f"{r.norm_recursion_residual(res.trajectory):.2e}")
+      f"| norm-recursion residual: {check.norm_residual:.2e}",
+      "| direction residual:", check.fr_residual)
 
 # Trajectories export as JSON lines; with tangent data (a recorded solve)
-# they can be replayed by the `bench check` command.
+# they can be replayed by the `bench check` command.  The parser yields one
+# row at a time, so the check can read a file as it streams.
 res = r.conjugate_subgradient_solve(oracle, x0, seed=0, record=True)
-text = r.trajectory_to_jsonl(res.trajectory, include_tangents=True)
-rows = r.trajectory_from_jsonl(text)
-print("replayed direction residual:", r.fr_direction_check(rows))
+lines = list(r.trajectory_lines(res.trajectory, include_tangents=True))
+check = r.check_trajectory(r.trajectory_from_jsonl(lines))
+print("replayed direction residual:", check.fr_residual)

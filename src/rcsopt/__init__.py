@@ -12,12 +12,11 @@ from .linesearch import (LineSearchConfig, LineSearchResult,
                          LineSearchStallError, RayObjective, irp, irp_records,
                          line_search)
 from .solver import (IterationRecord, SolveResult, SolverConfig,
-                     SolveStalledError, combine_subgradient,
-                     conjugate_subgradient_solve, descent_violations,
-                     direction_update, fr_direction_check,
-                     norm_recursion_residual, orthogonality_violations,
-                     select_lambda, subgradient_descent_solve,
-                     trajectory_from_jsonl, trajectory_to_jsonl)
+                     SolveStalledError, TrajectoryCheck, check_trajectory,
+                     combine_subgradient, conjugate_subgradient_solve,
+                     direction_update, select_lambda,
+                     subgradient_descent_solve, trajectory_from_jsonl,
+                     trajectory_lines)
 from .bench import (BenchmarkRecord, EmptySuiteError, ProfileCurve, SuiteSpec,
                     adjudicate, adjudicate_all, initial_point,
                     performance_profile, records_from_csv, records_to_csv,

@@ -8,17 +8,21 @@ Subcommands:
   written as its cell finishes).
 * ``bench profile --records records.csv --out profiles.csv`` recomputes the
   performance profiles from a records file.
-* ``bench check --trajectory run.jsonl`` verifies the recorded invariants:
-  monotone descent, the direction/norm recursions, and the orthogonality of
-  the combined subgradient to the transported direction.
+* ``bench check --trajectory run.jsonl`` verifies the recorded invariants
+  with :func:`rcsopt.solver.check_trajectory` as the file streams in, one
+  row at a time: monotone descent, the direction/norm recursions, and the
+  orthogonality of the combined subgradient to the transported direction.
+  The pass/fail thresholds are the solver module's.
 
 The environment variable ``RCSOPT_SEED`` overrides the suite's base seed.
 
 Bad input (an unreadable or malformed suite, records or trajectory file, a
 ``RCSOPT_SEED`` that is not an integer >= 0, an invalid solver config, a
-``--jobs`` below 1, an ``--out`` that cannot be made a directory) is
+``--jobs`` below 1, an ``--out`` that cannot be made a directory, an empty
+trajectory file, invalid tangent data or tangent data on some rows only) is
 reported as one line on stderr with exit code 2, before anything is written
-to ``--out``.  Errors inside a suite cell stay error rows of the records.
+to ``--out`` and before any verdict of ``bench check``.  Errors inside a
+suite cell stay error rows of the records.
 """
 
 from __future__ import annotations
@@ -39,18 +43,20 @@ class _BadInput(Exception):
 
 
 def _load(path: str, parse, what: str):
-    """``parse`` of the text of the file at ``path``; _BadInput if the file
+    """``parse`` of the open text file at ``path``; _BadInput if the file
     cannot be read or parsed."""
     try:
-        return parse(Path(path).read_text())
-    except (OSError, ValueError, KeyError, TypeError) as e:
+        with open(path) as fh:
+            return parse(fh)
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as e:
         raise _BadInput(f"{what} {path}: {type(e).__name__}: {e}") from e
 
 
 def _cmd_run(args) -> int:
     if args.jobs < 1:
         raise _BadInput(f"--jobs must be >= 1, got {args.jobs}")
-    spec = _load(args.suite, _bench.SuiteSpec.from_json, "suite file")
+    spec = _load(args.suite, lambda fh: _bench.SuiteSpec.from_json(fh.read()),
+                 "suite file")
     env_seed = os.environ.get("RCSOPT_SEED")
     if env_seed is not None:
         try:
@@ -89,7 +95,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    records = _load(args.records, _bench.records_from_csv, "records file")
+    records = _load(args.records,
+                    lambda fh: _bench.records_from_csv(fh.read()),
+                    "records file")
     if not records:
         raise _BadInput(f"records file {args.records}: no records")
     curves = _bench.performance_profile(records)
@@ -101,43 +109,13 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    rows = _load(args.trajectory, _solver.trajectory_from_jsonl,
-                 "trajectory file")
-    if not rows:
-        print("empty trajectory", file=sys.stderr)
-        return 2
+    # The file streams through the parser into the check, one row at a time.
+    check = _load(args.trajectory, lambda fh: _solver.check_trajectory(
+        _solver.trajectory_from_jsonl(fh)), "trajectory file")
     failures = 0
-
-    bad = _solver.descent_violations(rows)
-    failures += bad > 0
-    print(f"descent: {'PASS' if bad == 0 else f'FAIL ({bad} increases)'}")
-
-    res = _solver.norm_recursion_residual(rows)
-    ok = res <= 1e-6
-    failures += not ok
-    print(f"norm recursion: {'PASS' if ok else 'FAIL'} (max rel err {res:.3e})")
-
-    bad, total = _solver.orthogonality_violations(rows)
-    if total:
-        # Bracket stops at the width tolerance or the injectivity clamp can
-        # leave a real residual, so up to 1% of iterations may exceed the
-        # scale tolerance.
-        ok = bad <= 0.01 * total
-        failures += not ok
-        print(f"orthogonality: {'PASS' if ok else 'FAIL'} "
-              f"({bad}/{total} beyond tolerance)")
-    else:
-        print("orthogonality: skipped (no recorded inner products)")
-
-    if rows[0].x is not None:
-        res = _solver.fr_direction_check(rows)
-        ok = res <= 1e-6
-        failures += not ok
-        print(f"direction recursion: {'PASS' if ok else 'FAIL'} "
-              f"(max residual {res:.3e})")
-    else:
-        print("direction recursion: skipped (trajectory lacks tangent data; "
-              "re-run with --trace)")
+    for line, failed in check.verdicts():
+        print(line)
+        failures += failed
     return 1 if failures else 0
 
 

@@ -179,8 +179,9 @@ class Manifold:
     @staticmethod
     def from_tag(tag: dict) -> "Manifold":
         """The manifold named by a ``tag()`` dict; ValueError when unknown."""
+        kind = tag.get("kind") if isinstance(tag, dict) else None
         for cls in Manifold.__subclasses__():
-            if cls.kind == tag.get("kind"):
+            if cls.kind == kind:
                 return cls(tag["dim"])
         raise ValueError(f"unknown manifold tag {tag!r}")
 

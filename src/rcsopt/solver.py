@@ -12,11 +12,15 @@ all the descent, norm-recursion and orthogonality checks read.  A solve
 keeps no tangent vector beyond the current iterate unless it is asked to:
 with ``record=True`` each row also keeps its point, direction and combined
 subgradient (and a conjugate subgradient row its :class:`LineSearchResult`),
-enough to replay the direction recursion after the fact
-(:func:`fr_direction_check`), and the conjugate solver keeps the compact
-IRP trace of its line searches in :attr:`SolveResult.irp_trace`.  Recording
-changes no operation of the solve, so iterates, trial values and ``nf`` are
-bit-identical either way.
+enough to replay the direction recursion after the fact, and the conjugate
+solver keeps the compact IRP trace of its line searches in
+:attr:`SolveResult.irp_trace`.  Recording changes no operation of the
+solve, so iterates, trial values and ``nf`` are bit-identical either way.
+
+:func:`check_trajectory` checks all four invariants of a trajectory in one
+pass over any iterable of rows, in memory or streamed from a JSON-lines
+file by :func:`trajectory_from_jsonl`; the tolerances and the pass
+thresholds of ``bench check`` are this module's constants.
 
 Both solvers share one entry prologue (:func:`_start`), which checks the
 inputs once, before any evaluation: the oracle must offer
@@ -45,8 +49,8 @@ import numpy as np
 
 from .linesearch import (LineSearchConfig, LineSearchResult,
                          LineSearchStallError, RayObjective, line_search)
-from .manifolds import (Manifold, ManifoldPoint, TangentVector, _adopt, norm,
-                        transport_between)
+from .manifolds import (Manifold, ManifoldPoint, TangentVector, _adopt,
+                        check_tangent, norm, transport_between)
 
 _LAMBDA_TIE_TOL = 1e-14
 # The oracle methods the solvers need besides ``manifold``.
@@ -340,85 +344,129 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
 
 
 # ---------------------------------------------------------------------------
-# Trajectory verification: the algebraic identities of the direction update.
+# Trajectory verification: the paper's invariants, checked in one pass.
 # ---------------------------------------------------------------------------
 
-def _require_tangents(trajectory: list[IterationRecord], what: str) -> None:
-    """ValueError unless every row keeps its point, direction and combined
-    subgradient."""
-    if any(row.x is None or row.eta is None or row.gtilde is None
-           for row in trajectory):
-        raise ValueError(f"{what} needs the rows' tangent vectors; solve "
-                         f"with record=True")
+# f may rise by DESCENT_REL_TOL * (1 + |f|) between rows (round-off), and
+# |<gtilde_k, T eta_{k-1}>| may reach ORTHO_SCALE_TOL * (||gtilde_k||
+# ||eta_{k-1}|| + 1).
+DESCENT_REL_TOL = 1e-12
+ORTHO_SCALE_TOL = 1e-6
+# ``bench check`` passes a run whose norm and direction residuals are at most
+# these and whose inner products exceed ORTHO_SCALE_TOL on at most
+# ORTHO_BAD_FRAC of the rows: bracket stops at the width tolerance or the
+# injectivity clamp can leave a real residual.
+NORM_RESIDUAL_MAX = 1e-6
+ORTHO_BAD_FRAC = 0.01
+FR_RESIDUAL_MAX = 1e-6
 
 
-def fr_direction_check(trajectory: list[IterationRecord]) -> float:
-    """Max relative residual of the Fletcher-Reeves equivalence.
+@dataclass(frozen=True)
+class TrajectoryCheck:
+    """The invariants of one trajectory, from :func:`check_trajectory`.
 
-    Replays eta_k^FR = -gtilde_k + (||gtilde_k||^2 / ||gtilde_{k-1}||^2)
-    * T(eta_{k-1}^FR) along the recorded points and returns
-    max_k ||  ||eta_k||^2 eta_k^FR - ||gtilde_k||^2 eta_k  ||
-          / (||gtilde_k||^2 ||eta_k|| + 1e-300).
-
-    The replay needs every row's point and tangent vectors: ValueError for
-    rows of a solve run without ``record=True``.
+    ``descent_violations`` counts the rows whose f is not finite or rose
+    beyond DESCENT_REL_TOL over the row before.  ``norm_residual`` is the
+    max relative error of 1/||eta_k||^2 = sum_{j<=k} 1/||gtilde_j||^2, up to
+    the first zero norm.  ``orthogonality`` is (violations, count) of the
+    recorded inner products after the first row.  ``fr_residual`` is the max
+    relative residual of the Fletcher-Reeves replay, None when the rows keep
+    no tangent vectors.  A NaN counts as a violation of each check it
+    enters, as does a non-finite f, and a non-finite residual stays so.
     """
-    _require_tangents(trajectory, "fr_direction_check")
-    if not trajectory:
-        return 0.0
-    eta_fr = -1.0 * trajectory[0].gtilde
-    worst = 0.0
-    for j, row in enumerate(trajectory):
-        if j > 0:
-            prev = trajectory[j - 1]
-            if prev.gtilde_norm == 0.0:
-                break
-            carried = transport_between(prev.x, row.x, eta_fr)
-            eta_fr = (-1.0 * row.gtilde
-                      + (row.gtilde_norm ** 2 / prev.gtilde_norm ** 2) * carried)
-        mismatch = (row.eta_norm ** 2) * eta_fr - (row.gtilde_norm ** 2) * row.eta
-        resid = norm(mismatch) / (row.gtilde_norm ** 2 * row.eta_norm + 1e-300)
-        worst = max(worst, resid)
-    return worst
+
+    descent_violations: int
+    norm_residual: float
+    orthogonality: tuple[int, int]
+    fr_residual: float | None
+
+    def verdicts(self) -> list[tuple[str, bool]]:
+        """``bench check``'s verdict lines, each with whether it failed."""
+        n, (bad, total), fr = (self.descent_violations, self.orthogonality,
+                               self.fr_residual)
+        return [
+            _verdict("descent", n == 0, f"{n} increases" if n else ""),
+            _verdict("norm recursion", self.norm_residual <= NORM_RESIDUAL_MAX,
+                     f"max rel err {self.norm_residual:.3e}"),
+            _verdict("orthogonality", bad <= ORTHO_BAD_FRAC * total,
+                     f"{bad}/{total} beyond tolerance") if total else
+            _verdict("orthogonality", None, "no recorded inner products"),
+            _verdict("direction recursion", None, "trajectory lacks tangent "
+                     "data; re-run with --trace") if fr is None else
+            _verdict("direction recursion", fr <= FR_RESIDUAL_MAX,
+                     f"max residual {fr:.3e}")]
 
 
-def norm_recursion_residual(trajectory: list[IterationRecord]) -> float:
-    """Max relative error of 1/||eta_k||^2 = sum_{j<=k} 1/||gtilde_j||^2."""
-    worst = 0.0
-    acc = 0.0
-    for row in trajectory:
-        gn, en = row.gtilde_norm, row.eta_norm
-        if gn == 0.0 or en == 0.0:
-            break
-        acc += 1.0 / gn ** 2
-        lhs = 1.0 / en ** 2
-        worst = max(worst, abs(lhs - acc) / lhs)
-    return worst
+def _verdict(name: str, ok: bool | None, detail: str) -> tuple[str, bool]:
+    """A verdict line and whether it failed; ``ok`` None means skipped."""
+    word = "skipped" if ok is None else "PASS" if ok else "FAIL"
+    return f"{name}: {word}" + (f" ({detail})" if detail else ""), ok is False
 
 
-def descent_violations(trajectory: list[IterationRecord],
-                       rel_tol: float = 1e-12) -> int:
-    """Number of iterations where f increased beyond rel_tol."""
-    bad = 0
-    fs = [row.f for row in trajectory]
-    for a, b in zip(fs, fs[1:]):
-        if b > a + rel_tol * (1.0 + abs(a)):
-            bad += 1
-    return bad
+def _worse(worst: float, r: float) -> float:
+    """max(worst, r), except that a NaN on either side wins."""
+    return r if r > worst or math.isnan(r) else worst
 
 
-def orthogonality_violations(trajectory: list[IterationRecord],
-                             scale_tol: float = 1e-6):
-    """(violations, count) for |<gtilde_{k+1}, T eta_k>| <= tol-scale."""
-    bad = total = 0
-    rows = list(trajectory)
-    for prev, row in zip(rows, rows[1:]):
-        if row.ortho is None:
-            continue
-        total += 1
-        if abs(row.ortho) > scale_tol * (row.gtilde_norm * prev.eta_norm + 1.0):
-            bad += 1
-    return bad, total
+def _has_tangents(row: IterationRecord) -> bool:
+    return not (row.x is None or row.eta is None or row.gtilde is None)
+
+
+def check_trajectory(rows) -> TrajectoryCheck:
+    """Check monotone descent, the norm recursion, orthogonality and the
+    Fletcher-Reeves equivalence in one pass over ``rows``.
+
+    ``rows`` is any iterable of :class:`IterationRecord`, such as a solve's
+    trajectory or :func:`trajectory_from_jsonl` reading a file; the pass
+    holds only the previous row, the running sum and eta^FR.  The replay
+    eta_k^FR = -gtilde_k + (||gtilde_k||^2 / ||gtilde_{k-1}||^2)
+    T(eta_{k-1}^FR) runs along the recorded points up to the first zero
+    ||gtilde||, with residual
+    ||  ||eta_k||^2 eta_k^FR - ||gtilde_k||^2 eta_k  ||
+    / (||gtilde_k||^2 ||eta_k|| + 1e-300).
+
+    ValueError when there are no rows, or when some keep their tangent
+    vectors and others do not.  An infinite ``eta_norm``, or a norm whose
+    square under- or overflows, raises ArithmeticError from the formulas.
+    """
+    descent = ortho_bad = ortho_total = 0
+    norm_res, acc = 0.0, 0.0  # acc is None after the first zero norm
+    fr = eta_fr = prev = None  # eta_fr is None once the replay has ended
+    for row in rows:
+        f, gn, en = row.f, row.gtilde_norm, row.eta_norm
+        if prev is None:
+            descent += not math.isfinite(f)
+            tangents = _has_tangents(row)
+            if tangents:
+                fr, eta_fr = 0.0, -1.0 * row.gtilde
+        else:
+            if _has_tangents(row) != tangents:
+                raise ValueError(f"k={row.k}: tangent data on some rows only")
+            tol = DESCENT_REL_TOL * (1.0 + abs(prev.f))
+            descent += not math.isfinite(f) or f > prev.f + tol
+            if row.ortho is not None:
+                ortho_total += 1
+                ortho_bad += not (abs(row.ortho) <= ORTHO_SCALE_TOL
+                                  * (gn * prev.eta_norm + 1.0))
+            if eta_fr is not None and prev.gtilde_norm == 0.0:
+                eta_fr = None
+            elif eta_fr is not None:
+                carried = transport_between(prev.x, row.x, eta_fr)
+                ratio = gn ** 2 / prev.gtilde_norm ** 2
+                eta_fr = -1.0 * row.gtilde + ratio * carried
+        if acc is not None and (gn == 0.0 or en == 0.0):
+            acc = None
+        elif acc is not None:
+            acc += 1.0 / gn ** 2
+            lhs = 1.0 / en ** 2
+            norm_res = _worse(norm_res, abs(lhs - acc) / lhs)
+        if eta_fr is not None:
+            mismatch = (en ** 2) * eta_fr - (gn ** 2) * row.eta
+            fr = _worse(fr, norm(mismatch) / (gn ** 2 * en + 1e-300))
+        prev = row
+    if prev is None:
+        raise ValueError("no rows")
+    return TrajectoryCheck(descent, norm_res, (ortho_bad, ortho_total), fr)
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +477,11 @@ def trajectory_lines(trajectory: list[IterationRecord],
                      include_tangents: bool = False):
     """The JSON line of each row, without its newline, one at a time, so a
     writer can stream a trajectory; tangent data makes it replayable by
-    check().  ``include_tangents`` needs rows of a solve run with
-    ``record=True``: ValueError otherwise, before any line is produced."""
-    if include_tangents:
-        _require_tangents(trajectory, "include_tangents")
+    :func:`check_trajectory`.  ``include_tangents`` needs rows of a solve
+    run with ``record=True``: ValueError otherwise, before any line is
+    produced."""
+    if include_tangents and not all(map(_has_tangents, trajectory)):
+        raise ValueError("include_tangents needs rows of a record=True solve")
     return _row_lines(trajectory, include_tangents)
 
 
@@ -452,34 +501,32 @@ def _row_lines(trajectory: list[IterationRecord], include_tangents: bool):
         yield json.dumps(rec)
 
 
-def trajectory_to_jsonl(trajectory: list[IterationRecord],
-                        include_tangents: bool = False) -> str:
-    """The lines of :func:`trajectory_lines` as one JSONL string."""
-    return "\n".join(trajectory_lines(trajectory, include_tangents)) + "\n"
+def trajectory_from_jsonl(lines):
+    """Parse trajectory rows from JSON lines, one row at a time.
 
-
-def trajectory_from_jsonl(text: str) -> list[IterationRecord]:
-    """Parse trajectory records; rebuilds points/tangents when present.
-
-    Lines written without tangent data give rows whose ``x``, ``eta`` and
-    ``gtilde`` are None, which suffices for the scalar checks.
+    ``lines`` is any iterable of strings, such as an open file, so a file of
+    any length is read in O(1) rows.  Lines written without tangent data give
+    rows whose ``x``, ``eta`` and ``gtilde`` are None.  Tangent data is
+    validated as it is read: ValueError for a point that is not on its
+    manifold (shape, finiteness, membership) and for an ``eta`` or
+    ``gtilde`` that is not tangent at it.
     """
-    rows = []
-    for line in text.splitlines():
+    for line in lines:
         if not line.strip():
             continue
         rec = json.loads(line)
         x = eta = gtilde = None
         if "x" in rec and "manifold" in rec:
-            x = ManifoldPoint(Manifold.from_tag(rec["manifold"]),
-                              np.array(rec["x"]))
-            eta = TangentVector(x, np.array(rec["eta"]))
-            gtilde = TangentVector(x, np.array(rec["gtilde"]))
-        rows.append(IterationRecord(
+            x = Manifold.from_tag(rec["manifold"]).point(rec["x"])
+            eta = TangentVector(x, rec["eta"])
+            gtilde = TangentVector(x, rec["gtilde"])
+            if not all(v.data.shape == x.data.shape and check_tangent(v)
+                       for v in (eta, gtilde)):
+                raise ValueError("eta and gtilde must be tangent at x")
+        yield IterationRecord(
             k=rec["k"], x=x, f=rec["f"], eta=eta, gtilde=gtilde,
             eta_norm=rec["eta_norm"], gtilde_norm=rec["gtilde_norm"],
             nf_cum=rec["nf_cum"], time_cum_s=rec["time_cum_s"],
             t=rec.get("t"), null=bool(rec.get("null", False)),
             lam=rec.get("lambda"), alpha=rec.get("alpha"),
-            ortho=rec.get("ortho")))
-    return rows
+            ortho=rec.get("ortho"))

@@ -288,3 +288,66 @@ class GenericOnly:
 
     def restrict(self, x, v):
         return GenericRay(self, x, v)
+
+
+# ---------------------------------------------------------------------------
+# The trajectory invariants as list walks, one function per invariant: the
+# reference the one-pass ``check_trajectory`` must equal bit for bit.
+# ---------------------------------------------------------------------------
+
+def fr_direction_check(trajectory):
+    """Max relative residual of the Fletcher-Reeves equivalence."""
+    from rcsopt import norm, transport_between
+    if not trajectory:
+        return 0.0
+    eta_fr = -1.0 * trajectory[0].gtilde
+    worst = 0.0
+    for j, row in enumerate(trajectory):
+        if j > 0:
+            prev = trajectory[j - 1]
+            if prev.gtilde_norm == 0.0:
+                break
+            carried = transport_between(prev.x, row.x, eta_fr)
+            eta_fr = (-1.0 * row.gtilde
+                      + (row.gtilde_norm ** 2 / prev.gtilde_norm ** 2) * carried)
+        mismatch = (row.eta_norm ** 2) * eta_fr - (row.gtilde_norm ** 2) * row.eta
+        resid = norm(mismatch) / (row.gtilde_norm ** 2 * row.eta_norm + 1e-300)
+        worst = max(worst, resid)
+    return worst
+
+
+def norm_recursion_residual(trajectory):
+    """Max relative error of 1/||eta_k||^2 = sum_{j<=k} 1/||gtilde_j||^2."""
+    worst = 0.0
+    acc = 0.0
+    for row in trajectory:
+        gn, en = row.gtilde_norm, row.eta_norm
+        if gn == 0.0 or en == 0.0:
+            break
+        acc += 1.0 / gn ** 2
+        lhs = 1.0 / en ** 2
+        worst = max(worst, abs(lhs - acc) / lhs)
+    return worst
+
+
+def descent_violations(trajectory, rel_tol=1e-12):
+    """Number of iterations where f increased beyond rel_tol."""
+    bad = 0
+    fs = [row.f for row in trajectory]
+    for a, b in zip(fs, fs[1:]):
+        if b > a + rel_tol * (1.0 + abs(a)):
+            bad += 1
+    return bad
+
+
+def orthogonality_violations(trajectory, scale_tol=1e-6):
+    """(violations, count) for |<gtilde_{k+1}, T eta_k>| <= tol-scale."""
+    bad = total = 0
+    rows = list(trajectory)
+    for prev, row in zip(rows, rows[1:]):
+        if row.ortho is None:
+            continue
+        total += 1
+        if abs(row.ortho) > scale_tol * (row.gtilde_norm * prev.eta_norm + 1.0):
+            bad += 1
+    return bad, total

@@ -2,9 +2,11 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the per-criterion
 lines.  Criteria 1-4 share a single benchmark-suite run (four problem
-configurations, ten seeds each, 500-iteration cap).
+configurations, ten seeds each, 500-iteration cap), and criteria 1, 3 and 4
+read one ``check_trajectory`` of each run.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 
 import rcsopt as r
 
+import oracles
 from oracles import brute_force_profile, fd_dir_deriv, geodesic_grid_min
 
 SUITE = (("rayleigh", 5, 200), ("rayleigh", 50, 200),
@@ -39,13 +42,14 @@ def suite_runs():
                                                 record=True)
             runs.append(((kind, n, m, seed), res))
     elapsed = time.perf_counter() - t0
-    return runs, elapsed
+    return [(key, res, r.check_trajectory(res.trajectory))
+            for key, res in runs], elapsed
 
 
 def test_criterion_1_descent(suite_runs):
     runs, elapsed = suite_runs
-    bad = sum(r.descent_violations(res.trajectory) for _, res in runs)
-    iters = sum(res.iters for _, res in runs)
+    bad = sum(check.descent_violations for _, _, check in runs)
+    iters = sum(res.iters for _, res, _ in runs)
     report(1, "monotone descent", bad == 0 and elapsed < 120.0,
            f"{len(runs)} runs, {iters} iterations, 0 expected increases, "
            f"got {bad}; runtime {elapsed:.1f}s < 120s")
@@ -54,7 +58,7 @@ def test_criterion_1_descent(suite_runs):
 def test_criterion_2_line_search_optimality(suite_runs):
     runs, _ = suite_runs
     total = nondecrease_bad = first_order_bad = edge_stops = 0
-    for _, res in runs:
+    for _, res, _ in runs:
         for rec in res.line_search_records():
             total += 1
             if rec.phi_at_t > rec.phi0 + 1e-12 * (1 + abs(rec.phi0)):
@@ -71,7 +75,7 @@ def test_criterion_2_line_search_optimality(suite_runs):
                 if not (rec.dminus_at_lo <= tol and rec.dplus_at_hi >= -tol):
                     first_order_bad += 1
     assert all(len(res.line_search_records()) == res.ls_calls
-               for _, res in runs)
+               for _, res, _ in runs)
     ok = (total >= 10_000 and nondecrease_bad == 0 and first_order_bad == 0)
     report(2, "line-search optimality", ok,
            f"{total} line searches (>= 10000), {nondecrease_bad} ascent, "
@@ -82,8 +86,8 @@ def test_criterion_2_line_search_optimality(suite_runs):
 def test_criterion_3_orthogonality(suite_runs):
     runs, _ = suite_runs
     bad = total = 0
-    for _, res in runs:
-        b, t = r.orthogonality_violations(res.trajectory)
+    for _, _, check in runs:
+        b, t = check.orthogonality
         bad += b
         total += t
     rate = bad / total
@@ -94,11 +98,35 @@ def test_criterion_3_orthogonality(suite_runs):
 
 def test_criterion_4_norm_recursion(suite_runs):
     runs, _ = suite_runs
-    worst = max(r.norm_recursion_residual(res.trajectory)
-                for _, res in runs)
+    worst = max(check.norm_residual for _, _, check in runs)
     report(4, "direction-norm recursion", worst <= 1e-6,
            f"max relative residual {worst:.2e} <= 1e-6 over "
            f"{len(runs)} trajectories of <= 500 iterations")
+
+
+def _reference_check(rows):
+    """The checks of ``check_trajectory`` by the list-walking reference."""
+    return (oracles.descent_violations(rows),
+            oracles.norm_recursion_residual(rows),
+            oracles.orthogonality_violations(rows),
+            oracles.fr_direction_check(rows) if rows[0].x is not None
+            else None)
+
+
+def test_one_pass_check_equals_list_reference(suite_runs):
+    # Bit for bit on every run of the suite: in memory, and parsed back from
+    # JSON lines written with and without tangent data.
+    runs, _ = suite_runs
+    for key, res, check in runs:
+        assert dataclasses.astuple(check) \
+            == _reference_check(res.trajectory), key
+        for tangents in (False, True):
+            rows = list(r.trajectory_from_jsonl(
+                r.trajectory_lines(res.trajectory, tangents)))
+            parsed = r.check_trajectory(rows)
+            assert dataclasses.astuple(parsed) == _reference_check(rows), key
+            assert parsed == (check if tangents else
+                              dataclasses.replace(check, fr_residual=None))
 
 
 def test_criterion_5_fr_equivalence():
@@ -110,12 +138,14 @@ def test_criterion_5_fr_equivalence():
         x0 = r.Sphere(11).random_point(np.random.default_rng(seed))
         res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=seed,
                                             record=True)
-        worst_smooth = max(worst_smooth, r.fr_direction_check(res.trajectory))
+        worst_smooth = max(worst_smooth,
+                           r.check_trajectory(res.trajectory).fr_residual)
         oracle = r.generate_instance("karcher", 5, 50, seed=seed)
         res = r.conjugate_subgradient_solve(
             oracle, r.initial_point("karcher", 5, seed), cfg, seed=seed,
             record=True)
-        worst_smooth = max(worst_smooth, r.fr_direction_check(res.trajectory))
+        worst_smooth = max(worst_smooth,
+                           r.check_trajectory(res.trajectory).fr_residual)
     worst_nonsmooth = 0.0
     for seed in range(5):
         for kind, n, m in (("rayleigh", 5, 200), ("median", 100, 200)):
@@ -123,8 +153,8 @@ def test_criterion_5_fr_equivalence():
             res = r.conjugate_subgradient_solve(
                 oracle, r.initial_point(kind, n, seed), cfg, seed=seed,
                 record=True)
-            worst_nonsmooth = max(worst_nonsmooth,
-                                  r.fr_direction_check(res.trajectory))
+            worst_nonsmooth = max(
+                worst_nonsmooth, r.check_trajectory(res.trajectory).fr_residual)
     ok = worst_smooth <= 1e-8 and worst_nonsmooth <= 1e-6
     report(5, "Fletcher-Reeves direction equivalence", ok,
            f"smooth residual {worst_smooth:.2e} <= 1e-8, "

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,21 @@ def write_suite(path, **kw):
                                "subgradient": {"max_iters": 60}}}
     spec.update(kw)
     path.write_text(json.dumps(spec))
+    return path
+
+
+def trajectory_lines(n=3, m=5, seed=2, max_iters=30, record=True):
+    """JSON lines of a rayleigh solve, with tangent data when recorded."""
+    oracle = r.generate_instance("rayleigh", n, m, seed=seed)
+    x0 = r.initial_point("rayleigh", n, seed)
+    res = r.conjugate_subgradient_solve(
+        oracle, x0, r.SolverConfig(max_iters=max_iters), seed=seed,
+        record=record)
+    return list(r.trajectory_lines(res.trajectory, include_tangents=record))
+
+
+def write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines))
     return path
 
 
@@ -55,27 +71,18 @@ def test_run_with_trace_then_check(tmp_path, capsys):
 
 
 def test_check_without_tangents_skips_replay(tmp_path, capsys):
-    oracle = r.generate_instance("rayleigh", 3, 4, seed=1)
-    x0 = r.initial_point("rayleigh", 3, 1)
-    res = r.conjugate_subgradient_solve(oracle, x0,
-                                        r.SolverConfig(max_iters=120), seed=1)
-    path = tmp_path / "scalars.jsonl"
-    path.write_text(r.trajectory_to_jsonl(res.trajectory))
+    path = write_lines(tmp_path / "scalars.jsonl",
+                       trajectory_lines(3, 4, 1, 120, record=False))
     assert main(["check", "--trajectory", str(path)]) == 0
     assert "skipped" in capsys.readouterr().out
 
 
 def test_check_flags_broken_trajectory(tmp_path, capsys):
-    oracle = r.generate_instance("rayleigh", 3, 4, seed=2)
-    x0 = r.initial_point("rayleigh", 3, 2)
-    res = r.conjugate_subgradient_solve(oracle, x0,
-                                        r.SolverConfig(max_iters=30), seed=2)
-    lines = r.trajectory_to_jsonl(res.trajectory).splitlines()
+    lines = trajectory_lines(3, 4, 2, 30, record=False)
     rec = json.loads(lines[2])
     rec["f"] = rec["f"] + 10.0  # inject an objective increase
     lines[2] = json.dumps(rec)
-    path = tmp_path / "broken.jsonl"
-    path.write_text("\n".join(lines) + "\n")
+    path = write_lines(tmp_path / "broken.jsonl", lines)
     assert main(["check", "--trajectory", str(path)]) == 1
     assert "descent: FAIL" in capsys.readouterr().out
 
@@ -104,7 +111,8 @@ def test_env_seed_override(tmp_path, monkeypatch):
 
 
 def _one_error_line(capsys, command):
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert len(err.splitlines()) == 1, err
     assert err.startswith(f"bench {command}: ")
     return err
@@ -180,13 +188,93 @@ def test_run_rejects_bad_seed(tmp_path, capsys, monkeypatch, seed):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("content", [None, "not json\n", '{"k": 1}\n'])
+def _edit_row(lines, key, edit):
+    """The lines with ``edit`` applied to field ``key`` of the third row."""
+    rec = json.loads(lines[2])
+    rec[key] = edit(rec[key])
+    return lines[:2] + [json.dumps(rec)] + lines[3:]
+
+
+# Empty, truncated and malformed files: each is bad input, caught as the rows
+# stream in, before any verdict line.
+BAD_TRAJECTORIES = {
+    "empty": lambda lines: [],
+    "truncated": lambda lines: lines[:-1] + [lines[-1][:len(lines[-1]) // 2]],
+    "x_cut": lambda lines: _edit_row(lines, "x", lambda x: x[:2]),
+    "x_scaled": lambda lines: _edit_row(lines, "x",
+                                        lambda x: [2.0 * v for v in x]),
+    "eta_not_tangent": lambda lines: _edit_row(
+        lines, "eta", lambda v: [a + b for a, b in
+                                 zip(v, json.loads(lines[2])["x"])]),
+    "gtilde_cut": lambda lines: _edit_row(lines, "gtilde", lambda v: v[1:]),
+    "manifold_not_a_tag": lambda lines: _edit_row(lines, "manifold",
+                                                  lambda tag: 5),
+    "eta_norm_inf": lambda lines: _edit_row(lines, "eta_norm",
+                                            lambda v: float("inf")),
+}
+
+
+@pytest.mark.parametrize("content", [None, "not json\n", '{"k": 1}\n',
+                                     *BAD_TRAJECTORIES])
 def test_check_rejects_unreadable_trajectory(tmp_path, capsys, content):
     path = tmp_path / "run.jsonl"
-    if content is not None:
+    if content in BAD_TRAJECTORIES:
+        write_lines(path, BAD_TRAJECTORIES[content](trajectory_lines()))
+    elif content is not None:
         path.write_text(content)
     assert main(["check", "--trajectory", str(path)]) == 2
     assert str(path) in _one_error_line(capsys, "check")
+
+
+def _without_tangents(line):
+    rec = json.loads(line)
+    for key in ("manifold", "x", "eta", "gtilde"):
+        del rec[key]
+    return json.dumps(rec)
+
+
+@pytest.mark.parametrize("first", ["tangent_rows", "scalar_rows"])
+def test_check_rejects_mixed_tangent_rows(tmp_path, capsys, first):
+    full = trajectory_lines()
+    scalar = [_without_tangents(line) for line in full]
+    head, tail = (full, scalar) if first == "tangent_rows" else (scalar, full)
+    path = write_lines(tmp_path / "mixed.jsonl", head[:2] + tail[2:])
+    assert main(["check", "--trajectory", str(path)]) == 2
+    assert "tangent data" in _one_error_line(capsys, "check")
+
+
+@pytest.mark.parametrize("field", ["f", "eta_norm", "gtilde_norm", "ortho",
+                                   "x"])
+def test_check_fails_on_nan(tmp_path, capsys, field):
+    # A NaN compares false with every tolerance; it must still fail.
+    nan = float("nan")
+    edit = (lambda x: [nan] + x[1:]) if field == "x" else (lambda v: nan)
+    path = write_lines(tmp_path / "nan.jsonl",
+                       _edit_row(trajectory_lines(), field, edit))
+    code = main(["check", "--trajectory", str(path)])
+    if field == "x":  # not a point of the sphere: bad input
+        assert code == 2
+        assert "finite" in _one_error_line(capsys, "check")
+    else:
+        assert code == 1
+        assert "FAIL" in capsys.readouterr().out
+
+
+def test_check_memory_is_bounded_by_a_row(tmp_path, capsys):
+    # The file streams through the check, so its peak heap is a few rows,
+    # not the file.
+    path = write_lines(tmp_path / "long.jsonl",
+                       trajectory_lines(20, 50, 0, 1000))
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        assert main(["check", "--trajectory", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert size > 1_000_000
+    assert peak < size / 10, (peak, size)
+    assert "direction recursion: PASS" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("content", [None, "not,a,records,file\n",

@@ -695,8 +695,9 @@ def test_karcher_whole_solve_matches_generic_path():
         assert fast.f == pytest.approx(ref.f, rel=1e-12)
         assert {fast.stop_reason, ref.stop_reason} <= {"stationary",
                                                        "null_steps"}
-        assert r.descent_violations(fast.trajectory) == 0
-        assert r.norm_recursion_residual(fast.trajectory) <= 1e-6
+        check = r.check_trajectory(fast.trajectory)
+        assert check.descent_violations == 0
+        assert check.norm_residual <= 1e-6
 
 
 class TestBasePointAtRayEntry:

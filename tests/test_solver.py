@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 from collections import Counter
 
@@ -181,7 +183,7 @@ class TestConjugateSubgradientSolve:
     def test_monotone_descent_all_families(self):
         for kind, seed in (("rayleigh", 12), ("median", 13), ("karcher", 14)):
             _, res = solve_small(kind, 3, 6, seed, max_iters=300)
-            assert r.descent_violations(res.trajectory) == 0
+            assert r.check_trajectory(res.trajectory).descent_violations == 0
 
     def test_direction_minimality(self):
         # ||eta_{k+1}|| <= min(||gtilde_{k+1}||, ||T eta_k||)
@@ -212,11 +214,11 @@ class TestConjugateSubgradientSolve:
     def test_norm_recursion(self):
         for kind, seed in (("rayleigh", 18), ("median", 19), ("karcher", 20)):
             _, res = solve_small(kind, 3, 6, seed, max_iters=500)
-            assert r.norm_recursion_residual(res.trajectory) <= 1e-6
+            assert r.check_trajectory(res.trajectory).norm_residual <= 1e-6
 
     def test_orthogonality_identity(self):
         _, res = solve_small("rayleigh", 4, 10, 21, max_iters=300)
-        bad, total = r.orthogonality_violations(res.trajectory)
+        bad, total = r.check_trajectory(res.trajectory).orthogonality
         assert total > 0
         assert bad == 0
 
@@ -257,8 +259,9 @@ class TestConjugateSubgradientSolve:
             assert ray.value(1e5) == np.inf
             res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=seed)
             assert res.stop_reason == "stationary"
-            assert r.descent_violations(res.trajectory) == 0
-            assert r.norm_recursion_residual(res.trajectory) <= 1e-13
+            check = r.check_trajectory(res.trajectory)
+            assert check.descent_violations == 0
+            assert check.norm_residual <= 1e-13
 
     def test_f_matches_value_at_final_point(self):
         # f is the line search's closed-form ray value at the accepted step,
@@ -309,7 +312,7 @@ class TestConjugateSubgradientSolve:
 class TestFrDirectionCheck:
     def test_first_iteration_residual_zero(self):
         _, res = solve_small("rayleigh", 3, 5, 30, record=True, max_iters=1)
-        assert r.fr_direction_check(res.trajectory[:1]) == 0.0
+        assert r.check_trajectory(res.trajectory[:1]).fr_residual == 0.0
 
     def test_smooth_run_residual(self):
         oracle = r.generate_instance("karcher", 3, 5, seed=31)
@@ -317,19 +320,48 @@ class TestFrDirectionCheck:
         cfg = r.SolverConfig(max_iters=50)
         res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=31,
                                             record=True)
-        assert r.fr_direction_check(res.trajectory) <= 1e-8
+        assert r.check_trajectory(res.trajectory).fr_residual <= 1e-8
 
     def test_nonsmooth_run_residual(self):
         _, res = solve_small("rayleigh", 4, 12, 32, record=True, max_iters=50)
-        assert r.fr_direction_check(res.trajectory) <= 1e-6
+        assert r.check_trajectory(res.trajectory).fr_residual <= 1e-6
 
-    def test_unrecorded_rows_raise(self):
-        # Rows of a default solve hold scalars only; the replay says so
-        # instead of failing on a missing vector.
+    def test_unrecorded_rows_have_no_fr_residual(self):
+        # Rows of a default solve hold scalars only: the replay is skipped
+        # and the scalar checks still run.
         _, res = solve_small("rayleigh", 3, 5, 32, max_iters=5)
         assert res.trajectory[0].x is None
-        with pytest.raises(ValueError, match="record=True"):
-            r.fr_direction_check(res.trajectory)
+        check = r.check_trajectory(res.trajectory)
+        assert check.fr_residual is None
+        assert check.descent_violations == 0
+
+
+class TestCheckTrajectory:
+    @pytest.mark.parametrize("field", ["f", "eta_norm", "gtilde_norm"])
+    def test_nan_fails_and_stays(self, field):
+        # One bad row in the middle of a recorded run: its check fails, and
+        # the finite rows after it do not overwrite a non-finite residual.
+        _, res = solve_small("rayleigh", 3, 5, 2, record=True, max_iters=30)
+        rows = list(res.trajectory)
+        rows[2] = dataclasses.replace(rows[2], **{field: np.nan})
+        check = r.check_trajectory(rows)
+        if field == "f":
+            assert check.descent_violations == 1
+        else:
+            assert not math.isfinite(check.norm_residual)
+            assert not math.isfinite(check.fr_residual)
+        assert any(failed for _, failed in check.verdicts())
+
+    def test_mixed_tangent_rows_raise(self):
+        _, res = solve_small("rayleigh", 3, 5, 2, record=True, max_iters=5)
+        rows = list(res.trajectory)
+        rows[3] = dataclasses.replace(rows[3], x=None)
+        with pytest.raises(ValueError, match="tangent data"):
+            r.check_trajectory(rows)
+
+    def test_no_rows_raise(self):
+        with pytest.raises(ValueError, match="no rows"):
+            r.check_trajectory(iter([]))
 
 
 class TestBaselineSolver:
@@ -357,8 +389,8 @@ class TestBaselineSolver:
         x0 = r.initial_point("rayleigh", 3, 35)
         sub = r.subgradient_descent_solve(
             oracle, x0, r.SolverConfig(max_iters=50), seed=35)
-        a = r.trajectory_to_jsonl(cg.trajectory).splitlines()[0]
-        b = r.trajectory_to_jsonl(sub.trajectory).splitlines()[0]
+        a = next(r.trajectory_lines(cg.trajectory))
+        b = next(r.trajectory_lines(sub.trajectory))
         import json
         assert set(json.loads(a)) >= set(json.loads(b))
         required = {"k", "f", "eta_norm", "gtilde_norm", "t", "lambda",
@@ -366,58 +398,62 @@ class TestBaselineSolver:
         assert required <= set(json.loads(b))
 
 
-def _scalar_checks(rows):
-    return (r.descent_violations(rows), r.norm_recursion_residual(rows),
-            r.orthogonality_violations(rows),
-            r.orthogonality_violations(rows, scale_tol=0.0))
+def _jsonl(rows, include_tangents=False):
+    """The rows written as JSON lines and parsed back."""
+    return list(r.trajectory_from_jsonl(
+        r.trajectory_lines(rows, include_tangents)))
+
+
+def _scalars(check):
+    return check.descent_violations, check.norm_residual, check.orthogonality
 
 
 class TestTrajectorySerialization:
     def test_scalar_round_trip(self):
         _, res = solve_small("rayleigh", 3, 5, 36, record=True, max_iters=60)
-        text = r.trajectory_to_jsonl(res.trajectory)
-        rows = r.trajectory_from_jsonl(text)
+        rows = _jsonl(res.trajectory)
         assert len(rows) == len(res.trajectory)
         assert all(isinstance(row, r.IterationRecord) for row in rows)
         assert all(row.x is None and row.eta is None and row.gtilde is None
                    for row in rows)
-        assert rows[0].f == res.trajectory[0].f
-        assert r.norm_recursion_residual(rows) <= 1e-6
+        assert [row.f for row in rows] == [row.f for row in res.trajectory]
+        assert [row.ortho for row in rows] \
+            == [row.ortho for row in res.trajectory]
+        assert r.check_trajectory(rows).norm_residual <= 1e-6
         # The checks read the same numbers from either row origin.
-        tangent_rows = r.trajectory_from_jsonl(
-            r.trajectory_to_jsonl(res.trajectory, include_tangents=True))
-        expected = _scalar_checks(res.trajectory)
-        assert expected[3][0] > 0  # scale_tol = 0 counts every nonzero ortho
-        assert _scalar_checks(rows) == expected
-        assert _scalar_checks(tangent_rows) == expected
+        expected = r.check_trajectory(res.trajectory)
+        assert _scalars(r.check_trajectory(rows)) == _scalars(expected)
+        tangent_check = r.check_trajectory(_jsonl(res.trajectory, True))
+        assert tangent_check == expected
 
     def test_tangent_round_trip_replayable(self):
         _, res = solve_small("rayleigh", 3, 5, 37, record=True, max_iters=50)
-        text = r.trajectory_to_jsonl(res.trajectory, include_tangents=True)
-        rows = r.trajectory_from_jsonl(text)
+        rows = _jsonl(res.trajectory, include_tangents=True)
         assert all(isinstance(row, r.IterationRecord) for row in rows)
         assert all(np.array_equal(row.x.data, mem.x.data)
                    for row, mem in zip(rows, res.trajectory))
-        assert r.fr_direction_check(rows) <= 1e-6
-        assert r.descent_violations(rows) == 0
+        check = r.check_trajectory(rows)
+        assert check.fr_residual <= 1e-6
+        assert check.descent_violations == 0
 
     def test_spd_tangent_round_trip_and_unknown_tag(self):
         _, res = solve_small("karcher", 3, 4, 38, record=True, max_iters=10)
-        text = r.trajectory_to_jsonl(res.trajectory, include_tangents=True)
-        rows = r.trajectory_from_jsonl(text)
+        lines = list(r.trajectory_lines(res.trajectory, include_tangents=True))
+        rows = list(r.trajectory_from_jsonl(lines))
         assert rows[0].x.manifold == r.SPD(3)
         assert np.array_equal(rows[-1].x.data, res.x.data)
-        bad = text.replace('"kind": "spd"', '"kind": "torus"')
+        bad = [line.replace('"kind": "spd"', '"kind": "torus"')
+               for line in lines]
         with pytest.raises(ValueError, match="unknown manifold tag"):
-            r.trajectory_from_jsonl(bad)
+            list(r.trajectory_from_jsonl(bad))
 
     def test_tangent_lines_of_unrecorded_rows_raise(self):
         # Raised when the lines are asked for, before any line is made, so a
         # streaming writer leaves no partial file.
         _, res = solve_small("rayleigh", 3, 5, 37, max_iters=5)
         with pytest.raises(ValueError, match="record=True"):
-            r.solver.trajectory_lines(res.trajectory, include_tangents=True)
-        assert r.trajectory_to_jsonl(res.trajectory).count("\n") \
+            r.trajectory_lines(res.trajectory, include_tangents=True)
+        assert len(list(r.trajectory_lines(res.trajectory))) \
             == len(res.trajectory)
 
 
