@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -23,7 +22,7 @@ import numpy as np
 
 from .manifolds import SPD, ManifoldPoint, Sphere
 from .objectives import KINDS, generate_instance
-from .solver import (SolveResult, SolverConfig, SolveStalledError,
+from .solver import (SolveResult, SolverConfig, SolveStalledError, _is_int,
                      conjugate_subgradient_solve, subgradient_descent_solve,
                      trajectory_lines)
 from .linesearch import LineSearchConfig, irp_records
@@ -40,10 +39,6 @@ SOLVERS = {
     "conjugate_subgradient": conjugate_subgradient_solve,
     "subgradient": subgradient_descent_solve,
 }
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def solver_config_from_dict(obj: dict | None) -> SolverConfig:
@@ -365,9 +360,12 @@ def records_from_csv(text: str) -> list[BenchmarkRecord]:
     if not rows or tuple(rows[0]) != _RECORD_FIELDS:
         raise ValueError("unrecognized records CSV header")
     out = []
-    for row in rows[1:]:
+    for i, row in enumerate(rows[1:], start=2):
         if not row:
             continue
+        if len(row) != len(_RECORD_FIELDS):
+            raise ValueError(f"row {i} has {len(row)} of the "
+                             f"{len(_RECORD_FIELDS)} fields")
         out.append(BenchmarkRecord(
             problem=row[0], solver=row[1], seed=int(row[2]), iters=int(row[3]),
             nf=int(row[4]), wall_time_s=float(row[5]), final_f=float(row[6]),

@@ -11,11 +11,14 @@ Every trajectory row holds the scalar diagnostics of its iteration, which is
 all the descent, norm-recursion and orthogonality checks read.  A solve
 keeps no tangent vector beyond the current iterate unless it is asked to:
 with ``record=True`` each row also keeps its point, direction and combined
-subgradient (and a conjugate subgradient row its :class:`LineSearchResult`),
-enough to replay the direction recursion after the fact, and the conjugate
-solver keeps the compact IRP trace of its line searches in
-:attr:`SolveResult.irp_trace`.  Recording changes no operation of the
-solve, so iterates, trial values and ``nf`` are bit-identical either way.
+subgradient, enough to replay the direction recursion after the fact, and
+the conjugate solver keeps the compact IRP trace of its line searches in
+:attr:`SolveResult.irp_trace`.  That is exactly what ``bench run --trace``
+writes: every row field round-trips through :func:`trajectory_lines` and
+:func:`trajectory_from_jsonl`, and the trace through
+:func:`rcsopt.linesearch.irp_records`.  Recording changes no operation of
+the solve, so iterates, trial values and ``nf`` are bit-identical either
+way.
 
 :func:`check_trajectory` checks all four invariants of a trajectory in one
 pass over any iterable of rows, in memory or streamed from a JSON-lines
@@ -42,13 +45,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linesearch import (LineSearchConfig, LineSearchResult,
-                         LineSearchStallError, RayObjective, line_search)
+from .linesearch import (LineSearchConfig, LineSearchStallError,
+                         RayObjective, line_search)
 from .manifolds import (Manifold, ManifoldPoint, TangentVector, _adopt,
                         check_tangent, norm, transport_between)
 
@@ -65,6 +69,10 @@ class SolveStalledError(RuntimeError):
         self.trajectory = trajectory
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     epsilon_stop: float = 1e-8
@@ -73,10 +81,13 @@ class SolverConfig:
     ls: LineSearchConfig = field(default_factory=LineSearchConfig)
 
     def __post_init__(self):
-        if self.epsilon_stop <= 0.0:
+        # Written so that a NaN fails the check.
+        if not self.epsilon_stop > 0.0:
             raise ValueError("epsilon_stop must be positive")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        for name in ("max_iters", "max_null_steps"):
+            v = getattr(self, name)
+            if not (_is_int(v) and v >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
 
 
 @dataclass
@@ -84,8 +95,10 @@ class IterationRecord:
     """One trajectory row; row k describes the state entering iteration k.
 
     Rows of a solve run without ``record=True``, and rows parsed from a
-    trajectory written without tangent data, have ``x``, ``eta``,
-    ``gtilde`` and ``ls`` set to None; the scalar checks need only the rest.
+    trajectory written without tangent data, have ``x``, ``eta`` and
+    ``gtilde`` set to None; the scalar checks need only the rest.  Every
+    field is written by :func:`trajectory_lines` (the tangents with
+    ``include_tangents``) and read back by :func:`trajectory_from_jsonl`.
     """
 
     k: int
@@ -100,32 +113,34 @@ class IterationRecord:
     # Line search performed *from* this row's point (filled once it ran).
     t: float | None = None
     null: bool = False
-    ls: LineSearchResult | None = None
     # Direction-update diagnostics that produced this row (None for k = 1).
     lam: float | None = None
     alpha: float | None = None
-    cos2_theta: float | None = None
     ortho: float | None = None  # <gtilde, d> before stabilization (raw log)
 
 
 @dataclass
 class SolveResult:
+    """What a solve returns.
+
+    ``x`` and ``f`` are the final iterate and its value; ``stop_reason`` is
+    ``"stationary"`` (``eta_norm`` at or below ``epsilon_stop``),
+    ``"null_steps"`` (``max_null_steps`` consecutive zero steps) or
+    ``"max_iters"``; ``iters`` is the number of iterations, one line search
+    each for the conjugate solver; ``nf`` counts the oracle evaluations.
+    ``trajectory`` holds one :class:`IterationRecord` per iterate, and
+    ``irp_trace`` the compact IRP trace of a recorded conjugate subgradient
+    solve (read it with :func:`rcsopt.linesearch.irp_records`), None
+    otherwise.
+    """
+
     x: ManifoldPoint
     f: float
     stop_reason: str
     iters: int
     nf: int
-    ls_calls: int
-    null_steps: int
-    wall_time_s: float
     trajectory: list[IterationRecord]
-    # Compact IRP trace of a recorded conjugate subgradient solve, read with
-    # rcsopt.linesearch.irp_records; None otherwise.
     irp_trace: list | None = None
-
-    def line_search_records(self) -> list[LineSearchResult]:
-        """The line-search results of a recorded solve (empty otherwise)."""
-        return [r.ls for r in self.trajectory if r.ls is not None]
 
 
 def select_lambda(ip_plus: float, ip_minus: float) -> float:
@@ -163,17 +178,6 @@ def direction_update(g: np.ndarray, d: np.ndarray, ng2: float,
     return (-alpha) * g + (1.0 - alpha) * d, float(alpha)
 
 
-def _cos2(ip, x, g, d, ng2: float, nd2: float) -> float:
-    """cos^2 of the angle between d and g + d (equals alpha when g _|_ d);
-    ``ip`` is ``Manifold._inner``, and ng2, nd2 are as for
-    :func:`direction_update`."""
-    s = g + d
-    ns2 = ip(x, s, s)
-    if ns2 <= 0.0 or nd2 <= 0.0:
-        return nd2 / (ng2 + nd2) if nd2 > 0.0 else 0.0
-    return float(ip(x, d, s) ** 2 / (nd2 * ns2))
-
-
 def _start(oracle, x0: ManifoldPoint, cfg: SolverConfig | None, seed: int):
     """Entry prologue of both solvers: (cfg, rng, clock start, f(x0), g),
     with g the subgradient at x0 for a seeded random direction.
@@ -205,10 +209,10 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
     for a seeded random direction (the plain gradient wherever the objective
     is smooth).  Stops when the direction norm drops to ``epsilon_stop``, after
     ``max_null_steps`` consecutive null steps, or at the iteration cap.
-    With ``record`` each row keeps its point, direction, combined subgradient
-    and line-search result, and the result's ``irp_trace`` is the compact
-    trace of every line search (read it with
-    :func:`rcsopt.linesearch.irp_records`); otherwise rows hold scalars only.
+    With ``record`` each row keeps its point, direction and combined
+    subgradient, and the result's ``irp_trace`` is the compact trace of
+    every line search (read it with :func:`rcsopt.linesearch.irp_records`);
+    otherwise rows hold scalars only.
     """
     cfg, _, start, f, g1 = _start(oracle, x0, cfg, seed)
     M = x0.manifold
@@ -223,8 +227,6 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
     if record:
         rows[0].x, rows[0].eta, rows[0].gtilde = x, eta, g1
     null_run = 0
-    null_total = 0
-    ls_calls = 0
     stop = "max_iters"
 
     for k in range(1, cfg.max_iters + 1):
@@ -237,23 +239,19 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             res = line_search(pf, cfg.ls, trace=trace)
         except LineSearchStallError as e:
             raise SolveStalledError(e, rows) from e
-        ls_calls += 1
         nf += res.evals
         prev.t = res.t
         prev.null = res.null
-        if record:
-            prev.ls = res
         # A collapsed bracket at tau_lo = 0 also leaves the iterate in place;
         # such zero steps count toward the consecutive-null stop.
         if res.t == 0.0:
             null_run += 1
-            null_total += 1
         else:
             null_run = 0
 
         # Raw arrays at x_new from here on; a null step keeps x_new = x.
         # Each inner product is taken once: <d, d> and <gtilde, gtilde>
-        # serve the direction update, cos^2 and the row's gtilde_norm.
+        # serve the direction update and the row's gtilde_norm.
         x_new, f_new = res.x_new, res.phi_at_t
         xd, ip = x_new.data, M._inner
         g_plus, g_minus = res.g_plus.data, res.g_minus.data
@@ -279,7 +277,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             k=k + 1, f=f, eta_norm=eta_norm,
             gtilde_norm=math.sqrt(max(ng2, 0.0)), nf_cum=nf,
             time_cum_s=time.perf_counter() - start, lam=lam, alpha=alpha,
-            cos2_theta=_cos2(ip, xd, gtilde, d, ng2, nd2), ortho=ortho_raw))
+            ortho=ortho_raw))
         if record:
             rows[-1].x, rows[-1].eta = x, eta
             rows[-1].gtilde = _adopt(TangentVector, x, gtilde)
@@ -292,9 +290,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             break
 
     return SolveResult(x=x, f=f, stop_reason=stop, iters=len(rows) - 1,
-                       nf=nf, ls_calls=ls_calls, null_steps=null_total,
-                       wall_time_s=time.perf_counter() - start,
-                       trajectory=rows, irp_trace=trace)
+                       nf=nf, trajectory=rows, irp_trace=trace)
 
 
 def subgradient_descent_solve(oracle, x0: ManifoldPoint,
@@ -305,8 +301,8 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
 
     Comparison baseline with the same trajectory schema as the conjugate
     solver; it carries no descent guarantee.  With ``record`` each row keeps
-    its point, direction and subgradient; it makes no line search, so its
-    rows have no ``ls`` and the result no ``irp_trace``.
+    its point, direction and subgradient; it makes no line search, so the
+    result has no ``irp_trace``.
     """
     cfg, rng, start, f, g = _start(oracle, x0, cfg, seed)
     M = x0.manifold
@@ -338,9 +334,7 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
         ng = M._norm(x.data, g.data)
         add_row(k + 1)
     return SolveResult(x=x, f=f, stop_reason=stop, iters=len(rows) - 1,
-                       nf=len(rows), ls_calls=0, null_steps=0,
-                       wall_time_s=time.perf_counter() - start,
-                       trajectory=rows)
+                       nf=len(rows), trajectory=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +347,10 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
 DESCENT_REL_TOL = 1e-12
 ORTHO_SCALE_TOL = 1e-6
 # ``bench check`` passes a run whose norm and direction residuals are at most
-# these and whose inner products exceed ORTHO_SCALE_TOL on at most
+# these and whose finite inner products exceed ORTHO_SCALE_TOL on at most
 # ORTHO_BAD_FRAC of the rows: bracket stops at the width tolerance or the
-# injectivity clamp can leave a real residual.
+# injectivity clamp can leave a real residual.  A non-finite inner product
+# fails the run outright.
 NORM_RESIDUAL_MAX = 1e-6
 ORTHO_BAD_FRAC = 0.01
 FR_RESIDUAL_MAX = 1e-6
@@ -369,27 +364,33 @@ class TrajectoryCheck:
     beyond DESCENT_REL_TOL over the row before.  ``norm_residual`` is the
     max relative error of 1/||eta_k||^2 = sum_{j<=k} 1/||gtilde_j||^2, up to
     the first zero norm.  ``orthogonality`` is (violations, count) of the
-    recorded inner products after the first row.  ``fr_residual`` is the max
-    relative residual of the Fletcher-Reeves replay, None when the rows keep
-    no tangent vectors.  A NaN counts as a violation of each check it
-    enters, as does a non-finite f, and a non-finite residual stays so.
+    recorded inner products after the first row, the violations counting
+    finite values only; ``ortho_nonfinite`` counts the NaN or infinite ones.
+    ``fr_residual`` is the max relative residual of the Fletcher-Reeves
+    replay, None when the rows keep no tangent vectors.  A NaN counts as a
+    violation of each check it enters, as does a non-finite f, and a
+    non-finite residual stays so.
     """
 
     descent_violations: int
     norm_residual: float
     orthogonality: tuple[int, int]
+    ortho_nonfinite: int
     fr_residual: float | None
 
     def verdicts(self) -> list[tuple[str, bool]]:
         """``bench check``'s verdict lines, each with whether it failed."""
-        n, (bad, total), fr = (self.descent_violations, self.orthogonality,
-                               self.fr_residual)
+        n, (bad, total), nonfinite, fr = (
+            self.descent_violations, self.orthogonality, self.ortho_nonfinite,
+            self.fr_residual)
         return [
             _verdict("descent", n == 0, f"{n} increases" if n else ""),
             _verdict("norm recursion", self.norm_residual <= NORM_RESIDUAL_MAX,
                      f"max rel err {self.norm_residual:.3e}"),
-            _verdict("orthogonality", bad <= ORTHO_BAD_FRAC * total,
-                     f"{bad}/{total} beyond tolerance") if total else
+            _verdict("orthogonality",
+                     nonfinite == 0 and bad <= ORTHO_BAD_FRAC * total,
+                     (f"{nonfinite} non-finite, " if nonfinite else "")
+                     + f"{bad}/{total} beyond tolerance") if total else
             _verdict("orthogonality", None, "no recorded inner products"),
             _verdict("direction recursion", None, "trajectory lacks tangent "
                      "data; re-run with --trace") if fr is None else
@@ -429,7 +430,7 @@ def check_trajectory(rows) -> TrajectoryCheck:
     vectors and others do not.  An infinite ``eta_norm``, or a norm whose
     square under- or overflows, raises ArithmeticError from the formulas.
     """
-    descent = ortho_bad = ortho_total = 0
+    descent = ortho_bad = ortho_nonfinite = ortho_total = 0
     norm_res, acc = 0.0, 0.0  # acc is None after the first zero norm
     fr = eta_fr = prev = None  # eta_fr is None once the replay has ended
     for row in rows:
@@ -446,8 +447,11 @@ def check_trajectory(rows) -> TrajectoryCheck:
             descent += not math.isfinite(f) or f > prev.f + tol
             if row.ortho is not None:
                 ortho_total += 1
-                ortho_bad += not (abs(row.ortho) <= ORTHO_SCALE_TOL
-                                  * (gn * prev.eta_norm + 1.0))
+                if not math.isfinite(row.ortho):
+                    ortho_nonfinite += 1
+                else:
+                    ortho_bad += not (abs(row.ortho) <= ORTHO_SCALE_TOL
+                                      * (gn * prev.eta_norm + 1.0))
             if eta_fr is not None and prev.gtilde_norm == 0.0:
                 eta_fr = None
             elif eta_fr is not None:
@@ -466,7 +470,8 @@ def check_trajectory(rows) -> TrajectoryCheck:
         prev = row
     if prev is None:
         raise ValueError("no rows")
-    return TrajectoryCheck(descent, norm_res, (ortho_bad, ortho_total), fr)
+    return TrajectoryCheck(descent, norm_res, (ortho_bad, ortho_total),
+                           ortho_nonfinite, fr)
 
 
 # ---------------------------------------------------------------------------

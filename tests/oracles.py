@@ -5,6 +5,8 @@ Everything here is deliberately built on different machinery than the library
 compare two independent routes to the same quantity.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 from scipy.integrate import solve_ivp
 
@@ -351,3 +353,33 @@ def orthogonality_violations(trajectory, scale_tol=1e-6):
         if abs(row.ortho) > scale_tol * (row.gtilde_norm * prev.eta_norm + 1.0):
             bad += 1
     return bad, total
+
+
+# ---------------------------------------------------------------------------
+# The line-search results of a solve, taken as it runs: the solver keeps none.
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def line_searches():
+    """Yield a list that collects every ``LineSearchResult`` the solvers
+    produce inside the block, in call order.
+
+    ``rcsopt.solver.line_search`` is wrapped for the block, as the
+    benchmark's span hook wraps it, so the results are the solve's own, not
+    a replay.  In a conjugate subgradient solve, result i is the search run
+    from trajectory row i.
+    """
+    from rcsopt import solver
+    core = solver.line_search
+    results = []
+
+    def spy(*args, **kwargs):
+        res = core(*args, **kwargs)
+        results.append(res)
+        return res
+
+    solver.line_search = spy
+    try:
+        yield results
+    finally:
+        solver.line_search = core

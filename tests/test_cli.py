@@ -126,15 +126,29 @@ BAD_FIELDS = {"runs_float": {"runs": 1.7}, "runs_bool": {"runs": True},
               "configs_int": {"solver_configs": 5},
               "configs_null": {"solver_configs": None},
               "config_not_object": {"solver_configs": {"subgradient": 5}}}
+# Solver configs whose values fail validation, not only their JSON type;
+# each names its field.
+NAN = float("nan")
+BAD_CONFIGS = {"max_iters_float": {"max_iters": 1.5},
+               "max_iters_bool": {"max_iters": True},
+               "max_null_steps_zero": {"max_null_steps": 0},
+               "max_null_steps_string": {"max_null_steps": "a"},
+               "epsilon_stop_nan": {"epsilon_stop": NAN},
+               "interval_tol_nan": {"ls": {"interval_tol": NAN}},
+               "rho_nan": {"ls": {"rho": NAN}}}
 
 
 @pytest.mark.parametrize("case", ["missing", "not_json", "no_kind",
                                   "bad_size", "negative_seed", "bad_config",
-                                  "unknown_field", *BAD_FIELDS])
+                                  "unknown_field", *BAD_FIELDS, *BAD_CONFIGS])
 def test_run_rejects_bad_suite_file(tmp_path, capsys, case):
     suite = tmp_path / "suite.json"
     if case in BAD_FIELDS:
         write_suite(suite, **BAD_FIELDS[case])
+    elif case in BAD_CONFIGS:
+        # json writes NaN as a bare NaN token, which json.loads reads back.
+        write_suite(suite, solver_configs={
+            "conjugate_subgradient": BAD_CONFIGS[case]})
     elif case == "not_json":
         suite.write_text("{kind: rayleigh")
     elif case == "no_kind":
@@ -156,6 +170,8 @@ def test_run_rejects_bad_suite_file(tmp_path, capsys, case):
     assert str(suite) in err
     if case in BAD_FIELDS:
         assert f"{next(iter(BAD_FIELDS[case]))} must" in err
+    if case in BAD_CONFIGS:
+        assert case.rsplit("_", 1)[0] in err
     assert not out.exists()
 
 
@@ -243,21 +259,34 @@ def test_check_rejects_mixed_tangent_rows(tmp_path, capsys, first):
     assert "tangent data" in _one_error_line(capsys, "check")
 
 
+# One non-finite ortho among 300 rows: the 1% allowance for finite inner
+# products (ORTHO_BAD_FRAC) must not absorb it.
+LONG_ORTHO = {"ortho_nan_300_rows": float("nan"),
+              "ortho_inf_300_rows": float("inf")}
+
+
 @pytest.mark.parametrize("field", ["f", "eta_norm", "gtilde_norm", "ortho",
-                                   "x"])
+                                   "x", *LONG_ORTHO])
 def test_check_fails_on_nan(tmp_path, capsys, field):
     # A NaN compares false with every tolerance; it must still fail.
     nan = float("nan")
     edit = (lambda x: [nan] + x[1:]) if field == "x" else (lambda v: nan)
-    path = write_lines(tmp_path / "nan.jsonl",
-                       _edit_row(trajectory_lines(), field, edit))
+    lines = trajectory_lines()
+    if field in LONG_ORTHO:
+        lines = trajectory_lines(20, 50, 0, 300, record=False)
+        assert len(lines) > 100
+        field, edit = "ortho", lambda v, bad=LONG_ORTHO[field]: bad
+    path = write_lines(tmp_path / "nan.jsonl", _edit_row(lines, field, edit))
     code = main(["check", "--trajectory", str(path)])
     if field == "x":  # not a point of the sphere: bad input
         assert code == 2
         assert "finite" in _one_error_line(capsys, "check")
     else:
         assert code == 1
-        assert "FAIL" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "FAIL" in out
+        if field == "ortho":
+            assert "orthogonality: FAIL (1 non-finite, " in out
 
 
 def test_check_memory_is_bounded_by_a_row(tmp_path, capsys):
@@ -277,8 +306,12 @@ def test_check_memory_is_bounded_by_a_row(tmp_path, capsys):
     assert "direction recursion: PASS" in capsys.readouterr().out
 
 
+# A header and one data row with 4 of the 9 fields.
+SHORT_ROW = r.records_to_csv([]) + "rayleigh-n3-m4-s0,subgradient,0,5\n"
+
+
 @pytest.mark.parametrize("content", [None, "not,a,records,file\n",
-                                     r.records_to_csv([])])
+                                     r.records_to_csv([]), SHORT_ROW])
 def test_profile_rejects_unreadable_records(tmp_path, capsys, content):
     path = tmp_path / "records.csv"
     if content is not None:

@@ -16,7 +16,7 @@ from rcsopt.linesearch import (IRP_FIELDS, LineSearchConfig,
                                irp_records, line_search)
 from rcsopt.objectives import _ACTIVE_TOL
 
-from oracles import GenericOnly, rayleigh_active_components
+from oracles import GenericOnly, line_searches, rayleigh_active_components
 
 
 class ScalarCurve:
@@ -54,10 +54,22 @@ class TestConfigValidation:
     @pytest.mark.parametrize("kw", [
         dict(tau_init=-1.0), dict(tau_init=0.0), dict(tau_hi_init=0.5),
         dict(q=0.0), dict(q=0.5), dict(rho=1.0), dict(interval_tol=0.0),
+        # A NaN compares false with every bound; it must still be rejected.
+        dict(rho=math.nan), dict(interval_tol=math.nan),
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
             LineSearchConfig(**kw)
+
+    @pytest.mark.parametrize("kw", [
+        dict(max_iters=1.5), dict(max_iters=True), dict(max_null_steps=0),
+        dict(max_null_steps=-3), dict(max_null_steps="a"),
+        dict(max_null_steps=2.0), dict(epsilon_stop=math.nan),
+    ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
+    def test_invalid_solver_config_rejected(self, kw):
+        # Each would pass the entry and fail or stop wrongly mid-solve.
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            r.SolverConfig(**kw)
 
 
 class TestIRP:
@@ -330,11 +342,11 @@ class TestLineSearch:
 
         monkeypatch.setattr(LineSearchConfig, "__post_init__", counted)
         oracle = r.generate_instance("rayleigh", 5, 20, seed=14)
-        res = r.conjugate_subgradient_solve(
-            oracle, r.initial_point("rayleigh", 5, 14), cfg, seed=14,
-            record=True)
-        assert len(res.line_search_records()) == res.ls_calls >= 1
-        clamped = [ls for ls in res.line_search_records()
+        with line_searches() as searches:
+            res = r.conjugate_subgradient_solve(
+                oracle, r.initial_point("rayleigh", 5, 14), cfg, seed=14)
+        assert len(searches) == res.iters >= 1
+        clamped = [ls for ls in searches
                    if ls.tau_hi_start < cfg.ls.tau_hi_init]
         assert clamped and built == []
 
@@ -519,7 +531,7 @@ class TestRaySubgrad:
         res = r.conjugate_subgradient_solve(spy, x0,
                                             r.SolverConfig(max_iters=20),
                                             seed=150)
-        assert res.ls_calls >= 1
+        assert res.iters >= 1
         assert spy.calls == {"value": 1, "dir_deriv": 0, "active_subgrad": 1}
 
     def test_null_step_asks_the_oracle_nothing(self):

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 import rcsopt as r
-from rcsopt.solver import _cos2
 
-from oracles import geodesic_grid_min, grid_min_norm_alpha
+from oracles import geodesic_grid_min, grid_min_norm_alpha, line_searches
 from test_linesearch import SpyRay
 
 SOLVERS = [r.conjugate_subgradient_solve, r.subgradient_descent_solve]
@@ -20,13 +19,6 @@ def update(g, d):
     eta, alpha = r.direction_update(g.data, d.data, r.inner(g, g),
                                     r.inner(d, d))
     return r.TangentVector(g.base, eta), alpha
-
-
-def cos2_theta(g, d):
-    """The solver's cos^2 on tangent vectors at one point."""
-    x = g.base
-    return _cos2(x.manifold._inner, x.data, g.data, d.data, r.inner(g, g),
-                 r.inner(d, d))
 
 
 def transported(prev, row):
@@ -40,6 +32,14 @@ def solve_small(kind, n, m, seed, record=False, **cfg_kw):
     cfg = r.SolverConfig(**cfg_kw) if cfg_kw else None
     return oracle, r.conjugate_subgradient_solve(oracle, x0, cfg, seed=seed,
                                                  record=record)
+
+
+def solve_with_searches(*args, **kw):
+    """``solve_small`` plus the line-search results the solve produced."""
+    with line_searches() as searches:
+        oracle, res = solve_small(*args, **kw)
+    assert len(searches) == res.iters
+    return oracle, res, searches
 
 
 class TestSelectLambda:
@@ -223,10 +223,20 @@ class TestConjugateSubgradientSolve:
         assert bad == 0
 
     def test_cos2_equals_alpha(self):
-        _, res = solve_small("rayleigh", 4, 8, 22, max_iters=200)
-        for row in res.trajectory[1:]:
-            if row.alpha is not None and abs(row.ortho) < 1e-10:
-                assert row.cos2_theta == pytest.approx(row.alpha, abs=1e-12)
+        # The update's weight is cos^2 of the angle between the transported
+        # direction d and gtilde + d, because gtilde _|_ d.
+        _, res = solve_small("rayleigh", 4, 8, 22, record=True, max_iters=200)
+        checked = 0
+        for prev, row in zip(res.trajectory, res.trajectory[1:]):
+            if abs(row.ortho) < 1e-10:
+                d = transported(prev, row)
+                s = row.gtilde + d
+                nd2, ns2 = r.inner(d, d), r.inner(s, s)
+                if nd2 > 0.0 and ns2 > 0.0:
+                    cos2 = r.inner(d, s) ** 2 / (nd2 * ns2)
+                    assert cos2 == pytest.approx(row.alpha, abs=1e-12)
+                    checked += 1
+        assert checked >= 1
 
     def test_stopping_soundness(self):
         # eta-criterion stop: the closed form ties the final direction norm
@@ -268,11 +278,11 @@ class TestConjugateSubgradientSolve:
         # so it equals the recorded rows exactly and an oracle value at the
         # final point to round-off (not bit for bit).
         for seed in range(60):
-            oracle, res = solve_small("rayleigh", 3, 5, seed, record=True,
-                                      max_iters=100)
+            oracle, res, searches = solve_with_searches(
+                "rayleigh", 3, 5, seed, max_iters=100)
             assert res.f == res.trajectory[-1].f
-            for prev, row in zip(res.trajectory, res.trajectory[1:]):
-                assert row.f == prev.ls.phi_at_t
+            for ls, row in zip(searches, res.trajectory[1:]):
+                assert row.f == ls.phi_at_t
             assert abs(res.f - oracle.value(res.x)) <= 1e-13 * abs(res.f)
 
     def test_nf_at_least_iters(self):
@@ -280,12 +290,13 @@ class TestConjugateSubgradientSolve:
         assert res.nf >= res.iters >= 1
 
     def test_null_flag_implies_entry_condition(self):
-        _, res = solve_small("rayleigh", 4, 10, 27, record=True,
-                             max_iters=300)
-        assert len(res.line_search_records()) == res.ls_calls >= 1
-        for row in res.trajectory:
-            if row.ls is not None and row.null:
-                assert row.ls.dminus0 <= 0.0 <= row.ls.dplus0
+        _, res, searches = solve_with_searches("rayleigh", 4, 10, 27,
+                                               max_iters=300)
+        assert res.iters >= 1
+        for ls, row in zip(searches, res.trajectory):
+            assert row.null == ls.null
+            if row.null:
+                assert ls.dminus0 <= 0.0 <= ls.dplus0
 
     def test_deterministic_given_seed(self):
         _, res1 = solve_small("rayleigh", 3, 6, 28, max_iters=120)
@@ -427,11 +438,18 @@ class TestTrajectorySerialization:
         assert tangent_check == expected
 
     def test_tangent_round_trip_replayable(self):
+        # A recorded row holds exactly what its written line carries: every
+        # field comes back, the tangent vectors by their data.
         _, res = solve_small("rayleigh", 3, 5, 37, record=True, max_iters=50)
         rows = _jsonl(res.trajectory, include_tangents=True)
         assert all(isinstance(row, r.IterationRecord) for row in rows)
-        assert all(np.array_equal(row.x.data, mem.x.data)
-                   for row, mem in zip(rows, res.trajectory))
+        for row, mem in zip(rows, res.trajectory, strict=True):
+            for fld in dataclasses.fields(r.IterationRecord):
+                got, want = getattr(row, fld.name), getattr(mem, fld.name)
+                if fld.name in ("x", "eta", "gtilde"):
+                    assert np.array_equal(got.data, want.data), fld.name
+                else:
+                    assert got == want, fld.name
         check = r.check_trajectory(rows)
         assert check.fr_residual <= 1e-6
         assert check.descent_violations == 0
@@ -471,21 +489,25 @@ class TestRawLoopReplay:
     compare bit for bit."""
 
     def _cs_solves(self):
-        cases = [solve_small("rayleigh", 4, 10, 41, record=True,
-                             max_iters=60),
-                 solve_small("median", 4, 10, 42, record=True, max_iters=60),
-                 solve_small("karcher", 3, 6, 43, record=True, max_iters=30)]
+        """(result, line-search results) of recorded solves."""
+        cases = [solve_with_searches("rayleigh", 4, 10, 41, record=True,
+                                     max_iters=60),
+                 solve_with_searches("median", 4, 10, 42, record=True,
+                                     max_iters=60),
+                 solve_with_searches("karcher", 3, 6, 43, record=True,
+                                     max_iters=30)]
         oracle, x0 = _median_at_data_point()
-        cases.append((oracle, r.conjugate_subgradient_solve(
-            oracle, x0, r.SolverConfig(max_iters=5), seed=44, record=True)))
-        return [res for _, res in cases]
+        with line_searches() as searches:
+            res = r.conjugate_subgradient_solve(
+                oracle, x0, r.SolverConfig(max_iters=5), seed=44, record=True)
+        cases.append((oracle, res, searches))
+        return [(res, searches) for _, res, searches in cases]
 
     def test_conjugate_rows_match_public_algebra(self):
         seen = {"null": 0, "zero": 0, "move": 0}
-        for res in self._cs_solves():
+        for res, searches in self._cs_solves():
             rows = res.trajectory
-            for prev, row in zip(rows, rows[1:]):
-                ls = prev.ls
+            for ls, prev, row in zip(searches, rows, rows[1:]):
                 seen["null" if ls.null else "zero" if ls.t == 0.0
                      else "move"] += 1
                 d = r.transport_between(prev.x, row.x, prev.eta)
@@ -501,7 +523,6 @@ class TestRawLoopReplay:
                 for got, ref in ((row.gtilde, g), (row.eta, eta)):
                     assert np.array_equal(got.data, ref.data)
                 assert (row.lam, row.ortho, row.alpha) == (lam, ortho, alpha)
-                assert row.cos2_theta == cos2_theta(g, d)
                 assert row.eta_norm == r.norm(eta)
                 assert row.gtilde_norm == r.norm(g)
         assert min(seen.values()) >= 1, seen
@@ -536,10 +557,9 @@ class TestPerIterationWork:
     """Fixed work per conjugate-subgradient iteration."""
 
     # One random unit draw and the two norms of row 1, then per iteration:
-    # <g+, d>, <g-, d>, <gtilde, d>, <d, d>, <gtilde, gtilde>, ||eta||^2 and
-    # the two of cos^2 (<s, s>, <d, s>).  The ray objective takes ||eta|| from
-    # the row.
-    SETUP, PER_ITER = 3, 8
+    # <g+, d>, <g-, d>, <gtilde, d>, <d, d>, <gtilde, gtilde> and ||eta||^2.
+    # The ray objective takes ||eta|| from the row.
+    SETUP, PER_ITER = 3, 6
 
     @pytest.mark.parametrize("kind, n, m", [("rayleigh", 5, 200),
                                             ("karcher", 5, 50)])
@@ -562,11 +582,10 @@ class TestPerIterationWork:
 
     def test_rows_hold_the_loop_arrays_read_only(self):
         zero_steps = 0
-        for res in TestRawLoopReplay()._cs_solves():
+        for res, searches in TestRawLoopReplay()._cs_solves():
             rows = res.trajectory
-            for prev, row in zip(rows, rows[1:]):
-                for vec in (row.eta, row.gtilde, prev.ls.g_plus,
-                            prev.ls.g_minus):
+            for ls, prev, row in zip(searches, rows, rows[1:]):
+                for vec in (row.eta, row.gtilde, ls.g_plus, ls.g_minus):
                     assert not vec.data.flags.writeable
                     assert vec.base is row.x
                 zero_steps += row.x is prev.x
@@ -652,15 +671,14 @@ class TestEvaluationCount:
         oracle = r.generate_instance(kind, n, m, seed=53)
         x0 = r.initial_point(kind, n, 53)
         cfg = r.SolverConfig(max_iters=40)
-        res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=53,
-                                            record=True)
-        searches = res.line_search_records()
-        assert len(searches) == res.ls_calls >= 1
+        with line_searches() as searches:
+            res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=53)
+        assert len(searches) == res.iters >= 1
         assert res.nf == 1 + sum(ls.evals for ls in searches)
         rows = res.trajectory
         assert rows[0].nf_cum == 1 and rows[-1].nf_cum == res.nf
-        for prev, row in zip(rows, rows[1:]):
-            assert row.nf_cum == prev.nf_cum + prev.ls.evals
+        for ls, prev, row in zip(searches, rows, rows[1:]):
+            assert row.nf_cum == prev.nf_cum + ls.evals
         # Counted independently: one value_and_subgrad pass plus one ray
         # value call per evaluation, with the batched values hidden.
         log = CallLog(oracle, hide_ray={"values"})
@@ -668,7 +686,7 @@ class TestEvaluationCount:
         assert (ref.iters, ref.nf, ref.f) == (res.iters, res.nf, res.f)
         assert log.calls["value_and_subgrad"] == 1
         assert res.nf == 1 + log.ray_calls["value"]
-        assert log.calls["restrict"] == res.ls_calls
+        assert log.calls["restrict"] == res.iters
         assert log.calls["value"] == log.calls["active_subgrad"] == 0
 
     @pytest.mark.parametrize("kind,n,m", [("rayleigh", 5, 40),
@@ -687,7 +705,7 @@ class TestEvaluationCount:
 
 
 _SCALAR_FIELDS = ("k", "f", "eta_norm", "gtilde_norm", "nf_cum", "t", "null",
-                  "lam", "alpha", "cos2_theta", "ortho")
+                  "lam", "alpha", "ortho")
 
 
 class TestRecord:
@@ -710,19 +728,17 @@ class TestRecord:
         for a, b in zip(plain.trajectory, rec.trajectory, strict=True):
             assert [getattr(a, k) for k in _SCALAR_FIELDS] \
                 == [getattr(b, k) for k in _SCALAR_FIELDS]
-            assert (a.x, a.eta, a.gtilde, a.ls) == (None,) * 4
+            assert (a.x, a.eta, a.gtilde) == (None,) * 3
             assert None not in (b.x, b.eta, b.gtilde)
-        assert plain.irp_trace is None and plain.line_search_records() == []
+        assert plain.irp_trace is None
         if solve is r.conjugate_subgradient_solve:
-            assert len(rec.line_search_records()) == rec.ls_calls >= 1
             assert rec.irp_trace
         else:
-            assert rec.irp_trace is None and rec.line_search_records() == []
+            assert rec.irp_trace is None
 
     @pytest.mark.parametrize("solve", SOLVERS)
     def test_unrecorded_solve_holds_scalars_only(self, solve):
-        # Rows without tangent vectors or line-search results: what the
-        # result keeps per iteration is a few hundred bytes of scalars,
+        # Rows without tangent vectors: what the result keeps per iteration is a few hundred bytes of scalars,
         # where the 21-entry vectors of a recorded row alone take ~800.
         oracle = r.generate_instance("rayleigh", 20, 50, seed=3)
         x0 = r.initial_point("rayleigh", 20, 3)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import subprocess
 import sys
@@ -56,10 +57,16 @@ def test_irp_digest_covers_each_trial_value():
         assert tool.irp_digest(moved) != base, name
 
 
+def test_rows_digest_every_row_field_but_the_clock():
+    fields = {f.name for f in dataclasses.fields(r.IterationRecord)}
+    assert {*_tool()._SCALARS, "x", "eta", "gtilde", "time_cum_s"} == fields
+
+
 def test_rows_digest_the_loop_transported_direction(monkeypatch):
-    # Rows keep no d; the tool derives it, and what it hashes is the d the
-    # solve loop handed to direction_update, bit for bit, with nothing (-)
-    # for row 1 and for subgradient rows.
+    # Rows keep no d; the tool derives it for each row a direction update
+    # made (row.lam is set), and what it hashes is the d the solve loop
+    # handed to direction_update, bit for bit, with nothing (-) for row 1
+    # and for subgradient rows.
     tool = _tool()
     calls = []
     core = r.solver.direction_update

@@ -17,14 +17,14 @@ The row hash covers every trajectory row's scalars (as float hex) and the
 bytes of its point, direction, combined subgradient and transported
 direction.  Rows do not keep the transported direction d; it is derived as
 ``transport_between(prev.x, row.x, prev.eta)``, which is the solve loop's d
-bit for bit, and hashed as ``-`` for row 1 and for subgradient rows (no
-line search ran from the previous row).  The IRP hash covers every
-interval-reduction trial of a conjugate subgradient solve: its step, value
-and comparison value (as float hex) and its branch; a subgradient solve
-makes no line search and prints ``-`` there.  A trial value can change
-without moving an iterate, so the second hash is what pins the line
-search's values.  Diffing the output of two trees is a bit-identity check
-of their iterates and trial values.
+bit for bit, for every row a direction update produced (``row.lam`` is
+set), and hashed as ``-`` for row 1 and for subgradient rows.  The IRP hash
+covers every interval-reduction trial of a conjugate subgradient solve: its
+step, value and comparison value (as float hex) and its branch; a
+subgradient solve makes no line search and prints ``-`` there.  A trial
+value can change without moving an iterate, so the second hash is what
+pins the line search's values.  Diffing the output of two trees is a
+bit-identity check of their iterates and trial values.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def _load_perfbench():
 
 
 _SCALARS = ("k", "f", "eta_norm", "gtilde_norm", "nf_cum", "t", "null",
-            "lam", "alpha", "cos2_theta", "ortho")
+            "lam", "alpha", "ortho")
 
 
 def _scalar(v) -> bytes:
@@ -60,10 +60,10 @@ def _scalar(v) -> bytes:
 
 def row_arrays(prev, row):
     """The hashed arrays of ``row``: point, direction, combined subgradient
-    and the transported direction d (None unless a line search ran from
-    ``prev``, the row before)."""
+    and the transported direction d (None unless a direction update, which
+    sets ``row.lam``, produced the row from ``prev``, the row before)."""
     d = None
-    if prev is not None and prev.ls is not None:
+    if row.lam is not None:
         # Imported here: the package is the one perfbench's loader put on
         # the path, so it is this checkout's.
         from rcsopt import transport_between
