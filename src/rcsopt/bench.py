@@ -23,8 +23,8 @@ import numpy as np
 from .manifolds import SPD, ManifoldPoint, Sphere
 from .objectives import KINDS, generate_instance
 from .solver import (SolveResult, SolverConfig, SolveStalledError, _is_int,
-                     conjugate_subgradient_solve, subgradient_descent_solve,
-                     trajectory_lines)
+                     _row_line, conjugate_subgradient_solve,
+                     subgradient_descent_solve)
 from .linesearch import LineSearchConfig, irp_records
 
 SOLVED_REL_TOL = 1e-7
@@ -115,6 +115,7 @@ class BenchmarkRecord:
     final_f: float
     solved: bool | None = None
     error: str | None = None
+    stop_reason: str | None = None  # the solve's; None on error rows
 
 
 @dataclass
@@ -168,9 +169,14 @@ def adjudicate_all(records: list[BenchmarkRecord]) -> dict[str, float]:
 
 def performance_profile(records: list[BenchmarkRecord],
                         n_grid: int = 50) -> list[ProfileCurve]:
-    """Dolan-More curves rho_s(tau) from adjudicated records."""
+    """Dolan-More curves rho_s(tau) from adjudicated records.
+
+    ValueError naming the record when a wall time is not finite and >= 0.
+    """
     if not records:
         raise EmptySuiteError("no records to profile")
+    for r in records:
+        _check_time(r.wall_time_s, f"record {r.problem} {r.solver}")
     if any(r.solved is None for r in records):
         adjudicate_all(records)
     problems = sorted({r.problem for r in records})
@@ -203,6 +209,13 @@ def performance_profile(records: list[BenchmarkRecord],
     return curves
 
 
+def _check_time(wall_time_s: float, where: str) -> None:
+    # Written so that a NaN fails the check.
+    if not 0.0 <= wall_time_s < math.inf:
+        raise ValueError(f"{where}: wall_time_s must be finite and >= 0, "
+                         f"got {wall_time_s!r}")
+
+
 def _suite_configs(spec: SuiteSpec) -> dict[str, SolverConfig]:
     """Every solver's built config; ValueError naming a bad solver or field."""
     configs = {}
@@ -217,54 +230,100 @@ def _suite_configs(spec: SuiteSpec) -> dict[str, SolverConfig]:
     return configs
 
 
+# Rows a traced cell holds before it writes them: serializing after every
+# iteration leaves the solve's working set cold in the caches, which made a
+# traced rayleigh 5x200 conjugate subgradient iteration about 9% slower.
+_TRACE_BATCH_ROWS = 32
+
+
+class _TraceFiles:
+    """The sink of a traced cell.  Each row it is handed becomes a line of
+    ``traj_<name>`` (with tangents), and each IRP entry of the row's line
+    search the lines of its trials in ``irp_<name>``, one ``irp_records``
+    dict each.  Rows are written _TRACE_BATCH_ROWS at a time, and the rest
+    by ``close``.  A file is opened at its first line, the IRP file at the
+    first entries handed on (a conjugate subgradient row hands on a list,
+    possibly empty; a subgradient row None).  ``close`` returns the seconds
+    spent writing, which the cell's wall time leaves out."""
+
+    def __init__(self, trace_dir: Path, name: str):
+        self.trace_dir, self.name = trace_dir, name
+        self.traj = self.irp = None
+        self.batch = []
+        self.spent = 0.0
+
+    def __call__(self, row, entries) -> None:
+        self.batch.append((row, entries))
+        if len(self.batch) == _TRACE_BATCH_ROWS:
+            self._write()
+
+    def _write(self) -> None:
+        t = time.perf_counter()
+        for row, entries in self.batch:
+            self.traj = self.traj or self._open("traj")
+            self.traj.write(_row_line(row, True) + "\n")
+            if entries is not None:
+                self.irp = self.irp or self._open("irp")
+                self.irp.writelines(json.dumps(rec) + "\n"
+                                    for rec in irp_records(entries))
+        self.batch.clear()
+        self.spent += time.perf_counter() - t
+
+    def _open(self, kind: str):
+        return (self.trace_dir / f"{kind}_{self.name}").open("w")
+
+    def close(self) -> float:
+        """Write the rows still held and close the files; returns the
+        seconds spent writing, the closing included."""
+        self._write()
+        t = time.perf_counter()
+        for fh in (self.traj, self.irp):
+            if fh is not None:
+                fh.close()
+        return self.spent + time.perf_counter() - t
+
+
 def _run_cell(kind: str, n: int, m: int, seed: int, solver_name: str,
               cfg: SolverConfig, trace_dir: Path | None) -> BenchmarkRecord:
     """Solve one (instance, solver) cell; timing excludes generation.
 
     A ``ValueError`` or ``ArithmeticError`` from the solve becomes an error
-    row (``final_f`` inf, no iterations).  With ``trace_dir`` set, the cell
-    solves with ``record=True``, and if it finished it writes
-    ``traj_<problem>_<solver>.jsonl`` (with tangents) there, plus
-    ``irp_<problem>_<solver>.jsonl`` when the result has an IRP trace (one
-    JSON object per interval-reduction trial, from ``irp_records``).  Both
-    files are written line by line from the cell's rows and compact
-    line-search trace, never held as one string.  An untraced cell passes
-    the solver no ``record`` keyword and keeps only scalar rows.
+    row (``final_f`` inf, no iterations); a stalled line search becomes an
+    error row with the iterations and evaluations made before it.  With
+    ``trace_dir`` set, the solve's ``record`` is a sink that writes the
+    rows, with tangents, to ``traj_<problem>_<solver>.jsonl`` there while
+    the solve runs, and a conjugate subgradient cell each line search's
+    trials to ``irp_<problem>_<solver>.jsonl`` (see :class:`_TraceFiles`).
+    The cell holds at most _TRACE_BATCH_ROWS rows, its wall time leaves the
+    writing out, and a cell that fails keeps every row finished before the
+    failure.  An untraced cell passes the solver no ``record`` keyword and
+    keeps only scalar rows.
     """
     oracle = generate_instance(kind, n, m, seed)
     x0 = initial_point(kind, n, seed)
     solve = SOLVERS[solver_name]
     pid = problem_id(kind, n, m, seed)
-    kwargs = {} if trace_dir is None else {"record": True}
+    files = None if trace_dir is None else _TraceFiles(
+        trace_dir, f"{pid}_{solver_name}.jsonl")
+    kwargs = {} if files is None else {"record": files}
     rec = BenchmarkRecord(problem=pid, solver=solver_name, seed=seed,
                           iters=0, nf=0, wall_time_s=0.0, final_f=math.inf)
+    spent = 0.0
     t0 = time.perf_counter()
     try:
         result: SolveResult = solve(oracle, x0, cfg, seed=seed, **kwargs)
     except SolveStalledError as e:
-        rec.iters = max(len(e.trajectory) - 1, 0)
-        nf = e.trajectory[-1].nf_cum if e.trajectory else 0
-        rec.nf, rec.error = max(nf, rec.iters), str(e)
+        rec.iters, rec.nf, rec.error = e.rows - 1, e.nf, str(e)
     except (ValueError, ArithmeticError) as e:
         rec.error = f"{type(e).__name__}: {e}"
     else:
         rec.iters, rec.nf, rec.final_f = result.iters, result.nf, result.f
-    rec.wall_time_s = time.perf_counter() - t0
-    if trace_dir is not None and rec.error is None:
-        name = f"{pid}_{solver_name}.jsonl"
-        _write_lines(trace_dir / f"traj_{name}",
-                     trajectory_lines(result.trajectory,
-                                      include_tangents=True))
-        if result.irp_trace is not None:
-            _write_lines(trace_dir / f"irp_{name}",
-                         map(json.dumps, irp_records(result.irp_trace)))
+        rec.stop_reason = result.stop_reason
+    finally:
+        if files is not None:
+            spent = files.close()
+    rec.wall_time_s = time.perf_counter() - t0 - spent
     return rec
-
-
-def _write_lines(path: Path, lines) -> None:
-    """Write each line of an iterable, plus a newline, as it is produced."""
-    with path.open("w") as fh:
-        fh.writelines(line + "\n" for line in lines)
 
 
 @dataclass
@@ -340,7 +399,7 @@ def summarize(spec: SuiteSpec, records: list[BenchmarkRecord]) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 _RECORD_FIELDS = ("problem", "solver", "seed", "iters", "nf", "wall_time_s",
-                  "final_f", "solved", "error")
+                  "final_f", "solved", "error", "stop_reason")
 
 
 def records_to_csv(records: list[BenchmarkRecord]) -> str:
@@ -351,11 +410,14 @@ def records_to_csv(records: list[BenchmarkRecord]) -> str:
         w.writerow([r.problem, r.solver, r.seed, r.iters, r.nf,
                     repr(r.wall_time_s), repr(r.final_f),
                     "" if r.solved is None else str(r.solved).lower(),
-                    r.error or ""])
+                    r.error or "", r.stop_reason or ""])
     return buf.getvalue()
 
 
 def records_from_csv(text: str) -> list[BenchmarkRecord]:
+    """The records of ``records_to_csv`` text; ValueError for another
+    header, and naming the row for a short row or a wall time that is not
+    finite and >= 0."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != _RECORD_FIELDS:
         raise ValueError("unrecognized records CSV header")
@@ -366,11 +428,13 @@ def records_from_csv(text: str) -> list[BenchmarkRecord]:
         if len(row) != len(_RECORD_FIELDS):
             raise ValueError(f"row {i} has {len(row)} of the "
                              f"{len(_RECORD_FIELDS)} fields")
+        wall_time_s = float(row[5])
+        _check_time(wall_time_s, f"row {i}")
         out.append(BenchmarkRecord(
             problem=row[0], solver=row[1], seed=int(row[2]), iters=int(row[3]),
-            nf=int(row[4]), wall_time_s=float(row[5]), final_f=float(row[6]),
+            nf=int(row[4]), wall_time_s=wall_time_s, final_f=float(row[6]),
             solved=None if row[7] == "" else row[7] == "true",
-            error=row[8] or None))
+            error=row[8] or None, stop_reason=row[9] or None))
     return out
 
 

@@ -4,8 +4,9 @@ Subcommands:
 
 * ``bench run --suite spec.json --out DIR [--jobs N] [--trace]`` runs a suite
   and writes records.csv, profiles.csv, summary.json (and, with --trace,
-  per-cell trajectory .jsonl files plus line-search interval traces, each
-  written as its cell finishes).
+  per-cell trajectory .jsonl files plus line-search interval traces,
+  written a batch of rows at a time while each cell solves, so a cell
+  holds a bounded number of rows).
 * ``bench profile --records records.csv --out profiles.csv`` recomputes the
   performance profiles from a records file.
 * ``bench check --trajectory run.jsonl`` verifies the recorded invariants
@@ -18,8 +19,9 @@ The environment variable ``RCSOPT_SEED`` overrides the suite's base seed.
 
 Bad input (an unreadable or malformed suite, records or trajectory file, a
 ``RCSOPT_SEED`` that is not an integer >= 0, an invalid solver config, a
-``--jobs`` below 1, an ``--out`` that cannot be made a directory, an empty
-trajectory file, invalid tangent data or tangent data on some rows only) is
+``--jobs`` below 1, an ``--out`` that cannot be made a directory, a records
+row whose wall time is not finite and >= 0, an empty trajectory file,
+invalid tangent data or tangent data on some rows only) is
 reported as one line on stderr with exit code 2, before anything is written
 to ``--out`` and before any verdict of ``bench check``.  Errors inside a
 suite cell stay error rows of the records.

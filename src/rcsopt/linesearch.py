@@ -74,15 +74,16 @@ class LineSearchConfig:
     interval_tol: float = 1e-6
 
     def __post_init__(self):
-        # Each check is written so that a NaN fails it.
+        # Each check is written so that a NaN fails it, and the last also
+        # an infinity.
         if not 0.0 < self.tau_init < self.tau_hi_init:
             raise ValueError("need 0 < tau_init < tau_hi_init")
         if not 0.0 < self.q < 0.5:
             raise ValueError("need 0 < q < 1/2")
         if not self.rho > 1.0:
             raise ValueError("need rho > 1")
-        if not self.interval_tol > 0.0:
-            raise ValueError("need interval_tol > 0")
+        if not 0.0 < self.interval_tol < math.inf:
+            raise ValueError("need 0 < interval_tol < inf")
 
 
 class RayObjective:

@@ -9,16 +9,20 @@ search direction.  The iterates' objective values never increase.
 
 Every trajectory row holds the scalar diagnostics of its iteration, which is
 all the descent, norm-recursion and orthogonality checks read.  A solve
-keeps no tangent vector beyond the current iterate unless it is asked to:
-with ``record=True`` each row also keeps its point, direction and combined
-subgradient, enough to replay the direction recursion after the fact, and
-the conjugate solver keeps the compact IRP trace of its line searches in
+keeps no tangent vector beyond the current iterate unless it is asked to.
+``record`` may be a sink, a callable ``sink(row, irp_entries)``: each row,
+which then also keeps its point, direction and combined subgradient
+(enough to replay the direction recursion after the fact), is handed on
+once its line search has run, with that search's compact IRP entries
+(None from the subgradient baseline, which makes no search), and the solve
+keeps no row list.  ``record=True`` is the built-in sink that collects the
+rows into :attr:`SolveResult.trajectory` and the entries into
 :attr:`SolveResult.irp_trace`.  That is exactly what ``bench run --trace``
 writes: every row field round-trips through :func:`trajectory_lines` and
-:func:`trajectory_from_jsonl`, and the trace through
-:func:`rcsopt.linesearch.irp_records`.  Recording changes no operation of
-the solve, so iterates, trial values and ``nf`` are bit-identical either
-way.
+:func:`trajectory_from_jsonl`, and the entries through
+:func:`rcsopt.linesearch.irp_records`.  The solve's clock leaves out the
+time a sink takes.  Recording changes no operation of the solve, so
+iterates, trial values and ``nf`` are bit-identical either way.
 
 :func:`check_trajectory` checks all four invariants of a trajectory in one
 pass over any iterable of rows, in memory or streamed from a JSON-lines
@@ -47,6 +51,7 @@ import json
 import math
 import numbers
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,11 +67,15 @@ _REQUIRED_METHODS = ("value_and_subgrad", "restrict")
 
 
 class SolveStalledError(RuntimeError):
-    """Line search stalled; carries the partial trajectory."""
+    """Line search stalled.  ``rows`` is the number of rows the solve made,
+    the stalled search's own included, and ``nf`` that row's ``nf_cum``,
+    the evaluations before the stalled search.  A sink has been handed
+    every row, the stalled one last with the entries its search traced."""
 
-    def __init__(self, cause: LineSearchStallError, trajectory: list):
+    def __init__(self, cause: LineSearchStallError, rows: int, nf: int):
         super().__init__(str(cause))
-        self.trajectory = trajectory
+        self.rows = rows
+        self.nf = nf
 
 
 def _is_int(v) -> bool:
@@ -81,9 +90,10 @@ class SolverConfig:
     ls: LineSearchConfig = field(default_factory=LineSearchConfig)
 
     def __post_init__(self):
-        # Written so that a NaN fails the check.
-        if not self.epsilon_stop > 0.0:
-            raise ValueError("epsilon_stop must be positive")
+        # Written so that a NaN or an infinity fails the check.
+        if not 0.0 < self.epsilon_stop < math.inf:
+            raise ValueError(f"epsilon_stop must be positive and finite, "
+                             f"got {self.epsilon_stop!r}")
         for name in ("max_iters", "max_null_steps"):
             v = getattr(self, name)
             if not (_is_int(v) and v >= 1):
@@ -110,9 +120,11 @@ class IterationRecord:
     x: ManifoldPoint | None = None
     eta: TangentVector | None = None
     gtilde: TangentVector | None = None
-    # Line search performed *from* this row's point (filled once it ran).
+    # Line search performed *from* this row's point (filled once it ran);
+    # width_stop: it stopped at the bracket width, not the optimality test.
     t: float | None = None
     null: bool = False
+    width_stop: bool = False
     # Direction-update diagnostics that produced this row (None for k = 1).
     lam: float | None = None
     alpha: float | None = None
@@ -128,10 +140,10 @@ class SolveResult:
     ``"null_steps"`` (``max_null_steps`` consecutive zero steps) or
     ``"max_iters"``; ``iters`` is the number of iterations, one line search
     each for the conjugate solver; ``nf`` counts the oracle evaluations.
-    ``trajectory`` holds one :class:`IterationRecord` per iterate, and
-    ``irp_trace`` the compact IRP trace of a recorded conjugate subgradient
-    solve (read it with :func:`rcsopt.linesearch.irp_records`), None
-    otherwise.
+    ``trajectory`` holds one :class:`IterationRecord` per iterate (none
+    when the rows went to a sink), and ``irp_trace`` the compact IRP trace
+    of a conjugate subgradient solve run with ``record=True`` (read it with
+    :func:`rcsopt.linesearch.irp_records`), None otherwise.
     """
 
     x: ManifoldPoint
@@ -199,38 +211,78 @@ def _start(oracle, x0: ManifoldPoint, cfg: SolverConfig | None, seed: int):
     return cfg or SolverConfig(), rng, start, f, g
 
 
+def _sink(record):
+    """(sink, rows, trace) of a solve's ``record`` argument.
+
+    ``rows`` is the list the result's trajectory is.  Unrecorded, there is
+    no sink and the loop appends its scalar rows to ``rows`` itself;
+    ``record=True`` gives the sink that collects every row into ``rows``
+    and every IRP entry into ``trace``; a callable is the sink, ``rows``
+    stays empty and ``trace`` is None.  TypeError for any other truthy
+    value.
+    """
+    if record is True:
+        rows, trace = [], []
+
+        def collect(row, entries):
+            rows.append(row)
+            if entries:
+                trace.extend(entries)
+        return collect, rows, trace
+    if not record:
+        return None, [], None
+    if not callable(record):
+        raise TypeError(f"record must be a bool or a callable "
+                        f"sink(row, irp_entries), got {record!r}")
+    return record, [], None
+
+
+def _hand_on(sink, row: IterationRecord, entries) -> float:
+    """Hand a finished row on; returns the seconds the sink took, which
+    the solve's clock leaves out."""
+    t = time.perf_counter()
+    sink(row, entries)
+    return time.perf_counter() - t
+
+
 def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
                                 cfg: SolverConfig | None = None,
                                 seed: int = 0,
-                                record: bool = False) -> SolveResult:
+                                record: bool | Callable = False
+                                ) -> SolveResult:
     """Run the conjugate subgradient method from x0.
 
     The first direction is the negative of a directionally active subgradient
     for a seeded random direction (the plain gradient wherever the objective
     is smooth).  Stops when the direction norm drops to ``epsilon_stop``, after
     ``max_null_steps`` consecutive null steps, or at the iteration cap.
-    With ``record`` each row keeps its point, direction and combined
-    subgradient, and the result's ``irp_trace`` is the compact trace of
-    every line search (read it with :func:`rcsopt.linesearch.irp_records`);
-    otherwise rows hold scalars only.
+    Unrecorded, rows hold scalars only.  Recorded, each row keeps its point,
+    direction and combined subgradient; a callable ``record`` is handed row
+    k with the compact IRP entries of its line search when iteration k
+    ends, and the last row at the end (also at a stall, before
+    :class:`SolveStalledError` is raised); ``record=True`` collects them
+    into the result's ``trajectory`` and ``irp_trace`` (read it with
+    :func:`rcsopt.linesearch.irp_records`).
     """
+    sink, rows, collected = _sink(record)
     cfg, _, start, f, g1 = _start(oracle, x0, cfg, seed)
     M = x0.manifold
     x = x0
     nf = 1
     eta = -g1
     eta_norm = norm(eta)
-    trace = [] if record else None
-    rows = [IterationRecord(k=1, f=f, eta_norm=eta_norm,
-                            gtilde_norm=norm(g1), nf_cum=nf,
-                            time_cum_s=time.perf_counter() - start)]
-    if record:
-        rows[0].x, rows[0].eta, rows[0].gtilde = x, eta, g1
+    row = IterationRecord(k=1, f=f, eta_norm=eta_norm, gtilde_norm=norm(g1),
+                          nf_cum=nf, time_cum_s=time.perf_counter() - start)
+    trace = None
+    if sink is None:
+        rows.append(row)
+    else:
+        row.x, row.eta, row.gtilde = x, eta, g1
+        trace = []
     null_run = 0
     stop = "max_iters"
 
     for k in range(1, cfg.max_iters + 1):
-        prev = rows[-1]
         if eta_norm <= cfg.epsilon_stop:
             stop = "stationary"
             break
@@ -238,10 +290,14 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         try:
             res = line_search(pf, cfg.ls, trace=trace)
         except LineSearchStallError as e:
-            raise SolveStalledError(e, rows) from e
+            if sink is not None:
+                sink(row, trace)
+            raise SolveStalledError(e, row.k, row.nf_cum) from e
         nf += res.evals
-        prev.t = res.t
-        prev.null = res.null
+        row.t, row.null, row.width_stop = res.t, res.null, res.approximate
+        if sink is not None:
+            start += _hand_on(sink, row, trace)
+            trace = []
         # A collapsed bracket at tau_lo = 0 also leaves the iterate in place;
         # such zero steps count toward the consecutive-null stop.
         if res.t == 0.0:
@@ -273,14 +329,16 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         x, f = x_new, f_new
         eta = _adopt(TangentVector, x, eta_data)
         eta_norm = M._norm(xd, eta_data)
-        rows.append(IterationRecord(
+        row = IterationRecord(
             k=k + 1, f=f, eta_norm=eta_norm,
             gtilde_norm=math.sqrt(max(ng2, 0.0)), nf_cum=nf,
             time_cum_s=time.perf_counter() - start, lam=lam, alpha=alpha,
-            ortho=ortho_raw))
-        if record:
-            rows[-1].x, rows[-1].eta = x, eta
-            rows[-1].gtilde = _adopt(TangentVector, x, gtilde)
+            ortho=ortho_raw)
+        if sink is None:
+            rows.append(row)
+        else:
+            row.x, row.eta = x, eta
+            row.gtilde = _adopt(TangentVector, x, gtilde)
 
         if null_run >= cfg.max_null_steps:
             stop = "null_steps"
@@ -289,52 +347,62 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             stop = "stationary"
             break
 
-    return SolveResult(x=x, f=f, stop_reason=stop, iters=len(rows) - 1,
-                       nf=nf, trajectory=rows, irp_trace=trace)
+    if sink is not None:
+        sink(row, trace)
+    return SolveResult(x=x, f=f, stop_reason=stop, iters=row.k - 1,
+                       nf=nf, trajectory=rows, irp_trace=collected)
 
 
 def subgradient_descent_solve(oracle, x0: ManifoldPoint,
                               cfg: SolverConfig | None = None,
                               seed: int = 0,
-                              record: bool = False) -> SolveResult:
+                              record: bool | Callable = False
+                              ) -> SolveResult:
     """Riemannian subgradient descent with diminishing steps c / sqrt(k).
 
     Comparison baseline with the same trajectory schema as the conjugate
-    solver; it carries no descent guarantee.  With ``record`` each row keeps
-    its point, direction and subgradient; it makes no line search, so the
-    result has no ``irp_trace``.
+    solver; it carries no descent guarantee.  ``record`` works as for
+    :func:`conjugate_subgradient_solve`, with each row keeping its point,
+    direction and subgradient; it makes no line search, so a sink is
+    handed None for the IRP entries and the result has no ``irp_trace``.
     """
+    sink, rows, _ = _sink(record)
     cfg, rng, start, f, g = _start(oracle, x0, cfg, seed)
     M = x0.manifold
     x = x0
     eta = -g
     ng = M._norm(x.data, g.data)
     c = 1.0 / (1.0 + ng)
-    rows = []
 
-    def add_row(k: int) -> None:
+    def new_row(k: int) -> IterationRecord:
         row = IterationRecord(k=k, f=f, eta_norm=ng, gtilde_norm=ng,
                               nf_cum=k,
                               time_cum_s=time.perf_counter() - start)
-        if record:
+        if sink is None:
+            rows.append(row)
+        else:
             row.x, row.eta, row.gtilde = x, eta, g
-        rows.append(row)
+        return row
 
-    add_row(1)
+    row = new_row(1)
     stop = "max_iters"
     for k in range(1, cfg.max_iters + 1):
         if ng <= cfg.epsilon_stop:
             stop = "stationary"
             break
         t = c / math.sqrt(k)
-        rows[-1].t = t
+        row.t = t
+        if sink is not None:
+            start += _hand_on(sink, row, None)
         x = _adopt(ManifoldPoint, M, M._retract(x.data, t * eta.data))
         f, g = oracle.value_and_subgrad(x, M.random_tangent(x, rng))
         eta = -g
         ng = M._norm(x.data, g.data)
-        add_row(k + 1)
-    return SolveResult(x=x, f=f, stop_reason=stop, iters=len(rows) - 1,
-                       nf=len(rows), trajectory=rows)
+        row = new_row(k + 1)
+    if sink is not None:
+        sink(row, None)
+    return SolveResult(x=x, f=f, stop_reason=stop, iters=row.k - 1,
+                       nf=row.k, trajectory=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -487,23 +555,25 @@ def trajectory_lines(trajectory: list[IterationRecord],
     produced."""
     if include_tangents and not all(map(_has_tangents, trajectory)):
         raise ValueError("include_tangents needs rows of a record=True solve")
-    return _row_lines(trajectory, include_tangents)
+    return (_row_line(row, include_tangents) for row in trajectory)
 
 
-def _row_lines(trajectory: list[IterationRecord], include_tangents: bool):
-    for row in trajectory:
-        rec = {"k": row.k, "f": row.f, "eta_norm": row.eta_norm,
-               "gtilde_norm": row.gtilde_norm, "t": row.t,
-               "lambda": row.lam, "alpha": row.alpha, "null": row.null,
-               "nf_cum": row.nf_cum, "time_cum_s": row.time_cum_s}
-        if row.ortho is not None:
-            rec["ortho"] = row.ortho
-        if include_tangents:
-            rec["manifold"] = row.x.manifold.tag()
-            rec["x"] = row.x.data.tolist()
-            rec["eta"] = row.eta.data.tolist()
-            rec["gtilde"] = row.gtilde.data.tolist()
-        yield json.dumps(rec)
+def _row_line(row: IterationRecord, include_tangents: bool) -> str:
+    """The JSON line of one row; the serializer of every trajectory file,
+    also of the rows a traced ``bench run`` cell writes as they come."""
+    rec = {"k": row.k, "f": row.f, "eta_norm": row.eta_norm,
+           "gtilde_norm": row.gtilde_norm, "t": row.t,
+           "lambda": row.lam, "alpha": row.alpha, "null": row.null,
+           "width_stop": row.width_stop, "nf_cum": row.nf_cum,
+           "time_cum_s": row.time_cum_s}
+    if row.ortho is not None:
+        rec["ortho"] = row.ortho
+    if include_tangents:
+        rec["manifold"] = row.x.manifold.tag()
+        rec["x"] = row.x.data.tolist()
+        rec["eta"] = row.eta.data.tolist()
+        rec["gtilde"] = row.gtilde.data.tolist()
+    return json.dumps(rec)
 
 
 def trajectory_from_jsonl(lines):
@@ -533,5 +603,6 @@ def trajectory_from_jsonl(lines):
             eta_norm=rec["eta_norm"], gtilde_norm=rec["gtilde_norm"],
             nf_cum=rec["nf_cum"], time_cum_s=rec["time_cum_s"],
             t=rec.get("t"), null=bool(rec.get("null", False)),
+            width_stop=bool(rec.get("width_stop", False)),
             lam=rec.get("lambda"), alpha=rec.get("alpha"),
             ortho=rec.get("ortho"))

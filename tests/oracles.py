@@ -383,3 +383,19 @@ def line_searches():
         yield results
     finally:
         solver.line_search = core
+
+
+def stall_search(monkeypatch, search: int, cap: int = 12) -> None:
+    """Make the ``search``-th interval reduction from now on (counting from
+    1) stall: from that call on, the iteration cap is ``cap``, below the 21
+    trials a search of the width stop walks."""
+    from rcsopt import linesearch
+    core, calls = linesearch.irp, []
+
+    def irp(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == search:
+            monkeypatch.setattr(linesearch, "_IRP_MAX_ITERS", cap)
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(linesearch, "irp", irp)

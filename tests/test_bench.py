@@ -11,7 +11,7 @@ from rcsopt.bench import (BenchmarkRecord, EmptySuiteError, SuiteSpec,
                           performance_profile, profiles_to_csv, run_suite,
                           solver_config_from_dict)
 
-from oracles import brute_force_profile
+from oracles import brute_force_profile, stall_search
 
 
 def rec(problem, solver, time_s, f, seed=0, solved=None):
@@ -131,6 +131,12 @@ class TestPerformanceProfile:
         with pytest.raises(EmptySuiteError):
             performance_profile([])
 
+    @pytest.mark.parametrize("time_s", [math.nan, -3.0, math.inf])
+    def test_bad_wall_time_rejected(self, time_s):
+        records = [rec("p0", "a", 1.0, 0.5), rec("p0", "b", time_s, 0.5)]
+        with pytest.raises(ValueError, match="record p0 b: wall_time_s"):
+            performance_profile(records)
+
 
 class TestSuiteSpec:
     def test_json_round_trip(self):
@@ -244,9 +250,9 @@ class TestRunSuite:
 
 
 class TestTracedCellMemory:
-    """A traced cell's memory grows with its line searches, not with its
-    trials, and its trace files are streamed rather than built as one
-    string; an untraced cell keeps no tangent vectors at all."""
+    """A traced cell writes each row and line search to its trace files as
+    the solve makes them, so its memory does not grow with its iterations;
+    an untraced cell keeps no tangent vectors at all."""
 
     CELL = ("rayleigh", 5, 200, 3, "conjugate_subgradient")
     CFG = r.SolverConfig(max_iters=200)
@@ -283,6 +289,74 @@ class TestTracedCellMemory:
         assert traced <= 1.25 * recorded, (traced, recorded)
         assert untraced < recorded, (untraced, recorded)
 
+    @pytest.mark.parametrize("solver", ["conjugate_subgradient",
+                                        "subgradient"])
+    def test_traced_peak_does_not_grow_with_iterations(self, tmp_path,
+                                                       solver):
+        # Before the rows were streamed, the conjugate subgradient cell
+        # peaked at 321 KB for 50 iterations and 1537 KB for 500; now a
+        # batch of rows is the most it holds.
+        cell = (*self.CELL[:4], solver)
+        peaks = {}
+        for cap in (50, 100, 500):  # the first run warms up
+            cfg = r.SolverConfig(max_iters=cap)
+            peaks[cap], rec = self._peak(bench._run_cell, *cell, cfg,
+                                         tmp_path)
+            assert rec.error is None and rec.iters == cap
+        assert peaks[500] < 1.1 * peaks[100], peaks
+
+    @pytest.mark.parametrize("seed", [100, 101, 102])
+    @pytest.mark.parametrize("solver", ["conjugate_subgradient",
+                                        "subgradient"])
+    def test_streamed_files_are_the_recorded_solve(self, tmp_path, seed,
+                                                   solver):
+        # Line for line what trajectory_lines and irp_records make of a
+        # record=True solve of the cell, but for the rows' clocks.
+        kind, n, m = self.CELL[:3]
+        cfg = r.SolverConfig(max_iters=150)
+        rec = bench._run_cell(kind, n, m, seed, solver, cfg, tmp_path)
+        res = bench.SOLVERS[solver](r.generate_instance(kind, n, m, seed),
+                                    r.initial_point(kind, n, seed), cfg,
+                                    seed=seed, record=True)
+        assert (rec.iters, rec.nf, rec.final_f, rec.stop_reason) \
+            == (res.iters, res.nf, res.f, res.stop_reason)
+        name = f"{rec.problem}_{solver}.jsonl"
+
+        def unclocked(lines):
+            out = [json.loads(line) for line in lines]
+            for row in out:
+                del row["time_cum_s"]
+            return out
+
+        traj = (tmp_path / f"traj_{name}").read_text().splitlines()
+        assert unclocked(traj) \
+            == unclocked(r.trajectory_lines(res.trajectory, True))
+        irp = tmp_path / f"irp_{name}"
+        if res.irp_trace is None:
+            assert not irp.exists()
+        else:
+            assert irp.read_text().splitlines() \
+                == [json.dumps(x) for x in r.irp_records(res.irp_trace)]
+
+    def test_stalled_cell_keeps_its_lines(self, tmp_path, monkeypatch):
+        # An error row with the iterations and evaluations made before the
+        # stall, and trace files holding every row up to the stalled one.
+        solver = self.CELL[4]
+        full = self._recorded_solve()
+        stall_search(monkeypatch, 8)
+        rec = bench._run_cell(*self.CELL, self.CFG, tmp_path)
+        assert rec.error.startswith("interval reduction stalled")
+        assert (rec.iters, rec.stop_reason) == (7, None)
+        rows = list(r.trajectory_from_jsonl(
+            (tmp_path / f"traj_{rec.problem}_{solver}.jsonl").open()))
+        assert len(rows) == rec.iters + 1
+        assert rows[-1].nf_cum == rec.nf and rows[-1].t is None
+        for row, want in zip(rows[:-1], full.trajectory):
+            assert (row.k, row.f, row.t, row.nf_cum) \
+                == (want.k, want.f, want.t, want.nf_cum)
+        irp = tmp_path / f"irp_{rec.problem}_{solver}.jsonl"
+        assert irp.stat().st_size > 0
+
     def test_irp_file_is_the_trace_records(self, tmp_path):
         rec = bench._run_cell(*self.CELL, self.CFG, tmp_path)
         trace = self._recorded_solve().irp_trace
@@ -309,8 +383,11 @@ class TestErrorRows:
         assert len(out.records) == 2
         for x in out.records:
             assert x.error == "LinAlgError: Eigenvalues did not converge"
-            assert (x.iters, x.nf, x.final_f, x.solved) \
-                == (0, 0, math.inf, False)
+            assert (x.iters, x.nf, x.final_f, x.solved, x.stop_reason) \
+                == (0, 0, math.inf, False, None)
+        text = r.records_to_csv(out.records)
+        assert text.splitlines()[1].endswith(
+            ",LinAlgError: Eigenvalues did not converge,")
 
     def test_error_row_writes_no_trace_files(self, monkeypatch, tmp_path):
         monkeypatch.setitem(bench.SOLVERS, "numpy_error", self._numpy_error)
@@ -388,6 +465,18 @@ class TestPersistence:
         text = r.records_to_csv(out.records)
         back = r.records_from_csv(text)
         assert back == out.records
+        assert text.splitlines()[0].endswith(",error,stop_reason")
+        assert {x.stop_reason for x in back} \
+            <= {"stationary", "null_steps", "max_iters"}
+        assert all(x.stop_reason for x in back)
+
+    @pytest.mark.parametrize("time_s", ["nan", "-3.0", "inf"])
+    def test_bad_wall_time_names_the_row(self, time_s):
+        records = [rec("p0", "a", 1.0, 0.5), rec("p0", "b", 2.0, 0.5)]
+        text = r.records_to_csv(records).replace(",2.0,", f",{time_s},")
+        with pytest.raises(ValueError,
+                           match=f"row 3: wall_time_s .*{time_s}"):
+            r.records_from_csv(text)
 
     def test_profiles_csv_well_formed(self):
         out = run_suite(tiny_spec())

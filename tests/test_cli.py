@@ -138,6 +138,22 @@ BAD_CONFIGS = {"max_iters_float": {"max_iters": 1.5},
                "rho_nan": {"ls": {"rho": NAN}}}
 
 
+@pytest.mark.parametrize("config,name", [
+    ('{"epsilon_stop": 1e999}', "epsilon_stop"),
+    ('{"ls": {"interval_tol": 1e999}}', "interval_tol")])
+def test_run_rejects_infinite_tolerance(tmp_path, capsys, config, name):
+    # json reads 1e999 as an infinity; neither tolerance may be one.
+    suite = tmp_path / "suite.json"
+    suite.write_text('{"kind": "rayleigh", "sizes": [[3, 4]], "runs": 1, '
+                     '"solver_configs": {"conjugate_subgradient": '
+                     + config + '}}')
+    out = tmp_path / "out"
+    assert main(["run", "--suite", str(suite), "--out", str(out)]) == 2
+    err = _one_error_line(capsys, "run")
+    assert str(suite) in err and name in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case", ["missing", "not_json", "no_kind",
                                   "bad_size", "negative_seed", "bad_config",
                                   "unknown_field", *BAD_FIELDS, *BAD_CONFIGS])
@@ -306,7 +322,7 @@ def test_check_memory_is_bounded_by_a_row(tmp_path, capsys):
     assert "direction recursion: PASS" in capsys.readouterr().out
 
 
-# A header and one data row with 4 of the 9 fields.
+# A header and one data row with 4 of the 10 fields.
 SHORT_ROW = r.records_to_csv([]) + "rayleigh-n3-m4-s0,subgradient,0,5\n"
 
 
@@ -319,6 +335,22 @@ def test_profile_rejects_unreadable_records(tmp_path, capsys, content):
     prof = tmp_path / "prof.csv"
     assert main(["profile", "--records", str(path), "--out", str(prof)]) == 2
     assert str(path) in _one_error_line(capsys, "profile")
+    assert not prof.exists()
+
+
+@pytest.mark.parametrize("wall_time_s", ["nan", "-3.0", "inf"])
+def test_profile_rejects_bad_wall_time(tmp_path, capsys, wall_time_s):
+    records = [r.BenchmarkRecord(problem=p, solver=s, seed=0, iters=3, nf=9,
+                                 wall_time_s=0.5, final_f=1.0)
+               for p in ("a", "b") for s in ("cs", "sg")]
+    lines = r.records_to_csv(records).splitlines()
+    lines[3] = lines[3].replace(",0.5,", f",{wall_time_s},")
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines) + "\n")
+    prof = tmp_path / "prof.csv"
+    assert main(["profile", "--records", str(path), "--out", str(prof)]) == 2
+    err = _one_error_line(capsys, "profile")
+    assert "row 4" in err and "wall_time_s" in err and wall_time_s in err
     assert not prof.exists()
 
 

@@ -56,6 +56,8 @@ class TestConfigValidation:
         dict(q=0.0), dict(q=0.5), dict(rho=1.0), dict(interval_tol=0.0),
         # A NaN compares false with every bound; it must still be rejected.
         dict(rho=math.nan), dict(interval_tol=math.nan),
+        # An infinite width stop would make every search a zero step.
+        dict(interval_tol=math.inf),
     ])
     def test_invalid_rejected(self, kw):
         with pytest.raises(ValueError):
@@ -65,6 +67,7 @@ class TestConfigValidation:
         dict(max_iters=1.5), dict(max_iters=True), dict(max_null_steps=0),
         dict(max_null_steps=-3), dict(max_null_steps="a"),
         dict(max_null_steps=2.0), dict(epsilon_stop=math.nan),
+        dict(epsilon_stop=math.inf),  # would stop every solve at once
     ], ids=lambda kw: "-".join(f"{k}={v!r}" for k, v in kw.items()))
     def test_invalid_solver_config_rejected(self, kw):
         # Each would pass the entry and fail or stop wrongly mid-solve.

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 import tracemalloc
 from collections import Counter
 
@@ -8,7 +9,8 @@ import pytest
 
 import rcsopt as r
 
-from oracles import geodesic_grid_min, grid_min_norm_alpha, line_searches
+from oracles import (geodesic_grid_min, grid_min_norm_alpha, line_searches,
+                     stall_search)
 from test_linesearch import SpyRay
 
 SOLVERS = [r.conjugate_subgradient_solve, r.subgradient_descent_solve]
@@ -443,6 +445,8 @@ class TestTrajectorySerialization:
         _, res = solve_small("rayleigh", 3, 5, 37, record=True, max_iters=50)
         rows = _jsonl(res.trajectory, include_tangents=True)
         assert all(isinstance(row, r.IterationRecord) for row in rows)
+        # The last row made no search; every other stopped at the width.
+        assert {row.width_stop for row in res.trajectory} == {False, True}
         for row, mem in zip(rows, res.trajectory, strict=True):
             for fld in dataclasses.fields(r.IterationRecord):
                 got, want = getattr(row, fld.name), getattr(mem, fld.name)
@@ -705,7 +709,25 @@ class TestEvaluationCount:
 
 
 _SCALAR_FIELDS = ("k", "f", "eta_norm", "gtilde_norm", "nf_cum", "t", "null",
-                  "lam", "alpha", "ortho")
+                  "width_stop", "lam", "alpha", "ortho")
+
+
+def _same_row(a, b) -> bool:
+    """Every field equal but the clock, the tangent vectors by their data."""
+    return [getattr(a, k) for k in _SCALAR_FIELDS] \
+        == [getattr(b, k) for k in _SCALAR_FIELDS] \
+        and all(np.array_equal(getattr(a, k).data, getattr(b, k).data)
+                for k in ("x", "eta", "gtilde"))
+
+
+def _sunk(solve, *args, **kw):
+    """The result of a solve whose record is a list-appending sink, and the
+    (row, entries, row.t at hand-off) it was handed."""
+    got = []
+
+    def sink(row, entries):
+        got.append((row, entries, row.t))
+    return solve(*args, **kw, record=sink), got
 
 
 class TestRecord:
@@ -758,3 +780,91 @@ class TestRecord:
             del res
         assert held[False] < 700, held
         assert held[True] > 2 * held[False], held
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    @pytest.mark.parametrize("kind,n,m", [("rayleigh", 5, 40),
+                                          ("karcher", 3, 6)])
+    def test_sink_is_handed_the_recorded_rows(self, solve, kind, n, m):
+        # A callable record gets each row once its search has run, in order,
+        # with that search's IRP entries; the solve keeps neither.
+        oracle = r.generate_instance(kind, n, m, seed=56)
+        x0 = r.initial_point(kind, n, 56)
+        cfg = r.SolverConfig(max_iters=60)
+        rec = solve(oracle, x0, cfg, seed=56, record=True)
+        res, got = _sunk(solve, oracle, x0, cfg, seed=56)
+        assert (res.iters, res.nf, res.stop_reason, res.f.hex()) \
+            == (rec.iters, rec.nf, rec.stop_reason, rec.f.hex())
+        assert res.trajectory == [] and res.irp_trace is None
+        assert len(got) == len(rec.trajectory) == res.iters + 1
+        for (row, _, t), want in zip(got, rec.trajectory):
+            assert _same_row(row, want) and t == want.t
+        assert all(t is not None for _, _, t in got[:-1])
+        if solve is r.conjugate_subgradient_solve:
+            entries = [e for _, es, _ in got for e in es]
+            assert list(r.irp_records(entries)) \
+                == list(r.irp_records(rec.irp_trace))
+        else:
+            assert all(es is None for _, es, _ in got)
+
+    def test_width_stop_is_the_search_verdict(self):
+        # Row k's width_stop is its search's ``approximate``: a null step
+        # never stops at the width, and a search with trials does unless
+        # its last trial returned at the optimality test.
+        oracle, x0 = _median_at_data_point()
+        cases = [(oracle, x0, 44, 5)]
+        cases += [(r.generate_instance("rayleigh", 5, 200, seed=57),
+                   r.initial_point("rayleigh", 5, 57), 57, 100)]
+        flags = Counter()
+        for oracle, x0, seed, cap in cases:
+            with line_searches() as searches:
+                _, got = _sunk(r.conjugate_subgradient_solve, oracle, x0,
+                               r.SolverConfig(max_iters=cap), seed=seed)
+            assert len(searches) == len(got) - 1
+            for (row, entries, _), ls in zip(got, searches):
+                trials = list(r.irp_records(entries))
+                returned = bool(trials) and trials[-1]["branch"] == "return"
+                assert row.width_stop == ls.approximate \
+                    == (not row.null and not returned), row.k
+                flags[row.null, row.width_stop] += 1
+            assert not got[-1][0].width_stop  # the last row made no search
+        assert flags[True, False] and flags[False, True], flags
+
+    def test_sink_time_is_left_out_of_the_clock(self):
+        oracle = r.generate_instance("rayleigh", 3, 5, seed=58)
+        x0 = r.initial_point("rayleigh", 3, 58)
+        rows = []
+
+        def slow(row, entries):
+            rows.append(row)
+            time.sleep(0.01)
+
+        r.conjugate_subgradient_solve(oracle, x0,
+                                      r.SolverConfig(max_iters=20), seed=58,
+                                      record=slow)
+        assert len(rows) == 21
+        assert rows[-1].time_cum_s < 0.1, rows[-1].time_cum_s
+
+    @pytest.mark.parametrize("solve", SOLVERS)
+    def test_record_must_be_a_bool_or_a_sink(self, solve):
+        oracle = CallLog(r.generate_instance("rayleigh", 3, 5, seed=59))
+        with pytest.raises(TypeError, match="record"):
+            solve(oracle, r.initial_point("rayleigh", 3, 59), seed=59,
+                  record="yes")
+        assert sum(oracle.calls.values()) == 0
+
+    def test_stall_hands_on_every_row(self, monkeypatch):
+        # The stalled search's row goes to the sink last, with t unset; the
+        # error carries the row count and that row's nf_cum.
+        stall_search(monkeypatch, 6)
+        got = []
+        with pytest.raises(r.SolveStalledError) as err:
+            r.conjugate_subgradient_solve(
+                r.generate_instance("rayleigh", 5, 200, seed=57),
+                r.initial_point("rayleigh", 5, 57), seed=57,
+                record=lambda row, entries: got.append((row, entries)))
+        rows = [row for row, _ in got]
+        assert err.value.rows == len(rows) == rows[-1].k
+        assert err.value.nf == rows[-1].nf_cum
+        assert rows[-1].t is None and rows[-1].k == 6
+        assert all(row.t is not None for row in rows[:-1])
+        assert len(list(r.irp_records(got[-1][1]))) >= 12

@@ -58,8 +58,11 @@ def test_irp_digest_covers_each_trial_value():
 
 
 def test_rows_digest_every_row_field_but_the_clock():
+    # width_stop is pinned by null and the IRP hash instead (see the tool's
+    # docstring and test_width_stop_is_the_search_verdict).
     fields = {f.name for f in dataclasses.fields(r.IterationRecord)}
-    assert {*_tool()._SCALARS, "x", "eta", "gtilde", "time_cum_s"} == fields
+    assert {*_tool()._SCALARS, "x", "eta", "gtilde", "time_cum_s",
+            "width_stop"} == fields
 
 
 def test_rows_digest_the_loop_transported_direction(monkeypatch):

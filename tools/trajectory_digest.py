@@ -13,9 +13,13 @@ solve:
 
     key solver iters nf stop f.hex() rows_sha256 irp_sha256
 
-The row hash covers every trajectory row's scalars (as float hex) and the
-bytes of its point, direction, combined subgradient and transported
-direction.  Rows do not keep the transported direction d; it is derived as
+The row hash covers every trajectory row's scalars (as float hex) but the
+clock and ``width_stop``, and the bytes of its point, direction, combined
+subgradient and transported direction.  ``width_stop`` follows from the
+row's ``null`` and its search's trials (a search stopped at the width
+unless its last trial returned), which the IRP hash covers; leaving it out
+keeps the digest of a tree comparable with that of a tree whose rows lack
+the field.  Rows do not keep the transported direction d; it is derived as
 ``transport_between(prev.x, row.x, prev.eta)``, which is the solve loop's d
 bit for bit, for every row a direction update produced (``row.lam`` is
 set), and hashed as ``-`` for row 1 and for subgradient rows.  The IRP hash
