@@ -10,15 +10,18 @@ search direction.  The iterates' objective values never increase.
 Every trajectory row holds the scalar diagnostics of its iteration, which is
 all the descent, norm-recursion and orthogonality checks read.  A solve
 keeps no tangent vector beyond the current iterate unless it is asked to.
-``record`` may be a sink, a callable ``sink(row, irp_entries)``: each row,
-which then also keeps its point, direction and combined subgradient
-(enough to replay the direction recursion after the fact), is handed on
-once its line search has run, with that search's compact IRP entries
-(None from the subgradient baseline, which makes no search), and the solve
-keeps no row list.  ``record=True`` is the built-in sink that collects the
-rows into :attr:`SolveResult.trajectory` and the entries into
-:attr:`SolveResult.irp_trace`.  That is exactly what ``bench run --trace``
-writes: every row field round-trips through :func:`trajectory_lines` and
+Both loops make and hand on their rows through one recorder built from
+``record``, and every row takes the same path: once its line search has
+run, it goes to a sink.  ``record`` may be that sink, a callable
+``sink(row, irp_entries)``: each row then also keeps its point, direction
+and combined subgradient (enough to replay the direction recursion after
+the fact) and comes with its search's compact IRP entries (None from the
+subgradient baseline, which makes no search), and the solve keeps no row
+list.  Otherwise the sink is the recorder's own, which keeps the rows in
+:attr:`SolveResult.trajectory`: with their tangent vectors under
+``record=True``, scalars only by default; neither builds IRP entries.  A
+callable sink sees exactly what ``bench run --trace`` writes: every row
+field round-trips through :func:`trajectory_lines` and
 :func:`trajectory_from_jsonl`, and the entries through
 :func:`rcsopt.linesearch.irp_records`.  The solve's clock leaves out the
 time a sink takes.  Recording changes no operation of the solve, so
@@ -137,13 +140,15 @@ class SolveResult:
 
     ``x`` and ``f`` are the final iterate and its value; ``stop_reason`` is
     ``"stationary"`` (``eta_norm`` at or below ``epsilon_stop``),
+    ``"edge_stop"`` (the same, but right after an edge stop: a line search
+    whose upper bound never left the injectivity clamp, so the minimum
+    along the direction was not bracketed and x need not be stationary),
     ``"null_steps"`` (``max_null_steps`` consecutive zero steps) or
     ``"max_iters"``; ``iters`` is the number of iterations, one line search
     each for the conjugate solver; ``nf`` counts the oracle evaluations.
-    ``trajectory`` holds one :class:`IterationRecord` per iterate (none
-    when the rows went to a sink), and ``irp_trace`` the compact IRP trace
-    of a conjugate subgradient solve run with ``record=True`` (read it with
-    :func:`rcsopt.linesearch.irp_records`), None otherwise.
+    ``trajectory`` holds one :class:`IterationRecord` per iterate, none
+    when the rows went to a callable sink, which alone is handed the
+    compact IRP entries of the line searches.
     """
 
     x: ManifoldPoint
@@ -152,7 +157,6 @@ class SolveResult:
     iters: int
     nf: int
     trajectory: list[IterationRecord]
-    irp_trace: list | None = None
 
 
 def select_lambda(ip_plus: float, ip_minus: float) -> float:
@@ -190,9 +194,10 @@ def direction_update(g: np.ndarray, d: np.ndarray, ng2: float,
     return (-alpha) * g + (1.0 - alpha) * d, float(alpha)
 
 
-def _start(oracle, x0: ManifoldPoint, cfg: SolverConfig | None, seed: int):
-    """Entry prologue of both solvers: (cfg, rng, clock start, f(x0), g),
-    with g the subgradient at x0 for a seeded random direction.
+def _start(oracle, x0: ManifoldPoint, cfg: SolverConfig | None, seed: int,
+           rec: _Recorder):
+    """Entry prologue of both solvers: (cfg, rng, f(x0), g), with g the
+    subgradient at x0 for a seeded random direction; starts ``rec``'s clock.
 
     TypeError unless the oracle has the required methods; ValueError unless
     x0 is a point of its manifold and that is the oracle's.
@@ -206,43 +211,63 @@ def _start(oracle, x0: ManifoldPoint, cfg: SolverConfig | None, seed: int):
         raise ValueError(f"x0 lies on {x0.manifold.tag()}, the oracle on "
                          f"{oracle.manifold.tag()}")
     rng = np.random.default_rng(seed)
-    start = time.perf_counter()
+    rec.start = time.perf_counter()
     f, g = oracle.value_and_subgrad(x0, x0.manifold.random_tangent(x0, rng))
-    return cfg or SolverConfig(), rng, start, f, g
+    return cfg or SolverConfig(), rng, f, g
 
 
-def _sink(record):
-    """(sink, rows, trace) of a solve's ``record`` argument.
+class _Recorder:
+    """A solve's recording, built once from its ``record`` argument.
 
-    ``rows`` is the list the result's trajectory is.  Unrecorded, there is
-    no sink and the loop appends its scalar rows to ``rows`` itself;
-    ``record=True`` gives the sink that collects every row into ``rows``
-    and every IRP entry into ``trace``; a callable is the sink, ``rows``
-    stays empty and ``trace`` is None.  TypeError for any other truthy
-    value.
+    Every row is made by :meth:`row` and handed on by :meth:`hand_on` to
+    one sink: the callable ``record``, or else the recorder's own, which
+    keeps the row in ``rows`` (the result's trajectory).  Rows keep their
+    point, direction and combined subgradient unless ``record`` is False.
+    ``entries`` is the IRP entry list a search appends to, None unless a
+    callable sink of a solve that searches will read it.  ``start`` is the
+    solve clock's origin; it moves past the time a sink takes.  TypeError
+    unless ``record`` is False, True or a callable.
     """
-    if record is True:
-        rows, trace = [], []
 
-        def collect(row, entries):
-            rows.append(row)
-            if entries:
-                trace.extend(entries)
-        return collect, rows, trace
-    if not record:
-        return None, [], None
-    if not callable(record):
-        raise TypeError(f"record must be a bool or a callable "
-                        f"sink(row, irp_entries), got {record!r}")
-    return record, [], None
+    def __init__(self, record, searches: bool):
+        if not (record is False or record is True or callable(record)):
+            raise TypeError(f"record must be a bool or a callable "
+                            f"sink(row, irp_entries), got {record!r}")
+        rows: list[IterationRecord] = []
+        sunk = callable(record)
+        # A closure over the list, not a bound method: a recorder that
+        # refers to itself lives, with its rows, until the cycle collector
+        # runs, which raises the benchmark's peak RSS (sphere-cs: 2.5 MB).
+        self.sink = record if sunk else lambda row, entries: rows.append(row)
+        self.rows = rows
+        self.tangents = record is not False
+        self.entries = [] if searches and sunk else None
+        self.start = 0.0
 
+    def row(self, x: ManifoldPoint, eta: TangentVector, gtilde: np.ndarray,
+            k: int, f: float, eta_norm: float, gtilde_norm: float,
+            nf_cum: int, lam: float | None = None, alpha: float | None = None,
+            ortho: float | None = None) -> IterationRecord:
+        """A new row stamped with the solve clock; it keeps its tangent
+        vectors (``gtilde`` is the raw data at x) only when recording.
+        The scalars are named, not ``**``-packed, which would build and
+        unpack a dict per row (about doubling the cost of a row)."""
+        row = IterationRecord(k, f, eta_norm, gtilde_norm, nf_cum,
+                              time.perf_counter() - self.start, lam=lam,
+                              alpha=alpha, ortho=ortho)
+        if self.tangents:
+            row.x, row.eta = x, eta
+            row.gtilde = _adopt(TangentVector, x, gtilde)
+        return row
 
-def _hand_on(sink, row: IterationRecord, entries) -> float:
-    """Hand a finished row on; returns the seconds the sink took, which
-    the solve's clock leaves out."""
-    t = time.perf_counter()
-    sink(row, entries)
-    return time.perf_counter() - t
+    def hand_on(self, row: IterationRecord) -> None:
+        """Hand a finished row on with the entries its search traced; the
+        clock leaves out the time this takes."""
+        t = time.perf_counter()
+        self.sink(row, self.entries)
+        if self.entries is not None:
+            self.entries = []
+        self.start += time.perf_counter() - t
 
 
 def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
@@ -254,31 +279,26 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
 
     The first direction is the negative of a directionally active subgradient
     for a seeded random direction (the plain gradient wherever the objective
-    is smooth).  Stops when the direction norm drops to ``epsilon_stop``, after
-    ``max_null_steps`` consecutive null steps, or at the iteration cap.
-    Unrecorded, rows hold scalars only.  Recorded, each row keeps its point,
-    direction and combined subgradient; a callable ``record`` is handed row
-    k with the compact IRP entries of its line search when iteration k
-    ends, and the last row at the end (also at a stall, before
-    :class:`SolveStalledError` is raised); ``record=True`` collects them
-    into the result's ``trajectory`` and ``irp_trace`` (read it with
-    :func:`rcsopt.linesearch.irp_records`).
+    is smooth).  Stops when the direction norm drops to ``epsilon_stop``
+    (``"edge_stop"`` right after an unbracketed search, see
+    :class:`SolveResult`), after ``max_null_steps`` consecutive null steps,
+    or at the iteration cap.  Unrecorded, rows hold scalars only.  Recorded, each row keeps its point,
+    direction and combined subgradient; ``record=True`` keeps the rows in
+    the result's ``trajectory``, while a callable ``record`` is handed row
+    k with the compact IRP entries of its line search (read them with
+    :func:`rcsopt.linesearch.irp_records`) when iteration k ends, and the
+    last row at the end (also at a stall, before
+    :class:`SolveStalledError` is raised).
     """
-    sink, rows, collected = _sink(record)
-    cfg, _, start, f, g1 = _start(oracle, x0, cfg, seed)
+    rec = _Recorder(record, searches=True)
+    cfg, _, f, g1 = _start(oracle, x0, cfg, seed, rec)
     M = x0.manifold
     x = x0
     nf = 1
     eta = -g1
     eta_norm = norm(eta)
-    row = IterationRecord(k=1, f=f, eta_norm=eta_norm, gtilde_norm=norm(g1),
-                          nf_cum=nf, time_cum_s=time.perf_counter() - start)
-    trace = None
-    if sink is None:
-        rows.append(row)
-    else:
-        row.x, row.eta, row.gtilde = x, eta, g1
-        trace = []
+    row = rec.row(x, eta, g1.data, k=1, f=f, eta_norm=eta_norm,
+                  gtilde_norm=norm(g1), nf_cum=nf)
     null_run = 0
     stop = "max_iters"
 
@@ -288,16 +308,13 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             break
         pf = RayObjective(oracle, x, eta, f0=f, dir_norm=eta_norm)
         try:
-            res = line_search(pf, cfg.ls, trace=trace)
+            res = line_search(pf, cfg.ls, trace=rec.entries)
         except LineSearchStallError as e:
-            if sink is not None:
-                sink(row, trace)
+            rec.hand_on(row)
             raise SolveStalledError(e, row.k, row.nf_cum) from e
         nf += res.evals
         row.t, row.null, row.width_stop = res.t, res.null, res.approximate
-        if sink is not None:
-            start += _hand_on(sink, row, trace)
-            trace = []
+        rec.hand_on(row)
         # A collapsed bracket at tau_lo = 0 also leaves the iterate in place;
         # such zero steps count toward the consecutive-null stop.
         if res.t == 0.0:
@@ -329,28 +346,25 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         x, f = x_new, f_new
         eta = _adopt(TangentVector, x, eta_data)
         eta_norm = M._norm(xd, eta_data)
-        row = IterationRecord(
-            k=k + 1, f=f, eta_norm=eta_norm,
-            gtilde_norm=math.sqrt(max(ng2, 0.0)), nf_cum=nf,
-            time_cum_s=time.perf_counter() - start, lam=lam, alpha=alpha,
-            ortho=ortho_raw)
-        if sink is None:
-            rows.append(row)
-        else:
-            row.x, row.eta = x, eta
-            row.gtilde = _adopt(TangentVector, x, gtilde)
+        row = rec.row(x, eta, gtilde, k=k + 1, f=f, eta_norm=eta_norm,
+                      gtilde_norm=math.sqrt(max(ng2, 0.0)), nf_cum=nf,
+                      lam=lam, alpha=alpha, ortho=ortho_raw)
 
         if null_run >= cfg.max_null_steps:
             stop = "null_steps"
             break
         if eta_norm <= cfg.epsilon_stop:
-            stop = "stationary"
+            # After an edge stop (criterion 2's test: the search's upper
+            # bound never left the injectivity clamp) the minimum along eta
+            # was not bracketed, and removing gtilde's component along d
+            # can zero a gtilde that is far from zero.
+            edge = not res.null and res.tau_hi_final >= res.tau_hi_start
+            stop = "edge_stop" if edge else "stationary"
             break
 
-    if sink is not None:
-        sink(row, trace)
+    rec.hand_on(row)
     return SolveResult(x=x, f=f, stop_reason=stop, iters=row.k - 1,
-                       nf=nf, trajectory=rows, irp_trace=collected)
+                       nf=nf, trajectory=rec.rows)
 
 
 def subgradient_descent_solve(oracle, x0: ManifoldPoint,
@@ -364,27 +378,17 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
     solver; it carries no descent guarantee.  ``record`` works as for
     :func:`conjugate_subgradient_solve`, with each row keeping its point,
     direction and subgradient; it makes no line search, so a sink is
-    handed None for the IRP entries and the result has no ``irp_trace``.
+    handed None for the IRP entries.
     """
-    sink, rows, _ = _sink(record)
-    cfg, rng, start, f, g = _start(oracle, x0, cfg, seed)
+    rec = _Recorder(record, searches=False)
+    cfg, rng, f, g = _start(oracle, x0, cfg, seed, rec)
     M = x0.manifold
     x = x0
     eta = -g
     ng = M._norm(x.data, g.data)
     c = 1.0 / (1.0 + ng)
-
-    def new_row(k: int) -> IterationRecord:
-        row = IterationRecord(k=k, f=f, eta_norm=ng, gtilde_norm=ng,
-                              nf_cum=k,
-                              time_cum_s=time.perf_counter() - start)
-        if sink is None:
-            rows.append(row)
-        else:
-            row.x, row.eta, row.gtilde = x, eta, g
-        return row
-
-    row = new_row(1)
+    row = rec.row(x, eta, g.data, k=1, f=f, eta_norm=ng, gtilde_norm=ng,
+                  nf_cum=1)
     stop = "max_iters"
     for k in range(1, cfg.max_iters + 1):
         if ng <= cfg.epsilon_stop:
@@ -392,17 +396,16 @@ def subgradient_descent_solve(oracle, x0: ManifoldPoint,
             break
         t = c / math.sqrt(k)
         row.t = t
-        if sink is not None:
-            start += _hand_on(sink, row, None)
+        rec.hand_on(row)
         x = _adopt(ManifoldPoint, M, M._retract(x.data, t * eta.data))
         f, g = oracle.value_and_subgrad(x, M.random_tangent(x, rng))
         eta = -g
         ng = M._norm(x.data, g.data)
-        row = new_row(k + 1)
-    if sink is not None:
-        sink(row, None)
+        row = rec.row(x, eta, g.data, k=k + 1, f=f, eta_norm=ng,
+                      gtilde_norm=ng, nf_cum=k + 1)
+    rec.hand_on(row)
     return SolveResult(x=x, f=f, stop_reason=stop, iters=row.k - 1,
-                       nf=row.k, trajectory=rows)
+                       nf=row.k, trajectory=rec.rows)
 
 
 # ---------------------------------------------------------------------------

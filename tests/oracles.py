@@ -399,3 +399,18 @@ def stall_search(monkeypatch, search: int, cap: int = 12) -> None:
         return core(*args, **kwargs)
 
     monkeypatch.setattr(linesearch, "irp", irp)
+
+
+def sunk_solve(solve, *args, **kw):
+    """(result, rows, entries) of a solve whose ``record`` is a sink that
+    appends every row it is handed to ``rows`` and every IRP entry to
+    ``entries``; ``entries`` is None when no entry list was handed (the
+    subgradient baseline makes no line search)."""
+    rows, lists = [], []
+
+    def sink(row, entries):
+        rows.append(row)
+        if entries is not None:
+            lists.append(entries)
+    res = solve(*args, **kw, record=sink)
+    return res, rows, [e for es in lists for e in es] if lists else None

@@ -11,7 +11,7 @@ from rcsopt.bench import (BenchmarkRecord, EmptySuiteError, SuiteSpec,
                           performance_profile, profiles_to_csv, run_suite,
                           solver_config_from_dict)
 
-from oracles import brute_force_profile, stall_search
+from oracles import brute_force_profile, stall_search, sunk_solve
 
 
 def rec(problem, solver, time_s, f, seed=0, solved=None):
@@ -310,14 +310,15 @@ class TestTracedCellMemory:
                                         "subgradient"])
     def test_streamed_files_are_the_recorded_solve(self, tmp_path, seed,
                                                    solver):
-        # Line for line what trajectory_lines and irp_records make of a
-        # record=True solve of the cell, but for the rows' clocks.
+        # Line for line what trajectory_lines and irp_records make of the
+        # rows and IRP entries a list-appending sink of the same solve is
+        # handed, but for the rows' clocks.
         kind, n, m = self.CELL[:3]
         cfg = r.SolverConfig(max_iters=150)
         rec = bench._run_cell(kind, n, m, seed, solver, cfg, tmp_path)
-        res = bench.SOLVERS[solver](r.generate_instance(kind, n, m, seed),
-                                    r.initial_point(kind, n, seed), cfg,
-                                    seed=seed, record=True)
+        res, rows, entries = sunk_solve(
+            bench.SOLVERS[solver], r.generate_instance(kind, n, m, seed),
+            r.initial_point(kind, n, seed), cfg, seed=seed)
         assert (rec.iters, rec.nf, rec.final_f, rec.stop_reason) \
             == (res.iters, res.nf, res.f, res.stop_reason)
         name = f"{rec.problem}_{solver}.jsonl"
@@ -329,14 +330,13 @@ class TestTracedCellMemory:
             return out
 
         traj = (tmp_path / f"traj_{name}").read_text().splitlines()
-        assert unclocked(traj) \
-            == unclocked(r.trajectory_lines(res.trajectory, True))
+        assert unclocked(traj) == unclocked(r.trajectory_lines(rows, True))
         irp = tmp_path / f"irp_{name}"
-        if res.irp_trace is None:
+        if entries is None:
             assert not irp.exists()
         else:
             assert irp.read_text().splitlines() \
-                == [json.dumps(x) for x in r.irp_records(res.irp_trace)]
+                == [json.dumps(x) for x in r.irp_records(entries)]
 
     def test_stalled_cell_keeps_its_lines(self, tmp_path, monkeypatch):
         # An error row with the iterations and evaluations made before the
@@ -359,7 +359,11 @@ class TestTracedCellMemory:
 
     def test_irp_file_is_the_trace_records(self, tmp_path):
         rec = bench._run_cell(*self.CELL, self.CFG, tmp_path)
-        trace = self._recorded_solve().irp_trace
+        kind, n, m, seed, _ = self.CELL
+        trace = sunk_solve(r.conjugate_subgradient_solve,
+                           r.generate_instance(kind, n, m, seed),
+                           r.initial_point(kind, n, seed), self.CFG,
+                           seed=seed)[2]
         path = tmp_path / f"irp_{rec.problem}_{rec.solver}.jsonl"
         lines = path.read_text().splitlines()
         assert lines == [json.dumps(x) for x in r.irp_records(trace)]

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import math
 import time
 import tracemalloc
@@ -255,6 +256,27 @@ class TestConjugateSubgradientSolve:
             if gk > 0 and ek > 0:
                 assert gk * ek / np.sqrt(gk ** 2 + ek ** 2) \
                     <= cfg.epsilon_stop * (1 + 1e-6)
+
+    def test_stationary_after_an_edge_stop_is_its_own_stop(self):
+        # One median point, a start 80 degrees away: the first search ends
+        # at the injectivity clamp, unbracketed, with gtilde antiparallel to
+        # d, so removing gtilde's component along d zeroes eta where the
+        # gradient has norm 1.  The stop says so, and records.csv keeps it.
+        oracle = r.GeometricMedian(2, 1, np.array([[1.0, 0.0, 0.0]]),
+                                   np.array([1.0]))
+        a = math.radians(80.0)
+        x0 = oracle.manifold.point([math.cos(a), math.sin(a), 0.0])
+        with line_searches() as searches:
+            res = r.conjugate_subgradient_solve(oracle, x0, seed=0)
+        assert (res.stop_reason, res.iters) == ("edge_stop", 1)
+        ls, last = searches[-1], res.trajectory[-1]
+        assert not ls.null and ls.tau_hi_final >= ls.tau_hi_start
+        assert last.ortho == pytest.approx(-1.0) and last.eta_norm <= 1e-8
+        assert res.f > 0.13
+        row = r.BenchmarkRecord(problem="p", solver="s", seed=0, iters=1,
+                                nf=res.nf, wall_time_s=0.0, final_f=res.f,
+                                stop_reason=res.stop_reason)
+        assert r.records_from_csv(r.records_to_csv([row])) == [row]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_spd_steps_past_overflow_shrink_the_bracket(self):
@@ -752,11 +774,6 @@ class TestRecord:
                 == [getattr(b, k) for k in _SCALAR_FIELDS]
             assert (a.x, a.eta, a.gtilde) == (None,) * 3
             assert None not in (b.x, b.eta, b.gtilde)
-        assert plain.irp_trace is None
-        if solve is r.conjugate_subgradient_solve:
-            assert rec.irp_trace
-        else:
-            assert rec.irp_trace is None
 
     @pytest.mark.parametrize("solve", SOLVERS)
     def test_unrecorded_solve_holds_scalars_only(self, solve):
@@ -782,6 +799,33 @@ class TestRecord:
         assert held[True] > 2 * held[False], held
 
     @pytest.mark.parametrize("solve", SOLVERS)
+    @pytest.mark.parametrize("record", [False, True])
+    def test_dropped_result_is_freed_without_the_cycle_collector(
+            self, solve, record):
+        # Nothing of a solve sits in a reference cycle: its rows go when
+        # its result does.  A recorder that refers to itself (its own bound
+        # method as the sink, say) keeps them until the cycle collector
+        # runs, which raises the benchmark's peak RSS (sphere-cs: 2.5 MB).
+        oracle = r.generate_instance("rayleigh", 5, 20, seed=61)
+        x0 = r.initial_point("rayleigh", 5, 61)
+        cfg = r.SolverConfig(max_iters=1000)
+        solve(oracle, x0, r.SolverConfig(max_iters=5), seed=61)  # warm up
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = solve(oracle, x0, cfg, seed=61, record=record)
+            held = tracemalloc.get_traced_memory()[0] - base
+            del res
+            left = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        # What is left is a few caches of constant size (about 20 KB).
+        assert held > 100_000 and left < 0.25 * held, (held, left)
+
+    @pytest.mark.parametrize("solve", SOLVERS)
     @pytest.mark.parametrize("kind,n,m", [("rayleigh", 5, 40),
                                           ("karcher", 3, 6)])
     def test_sink_is_handed_the_recorded_rows(self, solve, kind, n, m):
@@ -794,17 +838,45 @@ class TestRecord:
         res, got = _sunk(solve, oracle, x0, cfg, seed=56)
         assert (res.iters, res.nf, res.stop_reason, res.f.hex()) \
             == (rec.iters, rec.nf, rec.stop_reason, rec.f.hex())
-        assert res.trajectory == [] and res.irp_trace is None
+        assert res.trajectory == []
         assert len(got) == len(rec.trajectory) == res.iters + 1
         for (row, _, t), want in zip(got, rec.trajectory):
             assert _same_row(row, want) and t == want.t
         assert all(t is not None for _, _, t in got[:-1])
         if solve is r.conjugate_subgradient_solve:
-            entries = [e for _, es, _ in got for e in es]
-            assert list(r.irp_records(entries)) \
-                == list(r.irp_records(rec.irp_trace))
+            # A search that moves walks at least one trial; a null step
+            # and the last row, which made no search, add none.
+            assert [bool(es) for _, es, _ in got] \
+                == [not row.null for row, _, _ in got[:-1]] + [False]
         else:
             assert all(es is None for _, es, _ in got)
+
+    @pytest.mark.parametrize("record", [False, True, "sink"])
+    def test_only_a_callable_sink_is_handed_irp_entries(self, monkeypatch,
+                                                         record):
+        # Unrecorded and record=True solves build no IRP entries: every
+        # search gets trace=None.  A sink's solve gives each search a list
+        # of its own, which is then handed on with the search's row.
+        core, traces = r.solver.line_search, []
+
+        def spy(pf, cfg, trace=None):
+            traces.append(trace)
+            return core(pf, cfg, trace=trace)
+
+        monkeypatch.setattr(r.solver, "line_search", spy)
+        args = (r.generate_instance("rayleigh", 5, 40, seed=60),
+                r.initial_point("rayleigh", 5, 60),
+                r.SolverConfig(max_iters=40))
+        if record == "sink":
+            res, got = _sunk(r.conjugate_subgradient_solve, *args, seed=60)
+            assert len(traces) == len(got) - 1 == res.iters >= 1
+            assert all(type(trace) is list for trace in traces)
+            assert all(es is trace for (_, es, _), trace in zip(got, traces))
+            assert len({id(es) for _, es, _ in got}) == len(got)
+            assert any(traces) and got[-1][1] == []
+        else:
+            res = r.conjugate_subgradient_solve(*args, seed=60, record=record)
+            assert traces == [None] * res.iters and res.iters >= 1
 
     def test_width_stop_is_the_search_verdict(self):
         # Row k's width_stop is its search's ``approximate``: a null step
@@ -846,10 +918,13 @@ class TestRecord:
 
     @pytest.mark.parametrize("solve", SOLVERS)
     def test_record_must_be_a_bool_or_a_sink(self, solve):
+        # Exactly False, True or a callable: a falsy or truthy stand-in for
+        # a bool is rejected too, before any evaluation.
         oracle = CallLog(r.generate_instance("rayleigh", 3, 5, seed=59))
-        with pytest.raises(TypeError, match="record"):
-            solve(oracle, r.initial_point("rayleigh", 3, 59), seed=59,
-                  record="yes")
+        for record in ("yes", None, 0, 1, np.True_):
+            with pytest.raises(TypeError, match="record"):
+                solve(oracle, r.initial_point("rayleigh", 3, 59), seed=59,
+                      record=record)
         assert sum(oracle.calls.values()) == 0
 
     def test_stall_hands_on_every_row(self, monkeypatch):

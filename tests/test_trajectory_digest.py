@@ -94,3 +94,21 @@ def test_rows_digest_the_loop_transported_direction(monkeypatch):
                                      record=True).trajectory
     assert all(tool.row_arrays(prev, row)[3] is None
                for prev, row in zip(sg, sg[1:]))
+
+
+def test_one_sink_gives_the_rows_and_the_irp_entries():
+    # The tool reads both hashes' inputs from one list-appending sink: the
+    # rows a record=True solve keeps, and one IRP entry list per row of a
+    # conjugate subgradient solve, none of a subgradient solve.
+    tool = _tool()
+    oracle = r.generate_instance("rayleigh", 5, 20, seed=4)
+    x0 = r.initial_point("rayleigh", 5, 4)
+    cfg = r.SolverConfig(max_iters=30)
+    for solve in (r.conjugate_subgradient_solve, r.subgradient_descent_solve):
+        want = solve(oracle, x0, cfg, seed=4, record=True)
+        res, rows, lists = tool.sunk_solve(solve, oracle, x0, cfg, seed=4)
+        assert res.trajectory == [] and len(rows) == len(want.trajectory)
+        assert tool.row_digest(rows) == tool.row_digest(want.trajectory)
+        searches = solve is r.conjugate_subgradient_solve
+        assert len(lists) == (len(rows) if searches else 0)
+        assert any(lists) == searches

@@ -7,8 +7,9 @@ Usage (from the repository root):
 The inputs are the ones ``perfbench/run.py`` builds for the workload and
 seed (its ``make_instances``), so the two cannot drift.  Each instance is
 solved by the conjugate subgradient method and by subgradient descent under
-the workload's iteration cap, with ``record=True`` so that rows keep their
-tangent vectors and the IRP trace is kept, and one line is printed per
+the workload's iteration cap, with ``record`` a sink that appends every row
+it is handed, and every IRP entry list handed with the rows, to lists of
+its own (so rows keep their tangent vectors), and one line is printed per
 solve:
 
     key solver iters nf stop f.hex() rows_sha256 irp_sha256
@@ -25,10 +26,13 @@ bit for bit, for every row a direction update produced (``row.lam`` is
 set), and hashed as ``-`` for row 1 and for subgradient rows.  The IRP hash
 covers every interval-reduction trial of a conjugate subgradient solve: its
 step, value and comparison value (as float hex) and its branch; a
-subgradient solve makes no line search and prints ``-`` there.  A trial
+subgradient solve makes no line search, its sink is handed no entry list,
+and it prints ``-`` there.  A trial
 value can change without moving an iterate, so the second hash is what
 pins the line search's values.  Diffing the output of two trees is a
-bit-identity check of their iterates and trial values.
+bit-identity check of their iterates and trial values; a callable sink is
+the one way a solve hands out its IRP entries, so the same tool runs on
+a tree from before ``SolveResult.irp_trace`` was removed.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.util
+import itertools
 import sys
 from pathlib import Path
 
@@ -100,6 +105,19 @@ def irp_digest(records) -> str:
     return h.hexdigest()
 
 
+def sunk_solve(solve, *args, **kw):
+    """(result, rows, entry lists) of a solve whose ``record`` is a sink
+    appending each row and each IRP entry list it is handed; a solve that
+    makes no line search hands no list."""
+    rows, lists = [], []
+
+    def sink(row, entries):
+        rows.append(row)
+        if entries is not None:
+            lists.append(entries)
+    return solve(*args, **kw, record=sink), rows, lists
+
+
 def digest_lines(workload: str, seed: int, max_iters: int | None = None):
     """One digest line per (instance, solver) of the workload's inputs."""
     bench = _load_perfbench()
@@ -113,16 +131,15 @@ def digest_lines(workload: str, seed: int, max_iters: int | None = None):
         key = f"{inst.group}-s{inst.seed}"
         for name, solve in solvers:
             try:
-                res = solve(inst.oracle, inst.x0, cfg, seed=inst.seed,
-                            record=True)
+                res, rows, lists = sunk_solve(solve, inst.oracle, inst.x0,
+                                              cfg, seed=inst.seed)
             except Exception as exc:  # a failure is part of the digest
                 yield f"{key} {name} error {type(exc).__name__}: {exc}"
                 continue
-            irp_sha = "-" if res.irp_trace is None \
-                else irp_digest(rcsopt.irp_records(res.irp_trace))
+            irp_sha = irp_digest(rcsopt.irp_records(
+                itertools.chain.from_iterable(lists))) if lists else "-"
             yield (f"{key} {name} {res.iters} {res.nf} {res.stop_reason} "
-                   f"{float(res.f).hex()} {row_digest(res.trajectory)} "
-                   f"{irp_sha}")
+                   f"{float(res.f).hex()} {row_digest(rows)} {irp_sha}")
 
 
 def main(argv=None) -> int:
