@@ -12,7 +12,8 @@ The search reads the objective through ``RayObjective``, which takes the
 oracle's ``restrict`` ray: it answers values, slopes and the endpoint
 subgradients in closed form, so the search makes no oracle call.  Each value
 the search reads is one evaluation.  When f decreases against the direction,
-the objective mirrors itself and the search runs backward.
+the search runs forward on the ray along -v and reports a negative step; a
+backward search that finds no decrease reports t = -0.0, which equals 0.
 """
 
 import numpy as np
@@ -70,8 +71,8 @@ for rec in list(irp_records(trace))[:6]:
 print("\nendpoint subgradients live at the new point:",
       r.same_point(res.g_plus.base, res.x_new))
 
-# Along -eta the slope at 0 is positive: the search mirrors the ray and
-# takes the same step backward.
+# Along -eta the slope at 0 is positive: the search restricts the oracle to
+# -(-eta) = eta and takes the same step, reported as negative.
 back = line_search(RayObjective(oracle, x, -1.0 * eta, f0=oracle.value(x)),
                    LineSearchConfig())
 print(f"along -eta: step t = {back.t:.6f} (sign {back.sign:+d}), "

@@ -7,9 +7,13 @@ values, one-sided slopes along the transported direction, and the
 directionally active subgradients at the final bracket endpoints.  The
 search makes no other oracle call.  :class:`RayObjective` is the one ray
 objective: it checks the direction's base point once, when built, caches
-what the ray answers, counts each value it reads as one evaluation
-(``evals``), and mirrors itself for a backward search; the search asks
-its ``ray`` for the endpoint subgradients directly.  The search runs on raw
+what the ray answers and counts each value it reads as one evaluation
+(``evals``); the search asks its ``ray`` for the endpoint subgradients
+directly.  When f rises along v but falls along -v, the search is a
+forward search on a second :class:`RayObjective` along -v, built from the
+same oracle with l(0) and ||v|| handed on: one more ``restrict``, and a
+step t = -tau.  A backward search that finds no decrease therefore
+records t = -0.0, which compares equal to 0.  The search runs on raw
 arrays, wrapped once in the :class:`LineSearchResult`.  A null step (no
 descent either way) is the bracket [0, 0] and builds its result on the same
 path, from the cached slopes and the subgradients at x.
@@ -91,11 +95,12 @@ class RayObjective:
 
     The base point of v is checked once, here, before ``oracle.restrict``
     builds the ray; the ray then answers every value, slope and endpoint
-    subgradient of the search.  Values and slopes are cached per step size
-    so bracket endpoints are never recomputed, and each value read is one
-    evaluation (``evals``).  Only the accepted point and the bracket
-    endpoints are retracted.  ``dir_norm`` is ||v|| when the caller already
-    has it (the solver's row ``eta_norm``); else it is computed.
+    subgradient of the search.  The oracle is kept for the ray along -v
+    that a backward search restricts to.  Values and slopes are cached per
+    step size so bracket endpoints are never recomputed, and each value
+    read is one evaluation (``evals``).  Only the accepted point and the
+    bracket endpoints are retracted.  ``dir_norm`` is ||v|| when the caller
+    already has it (the solver's row ``eta_norm``); else it is computed.
 
     When the ray offers ``values(ts)``, ``prefetch`` is that method:
     :func:`irp` hands it the trials it will make if every one fails, and
@@ -106,22 +111,13 @@ class RayObjective:
     def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
                  f0: float | None = None, dir_norm: float | None = None):
         _require_base(x, v, "ray")
-        self._start(x, v, oracle.restrict(x, v), f0,
-                    norm(v) if dir_norm is None else dir_norm)
-
-    def _start(self, x, v, ray, f0, dir_norm) -> None:
-        self.x, self.v, self.ray, self.dir_norm = x, v, ray, dir_norm
+        self.oracle, self.x, self.v = oracle, x, v
+        self.ray = oracle.restrict(x, v)
+        self.dir_norm = norm(v) if dir_norm is None else dir_norm
         self._points: dict[float, ManifoldPoint] = {0.0: x}
         self._values: dict[float, float] = {} if f0 is None else {0.0: f0}
         self._derivs: dict[float, tuple[float, float]] = {}
         self.evals = 0
-
-    def reversed(self) -> "RayObjective":
-        """t -> f(R_x(-t v)) from the ray's ``reversed()``, with l(0) kept."""
-        pf = object.__new__(RayObjective)
-        pf._start(self.x, -self.v, self.ray.reversed(),
-                  self._values.get(0.0), self.dir_norm)
-        return pf
 
     @property
     def prefetch(self):
@@ -347,8 +343,9 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     if dplus0 < 0.0:
         sign, l = 1, pf
     elif dminus0 > 0.0:
-        # Search phi(-tau); its right derivative at 0 is -dminus0 < 0.
-        sign, l = -1, pf.reversed()
+        # Search phi(-tau) on the ray along -v; its right derivative at 0
+        # is -dminus0 < 0.
+        sign, l = -1, RayObjective(pf.oracle, x, -pf.v, phi0, pf.dir_norm)
     else:
         sign, l = 0, pf
     tau_star = tau_lo = tau_hi = 0.0

@@ -39,18 +39,18 @@ y(t) = R_x(t v) as a small object with
 * ``subgrad(t, forward)``, the ambient data of the directionally active
   subgradient at y(t) for +d (``forward``) or -d, as ``active_subgrad``
   would pick it; it is not an evaluation;
-* ``reversed()``, the same ray for -v, with no new products;
 * optionally ``values(ts)``, ``[value(t) for t in ts]`` bit for bit in one
   call.  The line search asks for it with the trials that follow a failed
   first trial if all of them fail, and charges only the values it reads.
   Only :class:`RayleighRay` offers it.
 
-The ray answers a whole line search, so a line search makes no oracle
-call.  Each ray keeps a two-entry per-step memo (t = 0 and the latest other
-t, see :func:`_memoize`), so ``slopes`` and ``subgrad`` at one step size
-share their work, and on the median ray ``value`` shares the cosines too.
-``subgrad`` never returns non-finite data; it raises
-:class:`NonFiniteRayError` instead.
+The ray answers a whole line search, so a line search asks the oracle
+for nothing but its rays: a backward search (f rises along v) runs on a
+second ray, ``restrict(x, -v)``.  Each ray keeps a two-entry per-step memo
+(t = 0 and the latest other t, see :func:`_memoize`), so ``slopes`` and
+``subgrad`` at one step size share their work, and on the median ray
+``value`` shares the cosines too.  ``subgrad`` never returns non-finite
+data; it raises :class:`NonFiniteRayError` instead.
 
 On the sphere the ray is y(t) = (x + t v) / ||x + t v||, with t = 0 meaning x
 itself.  It reads the data once, in one fused product with [x v] (A_i [x v]
@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -206,16 +206,13 @@ class _QfRay:
     xx: float
     xv: float
     vv: float
-    # Per-step memo (see _memoize); a reversed ray starts with an empty one.
+    # Per-step memo (see _memoize).
     _memo: dict = field(default_factory=dict, init=False, repr=False,
                         compare=False)
 
     def _norm2(self, t: float) -> float:
         # Exact ||x + t v||^2; the base point itself is used at t = 0.
         return 1.0 if t == 0.0 else self.xx + t * (2.0 * self.xv + t * self.vv)
-
-    def _flipped(self, **fields) -> "_QfRay":
-        return replace(self, v=-self.v, xv=-self.xv, **fields)
 
 
 @dataclass(frozen=True)
@@ -293,9 +290,6 @@ class RayleighRay(_QfRay):
         y = (self.x + t * self.v) / r
         return _finite((self.ax[i] + t * self.av[i]) / r - 2.0 * val * y)
 
-    def reversed(self) -> "RayleighRay":
-        return self._flipped(av=-self.av, b=-self.b)
-
 
 @dataclass(frozen=True)
 class MedianRay(_QfRay):
@@ -345,9 +339,6 @@ class MedianRay(_QfRay):
                     "zero direction at a median data point")
             grad = grad + (sw / nd if forward else -sw / nd) * d
         return _finite(grad)
-
-    def reversed(self) -> "MedianRay":
-        return self._flipped(pv=-self.pv)
 
 
 def _karcher_value(stack: np.ndarray) -> float:
@@ -412,9 +403,6 @@ class KarcherRay:
         # directions give the same gradient.
         w = self.w0 * np.exp(0.5 * t * self.lam)
         return _finite(_sym(-w @ _logm_sum(*self._eigh(t)) @ w.T))
-
-    def reversed(self) -> "KarcherRay":
-        return replace(self, lam=-self.lam)  # with an empty eigh cache
 
 
 class _DerivedQueries:

@@ -171,9 +171,15 @@ def select_lambda(ip_plus: float, ip_minus: float) -> float:
     return float(min(max(ip_plus / (ip_plus - ip_minus), 0.0), 1.0))
 
 
-def combine_subgradient(g_plus: TangentVector, g_minus: TangentVector,
-                        lam: float) -> TangentVector:
-    """lam * g_minus + (1 - lam) * g_plus."""
+def combine_subgradient(g_plus: TangentVector | np.ndarray,
+                        g_minus: TangentVector | np.ndarray,
+                        lam: float) -> TangentVector | np.ndarray:
+    """lam * g_minus + (1 - lam) * g_plus.
+
+    The two subgradients are tangent data of one point, either both
+    :class:`TangentVector` or both raw arrays (the solve loop's form); the
+    result has the same form.
+    """
     return lam * g_minus + (1.0 - lam) * g_plus
 
 

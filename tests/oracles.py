@@ -263,9 +263,6 @@ class GenericRay:
         y, d = self._point_and_direction(t)
         return self.oracle.active_subgrad(y, d if forward else -d).data
 
-    def reversed(self):
-        return GenericRay(self.oracle, self.x, -self.v)
-
 
 class GenericOnly:
     """Oracle proxy whose ``restrict`` is the :class:`GenericRay` and whose

@@ -2,7 +2,7 @@ import gc
 import math
 import weakref
 from collections import Counter
-from itertools import groupby
+from itertools import groupby, product
 
 import numpy as np
 import pytest
@@ -279,14 +279,23 @@ class TestLineSearch:
         assert res.x_new is x
 
     def test_sign_symmetry(self):
-        oracle, x, eta = rayleigh_ray(10)
-        res_fwd = line_search(RayObjective(oracle, x, eta),
+        # A search along -eta is the search along eta, mirrored bit for bit:
+        # its backward leg restricts the oracle to eta itself.
+        for kind, seed in product(("rayleigh", "median", "karcher"),
+                                  range(20)):
+            oracle = r.generate_instance(kind, 3, 5, seed=seed)
+            x = oracle.manifold.random_point(np.random.default_rng(200 + seed))
+            eta = random_descent_direction(oracle, x, 300 + seed)
+            fwd = line_search(RayObjective(oracle, x, eta), LineSearchConfig())
+            bwd = line_search(RayObjective(oracle, x, -eta),
                               LineSearchConfig())
-        res_bwd = line_search(RayObjective(oracle, x, -eta),
-                              LineSearchConfig())
-        assert res_fwd.sign == -res_bwd.sign
-        assert res_bwd.t == -res_fwd.t
-        assert res_bwd.phi_at_t == res_fwd.phi_at_t
+            assert (fwd.sign, bwd.sign) == (1, -1)
+            assert bwd.t == -fwd.t
+            assert bwd.phi_at_t.hex() == fwd.phi_at_t.hex()
+            assert bwd.evals == fwd.evals
+            assert bwd.x_new.data.tobytes() == fwd.x_new.data.tobytes()
+            assert bwd.g_plus.data.tobytes() == fwd.g_minus.data.tobytes()
+            assert bwd.g_minus.data.tobytes() == fwd.g_plus.data.tobytes()
 
     def test_descent_never_increases(self):
         for seed in range(30):
@@ -373,9 +382,9 @@ class TestLineSearch:
 
 def assert_restricted_matches_generic(oracle, x, v):
     """Closed-form values and slopes against the generic ray, both ways."""
-    fast = RayObjective(oracle, x, v)
-    ref = RayObjective(GenericOnly(oracle), x, v)
-    for fast, ref in ((fast, ref), (fast.reversed(), ref.reversed())):
+    for w in (v, -v):
+        fast = RayObjective(oracle, x, w)
+        ref = RayObjective(GenericOnly(oracle), x, w)
         for t in (0.0, 0.3, 1.2, 4.0):
             assert fast.value(t) == pytest.approx(ref.value(t), rel=1e-10)
             assert fast.right_deriv(t) == pytest.approx(
@@ -405,9 +414,9 @@ def tied_rayleigh():
 
 
 def assert_ray_subgrads_match_oracle(oracle, x, v, ts=(0.0, 0.3, 1.2, 4.0)):
-    """ray.subgrad(t, +/-) against active_subgrad at R_x(t v), both rays."""
-    ray = oracle.restrict(x, v)
-    for fast, w in ((ray, v), (ray.reversed(), -v)):
+    """ray.subgrad(t, +/-) against active_subgrad at R_x(t w), w = +/-v."""
+    for w in (v, -v):
+        fast = oracle.restrict(x, w)
         for t in ts:
             y = r.retract(x, t * w)
             d = r.transport_between(x, y, w)
@@ -419,14 +428,20 @@ def assert_ray_subgrads_match_oracle(oracle, x, v, ts=(0.0, 0.3, 1.2, 4.0)):
                     <= 1e-10 * np.linalg.norm(ref) + 1e-12
 
 
+NO_CALLS = {"restrict": 0, "value": 0, "dir_deriv": 0, "active_subgrad": 0}
+
+
 class SpyOracle(GenericOnly):
-    """Oracle proxy that counts value / dir_deriv / active_subgrad calls and
-    passes ``restrict`` through."""
+    """Oracle proxy that counts restrict / value / dir_deriv /
+    active_subgrad calls; ``restrict`` hands out the oracle's own rays."""
 
     def __init__(self, oracle):
         super().__init__(oracle)
-        self.calls = {"value": 0, "dir_deriv": 0, "active_subgrad": 0}
-        self.restrict = oracle.restrict
+        self.calls = dict.fromkeys(NO_CALLS, 0)
+
+    def restrict(self, x, v):
+        self.calls["restrict"] += 1
+        return self.oracle.restrict(x, v)
 
     def value(self, x):
         self.calls["value"] += 1
@@ -521,21 +536,27 @@ class TestRaySubgrad:
 
     @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
     def test_no_oracle_calls(self, kind):
-        # A restricted line search asks the oracle nothing; a solve asks it
-        # only for f and the first subgradient at x0.
+        # A line search asks the oracle for its ray only, and a backward
+        # search for a second one along -v; a solve asks it besides only for
+        # f and the first subgradient at x0.
         n, m = (3, 5) if kind == "karcher" else (4, 6)
         oracle = r.generate_instance(kind, n, m, seed=150)
         x0 = r.initial_point(kind, n, 150)
         eta = random_descent_direction(oracle, x0, 151)
         spy = SpyOracle(oracle)
-        for v in (eta, -eta):
-            line_search(RayObjective(spy, x0, v), LineSearchConfig())
-        assert spy.calls == {"value": 0, "dir_deriv": 0, "active_subgrad": 0}
-        res = r.conjugate_subgradient_solve(spy, x0,
-                                            r.SolverConfig(max_iters=20),
-                                            seed=150)
+        for v, sign, restricts in ((eta, 1, 1), (-eta, -1, 3)):
+            res = line_search(RayObjective(spy, x0, v), LineSearchConfig())
+            assert res.sign == sign
+            assert spy.calls == {**NO_CALLS, "restrict": restricts}
+        spy.calls = dict(NO_CALLS)
+        with line_searches() as searches:
+            res = r.conjugate_subgradient_solve(spy, x0,
+                                                r.SolverConfig(max_iters=20),
+                                                seed=150)
         assert res.iters >= 1
-        assert spy.calls == {"value": 1, "dir_deriv": 0, "active_subgrad": 1}
+        rays = len(searches) + sum(ls.sign == -1 for ls in searches)
+        assert spy.calls == {**NO_CALLS, "restrict": rays, "value": 1,
+                             "active_subgrad": 1}
 
     def test_null_step_asks_the_oracle_nothing(self):
         p = np.array([[0.0, 0.0, 1.0]])
@@ -547,7 +568,7 @@ class TestRaySubgrad:
         assert res.null
         assert np.allclose(res.g_plus.data, [1.0, 0.0, 0.0], atol=1e-15)
         assert np.allclose(res.g_minus.data, [-1.0, 0.0, 0.0], atol=1e-15)
-        assert spy.calls == {"value": 0, "dir_deriv": 0, "active_subgrad": 0}
+        assert spy.calls == {**NO_CALLS, "restrict": 1}
 
 
 class TestRestrictedRay:
@@ -587,8 +608,8 @@ class TestRestrictedRay:
             rng = np.random.default_rng(78)
             x = S.random_point(rng)
             v = r.TangentVector(x, rng.standard_normal(5))
-            ray = oracle.restrict(x, v)
-            for w, fast in ((v, ray), (-v, ray.reversed())):
+            for w in (v, -v):
+                fast = oracle.restrict(x, w)
                 for t in (0.3, 1.2, 4.0):
                     assert fast.value(t) == pytest.approx(
                         oracle.value(r.retract(x, t * w)), rel=1e-12)
@@ -734,7 +755,7 @@ class TestBasePointAtRayEntry:
         with pytest.raises(r.BasePointMismatchError):
             line_search(RayObjective(spy, x, v), LineSearchConfig())
         assert rays == []
-        assert spy.calls == {"value": 0, "dir_deriv": 0, "active_subgrad": 0}
+        assert spy.calls == NO_CALLS
 
 
 class TestFusedRayleighValue:
@@ -751,8 +772,8 @@ class TestFusedRayleighValue:
         ts = [0.0] + [2.0 ** -k for k in range(40)] \
             + list(np.random.default_rng(161).uniform(0.0, 100.0, 200))
         for oracle, x, v in self._cases():
-            ray = oracle.restrict(x, v)
-            for fast, w in ((ray, v), (ray.reversed(), -v)):
+            for w in (v, -v):
+                fast = oracle.restrict(x, w)
                 assert np.array_equal(2.0 * fast.a_half, fast.ax @ x.data)
                 assert np.array_equal(fast.b, fast.ax @ w.data)
                 for t in ts:
@@ -765,15 +786,12 @@ class TestFusedRayleighValue:
 
 
 class SpyRay:
-    """Ray proxy that counts method calls; ``hide`` names methods it lacks.
-    Its reversed ray is spied too, into the same counts."""
+    """Ray proxy that counts method calls into ``calls``; ``hide`` names
+    methods it lacks."""
 
     def __init__(self, ray, hide=(), calls=None):
         self.ray, self.hide = ray, set(hide)
         self.calls = Counter() if calls is None else calls
-
-    def reversed(self):
-        return SpyRay(self.ray.reversed(), self.hide, self.calls)
 
     def __getattr__(self, name):
         if name in self.hide:
@@ -825,13 +843,24 @@ class RayOracle:
         return self.ray
 
 
+class SpyRays:
+    """Oracle proxy whose ``restrict`` hands out spied closed-form rays, all
+    counting into one ``calls``; ``hide`` as for :class:`SpyRay`."""
+
+    def __init__(self, oracle, hide=()):
+        self.oracle, self.hide, self.calls = oracle, hide, Counter()
+
+    def restrict(self, x, v):
+        return SpyRay(self.oracle.restrict(x, v), self.hide, self.calls)
+
+
 def spied_search(oracle, x, v, f0, hide=()):
-    """A line search on a spied closed-form ray; (result, trace records,
-    spy)."""
-    spy = SpyRay(oracle.restrict(x, v), hide)
+    """A line search on spied closed-form rays (two for a backward search);
+    (result, trace records, spy)."""
+    spy = SpyRays(oracle, hide)
     trace = []
-    res = line_search(RayObjective(RayOracle(spy), x, v, f0),
-                      LineSearchConfig(), trace=trace)
+    res = line_search(RayObjective(spy, x, v, f0), LineSearchConfig(),
+                      trace=trace)
     return res, list(irp_records(trace)), spy
 
 
@@ -872,8 +901,8 @@ class TestFailChain:
         chain = _fail_chain(1.0, LineSearchConfig())
         samples = list(np.random.default_rng(170).uniform(0.0, 100.0, 60))
         for oracle, x, v in TestFusedRayleighValue._cases():  # tied first
-            ray = oracle.restrict(x, v)
-            for fast in (ray, ray.reversed()):
+            for w in (v, -v):
+                fast = oracle.restrict(x, w)
                 for ts in (chain, [0.0], samples, [0.0] + chain + samples):
                     got = fast.values(ts)
                     assert all(type(val) is float for val in got)
@@ -1086,8 +1115,8 @@ class TestRayleighScalarPath:
         ts = [0.0, 1e-6, 2.0 ** -7, 0.3, 1.0, 7.5, 80.0]
         single = ties = 0
         for oracle, x, v in TestFusedRayleighValue._cases():  # tied first
-            ray = oracle.restrict(x, v)
-            for fast in (ray, ray.reversed()):
+            for w in (v, -v):
+                fast = oracle.restrict(x, w)
                 for t in ts:
                     count, slopes, subs = _tie_path(fast, t)
                     single += count == 1
@@ -1100,8 +1129,7 @@ class TestRayleighScalarPath:
                             == ref.tobytes()
                     # A NumPy scalar step takes the same path, with the
                     # same values and Python-float slopes.
-                    fresh = oracle.restrict(x, v) if fast is ray \
-                        else ray.reversed()
+                    fresh = oracle.restrict(x, w)
                     t64 = np.float64(t)
                     got64 = fresh.slopes(t64)
                     assert [s.hex() for s in got64] == [s.hex() for s in got]
