@@ -15,6 +15,7 @@ import io
 import json
 import math
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .linesearch import LineSearchConfig, irp_records
 
 SOLVED_REL_TOL = 1e-7
 _TIME_FLOOR = 1e-9  # guards ratio computation against zero clock readings
+PROFILE_GRID_POINTS = 50  # geometric tau grid shared by every profile curve
 
 
 class EmptySuiteError(ValueError):
@@ -167,9 +169,16 @@ def adjudicate_all(records: list[BenchmarkRecord]) -> dict[str, float]:
     return {p: adjudicate(rs) for p, rs in by_problem.items()}
 
 
-def performance_profile(records: list[BenchmarkRecord],
-                        n_grid: int = 50) -> list[ProfileCurve]:
+def performance_profile(records: list[BenchmarkRecord]) -> list[ProfileCurve]:
     """Dolan-More curves rho_s(tau) from adjudicated records.
+
+    Each curve's taus are the sorted distinct values of a PROFILE_GRID_POINTS
+    geometric grid from 1 to the largest finite ratio of any solver, and of
+    the solver's own finite ratios; rho_s(tau) is the share of problems
+    whose ratio is <= tau, counted by bisection in the solver's sorted
+    ratios.  The work is plain Python lists: ``np.unique`` would load
+    ``numpy.ma`` and ``np.sort`` numpy's sort kernels, which grow a bench
+    run's peak RSS for a few dozen numbers.
 
     ValueError naming the record when a wall time is not finite and >= 0.
     """
@@ -185,27 +194,28 @@ def performance_profile(records: list[BenchmarkRecord],
              for r in records}
     solved = {(r.problem, r.solver): r.solved for r in records}
 
-    ratios = {s: np.empty(len(problems)) for s in solvers}
-    for i, p in enumerate(problems):
+    ratios = {s: [] for s in solvers}
+    for p in problems:
         best = min((times[(p, s)] for s in solvers
                     if solved.get((p, s), False)), default=math.inf)
         for s in solvers:
             key = (p, s)
-            if solved.get(key, False) and math.isfinite(best):
-                ratios[s][i] = times[key] / best
-            else:
-                ratios[s][i] = math.inf
+            ratios[s].append(times[key] / best
+                             if solved.get(key, False) and math.isfinite(best)
+                             else math.inf)
 
-    finite = np.concatenate([r[np.isfinite(r)] for r in ratios.values()]) \
-        if any(np.isfinite(r).any() for r in ratios.values()) else np.array([1.0])
-    tau_max = max(float(finite.max()), 1.0 + 1e-12)
-    grid = np.geomspace(1.0, tau_max, n_grid)
+    tau_max = max((q for rs in ratios.values() for q in rs if q < math.inf),
+                  default=1.0)
+    grid = np.geomspace(1.0, max(tau_max, 1.0 + 1e-12),
+                        PROFILE_GRID_POINTS).tolist()
     curves = []
     for s in solvers:
-        breakpoints = np.unique(ratios[s][np.isfinite(ratios[s])])
-        taus = np.unique(np.concatenate([grid, breakpoints]))
-        rhos = np.array([np.mean(ratios[s] <= t) for t in taus])
-        curves.append(ProfileCurve(s, ratios[s], taus, rhos))
+        ranked = sorted(ratios[s])
+        merged = sorted(grid + ranked[:bisect_left(ranked, math.inf)])
+        taus = [t for i, t in enumerate(merged) if i == 0 or t != merged[i - 1]]
+        rhos = [bisect_right(ranked, t) / len(problems) for t in taus]
+        curves.append(ProfileCurve(s, np.array(ratios[s]), np.array(taus),
+                                   np.array(rhos)))
     return curves
 
 

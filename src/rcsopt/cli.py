@@ -19,9 +19,10 @@ The environment variable ``RCSOPT_SEED`` overrides the suite's base seed.
 
 Bad input (an unreadable or malformed suite, records or trajectory file, a
 ``RCSOPT_SEED`` that is not an integer >= 0, an invalid solver config, a
-``--jobs`` below 1, an ``--out`` that cannot be made a directory, a records
-row whose wall time is not finite and >= 0, an empty trajectory file,
-invalid tangent data or tangent data on some rows only) is
+``--jobs`` below 1, an ``--out`` that cannot be made a directory, a
+``bench profile --out`` that cannot be written, a records row whose wall
+time is not finite and >= 0, an empty trajectory file, invalid tangent
+data or tangent data on some rows only) is
 reported as one line on stderr with exit code 2, before anything is written
 to ``--out`` and before any verdict of ``bench check``.  Errors inside a
 suite cell stay error rows of the records.
@@ -103,7 +104,12 @@ def _cmd_profile(args) -> int:
     if not records:
         raise _BadInput(f"records file {args.records}: no records")
     curves = _bench.performance_profile(records)
-    Path(args.out).write_text(_bench.profiles_to_csv(curves))
+    text = _bench.profiles_to_csv(curves)
+    try:
+        Path(args.out).write_text(text)
+    except OSError as e:
+        raise _BadInput(f"output file {args.out}: {type(e).__name__}: "
+                        f"{e}") from e
     for c in curves:
         print(f"{c.solver}: rho(1)={c.rho_at(1.0):.3f} "
               f"solved={int(sum(r < float('inf') for r in c.ratios))}/{len(c.ratios)}")

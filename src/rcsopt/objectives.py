@@ -114,7 +114,9 @@ def _as_real(data) -> np.ndarray:
 
 
 def _require_finite(*arrays: np.ndarray) -> None:
-    if not all(np.all(np.isfinite(a)) for a in arrays):
+    """Raise unless every entry is finite; checked block by block, so the
+    temporary is one block's flags."""
+    if not all(np.isfinite(blk).all() for a in arrays for blk in _blocks(a)):
         raise ValueError("oracle data must be finite")
 
 

@@ -173,12 +173,12 @@ def grid_min_norm_alpha(gtilde, d, samples=200_001):
     return float(alphas[i]), float(vals[i])
 
 
-def brute_force_profile(records, solver, tau):
-    """Direct double-loop rho_s(tau) over adjudicated benchmark records."""
+def brute_force_ratios(records, solver):
+    """Direct double-loop ratios r_ps over adjudicated benchmark records,
+    one per problem in sorted order, inf where the solver did not solve."""
     import math
     problems = sorted({r.problem for r in records})
-    solvers = sorted({r.solver for r in records})
-    count = 0
+    ratios = []
     for p in problems:
         times = {}
         for r in records:
@@ -187,10 +187,15 @@ def brute_force_profile(records, solver, tau):
                                    if r.solved else math.inf)
         best = min(times.values())
         t = times.get(solver, math.inf)
-        r_ps = t / best if math.isfinite(best) and math.isfinite(t) else math.inf
-        if r_ps <= tau:
-            count += 1
-    return count / len(problems)
+        ratios.append(t / best if math.isfinite(best) and math.isfinite(t)
+                      else math.inf)
+    return ratios
+
+
+def brute_force_profile(records, solver, tau):
+    """rho_s(tau): the share of problems whose brute-force ratio is <= tau."""
+    ratios = brute_force_ratios(records, solver)
+    return sum(r_ps <= tau for r_ps in ratios) / len(ratios)
 
 
 # ---------------------------------------------------------------------------

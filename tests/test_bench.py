@@ -11,7 +11,8 @@ from rcsopt.bench import (BenchmarkRecord, EmptySuiteError, SuiteSpec,
                           performance_profile, profiles_to_csv, run_suite,
                           solver_config_from_dict)
 
-from oracles import brute_force_profile, stall_search, sunk_solve
+from oracles import (brute_force_profile, brute_force_ratios, stall_search,
+                     sunk_solve)
 
 
 def rec(problem, solver, time_s, f, seed=0, solved=None):
@@ -105,27 +106,50 @@ class TestPerformanceProfile:
             assert np.all(np.diff(c.rhos) >= 0.0)
             assert np.all((0.0 <= c.rhos) & (c.rhos <= 1.0))
 
+    @staticmethod
+    def _random_records(rng, solvers):
+        """One record set; some problems go unsolved by every solver, and
+        some times are equal or zero (floored) across solvers."""
+        pool = [float(t) for t in rng.uniform(0.05, 4.0, size=2)] + [0.0]
+        records = []
+        for p in range(int(rng.integers(1, 20))):
+            fbest = float(rng.normal()) if rng.random() > 0.15 else math.nan
+            for s in solvers:
+                f = fbest + float(rng.choice(
+                    [0.0, 5e-8 * (abs(fbest) + 1), 1.0]))
+                kind = rng.random()
+                t = (float(rng.uniform(0.05, 4.0)) if kind < 0.5 else
+                     pool[int(rng.integers(3))] if kind < 0.9 else 1e-12)
+                records.append(rec(f"p{p}", s, t, f))
+        return records
+
     def test_matches_brute_force_oracle(self):
-        # 100 randomized record sets, exact equality of step values
+        # 200 randomized record sets, exact equality of ratios, taus and
+        # step values
         rng = np.random.default_rng(2)
-        for trial in range(100):
-            n_p = int(rng.integers(1, 20))
-            n_s = int(rng.integers(1, 5))
-            solvers = [f"s{j}" for j in range(n_s)]
-            records = []
-            for p in range(n_p):
-                fbest = float(rng.normal())
-                for s in solvers:
-                    f = fbest + float(rng.choice(
-                        [0.0, 5e-8 * (abs(fbest) + 1), 1.0]))
-                    records.append(rec(f"p{p}", s,
-                                       float(rng.uniform(0.05, 4.0)), f))
+        for trial in range(200):
+            solvers = [f"s{j}" for j in range(int(rng.integers(1, 5)))]
+            records = self._random_records(rng, solvers)
             r.adjudicate_all(records)
             curves = {c.solver: c for c in performance_profile(records)}
+            assert sorted(curves) == solvers
+            ratios = {s: brute_force_ratios(records, s) for s in solvers}
+            finite = [q for rs in ratios.values() for q in rs
+                      if math.isfinite(q)]
+            grid = np.geomspace(1.0, max(finite + [1.0 + 1e-12]),
+                                bench.PROFILE_GRID_POINTS)
+            for s in solvers:
+                c = curves[s]
+                assert c.ratios.tolist() == ratios[s]
+                taus = sorted(set(grid.tolist())
+                              | {q for q in ratios[s] if math.isfinite(q)})
+                assert c.taus.tolist() == taus
+                assert c.rhos.tolist() == [
+                    brute_force_profile(records, s, tau) for tau in taus]
             for tau in rng.uniform(1.0, 10.0, size=5):
                 for s in solvers:
-                    assert curves[s].rho_at(float(tau)) == pytest.approx(
-                        brute_force_profile(records, s, float(tau)), abs=0)
+                    assert curves[s].rho_at(float(tau)) == \
+                        brute_force_profile(records, s, float(tau))
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySuiteError):

@@ -95,6 +95,9 @@ def test_profile_subcommand(tmp_path, capsys):
     assert main(["profile", "--records", str(out / "records.csv"),
                  "--out", str(prof)]) == 0
     assert prof.read_text().startswith("solver,tau,rho")
+    # The records file keeps every wall time's repr, so the profiles it
+    # gives are the run's, byte for byte.
+    assert prof.read_bytes() == (out / "profiles.csv").read_bytes()
 
 
 def test_env_seed_override(tmp_path, monkeypatch):
@@ -338,12 +341,30 @@ def test_profile_rejects_unreadable_records(tmp_path, capsys, content):
     assert not prof.exists()
 
 
+# Two problems, two solvers, every wall time 0.5.
+FOUR_RECORDS = r.records_to_csv([
+    r.BenchmarkRecord(problem=p, solver=s, seed=0, iters=3, nf=9,
+                      wall_time_s=0.5, final_f=1.0)
+    for p in ("a", "b") for s in ("cs", "sg")])
+
+
+@pytest.mark.parametrize("case", ["directory", "missing_parent"])
+def test_profile_rejects_unwritable_out(tmp_path, capsys, case):
+    path = tmp_path / "records.csv"
+    path.write_text(FOUR_RECORDS)
+    prof = tmp_path / "prof"
+    if case == "directory":
+        prof.mkdir()
+    else:
+        prof = prof / "prof.csv"
+    assert main(["profile", "--records", str(path), "--out", str(prof)]) == 2
+    assert str(prof) in _one_error_line(capsys, "profile")
+    assert prof.is_dir() if case == "directory" else not prof.parent.exists()
+
+
 @pytest.mark.parametrize("wall_time_s", ["nan", "-3.0", "inf"])
 def test_profile_rejects_bad_wall_time(tmp_path, capsys, wall_time_s):
-    records = [r.BenchmarkRecord(problem=p, solver=s, seed=0, iters=3, nf=9,
-                                 wall_time_s=0.5, final_f=1.0)
-               for p in ("a", "b") for s in ("cs", "sg")]
-    lines = r.records_to_csv(records).splitlines()
+    lines = FOUR_RECORDS.splitlines()
     lines[3] = lines[3].replace(",0.5,", f",{wall_time_s},")
     path = tmp_path / "records.csv"
     path.write_text("\n".join(lines) + "\n")
@@ -375,15 +396,25 @@ def test_installed_entry_point(tmp_path):
     assert (out / "records.csv").exists()
 
 
-def test_import_leaves_multiprocessing_out():
+def test_import_leaves_multiprocessing_out(tmp_path):
     # A serial run never needs a process pool, so importing the package and
-    # its command line pulls in neither multiprocessing nor the executor.
+    # its command line, a serial ``bench run`` and a ``bench profile`` pull
+    # in neither multiprocessing nor the executor; the profiles are built
+    # by sorting, which leaves numpy.ma out too.
+    write_suite(tmp_path / "suite.json", runs=1)
     src = str(Path(r.__file__).resolve().parent.parent)
-    code = ("import sys, rcsopt, rcsopt.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in "
-            "('multiprocessing', 'concurrent')))")
+    code = ("import contextlib, io, sys, rcsopt, rcsopt.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert rcsopt.cli.main(['run', '--suite', 'suite.json', "
+            "'--out', 'out']) == 0\n"
+            "    assert rcsopt.cli.main(['profile', '--records', "
+            "'out/records.csv', '--out', 'prof.csv']) == 0\n"
+            "print(sorted(m for m in sys.modules for p in "
+            "('multiprocessing', 'concurrent', 'numpy.ma') "
+            "if m == p or m.startswith(p + '.')))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src},
-                          timeout=60)
+                          cwd=tmp_path, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    assert (tmp_path / "prof.csv").exists()

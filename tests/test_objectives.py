@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rcsopt as r
+from rcsopt import objectives
 from rcsopt.objectives import (_BLOCK_ENTRIES, AmbiguousDirectionError,
                                _median_terms, _require_symmetric)
 
@@ -501,6 +502,28 @@ class TestConstructionMemory:
         cls = r.RayleighQuotientMax if kind == "rayleigh" else r.SpdCenterOfMass
         peak = self._peak(lambda: cls(n, m, mats))
         assert peak <= 0.5 * mats.nbytes, (peak, mats.nbytes)
+
+    @pytest.mark.parametrize("kind,n,m", [("rayleigh", 50, 200),
+                                          ("median", 100, 2000)])
+    def test_validation_peak_is_a_block(self, monkeypatch, kind, n, m):
+        # With 4096-entry (32 KB) blocks the finiteness check stays within
+        # one block and the whole constructor within two; one flag for
+        # every entry of the stack would take 520 KB on rayleigh and 200 KB
+        # on median.
+        monkeypatch.setattr(objectives, "_BLOCK_ENTRIES", 4096)
+        block = 4096 * 8
+        inst = r.generate_instance(kind, n, m, seed=40)
+        if kind == "rayleigh":
+            data = (inst.mats,)
+            build = lambda: r.RayleighQuotientMax(n, m, inst.mats)
+        else:
+            data = (inst.points, inst.weights)
+            build = lambda: r.GeometricMedian(n, m, *data)
+        assert sum(a.nbytes for a in data) > 40 * block
+        peak = self._peak(lambda: objectives._require_finite(*data))
+        assert peak <= block, peak
+        peak = self._peak(build)
+        assert peak <= 2 * block, peak
 
 
 class TestMedianTerms:
