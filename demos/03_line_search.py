@@ -30,15 +30,14 @@ class Curve:
     def value(self, t):
         return self.f(t)
 
-    def right_deriv(self, t):
-        return self.d(t)
-
-    def left_deriv(self, t):
-        return self.d(t)
+    def slopes(self, t):
+        # (l'_+(t), l'_-(t)): equal, as the curve is smooth.
+        return self.d(t), self.d(t)
 
 
 curve = Curve(lambda t: (t - 2.0) ** 2, lambda t: 2.0 * (t - 2.0))
-tau, lo, hi, approx, iters = irp(curve, LineSearchConfig())
+# Start bracket: first trial 1, upper bound 100 (the config's defaults).
+tau, lo, hi, approx, iters = irp(curve, LineSearchConfig(), start=(1.0, 100.0))
 print(f"parabola with minimum at 2: tau* = {tau:.8f} "
       f"after {iters} trials (bracket [{lo:.7f}, {hi:.7f}])")
 
@@ -59,8 +58,7 @@ print(f"bracket [{res.tau_lo_final:.8f}, {res.tau_hi_final:.8f}], "
 print("slope at entry:", res.dplus0,
       " slopes at the final bracket:", res.dminus_at_lo, res.dplus_at_hi)
 
-# The trace is compact (a run of failed trials is one entry); irp_records
-# reads it back as one dict per trial.
+# The trace holds one tuple per trial; irp_records reads it back as dicts.
 print("\nfirst bracket updates:")
 for rec in list(irp_records(trace))[:6]:
     print(f"  i={rec['i']:2d} [{rec['tau_lo']:10.5f}, {rec['tau_hi']:10.5f}] "
@@ -84,4 +82,5 @@ S = r.Sphere(3)
 x0 = S.point([0.0, 0.0, 1.0])
 res0 = line_search(RayObjective(med, x0, S.tangent(x0, [1.0, 0.0, 0.0])),
                    LineSearchConfig())
-print("\nat the median's data point: t =", res0.t, " null step:", res0.null)
+print("\nat the median's data point: t =", res0.t,
+      " null step:", res0.sign == 0)

@@ -249,8 +249,8 @@ _TRACE_BATCH_ROWS = 32
 class _TraceFiles:
     """The sink of a traced cell.  Each row it is handed becomes a line of
     ``traj_<name>`` (with tangents), and each IRP entry of the row's line
-    search the lines of its trials in ``irp_<name>``, one ``irp_records``
-    dict each.  Rows are written _TRACE_BATCH_ROWS at a time, and the rest
+    search (one per trial) a line of ``irp_<name>``, its ``irp_records``
+    dict.  Rows are written _TRACE_BATCH_ROWS at a time, and the rest
     by ``close``.  A file is opened at its first line, the IRP file at the
     first entries handed on (a conjugate subgradient row hands on a list,
     possibly empty; a subgradient row None).  ``close`` returns the seconds
@@ -353,11 +353,14 @@ def run_suite(spec: SuiteSpec, jobs: int = 1,
     reruns reproduce iterates and values bit for bit; wall times differ.
     With ``trace_dir`` (an existing directory) each cell writes its trace
     files there as it finishes; see ``_run_cell``.  Solver configs are
-    checked before the first cell runs, and so is ``jobs`` (``ValueError``
-    below 1).
+    checked before the first cell runs, and so are ``jobs`` (``ValueError``
+    below 1) and ``trace_dir`` (``ValueError`` unless it is a directory).
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if trace_dir is not None and not trace_dir.is_dir():
+        raise ValueError(f"trace_dir must be an existing directory, "
+                         f"got {str(trace_dir)!r}")
     configs = _suite_configs(spec)
     cells = []
     for si, (n, m) in enumerate(spec.sizes):

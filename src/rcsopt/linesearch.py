@@ -15,22 +15,20 @@ same oracle with l(0) and ||v|| handed on: one more ``restrict``, and a
 step t = -tau.  A backward search that finds no decrease therefore
 records t = -0.0, which compares equal to 0.  The search runs on raw
 arrays, wrapped once in the :class:`LineSearchResult`.  A null step (no
-descent either way) is the bracket [0, 0] and builds its result on the same
-path, from the cached slopes and the subgradients at x.
+descent either way, ``sign == 0``) is the bracket [0, 0] and builds its
+result on the same path, from the cached slopes and the subgradients at x.
+:func:`irp` reads a ray objective through ``value(t)`` and ``slopes(t)``,
+the pair (l'_+(t), l'_-(t)) with the rays' own contract.
 
 When the first trial fails, every later trial is compared with l(0) until
 one decreases, and each failure halves the bracket, so the trials up to the
 width stop are known in advance (:func:`_fail_chain`).  A ray that offers
 ``values(ts)`` (the Rayleigh ray) answers that chain in one batched call;
 :func:`irp` finds the first decrease in one pass over those values, traces
-the failures before it as one entry, and charges only the values it read.
+each failure before it, and charges only the values it read.
 
-A trace is a list that :func:`irp` appends to in a compact form known only
-to this module: a tuple in :data:`IRP_FIELDS` order for each trial it walks,
-and for each run of chain failures settled in one pass a single entry that
-points into the chain and value lists the search already holds.  Memory then
-grows with the number of line searches, not of trials.
-:func:`irp_records` is the only reader; it yields one dict per trial.
+A trace is a list that :func:`irp` appends one tuple to per trial, in
+:data:`IRP_FIELDS` order; :func:`irp_records` reads it back as dicts.
 
 The interval reduction loop keeps a bracket [tau_lo, tau_hi] around a
 one-dimensional local minimizer and stops either at a point satisfying
@@ -42,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 from .manifolds import (ManifoldPoint, TangentVector, _adopt, _require_base,
                         norm)
@@ -94,13 +93,14 @@ class RayObjective:
     """Objective restricted to a retraction ray, l(t) = f(R_x(t v)).
 
     The base point of v is checked once, here, before ``oracle.restrict``
-    builds the ray; the ray then answers every value, slope and endpoint
-    subgradient of the search.  The oracle is kept for the ray along -v
-    that a backward search restricts to.  Values and slopes are cached per
-    step size so bracket endpoints are never recomputed, and each value
-    read is one evaluation (``evals``).  Only the accepted point and the
-    bracket endpoints are retracted.  ``dir_norm`` is ||v|| when the caller
-    already has it (the solver's row ``eta_norm``); else it is computed.
+    builds the ray; the ray then answers every value, slope pair and
+    endpoint subgradient of the search.  The oracle is kept for the ray
+    along -v that a backward search restricts to.  Values and slope pairs
+    are cached per step size so bracket endpoints are never recomputed, and
+    each value read is one evaluation (``evals``).  Only the accepted point
+    and the bracket endpoints are retracted.  ``dir_norm`` is ||v|| when
+    the caller already has it (the solver's row ``eta_norm``); else it is
+    computed.
 
     When the ray offers ``values(ts)``, ``prefetch`` is that method:
     :func:`irp` hands it the trials it will make if every one fails, and
@@ -116,7 +116,7 @@ class RayObjective:
         self.dir_norm = norm(v) if dir_norm is None else dir_norm
         self._points: dict[float, ManifoldPoint] = {0.0: x}
         self._values: dict[float, float] = {} if f0 is None else {0.0: f0}
-        self._derivs: dict[float, tuple[float, float]] = {}
+        self._slopes: dict[float, tuple[float, float]] = {}
         self.evals = 0
 
     @property
@@ -146,19 +146,13 @@ class RayObjective:
             self.evals += 1
         return val
 
-    def _deriv_pair(self, t: float) -> tuple[float, float]:
-        pair = self._derivs.get(t)
+    def slopes(self, t: float) -> tuple[float, float]:
+        """(l'_+(t), l'_-(t)): the right slope along the ray direction
+        transported to R_x(tv), and the left slope -f'(y; -d)."""
+        pair = self._slopes.get(t)
         if pair is None:
-            pair = self._derivs[t] = self.ray.slopes(t)
+            pair = self._slopes[t] = self.ray.slopes(t)
         return pair
-
-    def right_deriv(self, t: float) -> float:
-        """l'_+(t), along the ray direction transported to R_x(tv)."""
-        return self._deriv_pair(t)[0]
-
-    def left_deriv(self, t: float) -> float:
-        """l'_-(t) = -f'(y; -d)."""
-        return self._deriv_pair(t)[1]
 
 
 @dataclass
@@ -174,7 +168,6 @@ class LineSearchResult:
     tau_hi_final: float
     tau_hi_start: float            # after the injectivity clamp
     approximate: bool              # stopped by bracket width, not optimality
-    null: bool
     dplus0: float
     dminus0: float
     dminus_at_lo: float            # l'_-(tau_lo) at termination
@@ -208,28 +201,24 @@ def _fail_chain(tau_hi: float, cfg: LineSearchConfig) -> list[float]:
     return chain
 
 
-def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
-        trace: list | None = None,
-        start: tuple[float, float] | None = None):
+def irp(l, cfg: LineSearchConfig, start: tuple[float, float],
+        trace: list | None = None):
     """Interval reduction on a univariate semismooth function handle.
 
-    ``l`` must expose value / right_deriv / left_deriv with l'_+(0) < 0.
-    ``start`` is the first trial and the initial upper bound, by default
-    ``(cfg.tau_init, cfg.tau_hi_init)``; :func:`line_search` passes the
-    injectivity-clamped pair from :func:`_clamped_start`.
+    ``l`` must expose ``value(t)`` and ``slopes(t)`` = (l'_+(t), l'_-(t))
+    with l'_+(0) < 0.  ``start`` is the first trial and the initial upper
+    bound; :func:`line_search` passes the injectivity-clamped pair from
+    :func:`_clamped_start`.
     When the first trial fails and ``l`` has a ``prefetch`` hook that is not
     None, the hook returns the values of the rest of the all-fail trial
     chain.  While tau_lo stays 0 the trials follow that chain, and each run
     of failures is settled from those values at once; the values read go
     back to ``l.take_values``.
-    ``trace``, when given, is a list that receives one compact entry per
-    trial walked and one per run of failures settled at once (see the
-    module docstring); read it with :func:`irp_records`.
+    ``trace``, when given, is a list that receives one :data:`IRP_FIELDS`
+    tuple per trial; read it with :func:`irp_records`.
     Returns (tau_star, tau_lo, tau_hi, approximate, iterations).
     """
-    tau, tau_hi = (cfg.tau_init, cfg.tau_hi_init) if start is None else start
-    if tau_hi > inj_bound:
-        raise ValueError("initial upper bound exceeds the injectivity bound")
+    tau, tau_hi = start
     tau_lo = 0.0
     l_lo = None  # l(tau_lo), read at the first trial
     prefetch = getattr(l, "prefetch", None)
@@ -246,8 +235,9 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
             l_lo = l.value(tau_lo)
         branch = "upper"
         if l_tau < l_lo:
-            if l.right_deriv(tau) >= 0.0:
-                if l.left_deriv(tau) <= 0.0:
+            dplus, dminus = l.slopes(tau)
+            if dplus >= 0.0:
+                if dminus <= 0.0:
                     branch = "return"        # l'_-(tau) <= 0 <= l'_+(tau)
                 else:
                     tau_hi = tau             # 0 < l'_-(tau)
@@ -275,7 +265,11 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
             l.take_values(chain[nxt:k + 1], vals[nxt:k + 1])
             if k > nxt:
                 if trace is not None:
-                    trace.append((i + 1, l_lo, chain, vals, nxt, k))
+                    # Each failure at tau = tau_hi = chain[j], tau_lo = 0.
+                    run = chain[nxt:k]
+                    trace.extend(zip(range(i + 1, i + 1 + k - nxt),
+                                     repeat(0.0), run, run, vals[nxt:k],
+                                     repeat(l_lo), repeat("upper")))
                 i += k - nxt
                 tau_hi = chain[k - 1]
             nxt = k + 1
@@ -285,31 +279,18 @@ def irp(l, cfg: LineSearchConfig, inj_bound: float = math.inf,
 
 def irp_records(trace: list):
     """The trial records of a trace filled by :func:`irp`, in order: one
-    dict per trial with the keys of :data:`IRP_FIELDS`.
-
-    A run of chain failures (``i``, ``l_lo`` and the indices [j0, j1) into
-    the chain and its values) expands to trials that each failed at
-    tau = tau_hi = chain[j] with tau_lo = 0.
-    """
+    dict per trial with the keys of :data:`IRP_FIELDS`."""
     for entry in trace:
-        if len(entry) == len(IRP_FIELDS):
-            yield dict(zip(IRP_FIELDS, entry))
-            continue
-        i, l_lo, chain, vals, j0, j1 = entry
-        for j in range(j0, j1):
-            # A literal, in IRP_FIELDS order: most records of a traced
-            # solve come from runs, and this is 4x faster than dict(zip()).
-            yield {"i": i + j - j0, "tau_lo": 0.0, "tau": chain[j],
-                   "tau_hi": chain[j], "l_tau": vals[j], "l_lo": l_lo,
-                   "branch": "upper"}
+        yield dict(zip(IRP_FIELDS, entry))
 
 
 def _clamped_start(cfg: LineSearchConfig,
-                   inj_bound: float) -> tuple[float, float]:
+                   tau_max: float) -> tuple[float, float]:
     """(first trial, upper bound) of the initial bracket, shrunk so that
-    tau_hi stays below the injectivity bound; ValueError if nothing of the
-    bracket is left (a direction norm near overflow)."""
-    hi = min(cfg.tau_hi_init, inj_bound * (1.0 - 1e-9))
+    tau_hi stays below ``tau_max``, the step that reaches the injectivity
+    radius; ValueError if nothing of the bracket is left (a direction norm
+    near overflow)."""
+    hi = min(cfg.tau_hi_init, tau_max * (1.0 - 1e-9))
     if hi >= cfg.tau_hi_init:
         return cfg.tau_init, cfg.tau_hi_init
     tau = min(cfg.tau_init, 0.5 * hi)
@@ -327,18 +308,17 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     for the direction update are selected at the final bracket endpoints and
     transported to the accepted iterate; a null step is the bracket [0, 0],
     so both come from x itself.  ``trace``, when given, is handed to
-    :func:`irp` and receives its compact entries (a null step adds none);
+    :func:`irp` and receives its trial tuples (a null step adds none);
     :func:`irp_records` reads them back as dicts.
     """
     x = pf.x
     phi0 = pf.value(0.0)
-    dplus0 = pf.right_deriv(0.0)
-    dminus0 = pf.left_deriv(0.0)
+    dplus0, dminus0 = pf.slopes(0.0)
 
     inj = x.manifold.injectivity_radius
-    inj_bound = inj / pf.dir_norm if (math.isfinite(inj)
-                                      and pf.dir_norm > 0.0) else math.inf
-    start = _clamped_start(cfg, inj_bound)
+    tau_max = inj / pf.dir_norm if (math.isfinite(inj)
+                                    and pf.dir_norm > 0.0) else math.inf
+    start = _clamped_start(cfg, tau_max)
 
     if dplus0 < 0.0:
         sign, l = 1, pf
@@ -351,17 +331,16 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     tau_star = tau_lo = tau_hi = 0.0
     approx, iters = False, 0
     if sign:
-        tau_star, tau_lo, tau_hi, approx, iters = irp(l, cfg, inj_bound,
-                                                      trace, start)
+        tau_star, tau_lo, tau_hi, approx, iters = irp(l, cfg, start, trace)
 
     x_new = l.point_at(tau_star)
     # Endpoint-selected subgradients.  Slopes first: on the SPD ray the
     # subgradient then reuses the slopes' eigendecomposition.  At a null
     # step the slopes are the cached ones at 0, and ``_carry`` returns the
     # subgradients of x unmoved.
-    dplus_at_hi = l.right_deriv(tau_hi)
+    dplus_at_hi = l.slopes(tau_hi)[0]
     g_fwd = l.ray.subgrad(tau_hi, True)
-    dminus_at_lo = l.left_deriv(tau_lo)
+    dminus_at_lo = l.slopes(tau_lo)[1]
     g_bwd = l.ray.subgrad(tau_lo, False)
     carry = x.manifold._carry
     g_fwd = carry(l.point_at(tau_hi).data, x_new.data, g_fwd)
@@ -374,6 +353,6 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
         g_plus=_adopt(TangentVector, x_new, g_plus),
         g_minus=_adopt(TangentVector, x_new, g_minus), sign=sign,
         tau_lo_final=tau_lo, tau_hi_final=tau_hi, tau_hi_start=start[1],
-        approximate=approx, null=sign == 0, dplus0=dplus0, dminus0=dminus0,
+        approximate=approx, dplus0=dplus0, dminus0=dminus0,
         dminus_at_lo=dminus_at_lo, dplus_at_hi=dplus_at_hi,
         irp_iters=iters, evals=pf.evals + (l.evals if l is not pf else 0))

@@ -15,13 +15,13 @@ Both loops make and hand on their rows through one recorder built from
 run, it goes to a sink.  ``record`` may be that sink, a callable
 ``sink(row, irp_entries)``: each row then also keeps its point, direction
 and combined subgradient (enough to replay the direction recursion after
-the fact) and comes with its search's compact IRP entries (None from the
-subgradient baseline, which makes no search), and the solve keeps no row
-list.  Otherwise the sink is the recorder's own, which keeps the rows in
-:attr:`SolveResult.trajectory`: with their tangent vectors under
-``record=True``, scalars only by default; neither builds IRP entries.  A
-callable sink sees exactly what ``bench run --trace`` writes: every row
-field round-trips through :func:`trajectory_lines` and
+the fact) and comes with its search's IRP entries, one tuple per trial
+(None from the subgradient baseline, which makes no search), and the solve
+keeps no row list.  Otherwise the sink is the recorder's own, which keeps
+the rows in :attr:`SolveResult.trajectory`: with their tangent vectors
+under ``record=True``, scalars only by default; neither builds IRP
+entries.  A callable sink sees exactly what ``bench run --trace`` writes:
+every row field round-trips through :func:`trajectory_lines` and
 :func:`trajectory_from_jsonl`, and the entries through
 :func:`rcsopt.linesearch.irp_records`.  The solve's clock leaves out the
 time a sink takes.  Recording changes no operation of the solve, so
@@ -101,6 +101,9 @@ class SolverConfig:
             v = getattr(self, name)
             if not (_is_int(v) and v >= 1):
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        if not isinstance(self.ls, LineSearchConfig):
+            raise TypeError(f"ls must be a LineSearchConfig, "
+                            f"got {self.ls!r}")
 
 
 @dataclass
@@ -148,7 +151,7 @@ class SolveResult:
     each for the conjugate solver; ``nf`` counts the oracle evaluations.
     ``trajectory`` holds one :class:`IterationRecord` per iterate, none
     when the rows went to a callable sink, which alone is handed the
-    compact IRP entries of the line searches.
+    IRP entries of the line searches.
     """
 
     x: ManifoldPoint
@@ -291,7 +294,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
     or at the iteration cap.  Unrecorded, rows hold scalars only.  Recorded, each row keeps its point,
     direction and combined subgradient; ``record=True`` keeps the rows in
     the result's ``trajectory``, while a callable ``record`` is handed row
-    k with the compact IRP entries of its line search (read them with
+    k with the IRP entries of its line search (read them with
     :func:`rcsopt.linesearch.irp_records`) when iteration k ends, and the
     last row at the end (also at a stall, before
     :class:`SolveStalledError` is raised).
@@ -319,7 +322,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             rec.hand_on(row)
             raise SolveStalledError(e, row.k, row.nf_cum) from e
         nf += res.evals
-        row.t, row.null, row.width_stop = res.t, res.null, res.approximate
+        row.t, row.null, row.width_stop = res.t, res.sign == 0, res.approximate
         rec.hand_on(row)
         # A collapsed bracket at tau_lo = 0 also leaves the iterate in place;
         # such zero steps count toward the consecutive-null stop.
@@ -364,7 +367,7 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
             # bound never left the injectivity clamp) the minimum along eta
             # was not bracketed, and removing gtilde's component along d
             # can zero a gtilde that is far from zero.
-            edge = not res.null and res.tau_hi_final >= res.tau_hi_start
+            edge = res.sign != 0 and res.tau_hi_final >= res.tau_hi_start
             stop = "edge_stop" if edge else "stationary"
             break
 

@@ -65,7 +65,7 @@ def test_criterion_2_line_search_optimality(suite_runs):
         if rec.phi_at_t > rec.phi0 + 1e-12 * (1 + abs(rec.phi0)):
             nondecrease_bad += 1
         tol = 1e-6 * (1.0 + abs(rec.dplus0))
-        if rec.null:
+        if rec.sign == 0:
             if not (rec.dminus0 <= tol and rec.dplus0 >= -tol):
                 first_order_bad += 1
         elif rec.tau_hi_final >= rec.tau_hi_start:

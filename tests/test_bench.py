@@ -10,6 +10,7 @@ from rcsopt import bench
 from rcsopt.bench import (BenchmarkRecord, EmptySuiteError, SuiteSpec,
                           performance_profile, profiles_to_csv, run_suite,
                           solver_config_from_dict)
+from rcsopt.linesearch import IRP_FIELDS
 
 from oracles import (brute_force_profile, brute_force_ratios, stall_search,
                      sunk_solve)
@@ -391,7 +392,9 @@ class TestTracedCellMemory:
         path = tmp_path / f"irp_{rec.problem}_{rec.solver}.jsonl"
         lines = path.read_text().splitlines()
         assert lines == [json.dumps(x) for x in r.irp_records(trace)]
-        assert len(lines) > len(trace)  # runs of failures are one entry
+        # One line per entry, and each entry is one trial's tuple.
+        assert all(type(e) is tuple and len(e) == len(IRP_FIELDS)
+                   for e in trace)
 
 
 class TestErrorRows:
@@ -484,6 +487,25 @@ class TestErrorRows:
                          solvers=("conjugate_subgradient",), solver_configs={})
         with pytest.raises(ValueError, match=rf"jobs must be >= 1, got {jobs}"):
             run_suite(spec, jobs=jobs)
+        assert calls == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_missing_trace_dir_raises_before_any_cell(self, monkeypatch,
+                                                      tmp_path, jobs):
+        calls = []
+
+        def stub(oracle, x0, cfg=None, seed=0, record=False):
+            calls.append(seed)
+            raise AssertionError("no cell may run")
+
+        monkeypatch.setitem(bench.SOLVERS, "conjugate_subgradient", stub)
+        spec = tiny_spec(sizes=((3, 5),), runs=1,
+                         solvers=("conjugate_subgradient",), solver_configs={})
+        a_file = tmp_path / "file"
+        a_file.write_text("")
+        for bad in (tmp_path / "missing", a_file):
+            with pytest.raises(ValueError, match=rf"trace_dir .*{bad.name}"):
+                run_suite(spec, jobs=jobs, trace_dir=bad)
         assert calls == []
 
 

@@ -2,7 +2,7 @@ import gc
 import math
 import weakref
 from collections import Counter
-from itertools import groupby, product
+from itertools import product
 
 import numpy as np
 import pytest
@@ -35,15 +35,20 @@ class ScalarCurve:
             self.evals += 1
         return self._cache[t]
 
-    def right_deriv(self, t):
-        return self.dplus(t)
-
-    def left_deriv(self, t):
-        return self.dminus(t)
+    def slopes(self, t):
+        return self.dplus(t), self.dminus(t)
 
 
 def quadratic_at(c):
     return ScalarCurve(lambda t: (t - c) ** 2, lambda t: 2 * (t - c))
+
+
+def unclamped(cfg):
+    """The start bracket of ``cfg`` with no injectivity clamp."""
+    return cfg.tau_init, cfg.tau_hi_init
+
+
+DEFAULT_START = unclamped(LineSearchConfig())
 
 
 class TestConfigValidation:
@@ -74,11 +79,19 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=next(iter(kw))):
             r.SolverConfig(**kw)
 
+    @pytest.mark.parametrize("ls", [{"q": 0.1}, None, (1.0, 100.0)],
+                             ids=["dict", "None", "tuple"])
+    def test_solver_config_ls_must_be_a_line_search_config(self, ls):
+        # Each would construct, then fail in the solve after the x0
+        # evaluation, where the line search first reads ``cfg.ls``.
+        with pytest.raises(TypeError, match="ls must be a LineSearchConfig"):
+            r.SolverConfig(ls=ls)
+
 
 class TestIRP:
     def test_smooth_quadratic(self):
         l = quadratic_at(2.0)
-        tau, lo, hi, approx, iters = irp(l, LineSearchConfig())
+        tau, lo, hi, approx, iters = irp(l, LineSearchConfig(), DEFAULT_START)
         assert abs(tau - 2.0) <= 1e-6
         assert lo <= tau <= hi
 
@@ -86,12 +99,12 @@ class TestIRP:
         l = ScalarCurve(lambda t: abs(t - 2.0),
                         lambda t: 1.0 if t >= 2.0 else -1.0,
                         lambda t: 1.0 if t > 2.0 else -1.0)
-        tau, lo, hi, approx, iters = irp(l, LineSearchConfig())
+        tau, lo, hi, approx, iters = irp(l, LineSearchConfig(), DEFAULT_START)
         assert abs(tau - 2.0) <= 1e-6
 
     def test_monotone_decreasing_runs_to_edge(self):
         l = ScalarCurve(lambda t: -t, lambda t: -1.0)
-        tau, lo, hi, approx, iters = irp(l, LineSearchConfig())
+        tau, lo, hi, approx, iters = irp(l, LineSearchConfig(), DEFAULT_START)
         assert approx
         assert abs(tau - 100.0) <= 1e-4
         assert hi - lo <= 1e-6
@@ -102,7 +115,7 @@ class TestIRP:
         # is hit exactly by a midpoint, triggering the optimality return.
         l = quadratic_at(50.0)
         cfg = LineSearchConfig(tau_hi_init=math.inf)
-        tau, lo, hi, approx, iters = irp(l, cfg)
+        tau, lo, hi, approx, iters = irp(l, cfg, unclamped(cfg))
         assert not approx
         assert tau == pytest.approx(50.0, abs=1e-6)
 
@@ -111,14 +124,14 @@ class TestIRP:
         # bound collapses, and the lower endpoint 0 is returned.
         l = ScalarCurve(lambda t: max(-1e-8 * t, t - 1.1e-9),
                         lambda t: -1e-8 if t < 1.0e-9 else 1.0)
-        tau, lo, hi, approx, iters = irp(l, LineSearchConfig())
+        tau, lo, hi, approx, iters = irp(l, LineSearchConfig(), DEFAULT_START)
         assert approx
         assert tau == 0.0
         assert hi <= 2e-6
 
     def test_bracket_monotone_and_contracting(self):
         trace = []
-        irp(quadratic_at(7.3), LineSearchConfig(), trace=trace)
+        irp(quadratic_at(7.3), LineSearchConfig(), DEFAULT_START, trace)
         q = 0.33
         prev = None
         upper_moved = False
@@ -139,7 +152,7 @@ class TestIRP:
                              (7.3, "upper")):
             raw = []
             tau_star, lo, hi, approx, iters = irp(
-                quadratic_at(target), LineSearchConfig(), trace=raw)
+                quadratic_at(target), LineSearchConfig(), DEFAULT_START, raw)
             trace = list(irp_records(raw))
             assert [rec["i"] for rec in trace] == list(range(1, iters + 1))
             assert trace[-1]["branch"] == ends
@@ -156,7 +169,7 @@ class TestIRP:
                                   lambda t: 1.0 if t >= 3.1 else -1.0,
                                   lambda t: 1.0 if t > 3.1 else -1.0)):
             raw = []
-            irp(curve, LineSearchConfig(), trace=raw)
+            irp(curve, LineSearchConfig(), DEFAULT_START, raw)
             trace = list(irp_records(raw))
             assert any(rec["branch"] == "lower" for rec in trace)
             for prev, rec in zip([None] + trace, trace):
@@ -168,12 +181,8 @@ class TestIRP:
         l = ScalarCurve(lambda t: -t, lambda t: -1.0)
         cfg = LineSearchConfig(tau_hi_init=math.inf)
         with pytest.raises(LineSearchStallError) as exc:
-            irp(l, cfg)
+            irp(l, cfg, unclamped(cfg))
         assert exc.value.tau_lo > 0
-
-    def test_upper_bound_beyond_injectivity_rejected(self):
-        with pytest.raises(ValueError):
-            irp(quadratic_at(2.0), LineSearchConfig(), inj_bound=50.0)
 
 
 def rayleigh_ray(seed=0, n=4, m=6, descent=True):
@@ -221,14 +230,15 @@ class TestRayObjective:
             oracle, x, eta = rayleigh_ray(seed)
             pf = RayObjective(oracle, x, eta)
             for t in (0.0, 0.3, 1.1, 2.7):
-                assert pf.left_deriv(t) <= pf.right_deriv(t) + 1e-10
+                dplus, dminus = pf.slopes(t)
+                assert dminus <= dplus + 1e-10
 
     def test_smooth_point_left_equals_right(self):
         oracle, x, eta = rayleigh_ray(5, m=1)
         pf = RayObjective(oracle, x, eta)
         for t in (0.0, 0.4, 1.9):
-            assert pf.left_deriv(t) == pytest.approx(pf.right_deriv(t),
-                                                     abs=1e-8)
+            dplus, dminus = pf.slopes(t)
+            assert dminus == pytest.approx(dplus, abs=1e-8)
 
     def test_right_deriv_matches_fd_spd(self):
         # Exponential retraction: the transported direction is the exact
@@ -242,7 +252,7 @@ class TestRayObjective:
         h = 1e-6
         for t in (0.2, 0.9):
             fd = (pf.value(t + h) - pf.value(t - h)) / (2 * h)
-            assert abs(pf.right_deriv(t) - fd) <= 1e-4 * (1 + abs(fd))
+            assert abs(pf.slopes(t)[0] - fd) <= 1e-4 * (1 + abs(fd))
 
     def test_right_deriv_matches_fd_sphere_with_speed_factor(self):
         # Projected retraction: the curve velocity is (eta - t ||eta||^2 x)
@@ -255,7 +265,7 @@ class TestRayObjective:
         for t in (0.3, 1.2):
             c2 = float(np.dot(x.data + t * eta.data, x.data + t * eta.data))
             fd = (pf.value(t + h) - pf.value(t - h)) / (2 * h)
-            assert abs(pf.right_deriv(t) - c2 * fd) <= 1e-4 * (1 + abs(fd))
+            assert abs(pf.slopes(t)[0] - c2 * fd) <= 1e-4 * (1 + abs(fd))
 
 
 class TestLineSearch:
@@ -274,7 +284,7 @@ class TestLineSearch:
         x = S.point(p[0])
         eta = S.tangent(x, [1.0, 0.0, 0.0])
         res = line_search(RayObjective(oracle, x, eta), LineSearchConfig())
-        assert res.null and res.t == 0.0
+        assert res.sign == 0 and res.t == 0.0
         assert res.dminus0 <= 0.0 <= res.dplus0
         assert res.x_new is x
 
@@ -315,7 +325,7 @@ class TestLineSearch:
             oracle, x, eta = rayleigh_ray(seed, n=5, m=8)
             res = line_search(RayObjective(oracle, x, eta),
                               LineSearchConfig())
-            if res.null:
+            if res.sign == 0:
                 continue
             tol = 1e-6 * (1.0 + abs(res.dplus0))
             assert res.dminus_at_lo <= tol
@@ -387,10 +397,8 @@ def assert_restricted_matches_generic(oracle, x, v):
         ref = RayObjective(GenericOnly(oracle), x, w)
         for t in (0.0, 0.3, 1.2, 4.0):
             assert fast.value(t) == pytest.approx(ref.value(t), rel=1e-10)
-            assert fast.right_deriv(t) == pytest.approx(
-                ref.right_deriv(t), rel=1e-10, abs=1e-12)
-            assert fast.left_deriv(t) == pytest.approx(
-                ref.left_deriv(t), rel=1e-10, abs=1e-12)
+            assert fast.slopes(t) == pytest.approx(ref.slopes(t), rel=1e-10,
+                                                   abs=1e-12)
 
 
 def random_descent_direction(oracle, x, seed):
@@ -565,7 +573,7 @@ class TestRaySubgrad:
         x = S.point(p[0])
         res = line_search(RayObjective(spy, x, S.tangent(x, [1.0, 0.0, 0.0])),
                           LineSearchConfig())
-        assert res.null
+        assert res.sign == 0
         assert np.allclose(res.g_plus.data, [1.0, 0.0, 0.0], atol=1e-15)
         assert np.allclose(res.g_minus.data, [-1.0, 0.0, 0.0], atol=1e-15)
         assert spy.calls == {**NO_CALLS, "restrict": 1}
@@ -588,7 +596,8 @@ class TestRestrictedRay:
         idx, _ = rayleigh_active_components(oracle, x)
         assert list(idx) == [0, 1]
         pf = RayObjective(oracle, x, v)
-        assert pf.left_deriv(0.0) < pf.right_deriv(0.0) - 1e-3
+        dplus, dminus = pf.slopes(0.0)
+        assert dminus < dplus - 1e-3
         assert_restricted_matches_generic(oracle, x, v)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -627,7 +636,7 @@ class TestRestrictedRay:
                 c2 = float(np.dot(x.data + t * eta.data,
                                   x.data + t * eta.data))
                 fd = (pf.value(t + h) - pf.value(t - h)) / (2 * h)
-                assert abs(pf.right_deriv(t) - c2 * fd) <= 1e-4 * (1 + abs(fd))
+                assert abs(pf.slopes(t)[0] - c2 * fd) <= 1e-4 * (1 + abs(fd))
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (3, 1), (3, 5)])
     def test_karcher_matches_generic_ray(self, n, m):
@@ -648,8 +657,9 @@ class TestRestrictedRay:
         h = 1e-6
         for t in (0.0, 0.3, 1.2):
             fd = (pf.value(t + h) - pf.value(t - h)) / (2 * h)
-            assert pf.left_deriv(t) == pf.right_deriv(t)
-            assert abs(pf.right_deriv(t) - fd) <= 1e-6 * (1 + abs(fd))
+            dplus, dminus = pf.slopes(t)
+            assert dminus == dplus
+            assert abs(dplus - fd) <= 1e-6 * (1 + abs(fd))
 
     def test_line_search_matches_generic(self):
         cases = [(("rayleigh", "median")[seed % 2], 5, 8, seed)
@@ -691,7 +701,7 @@ class TestRayObjectiveChoice:
         pf = RayObjective(oracle, x, v)
         assert type(pf.ray) is r.objectives.MedianRay
         pf.value(0.5), pf.value(0.5), pf.value(2.0)
-        pf.right_deriv(0.5), pf.left_deriv(2.0)
+        pf.slopes(0.5), pf.slopes(2.0)
         assert pf.evals == 2
 
 
@@ -876,8 +886,7 @@ class TestFailChain:
         curve = IncreasingCurve()
         raw = []
         start = _clamped_start(cfg, bound)
-        tau, lo, hi, approx, iters = irp(curve, cfg, bound, trace=raw,
-                                         start=start)
+        tau, lo, hi, approx, iters = irp(curve, cfg, start, trace=raw)
         trace = list(irp_records(raw))
         assert (tau, lo, approx) == (0.0, 0.0, True)
         assert all(rec["branch"] == "upper" for rec in trace)
@@ -895,7 +904,7 @@ class TestFailChain:
     def test_no_chain_when_the_first_trial_decreases(self):
         curve = quadratic_at(2.0)
         curve.prefetch = lambda ts: pytest.fail("no chain expected")
-        irp(curve, LineSearchConfig())
+        irp(curve, LineSearchConfig(), DEFAULT_START)
 
     def test_rayleigh_values_match_value_bitwise(self):
         chain = _fail_chain(1.0, LineSearchConfig())
@@ -1009,7 +1018,7 @@ def scripted_irp(drops, modes, hide=()):
     spy = SpyRay(ScriptedRay(2.0, drops, modes), hide)
     pf = RayObjective(RayOracle(spy), x, v, 2.0)
     trace = []
-    out = irp(pf, LineSearchConfig(), trace=trace)
+    out = irp(pf, LineSearchConfig(), DEFAULT_START, trace)
     return out, trace, pf.evals, spy.calls
 
 
@@ -1063,15 +1072,14 @@ class TestChainProperties:
         assert calls["values"] == 1 and ref_calls["values"] == 0
         assert calls["value"] == ref_calls["value"] - on_chain
         assert ref_calls["value"] == ref_evals  # l(0) is given, not read
-        # Each run of failures on the chain is one trace entry; every other
-        # trial is one entry of its own.  Unbatched, each trial is one.
-        fails = [rec["l_tau"] >= rec["l_lo"] for rec in trace[1:on_chain + 1]]
-        runs = [len(list(g)) for failed, g in groupby(fails) if failed]
-        assert len(raw) == len(trace) - sum(runs) + len(runs)
-        assert len(ref_raw) == len(ref_trace)
+        # Batched or not, the trace is one IRP_FIELDS tuple per trial, the
+        # same tuples in the same order.
+        assert raw == ref_raw
+        assert all(type(e) is tuple and len(e) == len(IRP_FIELDS)
+                   for e in raw)
         assert all(tuple(rec) == IRP_FIELDS for rec in trace)
-        if not drops:  # never breaks: the first trial, then one run of 20
-            assert (len(raw), len(trace)) == (2, 21)
+        if not drops:  # never breaks: the first trial, then a run of 20
+            assert len(raw) == 21
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 6),

@@ -40,6 +40,11 @@ def test_hooks_install_on_the_package_and_leave_the_solve_unchanged(kind, n,
     assert tracer.absent == set()
     assert (traced.iters, traced.nf, traced.f) \
         == (plain.iters, plain.nf, plain.f)
+    # The hook reads the line-search result's counters by name, with a
+    # default: a renamed ``evals`` or ``approximate`` would read 0 there.
+    assert tracer.counts["linesearch.evals"] == traced.nf - 1 >= 1
+    assert tracer.counts["linesearch.width_stops"] \
+        == sum(row.width_stop for row in plain.trajectory)
     totals = spans.span_totals(tracer)
     assert totals["solver.solve"][0] == 1
     assert totals["linesearch.line_search"][0] == traced.iters >= 1

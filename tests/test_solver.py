@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import rcsopt as r
+from rcsopt.linesearch import IRP_FIELDS
 
 from oracles import (geodesic_grid_min, grid_min_norm_alpha, line_searches,
                      stall_search)
@@ -270,7 +271,7 @@ class TestConjugateSubgradientSolve:
             res = r.conjugate_subgradient_solve(oracle, x0, seed=0)
         assert (res.stop_reason, res.iters) == ("edge_stop", 1)
         ls, last = searches[-1], res.trajectory[-1]
-        assert not ls.null and ls.tau_hi_final >= ls.tau_hi_start
+        assert ls.sign != 0 and ls.tau_hi_final >= ls.tau_hi_start
         assert last.ortho == pytest.approx(-1.0) and last.eta_norm <= 1e-8
         assert res.f > 0.13
         row = r.BenchmarkRecord(problem="p", solver="s", seed=0, iters=1,
@@ -318,7 +319,7 @@ class TestConjugateSubgradientSolve:
                                                max_iters=300)
         assert res.iters >= 1
         for ls, row in zip(searches, res.trajectory):
-            assert row.null == ls.null
+            assert row.null == (ls.sign == 0)
             if row.null:
                 assert ls.dminus0 <= 0.0 <= ls.dplus0
 
@@ -534,7 +535,7 @@ class TestRawLoopReplay:
         for res, searches in self._cs_solves():
             rows = res.trajectory
             for ls, prev, row in zip(searches, rows, rows[1:]):
-                seen["null" if ls.null else "zero" if ls.t == 0.0
+                seen["null" if ls.sign == 0 else "zero" if ls.t == 0.0
                      else "move"] += 1
                 d = r.transport_between(prev.x, row.x, prev.eta)
                 lam = r.select_lambda(r.inner(ls.g_plus, d),
@@ -893,6 +894,10 @@ class TestRecord:
                                r.SolverConfig(max_iters=cap), seed=seed)
             assert len(searches) == len(got) - 1
             for (row, entries, _), ls in zip(got, searches):
+                # One IRP_FIELDS tuple per trial the search made.
+                assert len(entries) == ls.irp_iters
+                assert all(type(e) is tuple and len(e) == len(IRP_FIELDS)
+                           for e in entries)
                 trials = list(r.irp_records(entries))
                 returned = bool(trials) and trials[-1]["branch"] == "return"
                 assert row.width_stop == ls.approximate \
