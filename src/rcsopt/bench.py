@@ -57,6 +57,8 @@ class SuiteSpec:
     base_seed: int = 0
     solvers: tuple[str, ...] = ("conjugate_subgradient", "subgradient")
     solver_configs: dict = field(default_factory=dict)
+    # Every named solver's built SolverConfig, by solver name.
+    configs: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -89,6 +91,17 @@ class SuiteSpec:
                 isinstance(c, dict) for c in self.solver_configs.values()):
             raise ValueError(f"solver_configs must map solver names to "
                              f"objects, got {self.solver_configs!r}")
+        configs = {}
+        for name in (*self.solvers, *self.solver_configs):
+            if name not in SOLVERS:
+                raise ValueError(f"solver_configs names unknown solver "
+                                 f"{name!r}")
+            try:
+                configs[name] = solver_config_from_dict(
+                    self.solver_configs.get(name))
+            except (TypeError, ValueError) as e:
+                raise ValueError(f"solver_configs[{name!r}]: {e}") from e
+        object.__setattr__(self, "configs", configs)
         object.__setattr__(self, "sizes", tuple(tuple(sz) for sz in self.sizes))
         object.__setattr__(self, "solvers", tuple(self.solvers))
 
@@ -226,20 +239,6 @@ def _check_time(wall_time_s: float, where: str) -> None:
                          f"got {wall_time_s!r}")
 
 
-def _suite_configs(spec: SuiteSpec) -> dict[str, SolverConfig]:
-    """Every solver's built config; ValueError naming a bad solver or field."""
-    configs = {}
-    for name in (*spec.solvers, *spec.solver_configs):
-        if name not in SOLVERS:
-            raise ValueError(f"solver_configs names unknown solver {name!r}")
-        try:
-            configs[name] = solver_config_from_dict(
-                spec.solver_configs.get(name))
-        except (TypeError, ValueError) as e:
-            raise ValueError(f"solver_configs[{name!r}]: {e}") from e
-    return configs
-
-
 # Rows a traced cell holds before it writes them: serializing after every
 # iteration leaves the solve's working set cold in the caches, which made a
 # traced rayleigh 5x200 conjugate subgradient iteration about 9% slower.
@@ -352,23 +351,23 @@ def run_suite(spec: SuiteSpec, jobs: int = 1,
     Instance seeds are base_seed + running index over (size, run) pairs, so
     reruns reproduce iterates and values bit for bit; wall times differ.
     With ``trace_dir`` (an existing directory) each cell writes its trace
-    files there as it finishes; see ``_run_cell``.  Solver configs are
-    checked before the first cell runs, and so are ``jobs`` (``ValueError``
-    below 1) and ``trace_dir`` (``ValueError`` unless it is a directory).
+    files there as it finishes; see ``_run_cell``.  ``jobs`` (``ValueError``
+    below 1) and ``trace_dir`` (``ValueError`` unless it is a directory) are
+    checked before the first cell runs; the spec checked its solver configs
+    when it was made.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     if trace_dir is not None and not trace_dir.is_dir():
         raise ValueError(f"trace_dir must be an existing directory, "
                          f"got {str(trace_dir)!r}")
-    configs = _suite_configs(spec)
     cells = []
     for si, (n, m) in enumerate(spec.sizes):
         for run in range(spec.runs):
             seed = spec.base_seed + si * spec.runs + run
             for solver_name in spec.solvers:
                 cells.append((spec.kind, n, m, seed, solver_name,
-                              configs[solver_name], trace_dir))
+                              spec.configs[solver_name], trace_dir))
 
     if jobs > 1:
         # Imported here: it pulls in multiprocessing, which a serial run

@@ -109,7 +109,8 @@ def _same_data(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.T)
+    """0.5 (A + A^T) of a matrix, or of each matrix of an (m, n, n) stack."""
+    return 0.5 * (a + a.swapaxes(-1, -2))
 
 
 def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -120,8 +121,9 @@ def _random_spd(rng: np.random.Generator, n: int) -> np.ndarray:
 
 
 def _eigh_fun(a: np.ndarray, fun) -> np.ndarray:
-    """Apply a scalar function to a symmetric matrix via eigendecomposition."""
-    w, v = np.linalg.eigh(_sym(a))
+    """Apply a scalar function to a symmetric matrix via eigendecomposition;
+    ``a`` must be exactly symmetric, as ``_sym`` makes it."""
+    w, v = np.linalg.eigh(a)
     return _sym((v * fun(w)) @ v.T)
 
 
@@ -141,8 +143,23 @@ def _sqrt_pair(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (q * rw) @ q.T, (q / rw) @ q.T
 
 
+def _whiten(a: np.ndarray, m: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(A^(1/2), A^(-1/2), sym(A^(-1/2) M A^(-1/2))) of an SPD matrix A and
+    a matrix or (m, n, n) stack M."""
+    rt, irt = _sqrt_pair(a)
+    return rt, irt, _sym(irt @ m @ irt)
+
+
 class Manifold:
-    """Common interface of the two supported manifolds."""
+    """Common interface of the two supported manifolds.
+
+    Subclasses implement ``kind``, ``tag()`` and ``random_point(rng)``; the
+    membership checks ``_check_point(data)`` (raises ValueError) and
+    ``_is_tangent(x, v)``; and the raw-array geometry ``_project(x, v)``,
+    ``_inner(x, u, v)``, ``_retract(x, v)``, ``_transport(a, b, v)`` and
+    ``_distance(a, b)``.
+    """
 
     injectivity_radius: float
 
@@ -151,7 +168,7 @@ class Manifold:
         data = np.asarray(data, dtype=float)
         if not np.all(np.isfinite(data)):
             raise ValueError("point coordinates must be finite")
-        self._check_point(data, _POINT_TOL)
+        self._check_point(data)
         return ManifoldPoint(self, data)
 
     def tangent(self, x: ManifoldPoint, data: np.ndarray) -> TangentVector:
@@ -162,19 +179,19 @@ class Manifold:
     def zero_tangent(self, x: ManifoldPoint) -> TangentVector:
         return _adopt(TangentVector, x, np.zeros_like(x.data))
 
-    def random_point(self, rng: np.random.Generator) -> ManifoldPoint:
-        raise NotImplementedError
+    def random_tangent(self, x: ManifoldPoint, rng: np.random.Generator
+                       ) -> TangentVector:
+        """Random unit tangent vector at x.
 
-    def random_tangent(self, x: ManifoldPoint, rng: np.random.Generator,
-                       unit: bool = True) -> TangentVector:
-        """Random tangent vector at x, unit-norm unless unit=False.
-
-        A unit draw is retried while the projected sample is numerically
-        zero, at most ``_TANGENT_DRAWS`` times in all; then ValueError.
+        A draw is retried while the projected sample is numerically zero,
+        at most ``_TANGENT_DRAWS`` times in all; then ValueError.
         """
-        if not unit:
-            return self.tangent(x, rng.standard_normal(x.data.shape))
-        return _adopt(TangentVector, x, self._random_unit(x.data, rng))
+        for _ in range(_TANGENT_DRAWS):
+            v = self._project(x.data, rng.standard_normal(x.data.shape))
+            n = self._norm(x.data, v)
+            if n >= 1e-14:
+                return _adopt(TangentVector, x, (1.0 / n) * v)
+        raise ValueError(f"no nonzero tangent in {_TANGENT_DRAWS} draws")
 
     @staticmethod
     def from_tag(tag: dict) -> "Manifold":
@@ -185,42 +202,12 @@ class Manifold:
                 return cls(tag["dim"])
         raise ValueError(f"unknown manifold tag {tag!r}")
 
-    # Subclasses implement ``kind``, ``tag()``, the membership checks
-    # ``_check_point`` (raises ValueError) and ``_is_tangent``, and the
-    # raw-array geometry.
-    def _check_point(self, data: np.ndarray, tol: float) -> None:
-        raise NotImplementedError
-
-    def _project(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def _inner(self, x, u, v) -> float:
-        raise NotImplementedError
-
-    def _retract(self, x, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def _transport(self, a, b, v) -> np.ndarray:
-        raise NotImplementedError
-
-    def _distance(self, a, b) -> float:
-        raise NotImplementedError
-
     def _norm(self, x, v) -> float:
         return math.sqrt(max(self._inner(x, v, v), 0.0))
 
     def _carry(self, a, b, v) -> np.ndarray:
         """Raw ``transport_between``: v itself when a and b are the same point."""
         return v if a is b or _same_data(a, b) else self._transport(a, b, v)
-
-    def _random_unit(self, x, rng: np.random.Generator) -> np.ndarray:
-        """Raw core of a unit ``random_tangent`` draw, with the same draws."""
-        for _ in range(_TANGENT_DRAWS):
-            v = self._project(x, rng.standard_normal(x.shape))
-            n = self._norm(x, v)
-            if n >= 1e-14:
-                return (1.0 / n) * v
-        raise ValueError(f"no nonzero tangent in {_TANGENT_DRAWS} draws")
 
 
 @dataclass(frozen=True)
@@ -238,15 +225,16 @@ class Sphere(Manifold):
     def tag(self):
         return {"kind": self.kind, "dim": self.ambient_dim}
 
-    def _check_point(self, data, tol):
+    def _check_point(self, data):
         if data.shape != (self.ambient_dim,):
             raise ValueError(f"expected shape ({self.ambient_dim},), "
                              f"got {data.shape}")
-        if not abs(np.linalg.norm(data) - 1.0) <= tol:
+        if not abs(np.linalg.norm(data) - 1.0) <= _POINT_TOL:
             raise ValueError("point is not unit-norm")
 
-    def _is_tangent(self, x, v, tol):
-        return abs(float(np.dot(v, x))) <= tol * (1.0 + float(np.linalg.norm(v)))
+    def _is_tangent(self, x, v):
+        return abs(float(np.dot(v, x))) <= _TANGENT_TOL * (
+            1.0 + float(np.linalg.norm(v)))
 
     # The raw geometry runs its scalar steps on Python floats: ndarray.dot
     # for np.dot, math.sqrt of w.dot(w) for np.linalg.norm (which computes
@@ -306,32 +294,32 @@ class SPD(Manifold):
     def tag(self):
         return {"kind": self.kind, "dim": self.order}
 
-    def _check_point(self, data, tol):
+    def _check_point(self, data):
         if data.shape != (self.order, self.order):
             raise ValueError(f"expected shape ({self.order}, {self.order}), "
                              f"got {data.shape}")
-        if not np.max(np.abs(data - data.T)) <= tol:
+        if not np.max(np.abs(data - data.T)) <= _POINT_TOL:
             raise ValueError("matrix is not symmetric")
         if not np.linalg.eigvalsh(_sym(data))[0] > 0.0:
             raise ValueError("matrix is not positive definite")
 
-    def _is_tangent(self, x, v, tol):
-        return float(np.max(np.abs(v - v.T))) <= max(tol, _POINT_TOL)
+    def _is_tangent(self, x, v):
+        return float(np.max(np.abs(v - v.T))) <= _TANGENT_TOL
 
     def _project(self, x, v):
         return _sym(v)
 
     def _inner(self, x, u, v):
-        # tr(X^-1 u X^-1 v)
+        # tr(X^-1 u X^-1 v); a squared norm solves once.
         xu = np.linalg.solve(x, u)
-        xv = np.linalg.solve(x, v)
+        xv = xu if v is u else np.linalg.solve(x, v)
         return float(np.sum(xu * xv.T))
 
     def _retract(self, x, v):
         # X^(1/2) expm(X^(-1/2) v X^(-1/2)) X^(1/2)
-        rt, irt = _sqrt_pair(x)
+        rt, _, m = _whiten(x, v)
         with np.errstate(over="ignore", invalid="ignore"):
-            out = _sym(rt @ _eigh_fun(irt @ v @ irt, np.exp) @ rt)
+            out = _sym(rt @ _eigh_fun(m, np.exp) @ rt)
         if not np.isfinite(out).all():
             raise DegenerateRetractionError("exp(X^(-1/2) eta X^(-1/2)) "
                                             "overflows")
@@ -339,14 +327,12 @@ class SPD(Manifold):
 
     def _transport(self, a, b, v):
         # E v E^T with E = (B A^-1)^(1/2) = A^(1/2) (A^(-1/2) B A^(-1/2))^(1/2) A^(-1/2)
-        rt, irt = _sqrt_pair(a)
-        m = _sym(irt @ b @ irt)
+        rt, irt, m = _whiten(a, b)
         e = rt @ _eigh_fun(m, _floored_sqrt) @ irt
         return _sym(e @ v @ e.T)
 
     def _distance(self, a, b):
-        _, irt = _sqrt_pair(a)
-        ev = np.linalg.eigvalsh(_sym(irt @ b @ irt))
+        ev = np.linalg.eigvalsh(_whiten(a, b)[2])
         return float(np.linalg.norm(_spd_log_eigvals(ev)))
 
     def random_point(self, rng):
@@ -392,15 +378,17 @@ def distance(x: ManifoldPoint, y: ManifoldPoint) -> float:
     return x.manifold._distance(x.data, y.data)
 
 
-def check_point(x: ManifoldPoint, tol: float = _POINT_TOL) -> bool:
-    """True when x satisfies its manifold's membership invariants."""
+def check_point(x: ManifoldPoint) -> bool:
+    """True when x satisfies its manifold's membership invariants, to
+    within ``_POINT_TOL``."""
     try:
-        x.manifold._check_point(x.data, tol)
+        x.manifold._check_point(x.data)
     except ValueError:
         return False
     return True
 
 
-def check_tangent(xi: TangentVector, tol: float = _TANGENT_TOL) -> bool:
-    """True when xi lies in the tangent space of its base point."""
-    return xi.base.manifold._is_tangent(xi.base.data, xi.data, tol)
+def check_tangent(xi: TangentVector) -> bool:
+    """True when xi lies in the tangent space of its base point, to within
+    ``_TANGENT_TOL``."""
+    return xi.base.manifold._is_tangent(xi.base.data, xi.data)

@@ -74,8 +74,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .manifolds import (SPD, ManifoldPoint, Sphere, TangentVector, _adopt,
-                        _random_spd, _sqrt_pair, _spd_log_eigvals, _sym,
-                        inner)
+                        _random_spd, _spd_log_eigvals, _sym, _whiten, inner)
 
 # Active-set tolerance for the Rayleigh max (exact float ties never happen).
 _ACTIVE_TOL = 1e-10
@@ -569,33 +568,25 @@ class SpdCenterOfMass(_DerivedQueries):
     def manifold(self) -> SPD:
         return SPD(self.n)
 
-    def _whitened(self, x: np.ndarray):
-        """(X^(1/2), the symmetrized stack X^(-1/2) A_i X^(-1/2))."""
-        rt, irt = _sqrt_pair(x)
-        m = irt @ self.mats @ irt  # (m, n, n)
-        return rt, 0.5 * (m + np.transpose(m, (0, 2, 1)))
-
     def value(self, x: ManifoldPoint) -> float:
-        return _karcher_value(self._whitened(x.data)[1])
+        return _karcher_value(_whiten(x.data, self.mats)[2])
 
     def value_and_subgrad(self, x: ManifoldPoint, xi: TangentVector
                           ) -> tuple[float, TangentVector]:
         # The value by eigvalsh, as ``value`` computes it, so the bits are
         # its; the gradient -sum_i X^(1/2) logm(X^(-1/2) A_i X^(-1/2)) X^(1/2)
         # by eigh.
-        rt, m = self._whitened(x.data)
+        rt, _, m = _whiten(x.data, self.mats)
         f = _karcher_value(m)
         ev, vec = np.linalg.eigh(m)
         return f, _adopt(TangentVector, x, _sym(
             -rt @ _logm_sum(_spd_log_eigvals(ev), vec) @ rt))
 
     def restrict(self, x: ManifoldPoint, v: TangentVector) -> KarcherRay:
-        rt, irt = _sqrt_pair(x.data)
-        lam, q = np.linalg.eigh(_sym(irt @ v.data @ irt))
+        rt, irt, m = _whiten(x.data, v.data)
+        lam, q = np.linalg.eigh(m)
         s = irt @ q
-        b = s.T @ self.mats @ s
-        return KarcherRay(lam=lam, b=0.5 * (b + np.transpose(b, (0, 2, 1))),
-                          w0=rt @ q)
+        return KarcherRay(lam=lam, b=_sym(s.T @ self.mats @ s), w0=rt @ q)
 
 
 Oracle = RayleighQuotientMax | GeometricMedian | SpdCenterOfMass

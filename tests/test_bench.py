@@ -444,10 +444,9 @@ class TestErrorRows:
                 for x in clean.records]
 
     def test_malformed_config_still_raises(self):
-        spec = tiny_spec(solver_configs={
-            "conjugate_subgradient": {"max_iters": 0}})
         with pytest.raises(ValueError, match="max_iters"):
-            run_suite(spec)
+            run_suite(tiny_spec(solver_configs={
+                "conjugate_subgradient": {"max_iters": 0}}))
 
     @pytest.mark.parametrize("configs,match", [
         ({"conjugate_subgradent": {"max_iters": 5}}, "conjugate_subgradent"),

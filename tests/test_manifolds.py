@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import rcsopt as r
 from rcsopt.manifolds import (BasePointMismatchError, DegenerateRetractionError,
-                              DegenerateTransportError, Manifold, _adopt)
+                              DegenerateTransportError, Manifold, _adopt,
+                              _sym)
 
 from oracles import (sphere_norm_np, sphere_project_np, sphere_retract_np,
                      sphere_transport_np, sphere_transport_ode,
@@ -86,7 +87,8 @@ class TestPointsAndTangents:
             with pytest.raises(ValueError, match="no nonzero tangent"):
                 m.random_tangent(x, rng)
             assert 1 < rng.draws <= 10
-            assert r.norm(m.random_tangent(x, ZeroRng(), unit=False)) == 0.0
+            zero = m.tangent(x, ZeroRng().standard_normal(x.data.shape))
+            assert r.norm(zero) == 0.0
 
     def test_unit_draw_is_the_projected_normalized_sample(self):
         # Reference: project a normal sample, wrap it, divide by its norm.
@@ -146,9 +148,9 @@ class TestInnerAndNorm:
         rng = np.random.default_rng(0)
         for m in (sphere(4), spd(3)):
             x = m.random_point(rng)
-            a = m.random_tangent(x, rng, unit=False)
-            b = m.random_tangent(x, rng, unit=False)
-            c = m.random_tangent(x, rng, unit=False)
+            a = m.tangent(x, rng.standard_normal(x.data.shape))
+            b = m.tangent(x, rng.standard_normal(x.data.shape))
+            c = m.tangent(x, rng.standard_normal(x.data.shape))
             assert r.inner(a, b) == pytest.approx(r.inner(b, a), rel=1e-12)
             lhs = r.inner(2.0 * a + 3.0 * b, c)
             rhs = 2.0 * r.inner(a, c) + 3.0 * r.inner(b, c)
@@ -297,8 +299,8 @@ class TestTransport:
         for m in (sphere(4), spd(3)):
             x = m.random_point(rng)
             eta = m.random_tangent(x, rng)
-            xi = m.random_tangent(x, rng, unit=False)
-            zeta = m.random_tangent(x, rng, unit=False)
+            xi = m.tangent(x, rng.standard_normal(x.data.shape))
+            zeta = m.tangent(x, rng.standard_normal(x.data.shape))
             a, b = 1.7, -0.4
             y = r.retract(x, eta)
             lhs = r.transport_between(x, y, a * xi + b * zeta)
@@ -452,6 +454,32 @@ class TestScalarSpherePaths:
         S = r.Sphere(4)
         assert _bits(S._transport(a, a, v)) \
             == _bits(sphere_transport_np(a, a, v))
+
+
+class TestSpdBlocks:
+    """What the shared SPD whitening block and the squared norm rely on."""
+
+    def test_sym_of_a_stack_is_the_per_matrix_sym(self):
+        rng = np.random.default_rng(14)
+        for n in (1, 3, 4):
+            a = rng.standard_normal((4, n, n))
+            assert _bits(_sym(a)) == _bits(np.stack([_sym(b) for b in a]))
+
+    def test_sym_is_idempotent(self):
+        rng = np.random.default_rng(15)
+        for a in (rng.standard_normal((5, 5)),
+                  rng.standard_normal((4, 3, 3))):
+            assert _bits(_sym(_sym(a))) == _bits(_sym(a))
+
+    def test_squared_norm_takes_the_bits_of_two_solves(self):
+        rng = np.random.default_rng(16)
+        for n in range(2, 7):
+            P = spd(n)
+            for _ in range(5):
+                x = P.random_point(rng).data
+                v = P._project(x, rng.standard_normal((n, n)))
+                assert P._inner(x, v, v).hex() \
+                    == P._inner(x, v, v.copy()).hex()
 
 
 class TestWrapping:

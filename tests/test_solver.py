@@ -76,8 +76,8 @@ class TestCombineSubgradient:
         S = r.Sphere(4)
         rng = np.random.default_rng(1)
         self.x = S.random_point(rng)
-        self.gp = S.random_tangent(self.x, rng, unit=False)
-        self.gm = S.random_tangent(self.x, rng, unit=False)
+        self.gp = S.tangent(self.x, rng.standard_normal(self.x.data.shape))
+        self.gm = S.tangent(self.x, rng.standard_normal(self.x.data.shape))
 
     def test_endpoints(self):
         assert np.array_equal(
