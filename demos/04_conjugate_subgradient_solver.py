@@ -52,7 +52,7 @@ print(f"subgradient baseline:  reached {base.f:.12f} "
       f"after {base.iters} iterations")
 
 # The default solve keeps scalar rows only: enough for the scalar checks,
-# and a few hundred bytes per iteration whatever the problem size.  The
+# and about 390 B per iteration whatever the problem size.  The
 # direction replay is then skipped (fr_residual is None).
 check = r.check_trajectory(res.trajectory)
 print("unrecorded rows keep x:", res.trajectory[-1].x,

@@ -288,14 +288,17 @@ def _clamped_start(cfg: LineSearchConfig,
                    tau_max: float) -> tuple[float, float]:
     """(first trial, upper bound) of the initial bracket, shrunk so that
     tau_hi stays below ``tau_max``, the step that reaches the injectivity
-    radius; ValueError if nothing of the bracket is left (a direction norm
-    near overflow)."""
+    radius; ValueError naming ``tau_max`` if nothing of the bracket is left
+    (an infinite direction norm, or one near overflow).  The config is not
+    at fault then: it was checked when it was made."""
     hi = min(cfg.tau_hi_init, tau_max * (1.0 - 1e-9))
     if hi >= cfg.tau_hi_init:
         return cfg.tau_init, cfg.tau_hi_init
     tau = min(cfg.tau_init, 0.5 * hi)
     if not 0.0 < tau < hi:
-        raise ValueError("need 0 < tau_init < tau_hi_init")
+        raise ValueError(f"no initial bracket fits below tau_max = "
+                         f"{tau_max!r}, the step to the injectivity radius: "
+                         "the direction norm is infinite or near overflow")
     return tau, hi
 
 

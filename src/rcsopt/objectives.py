@@ -49,8 +49,10 @@ for nothing but its rays: a backward search (f rises along v) runs on a
 second ray, ``restrict(x, -v)``.  Each ray keeps a two-entry per-step memo
 (t = 0 and the latest other t, see :func:`_memoize`), so ``slopes`` and
 ``subgrad`` at one step size share their work, and on the median ray
-``value`` shares the cosines too.  ``subgrad`` never returns non-finite
-data; it raises :class:`NonFiniteRayError` instead.
+``value`` shares the cosines too.  The memo drops the other step before it
+computes a new one, so a ray never holds more than two per-step states.
+``subgrad`` never returns non-finite data; it raises
+:class:`NonFiniteRayError` instead.
 
 On the sphere the ray is y(t) = (x + t v) / ||x + t v||, with t = 0 meaning x
 itself.  It reads the data once, in one fused product with [x v] (A_i [x v]
@@ -87,8 +89,9 @@ _ALL = slice(None)
 # Largest |A_jk - A_kj| a matrix of the data may have.
 _SYM_TOL = 1e-12
 # Data stacks are symmetrized, normalized and checked in blocks of at most
-# this many entries, so the temporaries stay O(block), not O(data).
-_BLOCK_ENTRIES = 1 << 16
+# this many entries (64 KB of floats), so the temporaries stay O(block), not
+# O(data).  A block holds 3 matrices of order 51 (rayleigh n = 50).
+_BLOCK_ENTRIES = 1 << 13
 
 
 class AmbiguousDirectionError(ValueError):
@@ -155,16 +158,18 @@ def _memoize(cache: dict, t: float, compute):
 
     A line search asks for slopes and subgradients at the bracket endpoints,
     one of which is often 0, so two entries are enough and a ray stays small.
+    A new t != 0 drops the other step before ``compute(t)`` runs, so its
+    state is freed first and at most two states exist at once (on the
+    Karcher ray, each is an (m, n, n) eigenvector stack).
     """
     hit = cache.get(t)
     if hit is None:
-        hit = compute(t)
         if t != 0.0:
             zero = cache.get(0.0)
             cache.clear()
             if zero is not None:
                 cache[0.0] = zero
-        cache[t] = hit
+        hit = cache[t] = compute(t)
     return hit
 
 

@@ -9,7 +9,10 @@ search direction.  The iterates' objective values never increase.
 
 Every trajectory row holds the scalar diagnostics of its iteration, which is
 all the descent, norm-recursion and orthogonality checks read.  A solve
-keeps no tangent vector beyond the current iterate unless it is asked to.
+keeps no tangent vector beyond the current iterate unless it is asked to,
+and it holds one ray at a time: each search's ray objective, with its ray
+and memo, is freed when the search returns, before the next ``restrict``
+builds the next one.
 Both loops make and hand on their rows through one recorder built from
 ``record``, and every row takes the same path: once its line search has
 run, it goes to a sink.  ``record`` may be that sink, a callable
@@ -106,7 +109,7 @@ class SolverConfig:
                             f"got {self.ls!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """One trajectory row; row k describes the state entering iteration k.
 
@@ -315,9 +318,12 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         if eta_norm <= cfg.epsilon_stop:
             stop = "stationary"
             break
-        pf = RayObjective(oracle, x, eta, f0=f, dir_norm=eta_norm)
+        # The ray objective is not bound to a name: it and its memo are
+        # freed when the search returns, before the next ``restrict``.
         try:
-            res = line_search(pf, cfg.ls, trace=rec.entries)
+            res = line_search(RayObjective(oracle, x, eta, f0=f,
+                                           dir_norm=eta_norm),
+                              cfg.ls, trace=rec.entries)
         except LineSearchStallError as e:
             rec.hand_on(row)
             raise SolveStalledError(e, row.k, row.nf_cum) from e

@@ -14,7 +14,7 @@ from rcsopt.linesearch import (IRP_FIELDS, LineSearchConfig,
                                LineSearchStallError, RayObjective,
                                _clamped_start, _fail_chain, _next_trial, irp,
                                irp_records, line_search)
-from rcsopt.objectives import _ACTIVE_TOL
+from rcsopt.objectives import _ACTIVE_TOL, KarcherRay, MedianRay, RayleighRay
 
 from oracles import GenericOnly, line_searches, rayleigh_active_components
 
@@ -348,10 +348,19 @@ class TestLineSearch:
         assert _clamped_start(cfg, 200.0) == (1.0, 100.0)
         hi = (np.pi / 10.0) * (1.0 - 1e-9)
         assert _clamped_start(cfg, np.pi / 10.0) == (0.5 * hi, hi)
-        # Nothing of the bracket is left: the LineSearchConfig check's error.
+        # Nothing of the bracket is left: the error names tau_max and the
+        # direction norm, not the (valid) config.
         for bound in (0.0, 5e-324):
-            with pytest.raises(ValueError, match="tau_init < tau_hi_init"):
+            with pytest.raises(ValueError, match=rf"tau_max = {bound!r}, .*"
+                               "direction norm is infinite"):
                 _clamped_start(cfg, bound)
+
+    def test_infinite_direction_norm_is_named(self):
+        oracle, x, v = rayleigh_ray(11)
+        cfg = LineSearchConfig()
+        with pytest.raises(ValueError, match="direction norm") as err:
+            line_search(RayObjective(oracle, x, v, dir_norm=math.inf), cfg)
+        assert "tau_init" not in str(err.value)
 
     def test_clamped_solve_builds_no_config(self, monkeypatch):
         cfg = r.SolverConfig(max_iters=30)
@@ -1160,10 +1169,26 @@ class TestRayleighScalarPath:
 
 
 class TestRayMemo:
+    # Each ray's per-step computation, which it calls through _memoize.
+    STEP = {"rayleigh": (RayleighRay, "_active_slopes_at"),
+            "median": (MedianRay, "_cosines_at"),
+            "karcher": (KarcherRay, "_eigh_at")}
+
     @pytest.mark.parametrize("kind,n,m", [("rayleigh", 5, 200),
                                           ("median", 4, 6),
                                           ("karcher", 3, 5)])
-    def test_memo_stays_small_after_a_search(self, kind, n, m):
+    def test_memo_stays_small_after_a_search(self, kind, n, m, monkeypatch):
+        # The memo keeps t = 0 and one other step, and it drops the other
+        # step before it computes the next: a step t != 0 is computed
+        # beside the t = 0 entry at most, never beside a third state.
+        cls, name = self.STEP[kind]
+        step, seen = getattr(cls, name), []
+
+        def spy(ray, t):
+            seen.append((t, set(ray._eig if kind == "karcher" else ray._memo)))
+            return step(ray, t)
+
+        monkeypatch.setattr(cls, name, spy)
         for seed in range(3):
             oracle = r.generate_instance(kind, n, m, seed=180 + seed)
             x = oracle.manifold.random_point(np.random.default_rng(seed))
@@ -1173,6 +1198,8 @@ class TestRayMemo:
             memo = pf.ray._eig if kind == "karcher" else pf.ray._memo
             assert 1 <= len(memo) <= 2 and 0.0 in memo
             assert set(memo) <= {0.0, res.tau_hi_final, res.tau_lo_final}
+        beside = [memo for t, memo in seen if t != 0.0]
+        assert beside and all(memo <= {0.0} for memo in beside), seen
 
     @pytest.mark.parametrize("kind", ["rayleigh", "median"])
     def test_interleaved_calls_match_a_fresh_ray(self, kind):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import rcsopt as r
 from rcsopt import objectives
 from rcsopt.objectives import (_BLOCK_ENTRIES, AmbiguousDirectionError,
-                               _median_terms, _require_symmetric)
+                               _median_terms, _memoize, _require_symmetric)
 
 from oracles import (fd_dir_deriv, fd_riemannian_gradient,
                      rayleigh_active_components)
@@ -279,11 +279,14 @@ class TestGeneration:
         assert np.allclose(np.linalg.norm(a.points, axis=1), 1.0, atol=1e-14)
         assert np.allclose(a.weights, 1.0 / 11)
 
-    # Matrices of order 51 (n = 50) per symmetrization block.
+    # Matrices of order 51 (n = 50) per symmetrization block; the cases
+    # are named by their blocks, so their names do not follow the size.
     PER_BLOCK = _BLOCK_ENTRIES // 51 ** 2
 
     @pytest.mark.parametrize("m", [PER_BLOCK - 1, PER_BLOCK, PER_BLOCK + 1,
-                                   PER_BLOCK + PER_BLOCK // 2, 200])
+                                   2 * PER_BLOCK + 1, 200],
+                             ids=["part", "one", "one-and-part",
+                                  "two-and-part", "200"])
     def test_rayleigh_stack_is_the_out_of_place_symmetrization(self, m):
         b = rng_for(34).standard_normal((m, 51, 51))
         mats = r.generate_instance("rayleigh", 50, m, seed=34).mats
@@ -524,6 +527,23 @@ class TestConstructionMemory:
         assert peak <= block, peak
         peak = self._peak(build)
         assert peak <= 2 * block, peak
+
+
+class TestMemoize:
+    def test_the_other_step_is_dropped_before_a_step_is_computed(self):
+        # compute(t) for t != 0 sees the t = 0 entry at most, so a ray holds
+        # two per-step states, not three; t = 0 evicts nothing.
+        cache, seen = {}, []
+
+        def compute(t):
+            seen.append((t, sorted(cache)))
+            return t
+
+        for t in (0.5, 1.5, 0.0, 0.5, 0.5, 2.5, 0.0):
+            assert _memoize(cache, t, compute) == t
+        assert seen == [(0.5, []), (1.5, []), (0.0, [1.5]), (0.5, [0.0]),
+                        (2.5, [0.0])]
+        assert sorted(cache) == [0.0, 2.5]
 
 
 class TestMedianTerms:
