@@ -84,9 +84,6 @@ class SuiteSpec:
                              f"{self.solvers!r}")
         if not self.solvers:
             raise EmptySuiteError("suite needs at least one solver")
-        for s in self.solvers:
-            if s not in SOLVERS:
-                raise ValueError(f"unknown solver {s!r}")
         if not isinstance(self.solver_configs, dict) or not all(
                 isinstance(c, dict) for c in self.solver_configs.values()):
             raise ValueError(f"solver_configs must map solver names to "
@@ -94,8 +91,7 @@ class SuiteSpec:
         configs = {}
         for name in (*self.solvers, *self.solver_configs):
             if name not in SOLVERS:
-                raise ValueError(f"solver_configs names unknown solver "
-                                 f"{name!r}")
+                raise ValueError(f"unknown solver {name!r}")
             try:
                 configs[name] = solver_config_from_dict(
                     self.solver_configs.get(name))

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -53,6 +54,10 @@ def _load(path: str, parse, what: str):
             return parse(fh)
     except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as e:
         raise _BadInput(f"{what} {path}: {type(e).__name__}: {e}") from e
+
+
+def _finite_or_null(f: float) -> float | None:
+    return f if math.isfinite(f) else None
 
 
 def _cmd_run(args) -> int:
@@ -82,9 +87,14 @@ def _cmd_run(args) -> int:
     for curve in result.profiles:
         (out / f"profile_{curve.solver}.csv").write_text(
             _bench.profiles_to_csv([curve]))
+    # JSON has no infinity: a mean over an error row (inf), or the f_opt of
+    # a problem with no finite value, is written as null.
+    summary = [{**row, "mean_final_f": _finite_or_null(row["mean_final_f"])}
+               for row in result.summary]
+    f_opt = {k: _finite_or_null(f) for k, f in result.f_opt.items()}
     (out / "summary.json").write_text(json.dumps(
-        {"spec": json.loads(spec.to_json()), "summary": result.summary,
-         "f_opt": result.f_opt}, indent=2))
+        {"spec": json.loads(spec.to_json()), "summary": summary,
+         "f_opt": f_opt}, indent=2))
     for row in result.summary:
         print(f"{row['kind']} n={row['n']} m={row['m']} {row['solver']}: "
               f"iter={row['mean_iters']:.1f} nf={row['mean_nf']:.1f} "

@@ -6,17 +6,18 @@ oracle to a retraction ray.  Every oracle offers ``restrict(x, v)`` (see
 values, one-sided slopes along the transported direction, and the
 directionally active subgradients at the final bracket endpoints.  The
 search makes no other oracle call.  :class:`RayObjective` is the one ray
-objective: it checks the direction's base point once, when built, caches
-what the ray answers and counts each value it reads as one evaluation
-(``evals``); the search asks its ``ray`` for the endpoint subgradients
-directly.  When f rises along v but falls along -v, the search is a
-forward search on a second :class:`RayObjective` along -v, built from the
+objective: it checks the direction's base point once, when built, and
+counts each value it reads as one evaluation (``evals``).  Its slopes are
+the ray's own, and the search asks its ``ray`` for the endpoint
+subgradients directly, so the ray's two-entry memo is the only per-step
+cache of a search.  When f rises along v but falls along -v, the search is
+a forward search on a second :class:`RayObjective` along -v, built from the
 same oracle with l(0) and ||v|| handed on: one more ``restrict``, and a
 step t = -tau.  A backward search that finds no decrease therefore
 records t = -0.0, which compares equal to 0.  The search runs on raw
 arrays, wrapped once in the :class:`LineSearchResult`.  A null step (no
 descent either way, ``sign == 0``) is the bracket [0, 0] and builds its
-result on the same path, from the cached slopes and the subgradients at x.
+result on the same path, from the slopes and the subgradients at x.
 :func:`irp` reads a ray objective through ``value(t)`` and ``slopes(t)``,
 the pair (l'_+(t), l'_-(t)) with the rays' own contract.
 
@@ -95,34 +96,30 @@ class RayObjective:
     The base point of v is checked once, here, before ``oracle.restrict``
     builds the ray; the ray then answers every value, slope pair and
     endpoint subgradient of the search.  The oracle is kept for the ray
-    along -v that a backward search restricts to.  Values and slope pairs
-    are cached per step size so bracket endpoints are never recomputed, and
-    each value read is one evaluation (``evals``).  Only the accepted point
-    and the bracket endpoints are retracted.  ``dir_norm`` is ||v|| when
-    the caller already has it (the solver's row ``eta_norm``); else it is
-    computed.
+    along -v that a backward search restricts to.  Values are kept per step
+    size, so each value read is one evaluation (``evals``) however often
+    the search reads it.  ``slopes(t)`` is the ray's own method, the pair
+    (l'_+(t), l'_-(t)) along the direction transported to R_x(t v); the
+    ray's per-step memo is the only other cache of a search.  ``dir_norm``
+    is ||v|| when the caller already has it (the solver's row
+    ``eta_norm``); else it is computed.
 
-    When the ray offers ``values(ts)``, ``prefetch`` is that method:
+    ``prefetch`` is the ray's ``values(ts)`` when it offers one, else None:
     :func:`irp` hands it the trials it will make if every one fails, and
     hands back the values it read through ``take_values``; only those count
-    as evaluations.
+    as evaluations.  Both are bound methods of the ray, so the objective
+    stays out of reference cycles.
     """
 
     def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
                  f0: float | None = None, dir_norm: float | None = None):
         _require_base(x, v, "ray")
         self.oracle, self.x, self.v = oracle, x, v
-        self.ray = oracle.restrict(x, v)
+        self.ray = ray = oracle.restrict(x, v)
+        self.slopes, self.prefetch = ray.slopes, getattr(ray, "values", None)
         self.dir_norm = norm(v) if dir_norm is None else dir_norm
-        self._points: dict[float, ManifoldPoint] = {0.0: x}
         self._values: dict[float, float] = {} if f0 is None else {0.0: f0}
-        self._slopes: dict[float, tuple[float, float]] = {}
         self.evals = 0
-
-    @property
-    def prefetch(self):
-        # Looked up, not stored: the ray's bound method holds the ray only.
-        return getattr(self.ray, "values", None)
 
     def take_values(self, ts: list[float], vals: list[float]) -> None:
         """Count values of a batched call as read at ``ts``, one evaluation
@@ -130,29 +127,12 @@ class RayObjective:
         self._values.update(zip(ts, vals))
         self.evals += len(ts)
 
-    def point_at(self, t: float) -> ManifoldPoint:
-        p = self._points.get(t)
-        if p is None:
-            m = self.x.manifold
-            p = _adopt(ManifoldPoint, m,
-                       m._retract(self.x.data, t * self.v.data))
-            self._points[t] = p
-        return p
-
     def value(self, t: float) -> float:
         val = self._values.get(t)
         if val is None:
             val = self._values[t] = self.ray.value(t)
             self.evals += 1
         return val
-
-    def slopes(self, t: float) -> tuple[float, float]:
-        """(l'_+(t), l'_-(t)): the right slope along the ray direction
-        transported to R_x(tv), and the left slope -f'(y; -d)."""
-        pair = self._slopes.get(t)
-        if pair is None:
-            pair = self._slopes[t] = self.ray.slopes(t)
-        return pair
 
 
 @dataclass
@@ -336,18 +316,22 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     if sign:
         tau_star, tau_lo, tau_hi, approx, iters = irp(l, cfg, start, trace)
 
-    x_new = l.point_at(tau_star)
-    # Endpoint-selected subgradients.  Slopes first: on the SPD ray the
-    # subgradient then reuses the slopes' eigendecomposition.  At a null
-    # step the slopes are the cached ones at 0, and ``_carry`` returns the
+    # Each distinct nonzero step among tau*, tau_lo and tau_hi is retracted
+    # once, in raw arrays; t = 0 is x itself.  Only x_new is wrapped.
+    m, xd, vd = x.manifold, x.data, l.v.data
+    pts = {0.0: xd}
+    for t in (tau_star, tau_lo, tau_hi):
+        if t not in pts:
+            pts[t] = m._retract(xd, t * vd)
+    x_new = x if tau_star == 0.0 else _adopt(ManifoldPoint, m, pts[tau_star])
+    # Endpoint-selected subgradients.  Slopes first: the subgradient then
+    # reuses the ray's per-step memo (on the SPD ray, its eigendecomposition).
+    # At a null step both endpoints are 0, and ``_carry`` returns the
     # subgradients of x unmoved.
     dplus_at_hi = l.slopes(tau_hi)[0]
-    g_fwd = l.ray.subgrad(tau_hi, True)
+    g_fwd = m._carry(pts[tau_hi], x_new.data, l.ray.subgrad(tau_hi, True))
     dminus_at_lo = l.slopes(tau_lo)[1]
-    g_bwd = l.ray.subgrad(tau_lo, False)
-    carry = x.manifold._carry
-    g_fwd = carry(l.point_at(tau_hi).data, x_new.data, g_fwd)
-    g_bwd = carry(l.point_at(tau_lo).data, x_new.data, g_bwd)
+    g_bwd = m._carry(pts[tau_lo], x_new.data, l.ray.subgrad(tau_lo, False))
     # A mirrored search's forward in l-space is backward along eta.
     g_plus, g_minus = (g_bwd, g_fwd) if sign < 0 else (g_fwd, g_bwd)
 

@@ -49,8 +49,10 @@ for nothing but its rays: a backward search (f rises along v) runs on a
 second ray, ``restrict(x, -v)``.  Each ray keeps a two-entry per-step memo
 (t = 0 and the latest other t, see :func:`_memoize`), so ``slopes`` and
 ``subgrad`` at one step size share their work, and on the median ray
-``value`` shares the cosines too.  The memo drops the other step before it
-computes a new one, so a ray never holds more than two per-step states.
+``value`` shares the cosines too.  It is the only per-step cache of a
+search: the line search's ray objective keeps values only.  The memo drops
+the other step before it computes a new one, so a ray never holds more
+than two per-step states.
 ``subgrad`` never returns non-finite data; it raises
 :class:`NonFiniteRayError` instead.
 

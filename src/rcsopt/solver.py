@@ -294,12 +294,12 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
     is smooth).  Stops when the direction norm drops to ``epsilon_stop``
     (``"edge_stop"`` right after an unbracketed search, see
     :class:`SolveResult`), after ``max_null_steps`` consecutive null steps,
-    or at the iteration cap.  Unrecorded, rows hold scalars only.  Recorded, each row keeps its point,
-    direction and combined subgradient; ``record=True`` keeps the rows in
-    the result's ``trajectory``, while a callable ``record`` is handed row
-    k with the IRP entries of its line search (read them with
-    :func:`rcsopt.linesearch.irp_records`) when iteration k ends, and the
-    last row at the end (also at a stall, before
+    or at the iteration cap.  Unrecorded, rows hold scalars only.
+    Recorded, each row keeps its point, direction and combined subgradient;
+    ``record=True`` keeps the rows in the result's ``trajectory``, while a
+    callable ``record`` is handed row k with the IRP entries of its line
+    search (read them with :func:`rcsopt.linesearch.irp_records`) when
+    iteration k ends, and the last row at the end (also at a stall, before
     :class:`SolveStalledError` is raised).
     """
     rec = _Recorder(record, searches=True)

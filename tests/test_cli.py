@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import rcsopt as r
+from rcsopt import bench
 from rcsopt.cli import main
 
 
@@ -49,6 +51,40 @@ def test_run_writes_outputs(tmp_path, capsys):
     assert len(summary["summary"]) == 2
     records = r.records_from_csv((out / "records.csv").read_text())
     assert len(records) == 4
+
+
+def _no_constant(name):
+    raise ValueError(f"summary.json holds the non-JSON constant {name}")
+
+
+@pytest.mark.parametrize("solvers", [["conjugate_subgradient", "subgradient"],
+                                     ["subgradient"]])
+def test_summary_json_stays_json_with_error_rows(tmp_path, monkeypatch,
+                                                 capsys, solvers):
+    # Error rows have final_f = inf: their cell's mean, and f_opt of a
+    # problem whose every cell raised, are written as null, since JSON has
+    # no Infinity.  records.csv keeps the inf.
+    def broken(*args, **kwargs):
+        raise r.DegenerateTransportError("antipodal endpoints")
+
+    monkeypatch.setitem(bench.SOLVERS, "subgradient", broken)
+    suite = write_suite(tmp_path / "suite.json", solvers=solvers)
+    out = tmp_path / "out"
+    assert main(["run", "--suite", str(suite), "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_no_constant)
+    means = {row["solver"]: row["mean_final_f"] for row in summary["summary"]}
+    assert means.pop("subgradient") is None
+    assert all(isinstance(f, float) for f in means.values())
+    f_opts = list(summary["f_opt"].values())
+    assert len(f_opts) == 2
+    if len(solvers) == 1:
+        assert f_opts == [None, None]
+    else:
+        assert all(isinstance(f, float) for f in f_opts)
+    records = r.records_from_csv((out / "records.csv").read_text())
+    assert {x.final_f for x in records if x.solver == "subgradient"} \
+        == {math.inf}
 
 
 def test_run_with_trace_then_check(tmp_path, capsys):

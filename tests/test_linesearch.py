@@ -1216,3 +1216,91 @@ class TestRayMemo:
                 want = getattr(oracle.restrict(x, v), name)(t, *extra)
                 assert np.array_equal(got, want), (name, t)
             assert len(ray._memo) <= 2
+
+
+def returned_step(kind):
+    """(oracle, x, v) whose search returns at a trial with 0 between the
+    one-sided slopes: a tie of the Rayleigh max, the median's data point,
+    or the Karcher minimizer, reached exactly."""
+    if kind == "rayleigh":
+        # max(y_1^2, y_2^2) on y(t) ~ (0.8 - 0.6 t, t, 0.6 + 0.8 t): the two
+        # components tie at t = 1/2, the second trial (f rises at the first,
+        # t = 1, which becomes tau_hi).
+        mats = np.zeros((2, 3, 3))
+        mats[0, 0, 0] = mats[1, 1, 1] = 2.0
+        oracle = r.RayleighQuotientMax(2, 2, mats)
+        x, v = [0.8, 0.0, 0.6], [-0.6, 1.0, 0.8]
+    elif kind == "median":
+        # The one data point is y(1), the first trial.
+        oracle = r.GeometricMedian(2, 1, np.array([[1.0, 1.0, 0.0]])
+                                   / math.sqrt(2.0), np.array([1.0]))
+        x, v = [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]
+    else:
+        # X(1) = exp(2 ln 2) = 4 = A_1: log 1 = 0, so both slopes are 0.
+        oracle = r.SpdCenterOfMass(1, 1, np.array([[[4.0]]]))
+        x, v = [[1.0]], [[2.0 * math.log(2.0)]]
+    M = oracle.manifold
+    x = M.point(np.array(x))
+    return oracle, x, M.tangent(x, v)
+
+
+def tail_cases(kind):
+    """(label, oracle, x, v) of a null step, a zero step, a width-stopped
+    moving step, a returned step and a backward search on one ray kind."""
+    n, m = (3, 5) if kind == "karcher" else (4, 6)
+    oracle = r.generate_instance(kind, n, m, seed=200)
+    x = oracle.manifold.random_point(np.random.default_rng(201))
+    v = random_descent_direction(oracle, x, 202)
+    # Scaled up, every trial fails (on the sphere, the injectivity clamp
+    # makes the start bracket narrower than the width stop).
+    return [("null", oracle, x, 0.0 * v),
+            ("zero", oracle, x, (1e7 / r.norm(v)) * v),
+            ("width", oracle, x, v),
+            ("return", *returned_step(kind)),
+            ("backward", oracle, x, -1.0 * v)]
+
+
+class TestLineSearchTail:
+    CASES = {"null": lambda res: res.sign == 0,
+             "zero": lambda res: res.sign == 1
+             and res.t == 0.0 < res.tau_hi_final,
+             "width": lambda res: res.sign == 1 and res.approximate
+             and res.t > 0.0,
+             "return": lambda res: res.sign == 1 and not res.approximate,
+             "backward": lambda res: res.sign == -1}
+
+    @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
+    def test_each_endpoint_is_retracted_and_computed_once(self, kind,
+                                                          monkeypatch):
+        # The tail of a search, after the IRP (or after the start bracket
+        # of a null step), retracts each distinct nonzero step among t,
+        # tau_lo and tau_hi once, and the slopes and subgradient at an
+        # endpoint share one per-step computation of the ray.
+        cases = tail_cases(kind)
+        log = []
+        cls, name = TestRayMemo.STEP[kind]
+        step = getattr(cls, name)
+        monkeypatch.setattr(cls, name,
+                            lambda ray, t: log.append(("step", t))
+                            or step(ray, t))
+        manifold = r.SPD if kind == "karcher" else r.Sphere
+        retract = manifold._retract
+        monkeypatch.setattr(manifold, "_retract",
+                            lambda M, x, v: log.append(("retract", None))
+                            or retract(M, x, v))
+        for hook in ("irp", "_clamped_start"):
+            fn = getattr(r.linesearch, hook)
+            monkeypatch.setattr(
+                r.linesearch, hook,
+                lambda *a, fn=fn: (fn(*a), log.append(("tail", None)))[0])
+        for label, oracle, x, v in cases:
+            log.clear()
+            res = line_search(RayObjective(oracle, x, v), LineSearchConfig())
+            assert self.CASES[label](res), label
+            ends = {res.tau_lo_final, res.tau_hi_final}
+            assert log.count(("retract", None)) == len({abs(res.t), *ends}
+                                                       - {0.0}), label
+            tail = log[len(log) - log[::-1].index(("tail", None)):]
+            done = [t for event, t in tail if event == "step"]
+            assert len(done) == len(set(done)) and set(done) <= ends, \
+                (label, tail)
