@@ -9,8 +9,7 @@ from .objectives import (AmbiguousDirectionError, GeometricMedian,
                          SpdCenterOfMass, generate_instance,
                          instance_from_json, instance_to_json)
 from .linesearch import (LineSearchConfig, LineSearchResult,
-                         LineSearchStallError, RayObjective, irp, irp_records,
-                         line_search)
+                         LineSearchStallError, irp, irp_records, line_search)
 from .solver import (IterationRecord, SolveResult, SolverConfig,
                      SolveStalledError, TrajectoryCheck, check_trajectory,
                      combine_subgradient, conjugate_subgradient_solve,

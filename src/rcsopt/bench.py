@@ -84,6 +84,9 @@ class SuiteSpec:
                              f"{self.solvers!r}")
         if not self.solvers:
             raise EmptySuiteError("suite needs at least one solver")
+        for i, name in enumerate(self.solvers):
+            if name in self.solvers[:i]:
+                raise ValueError(f"solver {name!r} is named twice in solvers")
         if not isinstance(self.solver_configs, dict) or not all(
                 isinstance(c, dict) for c in self.solver_configs.values()):
             raise ValueError(f"solver_configs must map solver names to "
@@ -189,12 +192,19 @@ def performance_profile(records: list[BenchmarkRecord]) -> list[ProfileCurve]:
     ``numpy.ma`` and ``np.sort`` numpy's sort kernels, which grow a bench
     run's peak RSS for a few dozen numbers.
 
-    ValueError naming the record when a wall time is not finite and >= 0.
+    ValueError naming the record when a wall time is not finite and >= 0,
+    and naming both records (counted from 1) when two have the same
+    (problem, solver) pair.
     """
     if not records:
         raise EmptySuiteError("no records to profile")
-    for r in records:
+    first = {}
+    for i, r in enumerate(records, 1):
         _check_time(r.wall_time_s, f"record {r.problem} {r.solver}")
+        j = first.setdefault((r.problem, r.solver), i)
+        if j != i:
+            raise ValueError(f"records {j} and {i} are both for problem "
+                             f"{r.problem!r} with solver {r.solver!r}")
     if any(r.solved is None for r in records):
         adjudicate_all(records)
     problems = sorted({r.problem for r in records})
@@ -408,6 +418,7 @@ def summarize(spec: SuiteSpec, records: list[BenchmarkRecord]) -> list[dict]:
 
 _RECORD_FIELDS = ("problem", "solver", "seed", "iters", "nf", "wall_time_s",
                   "final_f", "solved", "error", "stop_reason")
+_SOLVED = {"true": True, "false": False, "": None}
 
 
 def records_to_csv(records: list[BenchmarkRecord]) -> str:
@@ -424,8 +435,8 @@ def records_to_csv(records: list[BenchmarkRecord]) -> str:
 
 def records_from_csv(text: str) -> list[BenchmarkRecord]:
     """The records of ``records_to_csv`` text; ValueError for another
-    header, and naming the row for a short row or a wall time that is not
-    finite and >= 0."""
+    header, and naming the row for a short row, a wall time that is not
+    finite and >= 0, or a ``solved`` other than true, false or empty."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != _RECORD_FIELDS:
         raise ValueError("unrecognized records CSV header")
@@ -438,10 +449,13 @@ def records_from_csv(text: str) -> list[BenchmarkRecord]:
                              f"{len(_RECORD_FIELDS)} fields")
         wall_time_s = float(row[5])
         _check_time(wall_time_s, f"row {i}")
+        if row[7] not in _SOLVED:
+            raise ValueError(f"row {i}: solved must be true, false or "
+                             f"empty, got {row[7]!r}")
         out.append(BenchmarkRecord(
             problem=row[0], solver=row[1], seed=int(row[2]), iters=int(row[3]),
             nf=int(row[4]), wall_time_s=wall_time_s, final_f=float(row[6]),
-            solved=None if row[7] == "" else row[7] == "true",
+            solved=_SOLVED[row[7]],
             error=row[8] or None, stop_reason=row[9] or None))
     return out
 

@@ -21,8 +21,10 @@ Bad input (an unreadable or malformed suite, records or trajectory file, a
 ``RCSOPT_SEED`` that is not an integer >= 0, an invalid solver config, a
 ``--jobs`` below 1, an ``--out`` that cannot be made a directory, a
 ``bench profile --out`` that cannot be written, a records row whose wall
-time is not finite and >= 0, an empty trajectory file, invalid tangent
-data or tangent data on some rows only) is
+time is not finite and >= 0 or whose ``solved`` is not true, false or
+empty, two records for one (problem, solver) pair, a solver named twice in
+a suite, an empty trajectory file, invalid tangent data or tangent data on
+some rows only) is
 reported as one line on stderr with exit code 2, before anything is written
 to ``--out`` and before any verdict of ``bench check``.  Errors inside a
 suite cell stay error rows of the records.
@@ -109,7 +111,11 @@ def _cmd_profile(args) -> int:
                     "records file")
     if not records:
         raise _BadInput(f"records file {args.records}: no records")
-    curves = _bench.performance_profile(records)
+    try:
+        curves = _bench.performance_profile(records)
+    except ValueError as e:
+        raise _BadInput(f"records file {args.records}: "
+                        f"{type(e).__name__}: {e}") from e
     text = _bench.profiles_to_csv(curves)
     try:
         Path(args.out).write_text(text)

@@ -5,28 +5,28 @@ oracle to a retraction ray.  Every oracle offers ``restrict(x, v)`` (see
 :mod:`rcsopt.objectives`), and the ray it returns answers the whole search:
 values, one-sided slopes along the transported direction, and the
 directionally active subgradients at the final bracket endpoints.  The
-search makes no other oracle call.  :class:`RayObjective` is the one ray
-objective: it checks the direction's base point once, when built, and
-counts each value it reads as one evaluation (``evals``).  Its slopes are
-the ray's own, and the search asks its ``ray`` for the endpoint
-subgradients directly, so the ray's two-entry memo is the only per-step
-cache of a search.  When f rises along v but falls along -v, the search is
-a forward search on a second :class:`RayObjective` along -v, built from the
-same oracle with l(0) and ||v|| handed on: one more ``restrict``, and a
-step t = -tau.  A backward search that finds no decrease therefore
-records t = -0.0, which compares equal to 0.  The search runs on raw
-arrays, wrapped once in the :class:`LineSearchResult`.  A null step (no
-descent either way, ``sign == 0``) is the bracket [0, 0] and builds its
-result on the same path, from the slopes and the subgradients at x.
-:func:`irp` reads a ray objective through ``value(t)`` and ``slopes(t)``,
-the pair (l'_+(t), l'_-(t)) with the rays' own contract.
+search makes no other oracle call.  :func:`line_search` checks the
+direction's base point, restricts the oracle to the ray and hands the ray
+itself to :func:`irp`.  The ray's two-entry memo is the only per-step cache
+of a search.  When f rises along v but falls along -v, the search drops
+that ray and is a forward search on the ray along -v, with l(0) handed on:
+one more ``restrict``, and a step t = -tau.  A backward search that finds
+no decrease therefore records t = -0.0, which compares equal to 0.  The
+search runs on raw arrays, wrapped once in the :class:`LineSearchResult`.
+A null step (no descent either way, ``sign == 0``) is the bracket [0, 0]
+and builds its result on the same path, from the slopes and the
+subgradients at x.  :func:`irp` reads a ray through ``value(t)`` and
+``slopes(t)``, the pair (l'_+(t), l'_-(t)) with the rays' own contract.
 
-When the first trial fails, every later trial is compared with l(0) until
-one decreases, and each failure halves the bracket, so the trials up to the
-width stop are known in advance (:func:`_fail_chain`).  A ray that offers
-``values(ts)`` (the Rayleigh ray) answers that chain in one batched call;
-:func:`irp` finds the first decrease in one pass over those values, traces
-each failure before it, and charges only the values it read.
+:func:`irp` takes l(0) as given and reads l once per trial, each trial at
+a step of its own, so a search's evaluations are its trials (plus l(0)
+when the caller does not know f(x)).  When the first trial fails, every
+later trial is compared with l(0) until one decreases, and each failure
+halves the bracket, so the trials up to the width stop are known in advance
+(:func:`_fail_chain`).  A ray that offers ``values(ts)`` (the Rayleigh ray)
+answers that chain in one batched call; :func:`irp` finds the first
+decrease in one pass over those values, traces each failure before it, and
+takes the trials on the chain from the same values.
 
 A trace is a list that :func:`irp` appends one tuple to per trial, in
 :data:`IRP_FIELDS` order; :func:`irp_records` reads it back as dicts.
@@ -90,51 +90,6 @@ class LineSearchConfig:
             raise ValueError("need 0 < interval_tol < inf")
 
 
-class RayObjective:
-    """Objective restricted to a retraction ray, l(t) = f(R_x(t v)).
-
-    The base point of v is checked once, here, before ``oracle.restrict``
-    builds the ray; the ray then answers every value, slope pair and
-    endpoint subgradient of the search.  The oracle is kept for the ray
-    along -v that a backward search restricts to.  Values are kept per step
-    size, so each value read is one evaluation (``evals``) however often
-    the search reads it.  ``slopes(t)`` is the ray's own method, the pair
-    (l'_+(t), l'_-(t)) along the direction transported to R_x(t v); the
-    ray's per-step memo is the only other cache of a search.  ``dir_norm``
-    is ||v|| when the caller already has it (the solver's row
-    ``eta_norm``); else it is computed.
-
-    ``prefetch`` is the ray's ``values(ts)`` when it offers one, else None:
-    :func:`irp` hands it the trials it will make if every one fails, and
-    hands back the values it read through ``take_values``; only those count
-    as evaluations.  Both are bound methods of the ray, so the objective
-    stays out of reference cycles.
-    """
-
-    def __init__(self, oracle, x: ManifoldPoint, v: TangentVector,
-                 f0: float | None = None, dir_norm: float | None = None):
-        _require_base(x, v, "ray")
-        self.oracle, self.x, self.v = oracle, x, v
-        self.ray = ray = oracle.restrict(x, v)
-        self.slopes, self.prefetch = ray.slopes, getattr(ray, "values", None)
-        self.dir_norm = norm(v) if dir_norm is None else dir_norm
-        self._values: dict[float, float] = {} if f0 is None else {0.0: f0}
-        self.evals = 0
-
-    def take_values(self, ts: list[float], vals: list[float]) -> None:
-        """Count values of a batched call as read at ``ts``, one evaluation
-        each, as if ``value`` had computed them."""
-        self._values.update(zip(ts, vals))
-        self.evals += len(ts)
-
-    def value(self, t: float) -> float:
-        val = self._values.get(t)
-        if val is None:
-            val = self._values[t] = self.ray.value(t)
-            self.evals += 1
-        return val
-
-
 @dataclass
 class LineSearchResult:
     t: float
@@ -181,27 +136,27 @@ def _fail_chain(tau_hi: float, cfg: LineSearchConfig) -> list[float]:
     return chain
 
 
-def irp(l, cfg: LineSearchConfig, start: tuple[float, float],
+def irp(l, cfg: LineSearchConfig, start: tuple[float, float], l0: float,
         trace: list | None = None):
     """Interval reduction on a univariate semismooth function handle.
 
     ``l`` must expose ``value(t)`` and ``slopes(t)`` = (l'_+(t), l'_-(t))
-    with l'_+(0) < 0.  ``start`` is the first trial and the initial upper
-    bound; :func:`line_search` passes the injectivity-clamped pair from
-    :func:`_clamped_start`.
-    When the first trial fails and ``l`` has a ``prefetch`` hook that is not
-    None, the hook returns the values of the rest of the all-fail trial
-    chain.  While tau_lo stays 0 the trials follow that chain, and each run
-    of failures is settled from those values at once; the values read go
-    back to ``l.take_values``.
+    with l'_+(0) < 0; ``l0`` is l(0), which is never read.  ``start`` is
+    the first trial and the initial upper bound; :func:`line_search` passes
+    the injectivity-clamped pair from :func:`_clamped_start`.
+    When the first trial fails and ``l`` has ``values(ts)``, it is asked
+    once for the values of the rest of the all-fail trial chain.  While
+    tau_lo stays 0 the trials follow that chain, each run of failures is
+    settled from those values at once, and each trial on the chain takes
+    its value from them.  Every other trial reads ``l.value`` once.
     ``trace``, when given, is a list that receives one :data:`IRP_FIELDS`
     tuple per trial; read it with :func:`irp_records`.
-    Returns (tau_star, tau_lo, tau_hi, approximate, iterations).
+    Returns (tau_star, l(tau_star), tau_lo, tau_hi, approximate,
+    iterations).
     """
     tau, tau_hi = start
-    tau_lo = 0.0
-    l_lo = None  # l(tau_lo), read at the first trial
-    prefetch = getattr(l, "prefetch", None)
+    tau_lo, l_lo = 0.0, l0
+    batch = getattr(l, "values", None)
 
     chain = vals = None  # all-fail chain and its values, while tau_lo = 0
     nxt = 0              # index in the chain of the trial after this one
@@ -209,10 +164,9 @@ def irp(l, cfg: LineSearchConfig, start: tuple[float, float],
     while i < _IRP_MAX_ITERS:
         i += 1
         if tau_hi - tau_lo <= cfg.interval_tol:
-            return tau_lo, tau_lo, tau_hi, True, i - 1
-        l_tau = l.value(tau)
-        if l_lo is None:
-            l_lo = l.value(tau_lo)
+            return tau_lo, l_lo, tau_lo, tau_hi, True, i - 1
+        # On the chain, this trial is chain[nxt - 1] (see _fail_chain).
+        l_tau = l.value(tau) if chain is None else vals[nxt - 1]
         branch = "upper"
         if l_tau < l_lo:
             dplus, dminus = l.slopes(tau)
@@ -225,24 +179,23 @@ def irp(l, cfg: LineSearchConfig, start: tuple[float, float],
                 tau_lo, branch = tau, "lower"  # descent continues to the right
         else:
             tau_hi = tau                     # l(tau_lo) <= l(tau)
-            if i == 1 and prefetch is not None:
+            if i == 1 and batch is not None:
                 chain = _fail_chain(tau_hi, cfg)
-                vals = prefetch(chain)
+                vals = batch(chain)
         if trace is not None:
             trace.append((i, tau_lo, tau, tau_hi, l_tau, l_lo, branch))
         if branch == "return":
-            return tau, tau_lo, tau_hi, False, i
+            return tau, l_tau, tau_lo, tau_hi, False, i
         if branch == "lower":
             l_lo = l_tau
             chain = None                     # tau_lo > 0: off the chain
         elif chain is not None:
             # tau_lo = 0, so the next trials are chain[nxt:], each compared
             # with l(0).  The failures before the next decrease (chain[k])
-            # become tau_hi in turn; settle them in one pass, then read
+            # become tau_hi in turn; settle them in one pass, then take
             # chain[k] as the next trial.
             k = next((j for j in range(nxt, len(vals)) if vals[j] < l_lo),
                      len(vals))
-            l.take_values(chain[nxt:k + 1], vals[nxt:k + 1])
             if k > nxt:
                 if trace is not None:
                     # Each failure at tau = tau_hi = chain[j], tau_lo = 0.
@@ -282,43 +235,51 @@ def _clamped_start(cfg: LineSearchConfig,
     return tau, hi
 
 
-def line_search(pf: RayObjective, cfg: LineSearchConfig,
+def line_search(oracle, x: ManifoldPoint, v: TangentVector,
+                cfg: LineSearchConfig, f0: float | None = None,
+                dir_norm: float | None = None,
                 trace: list | None = None) -> LineSearchResult:
-    """One-dimensional minimization of f along +/- the ray of ``pf``.
+    """One-dimensional minimization of f along +/- the ray R_x(t v).
 
-    Searches forward when f decreases to the right of 0, backward when it
-    decreases to the left, and otherwise reports a null step.  Subgradients
-    for the direction update are selected at the final bracket endpoints and
-    transported to the accepted iterate; a null step is the bracket [0, 0],
-    so both come from x itself.  ``trace``, when given, is handed to
-    :func:`irp` and receives its trial tuples (a null step adds none);
-    :func:`irp_records` reads them back as dicts.
+    The base point of v is checked first, before ``oracle.restrict`` builds
+    the ray; a mismatch costs no evaluation.  ``f0`` is f(x) when the
+    caller has it, else it is read from the ray (one more evaluation), and
+    ``dir_norm`` is ||v|| when the caller has it (the solver's row
+    ``eta_norm``), else it is computed.  Searches forward when f decreases
+    to the right of 0, backward when it decreases to the left, and
+    otherwise reports a null step.  Subgradients for the direction update
+    are selected at the final bracket endpoints and transported to the
+    accepted iterate; a null step is the bracket [0, 0], so both come from
+    x itself.  ``trace``, when given, is handed to :func:`irp` and receives
+    its trial tuples (a null step adds none); :func:`irp_records` reads
+    them back as dicts.
     """
-    x = pf.x
-    phi0 = pf.value(0.0)
-    dplus0, dminus0 = pf.slopes(0.0)
+    _require_base(x, v, "ray")
+    ray = oracle.restrict(x, v)
+    phi0 = ray.value(0.0) if f0 is None else f0
+    dplus0, dminus0 = ray.slopes(0.0)
 
+    dir_norm = norm(v) if dir_norm is None else dir_norm
     inj = x.manifold.injectivity_radius
-    tau_max = inj / pf.dir_norm if (math.isfinite(inj)
-                                    and pf.dir_norm > 0.0) else math.inf
+    tau_max = inj / dir_norm if (math.isfinite(inj)
+                                 and dir_norm > 0.0) else math.inf
     start = _clamped_start(cfg, tau_max)
 
-    if dplus0 < 0.0:
-        sign, l = 1, pf
-    elif dminus0 > 0.0:
+    sign = 1 if dplus0 < 0.0 else -1 if dminus0 > 0.0 else 0
+    if sign < 0:
         # Search phi(-tau) on the ray along -v; its right derivative at 0
-        # is -dminus0 < 0.
-        sign, l = -1, RayObjective(pf.oracle, x, -pf.v, phi0, pf.dir_norm)
-    else:
-        sign, l = 0, pf
+        # is -dminus0 < 0.  The forward ray goes before the next is built.
+        ray, v = None, -v
+        ray = oracle.restrict(x, v)
     tau_star = tau_lo = tau_hi = 0.0
-    approx, iters = False, 0
+    phi, approx, iters = phi0, False, 0
     if sign:
-        tau_star, tau_lo, tau_hi, approx, iters = irp(l, cfg, start, trace)
+        tau_star, phi, tau_lo, tau_hi, approx, iters = irp(ray, cfg, start,
+                                                           phi0, trace)
 
     # Each distinct nonzero step among tau*, tau_lo and tau_hi is retracted
     # once, in raw arrays; t = 0 is x itself.  Only x_new is wrapped.
-    m, xd, vd = x.manifold, x.data, l.v.data
+    m, xd, vd = x.manifold, x.data, v.data
     pts = {0.0: xd}
     for t in (tau_star, tau_lo, tau_hi):
         if t not in pts:
@@ -328,18 +289,18 @@ def line_search(pf: RayObjective, cfg: LineSearchConfig,
     # reuses the ray's per-step memo (on the SPD ray, its eigendecomposition).
     # At a null step both endpoints are 0, and ``_carry`` returns the
     # subgradients of x unmoved.
-    dplus_at_hi = l.slopes(tau_hi)[0]
-    g_fwd = m._carry(pts[tau_hi], x_new.data, l.ray.subgrad(tau_hi, True))
-    dminus_at_lo = l.slopes(tau_lo)[1]
-    g_bwd = m._carry(pts[tau_lo], x_new.data, l.ray.subgrad(tau_lo, False))
+    dplus_at_hi = ray.slopes(tau_hi)[0]
+    g_fwd = m._carry(pts[tau_hi], x_new.data, ray.subgrad(tau_hi, True))
+    dminus_at_lo = ray.slopes(tau_lo)[1]
+    g_bwd = m._carry(pts[tau_lo], x_new.data, ray.subgrad(tau_lo, False))
     # A mirrored search's forward in l-space is backward along eta.
     g_plus, g_minus = (g_bwd, g_fwd) if sign < 0 else (g_fwd, g_bwd)
 
     return LineSearchResult(
-        t=sign * tau_star, phi_at_t=l.value(tau_star), phi0=phi0, x_new=x_new,
+        t=sign * tau_star, phi_at_t=phi, phi0=phi0, x_new=x_new,
         g_plus=_adopt(TangentVector, x_new, g_plus),
         g_minus=_adopt(TangentVector, x_new, g_minus), sign=sign,
         tau_lo_final=tau_lo, tau_hi_final=tau_hi, tau_hi_start=start[1],
         approximate=approx, dplus0=dplus0, dminus0=dminus0,
         dminus_at_lo=dminus_at_lo, dplus_at_hi=dplus_at_hi,
-        irp_iters=iters, evals=pf.evals + (l.evals if l is not pf else 0))
+        irp_iters=iters, evals=iters + (f0 is None))

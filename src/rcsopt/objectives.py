@@ -41,8 +41,8 @@ y(t) = R_x(t v) as a small object with
   would pick it; it is not an evaluation;
 * optionally ``values(ts)``, ``[value(t) for t in ts]`` bit for bit in one
   call.  The line search asks for it with the trials that follow a failed
-  first trial if all of them fail, and charges only the values it reads.
-  Only :class:`RayleighRay` offers it.
+  first trial if all of them fail, and takes the trials it makes on that
+  chain from it, one evaluation each.  Only :class:`RayleighRay` offers it.
 
 The ray answers a whole line search, so a line search asks the oracle
 for nothing but its rays: a backward search (f rises along v) runs on a
@@ -50,9 +50,9 @@ second ray, ``restrict(x, -v)``.  Each ray keeps a two-entry per-step memo
 (t = 0 and the latest other t, see :func:`_memoize`), so ``slopes`` and
 ``subgrad`` at one step size share their work, and on the median ray
 ``value`` shares the cosines too.  It is the only per-step cache of a
-search: the line search's ray objective keeps values only.  The memo drops
-the other step before it computes a new one, so a ray never holds more
-than two per-step states.
+search: the line search reads each trial's value once and keeps none.  The
+memo drops the other step before it computes a new one, so a ray never
+holds more than two per-step states.
 ``subgrad`` never returns non-finite data; it raises
 :class:`NonFiniteRayError` instead.
 

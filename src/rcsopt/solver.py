@@ -10,9 +10,8 @@ search direction.  The iterates' objective values never increase.
 Every trajectory row holds the scalar diagnostics of its iteration, which is
 all the descent, norm-recursion and orthogonality checks read.  A solve
 keeps no tangent vector beyond the current iterate unless it is asked to,
-and it holds one ray at a time: each search's ray objective, with its ray
-and memo, is freed when the search returns, before the next ``restrict``
-builds the next one.
+and it holds one ray at a time: each search's ray, with its memo, is freed
+when the search returns, before the next ``restrict`` builds the next one.
 Both loops make and hand on their rows through one recorder built from
 ``record``, and every row takes the same path: once its line search has
 run, it goes to a sink.  ``record`` may be that sink, a callable
@@ -47,8 +46,9 @@ prev.eta)``, bit for bit.
 
 The evaluation count ``nf`` is summed where the evaluations happen: one for
 the ``value_and_subgrad`` pass at x0 that gives the value and the first
-subgradient, plus each line search's ``evals`` (the ray values it read); the
-subgradient baseline makes one ``value_and_subgrad`` pass at every iterate.
+subgradient, plus each line search's ``evals`` (its trials, as f(x) is
+handed to it); the subgradient baseline makes one ``value_and_subgrad`` pass
+at every iterate.
 """
 
 from __future__ import annotations
@@ -62,8 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linesearch import (LineSearchConfig, LineSearchStallError,
-                         RayObjective, line_search)
+from .linesearch import LineSearchConfig, LineSearchStallError, line_search
 from .manifolds import (Manifold, ManifoldPoint, TangentVector, _adopt,
                         check_tangent, norm, transport_between)
 
@@ -318,12 +317,11 @@ def conjugate_subgradient_solve(oracle, x0: ManifoldPoint,
         if eta_norm <= cfg.epsilon_stop:
             stop = "stationary"
             break
-        # The ray objective is not bound to a name: it and its memo are
-        # freed when the search returns, before the next ``restrict``.
+        # The search holds the ray: it and its memo are freed when the
+        # search returns, before the next ``restrict``.
         try:
-            res = line_search(RayObjective(oracle, x, eta, f0=f,
-                                           dir_norm=eta_norm),
-                              cfg.ls, trace=rec.entries)
+            res = line_search(oracle, x, eta, cfg.ls, f0=f, dir_norm=eta_norm,
+                              trace=rec.entries)
         except LineSearchStallError as e:
             rec.hand_on(row)
             raise SolveStalledError(e, row.k, row.nf_cum) from e

@@ -5,6 +5,7 @@ Everything here is deliberately built on different machinery than the library
 compare two independent routes to the same quantity.
 """
 
+from collections import Counter
 from contextlib import contextmanager
 
 import numpy as np
@@ -292,6 +293,45 @@ class GenericOnly:
 
     def restrict(self, x, v):
         return GenericRay(self, x, v)
+
+
+class SpyRay:
+    """Ray proxy that counts method calls into ``calls`` and, when given a
+    ``log`` list, appends each call's (name, *args) to it; ``hide`` names
+    methods it lacks."""
+
+    def __init__(self, ray, hide=(), calls=None, log=None):
+        self.ray, self.hide, self.log = ray, set(hide), log
+        self.calls = Counter() if calls is None else calls
+
+    def __getattr__(self, name):
+        if name in self.hide:
+            raise AttributeError(name)
+        attr = getattr(self.ray, name)
+        if not callable(attr):
+            return attr
+
+        def counted(*args):
+            self.calls[name] += 1
+            if self.log is not None:
+                self.log.append((name, *args))
+            return attr(*args)
+        return counted
+
+
+def tied_rayleigh():
+    """Rayleigh oracle whose components 0 and 1 tie at x, plus x and a v."""
+    import rcsopt as r
+    base = r.generate_instance("rayleigh", 3, 4, seed=70)
+    S = base.manifold
+    rng = np.random.default_rng(71)
+    x = S.random_point(rng)
+    xx = np.outer(x.data, x.data)
+    mats = base.mats.copy()
+    a = np.einsum("i,kij,j->k", x.data, mats, x.data)
+    mats[1] += (a[0] - a[1]) * xx
+    mats[:2] += 20.0 * xx
+    return r.RayleighQuotientMax(3, 4, mats), x, S.random_tangent(x, rng)
 
 
 # ---------------------------------------------------------------------------

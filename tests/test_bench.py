@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rcsopt as r
 from rcsopt import bench
@@ -162,6 +164,39 @@ class TestPerformanceProfile:
         with pytest.raises(ValueError, match="record p0 b: wall_time_s"):
             performance_profile(records)
 
+    def test_duplicate_pair_rejected(self):
+        # Kept, the later record of a pair would decide the curve: the
+        # same two rows gave solved 0/1 in one order and 1/1 in the other.
+        pair = [rec("p", "s", 0.2, 0.5), rec("p", "s", 0.1, 1.0)]
+        for records in (pair, pair[::-1],
+                        [rec("q", "s", 1.0, 0.0), *pair, rec("p", "t", 1.0,
+                                                            0.0)]):
+            first = 1 + (len(records) > 2)
+            with pytest.raises(ValueError, match=rf"records {first} and "
+                               rf"{first + 1} are both for problem 'p' "
+                               r"with solver 's'"):
+                performance_profile(records)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), problems=st.integers(1, 6),
+           solvers=st.integers(1, 3))
+    def test_shuffled_records_give_the_same_curves(self, data, problems,
+                                                   solvers):
+        # A records file with one row per (problem, solver) pair, shuffled:
+        # adjudication and every curve ignore the row order.
+        records = [rec(f"p{p}", f"s{s}",
+                       data.draw(st.sampled_from([0.0, 0.1, 0.25, 1.0, 3.0])),
+                       data.draw(st.sampled_from([0.0, 1e-9, 0.5, math.inf])))
+                   for p in range(problems) for s in range(solvers)]
+        header, *rows = r.records_to_csv(records).splitlines(keepends=True)
+        shuffled = data.draw(st.permutations(rows))
+        curves = [performance_profile(r.records_from_csv("".join(lines)))
+                  for lines in ([header, *rows], [header, *shuffled])]
+        for a, b in zip(*curves):
+            assert a.solver == b.solver
+            for field in ("ratios", "taus", "rhos"):
+                assert getattr(a, field).tolist() == getattr(b, field).tolist()
+
 
 class TestSuiteSpec:
     def test_json_round_trip(self):
@@ -183,6 +218,17 @@ class TestSuiteSpec:
     def test_unknown_solver_rejected(self):
         with pytest.raises(ValueError):
             SuiteSpec(kind="rayleigh", sizes=((3, 4),), solvers=("nope",))
+
+    @pytest.mark.parametrize("solvers,name", [
+        (("subgradient", "subgradient"), "subgradient"),
+        (("conjugate_subgradient", "subgradient", "conjugate_subgradient"),
+         "conjugate_subgradient")])
+    def test_repeated_solver_rejected(self, solvers, name):
+        # Kept, every cell would run once per mention and the records would
+        # hold two rows for each (problem, solver) pair.
+        with pytest.raises(ValueError, match=f"solver '{name}' is named "
+                           "twice in solvers"):
+            SuiteSpec(kind="rayleigh", sizes=((3, 4),), solvers=solvers)
 
     def test_solver_config_parsing(self):
         cfg = solver_config_from_dict(
@@ -537,6 +583,18 @@ class TestPersistence:
             solver, tau, rho = line.split(",")
             assert float(tau) >= 1.0
             assert 0.0 <= float(rho) <= 1.0
+
+    @pytest.mark.parametrize("solved", ["True", "False", "1", "0", "yes",
+                                        "TRUE", " true"])
+    def test_solved_column_is_strict(self, solved):
+        # Only records_to_csv's own spellings are read: "True" was once read
+        # as unsolved without a word.
+        records = [rec("p0", "a", 1.0, 0.5, solved=True),
+                   rec("p0", "b", 2.0, 0.5, solved=False)]
+        text = r.records_to_csv(records).replace(",false,", f",{solved},")
+        with pytest.raises(ValueError, match=f"row 3: solved must be true, "
+                           f"false or empty, got '{solved}'"):
+            r.records_from_csv(text)
 
     def test_inf_final_f_round_trips(self):
         records = [rec("p0", "a", 1.0, math.inf, solved=False)]

@@ -411,6 +411,48 @@ def test_profile_rejects_bad_wall_time(tmp_path, capsys, wall_time_s):
     assert not prof.exists()
 
 
+def test_run_rejects_a_solver_named_twice(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setitem(bench.SOLVERS, "subgradient",
+                        lambda *a, **k: calls.append(a))
+    suite = write_suite(tmp_path / "suite.json",
+                        solvers=["subgradient", "subgradient"])
+    out = tmp_path / "out"
+    assert main(["run", "--suite", str(suite), "--out", str(out)]) == 2
+    err = _one_error_line(capsys, "run")
+    assert str(suite) in err and "'subgradient' is named twice" in err
+    assert calls == [] and not out.exists()
+
+
+@pytest.mark.parametrize("order", [1, -1])
+def test_profile_rejects_a_repeated_pair(tmp_path, capsys, order):
+    # Two rows for one (problem, solver) pair, in either order: without the
+    # check, the later row decided whether the problem counted as solved.
+    rows = [r.BenchmarkRecord(problem="p", solver="s", seed=0, iters=3, nf=9,
+                              wall_time_s=t, final_f=f)
+            for t, f in ((0.2, 0.5), (0.1, 1.0))][::order]
+    path = tmp_path / "records.csv"
+    path.write_text(r.records_to_csv(rows))
+    prof = tmp_path / "prof.csv"
+    assert main(["profile", "--records", str(path), "--out", str(prof)]) == 2
+    err = _one_error_line(capsys, "profile")
+    assert str(path) in err and "records 1 and 2" in err
+    assert "'p'" in err and "'s'" in err
+    assert not prof.exists()
+
+
+def test_profile_rejects_a_solved_flag_it_did_not_write(tmp_path, capsys):
+    lines = FOUR_RECORDS.splitlines()
+    lines[2] = lines[2].replace(",1.0,,", ",1.0,True,")
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines) + "\n")
+    prof = tmp_path / "prof.csv"
+    assert main(["profile", "--records", str(path), "--out", str(prof)]) == 2
+    err = _one_error_line(capsys, "profile")
+    assert "row 3: solved" in err and "'True'" in err
+    assert not prof.exists()
+
+
 def test_bad_input_exits_2_without_traceback(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "rcsopt.cli", "run", "--suite",

@@ -11,12 +11,13 @@ from hypothesis import strategies as st
 
 import rcsopt as r
 from rcsopt.linesearch import (IRP_FIELDS, LineSearchConfig,
-                               LineSearchStallError, RayObjective,
-                               _clamped_start, _fail_chain, _next_trial, irp,
-                               irp_records, line_search)
+                               LineSearchStallError, _clamped_start,
+                               _fail_chain, _next_trial, irp, irp_records,
+                               line_search)
 from rcsopt.objectives import _ACTIVE_TOL, KarcherRay, MedianRay, RayleighRay
 
-from oracles import GenericOnly, line_searches, rayleigh_active_components
+from oracles import (GenericOnly, SpyRay, line_searches,
+                     rayleigh_active_components, tied_rayleigh)
 
 
 class ScalarCurve:
@@ -26,14 +27,9 @@ class ScalarCurve:
         self.f = f
         self.dplus = dplus
         self.dminus = dminus or dplus
-        self.evals = 0
-        self._cache = {}
 
     def value(self, t):
-        if t not in self._cache:
-            self._cache[t] = self.f(t)
-            self.evals += 1
-        return self._cache[t]
+        return self.f(t)
 
     def slopes(self, t):
         return self.dplus(t), self.dminus(t)
@@ -49,6 +45,11 @@ def unclamped(cfg):
 
 
 DEFAULT_START = unclamped(LineSearchConfig())
+
+
+def curve_irp(l, cfg=LineSearchConfig(), start=DEFAULT_START, trace=None):
+    """irp on a scalar curve, handed l(0) from the curve."""
+    return irp(l, cfg, start, l.value(0.0), trace)
 
 
 class TestConfigValidation:
@@ -91,7 +92,7 @@ class TestConfigValidation:
 class TestIRP:
     def test_smooth_quadratic(self):
         l = quadratic_at(2.0)
-        tau, lo, hi, approx, iters = irp(l, LineSearchConfig(), DEFAULT_START)
+        tau, _, lo, hi, approx, iters = curve_irp(l)
         assert abs(tau - 2.0) <= 1e-6
         assert lo <= tau <= hi
 
@@ -99,12 +100,12 @@ class TestIRP:
         l = ScalarCurve(lambda t: abs(t - 2.0),
                         lambda t: 1.0 if t >= 2.0 else -1.0,
                         lambda t: 1.0 if t > 2.0 else -1.0)
-        tau, lo, hi, approx, iters = irp(l, LineSearchConfig(), DEFAULT_START)
+        tau, _, lo, hi, approx, iters = curve_irp(l)
         assert abs(tau - 2.0) <= 1e-6
 
     def test_monotone_decreasing_runs_to_edge(self):
         l = ScalarCurve(lambda t: -t, lambda t: -1.0)
-        tau, lo, hi, approx, iters = irp(l, LineSearchConfig(), DEFAULT_START)
+        tau, _, lo, hi, approx, iters = curve_irp(l)
         assert approx
         assert abs(tau - 100.0) <= 1e-4
         assert hi - lo <= 1e-6
@@ -115,7 +116,7 @@ class TestIRP:
         # is hit exactly by a midpoint, triggering the optimality return.
         l = quadratic_at(50.0)
         cfg = LineSearchConfig(tau_hi_init=math.inf)
-        tau, lo, hi, approx, iters = irp(l, cfg, unclamped(cfg))
+        tau, _, lo, hi, approx, iters = curve_irp(l, cfg, unclamped(cfg))
         assert not approx
         assert tau == pytest.approx(50.0, abs=1e-6)
 
@@ -124,14 +125,14 @@ class TestIRP:
         # bound collapses, and the lower endpoint 0 is returned.
         l = ScalarCurve(lambda t: max(-1e-8 * t, t - 1.1e-9),
                         lambda t: -1e-8 if t < 1.0e-9 else 1.0)
-        tau, lo, hi, approx, iters = irp(l, LineSearchConfig(), DEFAULT_START)
+        tau, _, lo, hi, approx, iters = curve_irp(l)
         assert approx
         assert tau == 0.0
         assert hi <= 2e-6
 
     def test_bracket_monotone_and_contracting(self):
         trace = []
-        irp(quadratic_at(7.3), LineSearchConfig(), DEFAULT_START, trace)
+        curve_irp(quadratic_at(7.3), trace=trace)
         q = 0.33
         prev = None
         upper_moved = False
@@ -150,9 +151,10 @@ class TestIRP:
     def test_trace_one_record_per_iteration(self):
         for target, ends in ((0.5, "return"), (1.0, "return"),
                              (7.3, "upper")):
-            raw = []
-            tau_star, lo, hi, approx, iters = irp(
-                quadratic_at(target), LineSearchConfig(), DEFAULT_START, raw)
+            raw, curve = [], quadratic_at(target)
+            tau_star, l_star, lo, hi, approx, iters = curve_irp(curve,
+                                                                trace=raw)
+            assert l_star == curve.value(tau_star)
             trace = list(irp_records(raw))
             assert [rec["i"] for rec in trace] == list(range(1, iters + 1))
             assert trace[-1]["branch"] == ends
@@ -169,7 +171,7 @@ class TestIRP:
                                   lambda t: 1.0 if t >= 3.1 else -1.0,
                                   lambda t: 1.0 if t > 3.1 else -1.0)):
             raw = []
-            irp(curve, LineSearchConfig(), DEFAULT_START, raw)
+            curve_irp(curve, trace=raw)
             trace = list(irp_records(raw))
             assert any(rec["branch"] == "lower" for rec in trace)
             for prev, rec in zip([None] + trace, trace):
@@ -181,7 +183,7 @@ class TestIRP:
         l = ScalarCurve(lambda t: -t, lambda t: -1.0)
         cfg = LineSearchConfig(tau_hi_init=math.inf)
         with pytest.raises(LineSearchStallError) as exc:
-            irp(l, cfg, unclamped(cfg))
+            curve_irp(l, cfg, unclamped(cfg))
         assert exc.value.tau_lo > 0
 
 
@@ -196,48 +198,56 @@ def rayleigh_ray(seed=0, n=4, m=6, descent=True):
 
 
 class TestRayObjective:
+    """The objective on the ray, l(t) = f(R_x(t v)), as the search reads it:
+    the oracle's ``restrict`` ray, with l(0) = f0 when it is handed on."""
+
     def test_value_at_zero_is_exact(self):
         oracle, x, eta = rayleigh_ray(1)
-        pf = RayObjective(oracle, x, eta, f0=oracle.value(x))
-        assert pf.value(0.0) == oracle.value(x)
+        f = oracle.value(x)
+        assert line_search(oracle, x, eta, LineSearchConfig(), f0=f).phi0 == f
+        # Unseeded, l(0) is read from the ray: exact on the generic ray, to
+        # round-off on the closed-form one.
+        assert line_search(GenericOnly(oracle), x, eta,
+                           LineSearchConfig()).phi0 == f
+        assert line_search(oracle, x, eta, LineSearchConfig()).phi0 \
+            == pytest.approx(f, rel=1e-14)
 
     def test_value_matches_retract_bitwise(self):
         # The reference ray is the retraction itself, bit for bit; the
-        # closed-form ray follows it to round-off (TestRestrictedRay).
+        # closed-form ray follows it to round-off (TestRestrictedRay).  The
+        # search's l(t*) is the ray's value at its accepted point.
         oracle, x, eta = rayleigh_ray(2)
-        pf = RayObjective(GenericOnly(oracle), x, eta)
+        ray = GenericOnly(oracle).restrict(x, eta)
         for t in (0.17, 1.3, 4.0):
-            assert pf.value(t) == oracle.value(r.retract(x, t * eta))
+            assert ray.value(t) == oracle.value(r.retract(x, t * eta))
+        for v in (eta, -eta):
+            res = line_search(GenericOnly(oracle), x, v, LineSearchConfig())
+            assert res.t != 0.0
+            assert res.phi_at_t == oracle.value(res.x_new)
 
     def test_constant_objective(self):
         oracle = r.RayleighQuotientMax(2, 1, np.eye(3)[None])
         S = r.Sphere(3)
         rng = np.random.default_rng(3)
         x = S.random_point(rng)
-        pf = RayObjective(oracle, x, S.random_tangent(x, rng))
-        assert all(pf.value(t) == pytest.approx(0.5, abs=1e-15)
+        ray = oracle.restrict(x, S.random_tangent(x, rng))
+        assert all(ray.value(t) == pytest.approx(0.5, abs=1e-15)
                    for t in (0.0, 0.5, 2.0))
-
-    def test_caching_saves_evaluations(self):
-        oracle, x, eta = rayleigh_ray(4)
-        pf = RayObjective(oracle, x, eta)
-        pf.value(1.0), pf.value(1.0), pf.value(1.0)
-        assert pf.evals == 1
 
     def test_one_sided_derivatives_ordered(self):
         # left <= right along rays of a max-of-smooth objective
         for seed in range(20):
             oracle, x, eta = rayleigh_ray(seed)
-            pf = RayObjective(oracle, x, eta)
+            ray = oracle.restrict(x, eta)
             for t in (0.0, 0.3, 1.1, 2.7):
-                dplus, dminus = pf.slopes(t)
+                dplus, dminus = ray.slopes(t)
                 assert dminus <= dplus + 1e-10
 
     def test_smooth_point_left_equals_right(self):
         oracle, x, eta = rayleigh_ray(5, m=1)
-        pf = RayObjective(oracle, x, eta)
+        ray = oracle.restrict(x, eta)
         for t in (0.0, 0.4, 1.9):
-            dplus, dminus = pf.slopes(t)
+            dplus, dminus = ray.slopes(t)
             assert dminus == pytest.approx(dplus, abs=1e-8)
 
     def test_right_deriv_matches_fd_spd(self):
@@ -248,11 +258,11 @@ class TestRayObjective:
         rng = np.random.default_rng(7)
         x = P.random_point(rng)
         eta = P.random_tangent(x, rng)
-        pf = RayObjective(oracle, x, eta)
+        ray = oracle.restrict(x, eta)
         h = 1e-6
         for t in (0.2, 0.9):
-            fd = (pf.value(t + h) - pf.value(t - h)) / (2 * h)
-            assert abs(pf.slopes(t)[0] - fd) <= 1e-4 * (1 + abs(fd))
+            fd = (ray.value(t + h) - ray.value(t - h)) / (2 * h)
+            assert abs(ray.slopes(t)[0] - fd) <= 1e-4 * (1 + abs(fd))
 
     def test_right_deriv_matches_fd_sphere_with_speed_factor(self):
         # Projected retraction: the curve velocity is (eta - t ||eta||^2 x)
@@ -260,19 +270,18 @@ class TestRayObjective:
         # transported direction keeps norm ||eta||.  The finite difference
         # of the ray values therefore differs by the factor ||x + t eta||^2.
         oracle, x, eta = rayleigh_ray(8, m=1)
-        pf = RayObjective(oracle, x, eta)
+        ray = oracle.restrict(x, eta)
         h = 1e-6
         for t in (0.3, 1.2):
             c2 = float(np.dot(x.data + t * eta.data, x.data + t * eta.data))
-            fd = (pf.value(t + h) - pf.value(t - h)) / (2 * h)
-            assert abs(pf.slopes(t)[0] - c2 * fd) <= 1e-4 * (1 + abs(fd))
+            fd = (ray.value(t + h) - ray.value(t - h)) / (2 * h)
+            assert abs(ray.slopes(t)[0] - c2 * fd) <= 1e-4 * (1 + abs(fd))
 
 
 class TestLineSearch:
     def test_descent_step_on_quadratic_sphere(self):
         oracle, x, eta = rayleigh_ray(9, m=1)
-        pf = RayObjective(oracle, x, eta)
-        res = line_search(pf, LineSearchConfig())
+        res = line_search(oracle, x, eta, LineSearchConfig())
         assert res.t > 0
         assert res.phi_at_t < res.phi0
         assert r.same_point(res.x_new, r.retract(x, res.t * eta))
@@ -283,7 +292,7 @@ class TestLineSearch:
         S = r.Sphere(3)
         x = S.point(p[0])
         eta = S.tangent(x, [1.0, 0.0, 0.0])
-        res = line_search(RayObjective(oracle, x, eta), LineSearchConfig())
+        res = line_search(oracle, x, eta, LineSearchConfig())
         assert res.sign == 0 and res.t == 0.0
         assert res.dminus0 <= 0.0 <= res.dplus0
         assert res.x_new is x
@@ -296,9 +305,8 @@ class TestLineSearch:
             oracle = r.generate_instance(kind, 3, 5, seed=seed)
             x = oracle.manifold.random_point(np.random.default_rng(200 + seed))
             eta = random_descent_direction(oracle, x, 300 + seed)
-            fwd = line_search(RayObjective(oracle, x, eta), LineSearchConfig())
-            bwd = line_search(RayObjective(oracle, x, -eta),
-                              LineSearchConfig())
+            fwd = line_search(oracle, x, eta, LineSearchConfig())
+            bwd = line_search(oracle, x, -eta, LineSearchConfig())
             assert (fwd.sign, bwd.sign) == (1, -1)
             assert bwd.t == -fwd.t
             assert bwd.phi_at_t.hex() == fwd.phi_at_t.hex()
@@ -315,16 +323,14 @@ class TestLineSearch:
             x = oracle.manifold.random_point(rng)
             xi = oracle.manifold.random_tangent(x, rng)
             eta = -1.0 * oracle.active_subgrad(x, xi)
-            res = line_search(RayObjective(oracle, x, eta),
-                              LineSearchConfig())
+            res = line_search(oracle, x, eta, LineSearchConfig())
             assert res.phi_at_t <= res.phi0 + 1e-12 * (1 + abs(res.phi0))
 
     def test_bracket_first_order_conditions(self):
         # l'_-(tau_lo) <= tol and l'_+(tau_hi) >= -tol at termination
         for seed in range(20):
             oracle, x, eta = rayleigh_ray(seed, n=5, m=8)
-            res = line_search(RayObjective(oracle, x, eta),
-                              LineSearchConfig())
+            res = line_search(oracle, x, eta, LineSearchConfig())
             if res.sign == 0:
                 continue
             tol = 1e-6 * (1.0 + abs(res.dplus0))
@@ -337,7 +343,7 @@ class TestLineSearch:
         eta = 10.0 * oracle.manifold.random_tangent(x, rng)
         g = oracle.active_subgrad(x, eta)
         eta = (-10.0 / r.norm(g)) * g  # descent direction with norm 10
-        res = line_search(RayObjective(oracle, x, eta), LineSearchConfig())
+        res = line_search(oracle, x, eta, LineSearchConfig())
         bound = np.pi / r.norm(eta)
         assert res.tau_hi_start <= bound
         assert abs(res.t) * r.norm(eta) <= np.pi
@@ -359,7 +365,7 @@ class TestLineSearch:
         oracle, x, v = rayleigh_ray(11)
         cfg = LineSearchConfig()
         with pytest.raises(ValueError, match="direction norm") as err:
-            line_search(RayObjective(oracle, x, v, dir_norm=math.inf), cfg)
+            line_search(oracle, x, v, cfg, dir_norm=math.inf)
         assert "tau_init" not in str(err.value)
 
     def test_clamped_solve_builds_no_config(self, monkeypatch):
@@ -383,7 +389,7 @@ class TestLineSearch:
 
     def test_endpoint_subgradients_live_at_new_point(self):
         oracle, x, eta = rayleigh_ray(13)
-        res = line_search(RayObjective(oracle, x, eta), LineSearchConfig())
+        res = line_search(oracle, x, eta, LineSearchConfig())
         assert r.same_point(res.g_plus.base, res.x_new)
         assert r.same_point(res.g_minus.base, res.x_new)
         assert r.check_tangent(res.g_plus) and r.check_tangent(res.g_minus)
@@ -391,8 +397,7 @@ class TestLineSearch:
     def test_trace_records_emitted(self):
         oracle, x, eta = rayleigh_ray(14)
         raw = []
-        line_search(RayObjective(oracle, x, eta), LineSearchConfig(),
-                    trace=raw)
+        line_search(oracle, x, eta, LineSearchConfig(), trace=raw)
         trace = list(irp_records(raw))
         assert trace
         assert {"i", "tau_lo", "tau", "tau_hi", "l_tau", "l_lo",
@@ -402,8 +407,8 @@ class TestLineSearch:
 def assert_restricted_matches_generic(oracle, x, v):
     """Closed-form values and slopes against the generic ray, both ways."""
     for w in (v, -v):
-        fast = RayObjective(oracle, x, w)
-        ref = RayObjective(GenericOnly(oracle), x, w)
+        fast = oracle.restrict(x, w)
+        ref = GenericOnly(oracle).restrict(x, w)
         for t in (0.0, 0.3, 1.2, 4.0):
             assert fast.value(t) == pytest.approx(ref.value(t), rel=1e-10)
             assert fast.slopes(t) == pytest.approx(ref.slopes(t), rel=1e-10,
@@ -414,20 +419,6 @@ def random_descent_direction(oracle, x, seed):
     rng = np.random.default_rng(seed)
     xi = oracle.manifold.random_tangent(x, rng)
     return -1.0 * oracle.active_subgrad(x, xi)
-
-
-def tied_rayleigh():
-    """Rayleigh oracle whose components 0 and 1 tie at x, plus x and a v."""
-    base = r.generate_instance("rayleigh", 3, 4, seed=70)
-    S = base.manifold
-    rng = np.random.default_rng(71)
-    x = S.random_point(rng)
-    xx = np.outer(x.data, x.data)
-    mats = base.mats.copy()
-    a = np.einsum("i,kij,j->k", x.data, mats, x.data)
-    mats[1] += (a[0] - a[1]) * xx
-    mats[:2] += 20.0 * xx
-    return r.RayleighQuotientMax(3, 4, mats), x, S.random_tangent(x, rng)
 
 
 def assert_ray_subgrads_match_oracle(oracle, x, v, ts=(0.0, 0.3, 1.2, 4.0)):
@@ -542,14 +533,12 @@ class TestRaySubgrad:
         oracle = r.generate_instance("median", 3, 4, seed=142)
         x = oracle.manifold.random_point(np.random.default_rng(143))
         v = random_descent_direction(oracle, x, 144)
-        pf = RayObjective(oracle, x, v)
-        pf.ray.subgrad(0.5, True), pf.ray.subgrad(2.0, False)
-        assert pf.evals == 0
-        # The search reads its endpoint subgradients from the ray too: only
+        # The search reads its endpoint subgradients from the ray: only
         # the values it read are evaluations.
-        res = line_search(pf, LineSearchConfig())
-        assert res.sign == 1
-        assert res.evals == pf.evals == len(pf._values)
+        spy = SpyRays(oracle)
+        res = line_search(spy, x, v, LineSearchConfig())
+        assert res.sign == 1 and spy.calls["subgrad"] == 2
+        assert res.evals == spy.calls["value"] == res.irp_iters + 1
 
     @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
     def test_no_oracle_calls(self, kind):
@@ -562,7 +551,7 @@ class TestRaySubgrad:
         eta = random_descent_direction(oracle, x0, 151)
         spy = SpyOracle(oracle)
         for v, sign, restricts in ((eta, 1, 1), (-eta, -1, 3)):
-            res = line_search(RayObjective(spy, x0, v), LineSearchConfig())
+            res = line_search(spy, x0, v, LineSearchConfig())
             assert res.sign == sign
             assert spy.calls == {**NO_CALLS, "restrict": restricts}
         spy.calls = dict(NO_CALLS)
@@ -580,7 +569,7 @@ class TestRaySubgrad:
         spy = SpyOracle(r.GeometricMedian(2, 1, p, np.array([1.0])))
         S = r.Sphere(3)
         x = S.point(p[0])
-        res = line_search(RayObjective(spy, x, S.tangent(x, [1.0, 0.0, 0.0])),
+        res = line_search(spy, x, S.tangent(x, [1.0, 0.0, 0.0]),
                           LineSearchConfig())
         assert res.sign == 0
         assert np.allclose(res.g_plus.data, [1.0, 0.0, 0.0], atol=1e-15)
@@ -604,8 +593,7 @@ class TestRestrictedRay:
         oracle, x, v = tied_rayleigh()
         idx, _ = rayleigh_active_components(oracle, x)
         assert list(idx) == [0, 1]
-        pf = RayObjective(oracle, x, v)
-        dplus, dminus = pf.slopes(0.0)
+        dplus, dminus = oracle.restrict(x, v).slopes(0.0)
         assert dminus < dplus - 1e-3
         assert_restricted_matches_generic(oracle, x, v)
 
@@ -639,13 +627,13 @@ class TestRestrictedRay:
             oracle = r.generate_instance(kind, 4, 1, seed=74)
             x = oracle.manifold.random_point(np.random.default_rng(75))
             eta = random_descent_direction(oracle, x, 76)
-            pf = RayObjective(oracle, x, eta)
+            ray = oracle.restrict(x, eta)
             h = 1e-6
             for t in (0.3, 1.2):
                 c2 = float(np.dot(x.data + t * eta.data,
                                   x.data + t * eta.data))
-                fd = (pf.value(t + h) - pf.value(t - h)) / (2 * h)
-                assert abs(pf.slopes(t)[0] - c2 * fd) <= 1e-4 * (1 + abs(fd))
+                fd = (ray.value(t + h) - ray.value(t - h)) / (2 * h)
+                assert abs(ray.slopes(t)[0] - c2 * fd) <= 1e-4 * (1 + abs(fd))
 
     @pytest.mark.parametrize("n,m", [(1, 1), (1, 5), (3, 1), (3, 5)])
     def test_karcher_matches_generic_ray(self, n, m):
@@ -662,11 +650,11 @@ class TestRestrictedRay:
         oracle = r.generate_instance("karcher", 3, 5, seed=111)
         rng = np.random.default_rng(112)
         x = oracle.manifold.random_point(rng)
-        pf = RayObjective(oracle, x, oracle.manifold.random_tangent(x, rng))
+        ray = oracle.restrict(x, oracle.manifold.random_tangent(x, rng))
         h = 1e-6
         for t in (0.0, 0.3, 1.2):
-            fd = (pf.value(t + h) - pf.value(t - h)) / (2 * h)
-            dplus, dminus = pf.slopes(t)
+            fd = (ray.value(t + h) - ray.value(t - h)) / (2 * h)
+            dplus, dminus = ray.slopes(t)
             assert dminus == dplus
             assert abs(dplus - fd) <= 1e-6 * (1 + abs(fd))
 
@@ -682,9 +670,8 @@ class TestRestrictedRay:
             if kind == "karcher":
                 eta = (1.0 / r.norm(eta)) * eta
             for v in (eta, -eta):  # forward and mirrored searches
-                fast = line_search(RayObjective(oracle, x, v),
-                                   LineSearchConfig())
-                ref = line_search(RayObjective(GenericOnly(oracle), x, v),
+                fast = line_search(oracle, x, v, LineSearchConfig())
+                ref = line_search(GenericOnly(oracle), x, v,
                                   LineSearchConfig())
                 assert (fast.t, fast.sign, fast.evals, fast.irp_iters) == (
                     ref.t, ref.sign, ref.evals, ref.irp_iters)
@@ -707,11 +694,11 @@ class TestRayObjectiveChoice:
         oracle = r.generate_instance("median", 3, 4, seed=103)
         x = oracle.manifold.random_point(np.random.default_rng(104))
         v = random_descent_direction(oracle, x, 105)
-        pf = RayObjective(oracle, x, v)
-        assert type(pf.ray) is r.objectives.MedianRay
-        pf.value(0.5), pf.value(0.5), pf.value(2.0)
-        pf.slopes(0.5), pf.slopes(2.0)
-        assert pf.evals == 2
+        assert type(oracle.restrict(x, v)) is r.objectives.MedianRay
+        spy = SpyRays(oracle)
+        res = line_search(spy, x, v, LineSearchConfig())
+        assert spy.calls["slopes"] >= 2 and res.irp_iters >= 2
+        assert res.evals == spy.calls["value"] == res.irp_iters + 1
 
 
 @pytest.mark.parametrize("kind,n,m,rel", [("rayleigh", 50, 200, 1e-12),
@@ -772,7 +759,7 @@ class TestBasePointAtRayEntry:
         rays = []
         spy.restrict = lambda *a: rays.append(a) or restrict(*a)
         with pytest.raises(r.BasePointMismatchError):
-            line_search(RayObjective(spy, x, v), LineSearchConfig())
+            line_search(spy, x, v, LineSearchConfig())
         assert rays == []
         assert spy.calls == NO_CALLS
 
@@ -804,42 +791,17 @@ class TestFusedRayleighValue:
                     assert np.array_equal(fast._vals(t), ref)
 
 
-class SpyRay:
-    """Ray proxy that counts method calls into ``calls``; ``hide`` names
-    methods it lacks."""
-
-    def __init__(self, ray, hide=(), calls=None):
-        self.ray, self.hide = ray, set(hide)
-        self.calls = Counter() if calls is None else calls
-
-    def __getattr__(self, name):
-        if name in self.hide:
-            raise AttributeError(name)
-        attr = getattr(self.ray, name)
-        if not callable(attr):
-            return attr
-
-        def counted(*args):
-            self.calls[name] += 1
-            return attr(*args)
-        return counted
-
-
 class IncreasingCurve(ScalarCurve):
-    """l(t) = t, so every trial fails.  Its ``prefetch`` records the chains
+    """l(t) = t, so every trial fails.  Its ``values`` records the chains
     the IRP hands it and answers them."""
 
     def __init__(self):
         super().__init__(lambda t: t, lambda t: 1.0)
         self.chains = []
 
-    def prefetch(self, ts):
+    def values(self, ts):
         self.chains.append(list(ts))
         return list(ts)
-
-    def take_values(self, ts, vals):
-        self._cache.update(zip(ts, vals))
-        self.evals += len(ts)
 
 
 def zero_step_searches(n=5, m=200, seed=3, iters=20):
@@ -852,25 +814,45 @@ def zero_step_searches(n=5, m=200, seed=3, iters=20):
     return [(oracle, row.x, row.eta, row.f) for row in res.trajectory[:-1]]
 
 
-class RayOracle:
-    """Oracle stub whose ``restrict`` hands out a given ray."""
+class KeptRays:
+    """Oracle proxy that keeps each ray its ``restrict`` hands out."""
 
-    def __init__(self, ray):
-        self.ray = ray
+    def __init__(self, oracle):
+        self.oracle, self.rays = oracle, []
 
     def restrict(self, x, v):
-        return self.ray
+        self.rays.append(self.oracle.restrict(x, v))
+        return self.rays[-1]
+
+
+class RayRefs:
+    """Oracle proxy that keeps a weak reference to each ray it hands out,
+    and in ``alive`` how many of the earlier rays live at each
+    ``restrict``."""
+
+    def __init__(self, oracle):
+        self.oracle, self.refs, self.alive = oracle, [], []
+
+    def restrict(self, x, v):
+        self.alive.append(sum(ref() is not None for ref in self.refs))
+        ray = self.oracle.restrict(x, v)
+        self.refs.append(weakref.ref(ray))
+        return ray
 
 
 class SpyRays:
     """Oracle proxy whose ``restrict`` hands out spied closed-form rays, all
-    counting into one ``calls``; ``hide`` as for :class:`SpyRay`."""
+    counting into one ``calls`` (``restrict`` too) and logging into one
+    ``log``; ``hide`` as for :class:`SpyRay`."""
 
     def __init__(self, oracle, hide=()):
-        self.oracle, self.hide, self.calls = oracle, hide, Counter()
+        self.oracle, self.hide = oracle, hide
+        self.calls, self.log = Counter(), []
 
     def restrict(self, x, v):
-        return SpyRay(self.oracle.restrict(x, v), self.hide, self.calls)
+        self.calls["restrict"] += 1
+        return SpyRay(self.oracle.restrict(x, v), self.hide, self.calls,
+                      self.log)
 
 
 def spied_search(oracle, x, v, f0, hide=()):
@@ -878,8 +860,7 @@ def spied_search(oracle, x, v, f0, hide=()):
     (result, trace records, spy)."""
     spy = SpyRays(oracle, hide)
     trace = []
-    res = line_search(RayObjective(spy, x, v, f0), LineSearchConfig(),
-                      trace=trace)
+    res = line_search(spy, x, v, LineSearchConfig(), f0=f0, trace=trace)
     return res, list(irp_records(trace)), spy
 
 
@@ -895,7 +876,7 @@ class TestFailChain:
         curve = IncreasingCurve()
         raw = []
         start = _clamped_start(cfg, bound)
-        tau, lo, hi, approx, iters = irp(curve, cfg, start, trace=raw)
+        tau, _, lo, hi, approx, iters = curve_irp(curve, cfg, start, raw)
         trace = list(irp_records(raw))
         assert (tau, lo, approx) == (0.0, 0.0, True)
         assert all(rec["branch"] == "upper" for rec in trace)
@@ -912,8 +893,8 @@ class TestFailChain:
 
     def test_no_chain_when_the_first_trial_decreases(self):
         curve = quadratic_at(2.0)
-        curve.prefetch = lambda ts: pytest.fail("no chain expected")
-        irp(curve, LineSearchConfig(), DEFAULT_START)
+        curve.values = lambda ts: pytest.fail("no chain expected")
+        curve_irp(curve)
 
     def test_rayleigh_values_match_value_bitwise(self):
         chain = _fail_chain(1.0, LineSearchConfig())
@@ -958,16 +939,19 @@ class TestFailChain:
         assert broken >= 3
 
     def test_ray_objective_is_freed_without_gc(self):
-        # The batching hook must not tie the objective into a reference
-        # cycle: the ray's (m, n+1) products would then wait for a gc pass.
+        # The search must not tie its ray into a reference cycle: the ray's
+        # (m, n+1) products would then wait for a gc pass.  A backward
+        # search drops the forward ray before it restricts again, so at
+        # most one ray is alive.
         oracle, x, v, f0 = zero_step_searches(iters=2)[0]
         gc.disable()
         try:
-            pf = RayObjective(oracle, x, v, f0)
-            line_search(pf, LineSearchConfig())
-            ref = weakref.ref(pf)
-            del pf
-            assert ref() is None
+            for w, sign in ((v, 1), (-1.0 * v, -1)):
+                rays = RayRefs(oracle)
+                res = line_search(rays, x, w, LineSearchConfig(), f0=f0)
+                assert res.sign == sign
+                assert rays.alive == [0] * (1 + (sign < 0))
+                assert all(ref() is None for ref in rays.refs)
         finally:
             gc.enable()
 
@@ -1019,16 +1003,12 @@ class ScriptedRay:
 
 
 def scripted_irp(drops, modes, hide=()):
-    """irp on a ray objective over a ScriptedRay; (result, trace, evals,
-    spy calls)."""
-    S = r.Sphere(3)
-    x = S.point([1.0, 0.0, 0.0])
-    v = S.tangent(x, [0.0, 1.0, 0.0])
+    """irp on a spied ScriptedRay, handed l(0); (result, trace, evals,
+    spy calls), where the evaluations are the trials."""
     spy = SpyRay(ScriptedRay(2.0, drops, modes), hide)
-    pf = RayObjective(RayOracle(spy), x, v, 2.0)
     trace = []
-    out = irp(pf, LineSearchConfig(), DEFAULT_START, trace)
-    return out, trace, pf.evals, spy.calls
+    out = irp(spy, LineSearchConfig(), DEFAULT_START, 2.0, trace)
+    return out, trace, out[-1], spy.calls
 
 
 _MODES = st.lists(st.sampled_from(["upper", "lower", "return"]),
@@ -1193,9 +1173,10 @@ class TestRayMemo:
             oracle = r.generate_instance(kind, n, m, seed=180 + seed)
             x = oracle.manifold.random_point(np.random.default_rng(seed))
             v = random_descent_direction(oracle, x, 185 + seed)
-            pf = RayObjective(oracle, x, v)
-            res = line_search(pf, LineSearchConfig())
-            memo = pf.ray._eig if kind == "karcher" else pf.ray._memo
+            kept = KeptRays(oracle)
+            res = line_search(kept, x, v, LineSearchConfig())
+            [ray] = kept.rays
+            memo = ray._eig if kind == "karcher" else ray._memo
             assert 1 <= len(memo) <= 2 and 0.0 in memo
             assert set(memo) <= {0.0, res.tau_hi_final, res.tau_lo_final}
         beside = [memo for t, memo in seen if t != 0.0]
@@ -1295,7 +1276,7 @@ class TestLineSearchTail:
                 lambda *a, fn=fn: (fn(*a), log.append(("tail", None)))[0])
         for label, oracle, x, v in cases:
             log.clear()
-            res = line_search(RayObjective(oracle, x, v), LineSearchConfig())
+            res = line_search(oracle, x, v, LineSearchConfig())
             assert self.CASES[label](res), label
             ends = {res.tau_lo_final, res.tau_hi_final}
             assert log.count(("retract", None)) == len({abs(res.t), *ends}
@@ -1304,3 +1285,59 @@ class TestLineSearchTail:
             done = [t for event, t in tail if event == "step"]
             assert len(done) == len(set(done)) and set(done) <= ends, \
                 (label, tail)
+
+
+def chain_cases():
+    """(label, oracle, x, v) of two rayleigh searches whose first trial
+    fails: on "chain" every later trial fails too, on "later" one
+    decreases."""
+    found = {}
+    for oracle, x, v, f0 in zero_step_searches(iters=30):
+        res, trace, _ = spied_search(oracle, x, v, f0)
+        if trace and trace[0]["l_tau"] >= trace[0]["l_lo"]:
+            found.setdefault("later" if res.t else "chain", (oracle, x, v))
+    return [(label, *found[label]) for label in ("chain", "later")]
+
+
+class TestSearchWork:
+    CASES = {**TestLineSearchTail.CASES,
+             "chain": lambda res: res.sign == 1 and res.t == 0.0
+             and res.irp_iters == 21,
+             "later": lambda res: res.sign == 1 and res.t > 0.0}
+
+    @pytest.mark.parametrize("seeded", [True, False])
+    @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
+    def test_evaluations_are_the_trials(self, kind, seeded):
+        # A search reads l(t) once per trial, each trial at its own step,
+        # and l(0) only when f0 is not given: so its evaluations are its
+        # trials, plus one without f0.  The ray's ``value`` calls are those
+        # reads, less the trials a batched chain answers.
+        cases = tail_cases(kind)
+        hides = [()]
+        if kind == "rayleigh":
+            cases += chain_cases()
+            hides.append({"values"})
+        for (label, oracle, x, v), hide in product(cases, hides):
+            f0 = oracle.value(x) if seeded else None
+            spy, raw = SpyRays(oracle, hide), []
+            res = line_search(spy, x, v, LineSearchConfig(), f0=f0,
+                              trace=raw)
+            assert self.CASES[label](res), label
+            trace = list(irp_records(raw))
+            trials = [rec["tau"] for rec in trace]
+            assert res.evals == res.irp_iters + (not seeded) \
+                == len(trials) + (not seeded), label
+            assert len(set(trials)) == len(trials) and 0.0 not in trials, label
+            steps = [args[0] for name, *args in spy.log if name == "value"]
+            # A failed first trial hands the rest of the all-fail chain to
+            # ``values``, which answers the trials up to the first that
+            # leaves the chain; ``value`` reads every other trial, once.
+            batched = "values" not in hide and kind == "rayleigh" \
+                and bool(trace) and trace[0]["l_tau"] >= trace[0]["l_lo"]
+            on_chain = next((j + 1 for j, rec in enumerate(trace[1:])
+                             if rec["branch"] != "upper"), len(trace) - 1) \
+                if batched else 0
+            assert spy.calls["values"] == batched, label
+            assert steps == ([] if seeded else [0.0]) + trials[:1] \
+                + trials[1 + on_chain:], label
+            assert spy.calls["restrict"] == 1 + (res.sign < 0), label

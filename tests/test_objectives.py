@@ -12,7 +12,7 @@ from rcsopt.objectives import (_BLOCK_ENTRIES, AmbiguousDirectionError,
                                _median_terms, _memoize, _require_symmetric)
 
 from oracles import (fd_dir_deriv, fd_riemannian_gradient,
-                     rayleigh_active_components)
+                     rayleigh_active_components, tied_rayleigh)
 
 
 def rng_for(seed):
@@ -334,7 +334,6 @@ class TestSerialization:
 
 def _pair_cases():
     """(oracle, x, xi): smooth points, ties, median kinks, both directions."""
-    from test_linesearch import tied_rayleigh
     g = rng_for(50)
     cases = []
     for kind in ("rayleigh", "median", "karcher"):
@@ -368,7 +367,6 @@ class TestValueAndSubgrad:
             assert g.data.tobytes() == ref.data.tobytes()
 
     def test_zero_direction_at_a_kink_raises(self):
-        from test_linesearch import tied_rayleigh
         oracle, x, _ = tied_rayleigh()
         p = np.array([[0.0, 0.0, 1.0]])
         median = r.GeometricMedian(2, 1, p, np.array([1.0]))

@@ -11,9 +11,8 @@ import pytest
 import rcsopt as r
 from rcsopt.linesearch import IRP_FIELDS
 
-from oracles import (geodesic_grid_min, grid_min_norm_alpha, line_searches,
-                     stall_search)
-from test_linesearch import SpyRay
+from oracles import (SpyRay, geodesic_grid_min, grid_min_norm_alpha,
+                     line_searches, stall_search)
 
 SOLVERS = [r.conjugate_subgradient_solve, r.subgradient_descent_solve]
 
@@ -585,7 +584,7 @@ class TestPerIterationWork:
 
     # One random unit draw and the two norms of row 1, then per iteration:
     # <g+, d>, <g-, d>, <gtilde, d>, <d, d>, <gtilde, gtilde> and ||eta||^2.
-    # The ray objective takes ||eta|| from the row.
+    # The line search takes ||eta|| from the row.
     SETUP, PER_ITER = 3, 6
 
     @pytest.mark.parametrize("kind, n, m", [("rayleigh", 5, 200),
@@ -893,9 +892,9 @@ class TestRecord:
         # of its own, which is then handed on with the search's row.
         core, traces = r.solver.line_search, []
 
-        def spy(pf, cfg, trace=None):
+        def spy(*args, trace=None, **kwargs):
             traces.append(trace)
-            return core(pf, cfg, trace=trace)
+            return core(*args, trace=trace, **kwargs)
 
         monkeypatch.setattr(r.solver, "line_search", spy)
         args = (r.generate_instance("rayleigh", 5, 40, seed=60),
