@@ -79,7 +79,8 @@ class SuiteSpec:
                                  f"(n, m) of integers >= 1")
         if self.base_seed < 0:
             raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
-        if not isinstance(self.solvers, (list, tuple)):
+        if not isinstance(self.solvers, (list, tuple)) \
+                or not all(isinstance(name, str) for name in self.solvers):
             raise ValueError(f"solvers must be a list of solver names, got "
                              f"{self.solvers!r}")
         if not self.solvers:
@@ -108,7 +109,11 @@ class SuiteSpec:
     def from_json(text: str) -> "SuiteSpec":
         """The spec of a JSON object with the field names; absent fields
         take the defaults above."""
-        return SuiteSpec(**json.loads(text))
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise ValueError(f"a suite must be a JSON object, got "
+                             f"{type(obj).__name__}")
+        return SuiteSpec(**obj)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -433,10 +438,22 @@ def records_to_csv(records: list[BenchmarkRecord]) -> str:
     return buf.getvalue()
 
 
+def _csv_number(row: list[str], i: int, j: int, kind: type):
+    """Field j of data row i (counted from 1 with the header) as ``kind``;
+    a ValueError names the row and the field."""
+    try:
+        return kind(row[j])
+    except ValueError:
+        raise ValueError(f"row {i}: {_RECORD_FIELDS[j]} must be "
+                         f"{'an integer' if kind is int else 'a number'}, "
+                         f"got {row[j]!r}") from None
+
+
 def records_from_csv(text: str) -> list[BenchmarkRecord]:
     """The records of ``records_to_csv`` text; ValueError for another
-    header, and naming the row for a short row, a wall time that is not
-    finite and >= 0, or a ``solved`` other than true, false or empty."""
+    header, and naming the row for a short row, a non-numeric seed, iters,
+    nf, wall_time_s or final_f, a wall time that is not finite and >= 0, or
+    a ``solved`` other than true, false or empty."""
     rows = list(csv.reader(io.StringIO(text)))
     if not rows or tuple(rows[0]) != _RECORD_FIELDS:
         raise ValueError("unrecognized records CSV header")
@@ -447,14 +464,15 @@ def records_from_csv(text: str) -> list[BenchmarkRecord]:
         if len(row) != len(_RECORD_FIELDS):
             raise ValueError(f"row {i} has {len(row)} of the "
                              f"{len(_RECORD_FIELDS)} fields")
-        wall_time_s = float(row[5])
+        seed, iters, nf = (_csv_number(row, i, j, int) for j in (2, 3, 4))
+        wall_time_s, final_f = (_csv_number(row, i, j, float) for j in (5, 6))
         _check_time(wall_time_s, f"row {i}")
         if row[7] not in _SOLVED:
             raise ValueError(f"row {i}: solved must be true, false or "
                              f"empty, got {row[7]!r}")
         out.append(BenchmarkRecord(
-            problem=row[0], solver=row[1], seed=int(row[2]), iters=int(row[3]),
-            nf=int(row[4]), wall_time_s=wall_time_s, final_f=float(row[6]),
+            problem=row[0], solver=row[1], seed=seed, iters=iters, nf=nf,
+            wall_time_s=wall_time_s, final_f=final_f,
             solved=_SOLVED[row[7]],
             error=row[8] or None, stop_reason=row[9] or None))
     return out

@@ -46,13 +46,13 @@ y(t) = R_x(t v) as a small object with
 
 The ray answers a whole line search, so a line search asks the oracle
 for nothing but its rays: a backward search (f rises along v) runs on a
-second ray, ``restrict(x, -v)``.  Each ray keeps a two-entry per-step memo
-(t = 0 and the latest other t, see :func:`_memoize`), so ``slopes`` and
-``subgrad`` at one step size share their work, and on the median ray
-``value`` shares the cosines too.  It is the only per-step cache of a
-search: the line search reads each trial's value once and keeps none.  The
-memo drops the other step before it computes a new one, so a ray never
-holds more than two per-step states.
+second ray, ``restrict(x, -v)``.  Each ray computes its per-step state
+through one two-entry memo (t = 0 and the latest other t, see
+:class:`_Ray`), so ``slopes`` and ``subgrad`` at one step size share their
+work, and on the median ray ``value`` shares the cosines too.  It is the
+only per-step cache of a search: the line search reads each trial's value
+once and keeps none.  The memo drops the other step before it computes a
+new one, so a ray never holds more than two per-step states.
 ``subgrad`` never returns non-finite data; it raises
 :class:`NonFiniteRayError` instead.
 
@@ -66,7 +66,8 @@ On SPD(n) the ray whitens X and diagonalizes X^(-1/2) V X^(-1/2) once, then
 answers with an O(m n^2) scaling and one batched ``eigvalsh`` per step size.
 The exponential map's velocity is the transported direction, so the slopes
 are l'(t) itself (both sides; the objective is smooth).  ``slopes`` and
-``subgrad`` at one t share one batched ``eigh``.
+``subgrad`` at one t share one batched ``eigh`` and the slope computed
+with it.
 """
 
 from __future__ import annotations
@@ -132,6 +133,17 @@ def _blocks(a: np.ndarray):
         yield a[i:i + step]
 
 
+def _sym_in_place(a: np.ndarray) -> np.ndarray:
+    """0.5 (A + A^T) of each matrix of an (m, k, k) stack, in place, block by
+    block, and bit for bit as ``_sym``: numpy reads the overlapping transposed
+    operand from a copy of the block, so each entry is fl(0.5 fl(a_jk +
+    a_kj)), and the temporary is one block."""
+    for blk in _blocks(a):
+        blk += blk.transpose(0, 2, 1)
+        blk *= 0.5
+    return a
+
+
 def _require_symmetric(a: np.ndarray) -> None:
     """Raise unless max |a_ijk - a_ikj| <= _SYM_TOL over the (m, k, k) stack.
 
@@ -153,26 +165,6 @@ def _finite(g: np.ndarray) -> np.ndarray:
     if not np.isfinite(g).all():
         raise NonFiniteRayError("ray subgradient is not finite")
     return g
-
-
-def _memoize(cache: dict, t: float, compute):
-    """compute(t) through ``cache``, which keeps t = 0 and the latest other t.
-
-    A line search asks for slopes and subgradients at the bracket endpoints,
-    one of which is often 0, so two entries are enough and a ray stays small.
-    A new t != 0 drops the other step before ``compute(t)`` runs, so its
-    state is freed first and at most two states exist at once (on the
-    Karcher ray, each is an (m, n, n) eigenvector stack).
-    """
-    hit = cache.get(t)
-    if hit is None:
-        if t != 0.0:
-            zero = cache.get(0.0)
-            cache.clear()
-            if zero is not None:
-                cache[0.0] = zero
-        hit = cache[t] = compute(t)
-    return hit
 
 
 def _active_index(vals: np.ndarray, fmax) -> np.ndarray:
@@ -206,7 +198,34 @@ def _qf_fields(x: np.ndarray, v: np.ndarray) -> dict:
 
 
 @dataclass(frozen=True)
-class _QfRay:
+class _Ray:
+    """A restricted objective whose per-step state, ``_step_at(t)``, is read
+    through ``_step(t)`` and a memo that keeps t = 0 and the latest other t.
+
+    A line search asks for slopes and subgradients at the bracket endpoints,
+    one of which is often 0, so two entries are enough and a ray stays small.
+    A new t != 0 drops the other step before ``_step_at(t)`` runs, so its
+    state is freed first and at most two states exist at once (on the
+    Karcher ray, each is an (m, n, n) eigenvector stack).
+    """
+
+    _memo: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
+
+    def _step(self, t: float):
+        hit = self._memo.get(t)
+        if hit is None:
+            if t != 0.0:
+                zero = self._memo.get(0.0)
+                self._memo.clear()
+                if zero is not None:
+                    self._memo[0.0] = zero
+            hit = self._memo[t] = self._step_at(t)
+        return hit
+
+
+@dataclass(frozen=True)
+class _QfRay(_Ray):
     """The ray x + t v and its scalars, shared by the closed-form restrictions."""
 
     x: np.ndarray
@@ -214,9 +233,6 @@ class _QfRay:
     xx: float
     xv: float
     vv: float
-    # Per-step memo (see _memoize).
-    _memo: dict = field(default_factory=dict, init=False, repr=False,
-                        compare=False)
 
     def _norm2(self, t: float) -> float:
         # Exact ||x + t v||^2; the base point itself is used at t = 0.
@@ -256,13 +272,10 @@ class RayleighRay(_QfRay):
                          self.xx + t * (2.0 * self.xv + t * self.vv))
         return (quad.max(axis=1) / norm2).tolist()
 
-    def _active_slopes(self, t: float):
+    def _step_at(self, t: float):
         """(index, value, slope) of the active components at t: an int index
         and Python floats when one component is active, else arrays over
         the ties."""
-        return _memoize(self._memo, t, self._active_slopes_at)
-
-    def _active_slopes_at(self, t: float):
         vals = self._vals(t)
         idx = _active_index(vals, vals.max())
         dot = self.xv + t * self.vv
@@ -278,13 +291,13 @@ class RayleighRay(_QfRay):
         return idx, val, (self.b[idx] + t * self.c[idx]) - 2.0 * val * dot
 
     def slopes(self, t: float) -> tuple[float, float]:
-        i, _, s = self._active_slopes(t)
+        i, _, s = self._step(t)
         if type(i) is int:
             return s, s
         return float(np.max(s)), float(np.min(s))
 
     def subgrad(self, t: float, forward: bool) -> np.ndarray:
-        i, val, s = self._active_slopes(t)
+        i, val, s = self._step(t)
         if type(i) is not int:
             if self.vv == 0.0:
                 raise AmbiguousDirectionError(
@@ -308,22 +321,20 @@ class MedianRay(_QfRay):
     pv: np.ndarray
     weights: np.ndarray
 
-    def _cosines(self, t: float) -> tuple[np.ndarray, float]:
-        return _memoize(self._memo, t, self._cosines_at)
-
-    def _cosines_at(self, t: float) -> tuple[np.ndarray, float]:
+    def _step_at(self, t: float) -> tuple[np.ndarray, float]:
+        """(cosines p_i^T y(t), ||x + t v||)."""
         # Correctly rounded like np.sqrt, but a Python float: the per-trial
         # scalar arithmetic then skips numpy's scalar types.
         r = math.sqrt(self._norm2(t))
         return (self.px + t * self.pv) / r, r
 
     def value(self, t: float) -> float:
-        u, _ = self._cosines(t)
+        u, _ = self._step(t)
         # The method skips np.clip's dispatch; the result is the same.
         return float(self.weights @ np.arccos(u.clip(-1.0, 1.0)))
 
     def slopes(self, t: float) -> tuple[float, float]:
-        u, r = self._cosines(t)
+        u, r = self._step(t)
         reg, coef, sw, _ = _median_terms(u, self.weights)
         # p_i^T d with d = ||x + t v||^2 y'(t) = r v - (xv + t vv) y.
         pd = r * self.pv[reg] - u[reg] * (self.xv + t * self.vv)
@@ -332,7 +343,7 @@ class MedianRay(_QfRay):
         return slope + jump, slope - jump
 
     def subgrad(self, t: float, forward: bool) -> np.ndarray:
-        u, r = self._cosines(t)
+        u, r = self._step(t)
         reg, coef, sw, has_sing = _median_terms(u, self.weights)
         y = (self.x + t * self.v) / r
         # -sum_reg coef_i (p_i - u_i y), with zero weights on singular terms.
@@ -361,33 +372,33 @@ def _logm_sum(logs: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class KarcherRay:
+class KarcherRay(_Ray):
     """1/2 sum_i ||log eig(E B_i E)||^2 on X(t) = R_X(t V), E = exp(-t Lam/2).
 
     With X^(-1/2) V X^(-1/2) = Q Lam Q^T and S = X^(-1/2) Q, B_i = S^T A_i S
     and X(t) = W W^T with W = X^(1/2) Q E^(-1), so W^(-1) A_i W^(-T) = E B_i E.
 
-    The batched ``eigh`` of E B_i E is kept for t = 0 and for the latest
-    other t, so ``slopes`` and ``subgrad`` at one step size share it.
+    The per-step state is the batched ``eigh`` of E B_i E and the slope
+    computed from it, so ``slopes`` and ``subgrad`` at one step size share
+    them and a repeated ``slopes`` call computes nothing.
     """
 
     lam: np.ndarray  # (n,)
     b: np.ndarray    # (m, n, n), symmetric
     w0: np.ndarray   # (n, n), X^(1/2) Q
-    _eig: dict = field(default_factory=dict, init=False, repr=False,
-                       compare=False)
 
     def _scaled(self, t: float) -> np.ndarray:
         e = np.exp(-0.5 * t * self.lam)
         return self.b * np.outer(e, e)
 
-    def _eigh(self, t: float):
-        """(log eigenvalues, eigenvectors) of E B_i E."""
-        return _memoize(self._eig, t, self._eigh_at)
-
-    def _eigh_at(self, t: float):
+    def _step_at(self, t: float):
+        """(log eigenvalues, eigenvectors, l'(t)) of E B_i E."""
         ev, vec = np.linalg.eigh(self._scaled(t))
-        return _spd_log_eigvals(ev), vec
+        logs = _spd_log_eigvals(ev)
+        # mu'/mu = -u^T Lam u for each eigenpair (mu, u) of E B_i E; the
+        # transported direction is the geodesic velocity, so no speed factor.
+        quad = np.einsum("kij,i,kij->kj", vec, self.lam, vec)
+        return logs, vec, -float(np.sum(logs * quad))
 
     def value(self, t: float) -> float:
         # A step far beyond the data's scale overflows E B_i E; the value
@@ -399,18 +410,15 @@ class KarcherRay:
         return _karcher_value(stack)
 
     def slopes(self, t: float) -> tuple[float, float]:
-        # mu'/mu = -u^T Lam u for each eigenpair (mu, u) of E B_i E; the
-        # transported direction is the geodesic velocity, so no speed factor.
-        logs, vec = self._eigh(t)
-        quad = np.einsum("kij,i,kij->kj", vec, self.lam, vec)
-        slope = -float(np.sum(logs * quad))
+        slope = self._step(t)[2]
         return slope, slope
 
     def subgrad(self, t: float, forward: bool) -> np.ndarray:
         # grad f(X(t)) = -W (sum_i logm(E B_i E)) W^T; smooth, so both
         # directions give the same gradient.
         w = self.w0 * np.exp(0.5 * t * self.lam)
-        return _finite(_sym(-w @ _logm_sum(*self._eigh(t)) @ w.T))
+        logs, vec, _ = self._step(t)
+        return _finite(_sym(-w @ _logm_sum(logs, vec) @ w.T))
 
 
 class _DerivedQueries:
@@ -593,7 +601,8 @@ class SpdCenterOfMass(_DerivedQueries):
         rt, irt, m = _whiten(x.data, v.data)
         lam, q = np.linalg.eigh(m)
         s = irt @ q
-        return KarcherRay(lam=lam, b=_sym(s.T @ self.mats @ s), w0=rt @ q)
+        return KarcherRay(lam=lam, b=_sym_in_place(s.T @ self.mats @ s),
+                          w0=rt @ q)
 
 
 Oracle = RayleighQuotientMax | GeometricMedian | SpdCenterOfMass
@@ -606,13 +615,7 @@ def generate_instance(kind: str, n: int, m: int, seed: int) -> Oracle:
     _require_sizes(n, m)
     rng = np.random.default_rng(seed)
     if kind == "rayleigh":
-        a = rng.standard_normal((m, n + 1, n + 1))
-        # 0.5 (B + B^T) in place.  numpy reads the overlapping transposed
-        # operand from a copy of the block, so each entry is
-        # fl(0.5 fl(b_jk + b_kj)), as the out-of-place expression gives.
-        for blk in _blocks(a):
-            blk += blk.transpose(0, 2, 1)
-            blk *= 0.5
+        a = _sym_in_place(rng.standard_normal((m, n + 1, n + 1)))
         return RayleighQuotientMax(n, m, a, seed=seed)
     if kind == "median":
         p = rng.standard_normal((m, n + 1))

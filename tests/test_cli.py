@@ -162,6 +162,8 @@ def _one_error_line(capsys, command):
 BAD_FIELDS = {"runs_float": {"runs": 1.7}, "runs_bool": {"runs": True},
               "seed_float": {"base_seed": 2.9}, "sizes_int": {"sizes": 5},
               "solvers_string": {"solvers": "subgradient"},
+              "solvers_nested": {"solvers": [["subgradient"]]},
+              "solvers_number": {"solvers": ["subgradient", 3]},
               "configs_int": {"solver_configs": 5},
               "configs_null": {"solver_configs": None},
               "config_not_object": {"solver_configs": {"subgradient": 5}}}
@@ -195,7 +197,8 @@ def test_run_rejects_infinite_tolerance(tmp_path, capsys, config, name):
 
 @pytest.mark.parametrize("case", ["missing", "not_json", "no_kind",
                                   "bad_size", "negative_seed", "bad_config",
-                                  "unknown_field", *BAD_FIELDS, *BAD_CONFIGS])
+                                  "unknown_field", "not_object",
+                                  *BAD_FIELDS, *BAD_CONFIGS])
 def test_run_rejects_bad_suite_file(tmp_path, capsys, case):
     suite = tmp_path / "suite.json"
     if case in BAD_FIELDS:
@@ -219,6 +222,8 @@ def test_run_rejects_bad_suite_file(tmp_path, capsys, case):
         write_suite(suite, solver_configs={"subgradient": {"max_iter": 5}})
     elif case == "unknown_field":
         write_suite(suite, run=3)  # a misspelt field is not ignored
+    elif case == "not_object":
+        suite.write_text("[1, 2]")
     out = tmp_path / "out"
     assert main(["run", "--suite", str(suite), "--out", str(out)]) == 2
     err = _one_error_line(capsys, "run")
@@ -227,6 +232,8 @@ def test_run_rejects_bad_suite_file(tmp_path, capsys, case):
         assert f"{next(iter(BAD_FIELDS[case]))} must" in err
     if case in BAD_CONFIGS:
         assert case.rsplit("_", 1)[0] in err
+    if case == "not_object":
+        assert "a suite must be a JSON object, got list" in err
     assert not out.exists()
 
 
@@ -408,6 +415,24 @@ def test_profile_rejects_bad_wall_time(tmp_path, capsys, wall_time_s):
     assert main(["profile", "--records", str(path), "--out", str(prof)]) == 2
     err = _one_error_line(capsys, "profile")
     assert "row 4" in err and "wall_time_s" in err and wall_time_s in err
+    assert not prof.exists()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("seed", "x"), ("iters", "1.5"), ("nf", ""), ("wall_time_s", "fast"),
+    ("final_f", "1.0.0")])
+def test_profile_rejects_a_non_numeric_field(tmp_path, capsys, field, value):
+    lines = FOUR_RECORDS.splitlines()
+    row = lines[2].split(",")
+    row[bench._RECORD_FIELDS.index(field)] = value
+    lines[2] = ",".join(row)
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines) + "\n")
+    prof = tmp_path / "prof.csv"
+    assert main(["profile", "--records", str(path), "--out", str(prof)]) == 2
+    err = _one_error_line(capsys, "profile")
+    assert str(path) in err and f"row 3: {field} must be" in err
+    assert repr(value) in err
     assert not prof.exists()
 
 

@@ -527,7 +527,7 @@ class TestRaySubgrad:
         for t in (0.0, 0.5, 1.0, 2.0, 0.25):
             ray.slopes(t)
             ray.subgrad(t, True)
-        assert sorted(ray._eig) == [0.0, 0.25]
+        assert sorted(ray._memo) == [0.0, 0.25]
 
     def test_subgrad_is_not_an_evaluation(self):
         oracle = r.generate_instance("median", 3, 4, seed=142)
@@ -1149,10 +1149,10 @@ class TestRayleighScalarPath:
 
 
 class TestRayMemo:
-    # Each ray's per-step computation, which it calls through _memoize.
-    STEP = {"rayleigh": (RayleighRay, "_active_slopes_at"),
-            "median": (MedianRay, "_cosines_at"),
-            "karcher": (KarcherRay, "_eigh_at")}
+    # Each ray's class; its per-step computation, ``_step_at``, is read
+    # through the memo of ``_Ray._step``.
+    RAY = {"rayleigh": RayleighRay, "median": MedianRay,
+           "karcher": KarcherRay}
 
     @pytest.mark.parametrize("kind,n,m", [("rayleigh", 5, 200),
                                           ("median", 4, 6),
@@ -1161,14 +1161,14 @@ class TestRayMemo:
         # The memo keeps t = 0 and one other step, and it drops the other
         # step before it computes the next: a step t != 0 is computed
         # beside the t = 0 entry at most, never beside a third state.
-        cls, name = self.STEP[kind]
-        step, seen = getattr(cls, name), []
+        cls = self.RAY[kind]
+        step, seen = cls._step_at, []
 
         def spy(ray, t):
-            seen.append((t, set(ray._eig if kind == "karcher" else ray._memo)))
+            seen.append((t, set(ray._memo)))
             return step(ray, t)
 
-        monkeypatch.setattr(cls, name, spy)
+        monkeypatch.setattr(cls, "_step_at", spy)
         for seed in range(3):
             oracle = r.generate_instance(kind, n, m, seed=180 + seed)
             x = oracle.manifold.random_point(np.random.default_rng(seed))
@@ -1176,13 +1176,38 @@ class TestRayMemo:
             kept = KeptRays(oracle)
             res = line_search(kept, x, v, LineSearchConfig())
             [ray] = kept.rays
-            memo = ray._eig if kind == "karcher" else ray._memo
-            assert 1 <= len(memo) <= 2 and 0.0 in memo
-            assert set(memo) <= {0.0, res.tau_hi_final, res.tau_lo_final}
+            assert 1 <= len(ray._memo) <= 2 and 0.0 in ray._memo
+            assert set(ray._memo) <= {0.0, res.tau_hi_final,
+                                      res.tau_lo_final}
         beside = [memo for t, memo in seen if t != 0.0]
         assert beside and all(memo <= {0.0} for memo in beside), seen
 
-    @pytest.mark.parametrize("kind", ["rayleigh", "median"])
+    def test_karcher_slope_einsum_runs_once_per_step(self, monkeypatch):
+        # The slope is part of the per-step state, so a repeated ``slopes``
+        # call reads it: over whole solves the slope einsum runs once per
+        # _step_at, and so once per batched eigh of a ray (every 3-D eigh
+        # but the one of each value_and_subgrad).
+        calls = Counter()
+
+        def spied(owner, name, key):
+            fn = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *a: calls.update(
+                [key(*a)]) or fn(*a))
+
+        spied(np, "einsum", lambda subs, *ops: subs)
+        spied(np.linalg, "eigh", lambda a: f"eigh{np.ndim(a)}")
+        spied(KarcherRay, "_step_at", lambda ray, t: "step")
+        spied(r.SpdCenterOfMass, "value_and_subgrad", lambda *a: "vs")
+        for seed in range(3):
+            oracle = r.generate_instance("karcher", 3, 8, seed=170 + seed)
+            r.conjugate_subgradient_solve(
+                oracle, r.initial_point("karcher", 3, seed),
+                r.SolverConfig(max_iters=30), seed=seed)
+        slope = calls["kij,i,kij->kj"]
+        assert slope == calls["step"] == calls["eigh3"] - calls["vs"] > 0, \
+            calls
+
+    @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
     def test_interleaved_calls_match_a_fresh_ray(self, kind):
         oracle = r.generate_instance(kind, 4, 6, seed=190)
         x = oracle.manifold.random_point(np.random.default_rng(191))
@@ -1259,9 +1284,9 @@ class TestLineSearchTail:
         # endpoint share one per-step computation of the ray.
         cases = tail_cases(kind)
         log = []
-        cls, name = TestRayMemo.STEP[kind]
-        step = getattr(cls, name)
-        monkeypatch.setattr(cls, name,
+        cls = TestRayMemo.RAY[kind]
+        step = cls._step_at
+        monkeypatch.setattr(cls, "_step_at",
                             lambda ray, t: log.append(("step", t))
                             or step(ray, t))
         manifold = r.SPD if kind == "karcher" else r.Sphere

@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 import rcsopt as r
 from rcsopt import objectives
-from rcsopt.objectives import (_BLOCK_ENTRIES, AmbiguousDirectionError,
-                               _median_terms, _memoize, _require_symmetric)
+from rcsopt.manifolds import _sym, _whiten
+from rcsopt.objectives import (_BLOCK_ENTRIES, AmbiguousDirectionError, _Ray,
+                               _median_terms, _require_symmetric,
+                               _sym_in_place)
 
 from oracles import (fd_dir_deriv, fd_riemannian_gradient,
                      rayleigh_active_components, tied_rayleigh)
@@ -527,21 +529,56 @@ class TestConstructionMemory:
         assert peak <= 2 * block, peak
 
 
-class TestMemoize:
+class TestSymInPlace:
+    @pytest.mark.parametrize("shape", [(300, 10, 10), (97, 13, 13),
+                                       (3, 51, 51), (1, 4, 4)])
+    def test_bits_of_sym(self, shape):
+        # (300, 10, 10) spans 4 blocks and (97, 13, 13) 3, the last of one
+        # matrix; the other two fit in one block.
+        a = rng_for(44).standard_normal(shape)
+        want = _sym(a)
+        assert _sym_in_place(a) is a
+        assert a.tobytes() == want.tobytes()
+
+    def test_karcher_restrict_symmetrizes_as_sym(self):
+        # B = sym(S^T A_i S) with S = X^(-1/2) Q, as restrict forms it.
+        oracle = r.generate_instance("karcher", 20, 50, seed=45)
+        assert oracle.mats.size > 2 * _BLOCK_ENTRIES
+        x = oracle.manifold.random_point(rng_for(46))
+        v = oracle.manifold.random_tangent(x, rng_for(47))
+        _, irt, m = _whiten(x.data, v.data)
+        s = irt @ np.linalg.eigh(m)[1]
+        want = _sym(s.T @ oracle.mats @ s)
+        assert oracle.restrict(x, v).b.tobytes() == want.tobytes()
+
+    def test_karcher_restrict_peak(self):
+        # The ray holds B, one (m, n, n) stack; B = S^T A S is symmetrized
+        # in place, so the product's temporary is the only other stack.
+        # Out of place it reads 3.11 stacks.
+        oracle = r.generate_instance("karcher", 20, 50, seed=41)
+        x = oracle.manifold.random_point(rng_for(42))
+        v = oracle.manifold.random_tangent(x, rng_for(43))
+        peak = TestConstructionMemory._peak(lambda: oracle.restrict(x, v))
+        assert peak <= 2.2 * oracle.mats.nbytes, peak / oracle.mats.nbytes
+
+
+class TestRayStep:
     def test_the_other_step_is_dropped_before_a_step_is_computed(self):
-        # compute(t) for t != 0 sees the t = 0 entry at most, so a ray holds
+        # _step_at(t) for t != 0 sees the t = 0 entry at most, so a ray holds
         # two per-step states, not three; t = 0 evicts nothing.
-        cache, seen = {}, []
+        seen = []
 
-        def compute(t):
-            seen.append((t, sorted(cache)))
-            return t
+        class Steps(_Ray):
+            def _step_at(self, t):
+                seen.append((t, sorted(self._memo)))
+                return t
 
+        ray = Steps()
         for t in (0.5, 1.5, 0.0, 0.5, 0.5, 2.5, 0.0):
-            assert _memoize(cache, t, compute) == t
+            assert ray._step(t) == t
         assert seen == [(0.5, []), (1.5, []), (0.0, [1.5]), (0.5, [0.0]),
                         (2.5, [0.0])]
-        assert sorted(cache) == [0.0, 2.5]
+        assert sorted(ray._memo) == [0.0, 2.5]
 
 
 class TestMedianTerms:
