@@ -8,14 +8,15 @@ worse or the slope turns positive, and the trial point is the midpoint
 clamped away from the edges.  It stops at a point with l'_- <= 0 <= l'_+ or
 when the bracket is narrower than 1e-6.
 
-``line_search(oracle, x, v, cfg, f0)`` reads the objective through the
-oracle's ``restrict`` ray: it answers values, slopes and the endpoint
-subgradients in closed form, so the search makes no other oracle call.  The
-search reads l once per trial, so its evaluations are its trials, plus
-l(0) when f0 = f(x) is not handed in.  When f decreases against the
-direction, the search runs forward on the ray along -v and reports a
-negative step; a backward search that finds no decrease reports t = -0.0,
-which equals 0.
+``line_search(oracle, x, v, cfg, f0)`` takes f0 = f(x) as l(0) and reads
+the objective through the oracle's ``restrict`` ray: it answers values,
+slopes and the endpoint subgradients in closed form, so the search makes no
+other oracle call.  The search reads l once per trial, so its evaluations
+are its trials.  The result holds what the solver's direction update reads;
+the slopes at the final bracket are read from the ray itself.  When f
+decreases against the direction, the search runs forward on the ray along
+-v and reports a negative step; a backward search that finds no decrease
+reports t = -0.0, which equals 0.
 """
 
 import numpy as np
@@ -54,12 +55,14 @@ eta = -1.0 * g  # steepest-descent-like ray
 trace = []
 f = oracle.value(x)
 res = line_search(oracle, x, eta, LineSearchConfig(), f0=f, trace=trace)
-print(f"\n{type(oracle.restrict(x, eta)).__name__}: step t = {res.t:.6f}  "
-      f"f: {res.phi0:.6f} -> {res.phi_at_t:.6f}")
+ray = oracle.restrict(x, eta)  # the search's ray (res.sign is +1 here)
+print(f"\n{type(ray).__name__}: step t = {res.t:.6f}  "
+      f"f: {f:.6f} -> {res.phi_at_t:.6f}")
 print(f"bracket [{res.tau_lo_final:.8f}, {res.tau_hi_final:.8f}], "
-      f"{res.irp_iters} interval reductions, {res.evals} evaluations")
-print("slope at entry:", res.dplus0,
-      " slopes at the final bracket:", res.dminus_at_lo, res.dplus_at_hi)
+      f"{res.evals} trials, one evaluation each")
+print("slope at entry:", ray.slopes(0.0)[0],
+      " slopes at the final bracket:", ray.slopes(res.tau_lo_final)[1],
+      ray.slopes(res.tau_hi_final)[0])
 
 # The trace holds one tuple per trial; irp_records reads it back as dicts.
 print("\nfirst bracket updates:")
@@ -83,6 +86,6 @@ med = r.GeometricMedian(2, 1, np.array([[0.0, 0.0, 1.0]]), np.array([1.0]))
 S = r.Sphere(3)
 x0 = S.point([0.0, 0.0, 1.0])
 res0 = line_search(med, x0, S.tangent(x0, [1.0, 0.0, 0.0]),
-                   LineSearchConfig())
+                   LineSearchConfig(), f0=med.value(x0))
 print("\nat the median's data point: t =", res0.t,
       " null step:", res0.sign == 0)

@@ -453,8 +453,14 @@ def records_from_csv(text: str) -> list[BenchmarkRecord]:
     """The records of ``records_to_csv`` text; ValueError for another
     header, and naming the row for a short row, a non-numeric seed, iters,
     nf, wall_time_s or final_f, a wall time that is not finite and >= 0, or
-    a ``solved`` other than true, false or empty."""
-    rows = list(csv.reader(io.StringIO(text)))
+    a ``solved`` other than true, false or empty, or a row the csv module
+    rejects (such as a field over its size limit)."""
+    rows = []
+    try:
+        for row in csv.reader(io.StringIO(text)):
+            rows.append(row)
+    except csv.Error as e:
+        raise ValueError(f"row {len(rows) + 1}: {e}") from None
     if not rows or tuple(rows[0]) != _RECORD_FIELDS:
         raise ValueError("unrecognized records CSV header")
     out = []

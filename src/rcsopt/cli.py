@@ -50,11 +50,13 @@ class _BadInput(Exception):
 
 def _load(path: str, parse, what: str):
     """``parse`` of the open text file at ``path``; _BadInput if the file
-    cannot be read or parsed."""
+    cannot be read or parsed (JSON nested too deep for the parser raises
+    RecursionError)."""
     try:
         with open(path) as fh:
             return parse(fh)
-    except (OSError, ValueError, KeyError, TypeError, ArithmeticError) as e:
+    except (OSError, ValueError, KeyError, TypeError, ArithmeticError,
+            RecursionError) as e:
         raise _BadInput(f"{what} {path}: {type(e).__name__}: {e}") from e
 
 

@@ -14,19 +14,20 @@ one more ``restrict``, and a step t = -tau.  A backward search that finds
 no decrease therefore records t = -0.0, which compares equal to 0.  The
 search runs on raw arrays, wrapped once in the :class:`LineSearchResult`.
 A null step (no descent either way, ``sign == 0``) is the bracket [0, 0]
-and builds its result on the same path, from the slopes and the
-subgradients at x.  :func:`irp` reads a ray through ``value(t)`` and
-``slopes(t)``, the pair (l'_+(t), l'_-(t)) with the rays' own contract.
+and builds its result on the same path, from the subgradients at x.
+:func:`irp` reads a ray through ``value(t)`` and ``slopes(t)``, the pair
+(l'_+(t), l'_-(t)) with the rays' own contract.  A search reads the slopes
+at 0 once, for its sign, and then only where :func:`irp` asks for them.
 
-:func:`irp` takes l(0) as given and reads l once per trial, each trial at
-a step of its own, so a search's evaluations are its trials (plus l(0)
-when the caller does not know f(x)).  When the first trial fails, every
-later trial is compared with l(0) until one decreases, and each failure
-halves the bracket, so the trials up to the width stop are known in advance
-(:func:`_fail_chain`).  A ray that offers ``values(ts)`` (the Rayleigh ray)
-answers that chain in one batched call; :func:`irp` finds the first
-decrease in one pass over those values, traces each failure before it, and
-takes the trials on the chain from the same values.
+The caller hands f(x) on as l(0).  :func:`irp` reads l once per trial,
+each trial at a step of its own, so a search's evaluations are its trials.
+When the first trial fails, every later trial is compared with l(0) until
+one decreases, and each failure halves the bracket, so the trials up to
+the width stop are known in advance (:func:`_fail_chain`).  A ray that
+offers ``values(ts)`` (the Rayleigh ray) answers that chain in one batched
+call; :func:`irp` finds the first decrease in one pass over those values,
+traces each failure before it, and takes the trials on the chain from the
+same values.
 
 A trace is a list that :func:`irp` appends one tuple to per trial, in
 :data:`IRP_FIELDS` order; :func:`irp_records` reads it back as dicts.
@@ -78,6 +79,11 @@ class LineSearchConfig:
     interval_tol: float = 1e-6
 
     def __post_init__(self):
+        # A bool would pass the checks below as 0.0 or 1.0.
+        for name in ("tau_init", "tau_hi_init", "q", "rho", "interval_tol"):
+            if isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a number, got "
+                                 f"{getattr(self, name)!r}")
         # Each check is written so that a NaN fails it, and the last also
         # an infinity.
         if not 0.0 < self.tau_init < self.tau_hi_init:
@@ -92,9 +98,15 @@ class LineSearchConfig:
 
 @dataclass
 class LineSearchResult:
+    """What the direction update reads of one search: the step t along v
+    (``sign * tau``), l at it, the accepted point and the directionally
+    active subgradients selected at the final bracket, moved to it.  The
+    bracket [tau_lo_final, tau_hi_final] lies on the ray the search ran on,
+    along v or, when ``sign < 0``, along -v; ``evals`` is the number of IRP
+    trials, each one evaluation."""
+
     t: float
     phi_at_t: float
-    phi0: float
     x_new: ManifoldPoint
     g_plus: TangentVector          # active for +eta, moved to x_new
     g_minus: TangentVector         # active for -eta, moved to x_new
@@ -103,11 +115,6 @@ class LineSearchResult:
     tau_hi_final: float
     tau_hi_start: float            # after the injectivity clamp
     approximate: bool              # stopped by bracket width, not optimality
-    dplus0: float
-    dminus0: float
-    dminus_at_lo: float            # l'_-(tau_lo) at termination
-    dplus_at_hi: float             # l'_+(tau_hi) at termination
-    irp_iters: int
     evals: int
 
 
@@ -236,28 +243,26 @@ def _clamped_start(cfg: LineSearchConfig,
 
 
 def line_search(oracle, x: ManifoldPoint, v: TangentVector,
-                cfg: LineSearchConfig, f0: float | None = None,
+                cfg: LineSearchConfig, f0: float,
                 dir_norm: float | None = None,
                 trace: list | None = None) -> LineSearchResult:
     """One-dimensional minimization of f along +/- the ray R_x(t v).
 
     The base point of v is checked first, before ``oracle.restrict`` builds
-    the ray; a mismatch costs no evaluation.  ``f0`` is f(x) when the
-    caller has it, else it is read from the ray (one more evaluation), and
-    ``dir_norm`` is ||v|| when the caller has it (the solver's row
-    ``eta_norm``), else it is computed.  Searches forward when f decreases
-    to the right of 0, backward when it decreases to the left, and
-    otherwise reports a null step.  Subgradients for the direction update
-    are selected at the final bracket endpoints and transported to the
-    accepted iterate; a null step is the bracket [0, 0], so both come from
-    x itself.  ``trace``, when given, is handed to :func:`irp` and receives
-    its trial tuples (a null step adds none); :func:`irp_records` reads
-    them back as dicts.
+    the ray; a mismatch costs no evaluation.  ``f0`` is f(x), taken as
+    l(0) and never read from the ray, and ``dir_norm`` is ||v|| when the
+    caller has it (the solver's row ``eta_norm``), else it is computed.
+    Searches forward when f decreases to the right of 0, backward when it
+    decreases to the left, and otherwise reports a null step.  Subgradients
+    for the direction update are selected at the final bracket endpoints
+    and transported to the accepted iterate; a null step is the bracket
+    [0, 0], so both come from x itself.  ``trace``, when given, is handed to
+    :func:`irp` and receives its trial tuples (a null step adds none);
+    :func:`irp_records` reads them back as dicts.
     """
     _require_base(x, v, "ray")
     ray = oracle.restrict(x, v)
-    phi0 = ray.value(0.0) if f0 is None else f0
-    dplus0, dminus0 = ray.slopes(0.0)
+    right, left = ray.slopes(0.0)  # l'_+(0), l'_-(0)
 
     dir_norm = norm(v) if dir_norm is None else dir_norm
     inj = x.manifold.injectivity_radius
@@ -265,17 +270,17 @@ def line_search(oracle, x: ManifoldPoint, v: TangentVector,
                                  and dir_norm > 0.0) else math.inf
     start = _clamped_start(cfg, tau_max)
 
-    sign = 1 if dplus0 < 0.0 else -1 if dminus0 > 0.0 else 0
+    sign = 1 if right < 0.0 else -1 if left > 0.0 else 0
     if sign < 0:
         # Search phi(-tau) on the ray along -v; its right derivative at 0
-        # is -dminus0 < 0.  The forward ray goes before the next is built.
+        # is -l'_-(0) < 0.  The forward ray goes before the next is built.
         ray, v = None, -v
         ray = oracle.restrict(x, v)
     tau_star = tau_lo = tau_hi = 0.0
-    phi, approx, iters = phi0, False, 0
+    phi, approx, iters = f0, False, 0
     if sign:
         tau_star, phi, tau_lo, tau_hi, approx, iters = irp(ray, cfg, start,
-                                                           phi0, trace)
+                                                           f0, trace)
 
     # Each distinct nonzero step among tau*, tau_lo and tau_hi is retracted
     # once, in raw arrays; t = 0 is x itself.  Only x_new is wrapped.
@@ -285,22 +290,18 @@ def line_search(oracle, x: ManifoldPoint, v: TangentVector,
         if t not in pts:
             pts[t] = m._retract(xd, t * vd)
     x_new = x if tau_star == 0.0 else _adopt(ManifoldPoint, m, pts[tau_star])
-    # Endpoint-selected subgradients.  Slopes first: the subgradient then
-    # reuses the ray's per-step memo (on the SPD ray, its eigendecomposition).
-    # At a null step both endpoints are 0, and ``_carry`` returns the
+    # Endpoint-selected subgradients.  Each reads the ray's per-step state
+    # at its endpoint through the memo, which computes it if the IRP did
+    # not.  At a null step both endpoints are 0, and ``_carry`` returns the
     # subgradients of x unmoved.
-    dplus_at_hi = ray.slopes(tau_hi)[0]
     g_fwd = m._carry(pts[tau_hi], x_new.data, ray.subgrad(tau_hi, True))
-    dminus_at_lo = ray.slopes(tau_lo)[1]
     g_bwd = m._carry(pts[tau_lo], x_new.data, ray.subgrad(tau_lo, False))
     # A mirrored search's forward in l-space is backward along eta.
     g_plus, g_minus = (g_bwd, g_fwd) if sign < 0 else (g_fwd, g_bwd)
 
     return LineSearchResult(
-        t=sign * tau_star, phi_at_t=phi, phi0=phi0, x_new=x_new,
+        t=sign * tau_star, phi_at_t=phi, x_new=x_new,
         g_plus=_adopt(TangentVector, x_new, g_plus),
         g_minus=_adopt(TangentVector, x_new, g_minus), sign=sign,
         tau_lo_final=tau_lo, tau_hi_final=tau_hi, tau_hi_start=start[1],
-        approximate=approx, dplus0=dplus0, dminus0=dminus0,
-        dminus_at_lo=dminus_at_lo, dplus_at_hi=dplus_at_hi,
-        irp_iters=iters, evals=iters + (f0 is None))
+        approximate=approx, evals=iters)

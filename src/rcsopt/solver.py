@@ -95,8 +95,9 @@ class SolverConfig:
     ls: LineSearchConfig = field(default_factory=LineSearchConfig)
 
     def __post_init__(self):
-        # Written so that a NaN or an infinity fails the check.
-        if not 0.0 < self.epsilon_stop < math.inf:
+        # Written so that a NaN or an infinity fails the check, and a bool.
+        if isinstance(self.epsilon_stop, bool) \
+                or not 0.0 < self.epsilon_stop < math.inf:
             raise ValueError(f"epsilon_stop must be positive and finite, "
                              f"got {self.epsilon_stop!r}")
         for name in ("max_iters", "max_null_steps"):

@@ -7,6 +7,7 @@ compare two independent routes to the same quantity.
 
 from collections import Counter
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -401,28 +402,50 @@ def orthogonality_violations(trajectory, scale_tol=1e-6):
 # The line-search results of a solve, taken as it runs: the solver keeps none.
 # ---------------------------------------------------------------------------
 
+def search_slopes(oracle, x, v, res):
+    """(l'_+(0), l'_-(0), l'_-(tau_lo), l'_+(tau_hi)) of the search along v
+    that returned ``res``: the slopes at 0 on the ray along v, and at the
+    final bracket on the ray the search ran on (along -v when it searched
+    backward), each rebuilt by ``oracle.restrict``.  A ray's slopes depend
+    on t alone, so these are the bits the search read."""
+    dplus0, dminus0 = oracle.restrict(x, v).slopes(0.0)
+    ray = oracle.restrict(x, -v) if res.sign < 0 else oracle.restrict(x, v)
+    return (dplus0, dminus0, ray.slopes(res.tau_lo_final)[1],
+            ray.slopes(res.tau_hi_final)[0])
+
+
+class Search(NamedTuple):
+    """One line search of a solve: its arguments and its result."""
+
+    oracle: object
+    x: object
+    v: object
+    f0: float
+    res: object
+
+
 @contextmanager
 def line_searches():
-    """Yield a list that collects every ``LineSearchResult`` the solvers
-    produce inside the block, in call order.
+    """Yield a list that collects a :class:`Search` for every line search
+    the solvers run inside the block, in call order.
 
     ``rcsopt.solver.line_search`` is wrapped for the block, as the
     benchmark's span hook wraps it, so the results are the solve's own, not
-    a replay.  In a conjugate subgradient solve, result i is the search run
+    a replay.  In a conjugate subgradient solve, search i is the one run
     from trajectory row i.
     """
     from rcsopt import solver
     core = solver.line_search
-    results = []
+    searches = []
 
-    def spy(*args, **kwargs):
-        res = core(*args, **kwargs)
-        results.append(res)
+    def spy(oracle, x, v, cfg, f0, **kwargs):
+        res = core(oracle, x, v, cfg, f0, **kwargs)
+        searches.append(Search(oracle, x, v, f0, res))
         return res
 
     solver.line_search = spy
     try:
-        yield results
+        yield searches
     finally:
         solver.line_search = core
 

@@ -175,6 +175,7 @@ BAD_CONFIGS = {"max_iters_float": {"max_iters": 1.5},
                "max_null_steps_zero": {"max_null_steps": 0},
                "max_null_steps_string": {"max_null_steps": "a"},
                "epsilon_stop_nan": {"epsilon_stop": NAN},
+               "epsilon_stop_bool": {"epsilon_stop": True},
                "interval_tol_nan": {"ls": {"interval_tol": NAN}},
                "rho_nan": {"ls": {"rho": NAN}}}
 
@@ -234,6 +235,21 @@ def test_run_rejects_bad_suite_file(tmp_path, capsys, case):
         assert case.rsplit("_", 1)[0] in err
     if case == "not_object":
         assert "a suite must be a JSON object, got list" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_json_nested_too_deep_is_bad_input(tmp_path, capsys, command):
+    # The json parser raises RecursionError, which is no ValueError; exit 1
+    # would read as bench check's FAIL verdict.
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000 + "]" * 200_000 + "\n")
+    out = tmp_path / "out"
+    argv = (["run", "--suite", str(path), "--out", str(out)]
+            if command == "run" else ["check", "--trajectory", str(path)])
+    assert main(argv) == 2
+    err = _one_error_line(capsys, command)
+    assert str(path) in err and "RecursionError" in err
     assert not out.exists()
 
 
@@ -433,6 +449,21 @@ def test_profile_rejects_a_non_numeric_field(tmp_path, capsys, field, value):
     err = _one_error_line(capsys, "profile")
     assert str(path) in err and f"row 3: {field} must be" in err
     assert repr(value) in err
+    assert not prof.exists()
+
+
+def test_profile_rejects_a_field_over_the_csv_limit(tmp_path, capsys):
+    # csv.Error is no ValueError: it must still name the row and exit 2.
+    lines = FOUR_RECORDS.splitlines()
+    row = lines[2].split(",")
+    row[bench._RECORD_FIELDS.index("error")] = "x" * 200_000
+    lines[2] = ",".join(row)
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join(lines) + "\n")
+    prof = tmp_path / "prof.csv"
+    assert main(["profile", "--records", str(path), "--out", str(prof)]) == 2
+    err = _one_error_line(capsys, "profile")
+    assert str(path) in err and "row 3: field larger than field limit" in err
     assert not prof.exists()
 
 

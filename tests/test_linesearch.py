@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import weakref
@@ -17,7 +18,8 @@ from rcsopt.linesearch import (IRP_FIELDS, LineSearchConfig,
 from rcsopt.objectives import _ACTIVE_TOL, KarcherRay, MedianRay, RayleighRay
 
 from oracles import (GenericOnly, SpyRay, line_searches,
-                     rayleigh_active_components, tied_rayleigh)
+                     rayleigh_active_components, search_slopes,
+                     tied_rayleigh)
 
 
 class ScalarCurve:
@@ -79,6 +81,16 @@ class TestConfigValidation:
         # Each would pass the entry and fail or stop wrongly mid-solve.
         with pytest.raises(ValueError, match=next(iter(kw))):
             r.SolverConfig(**kw)
+
+    @pytest.mark.parametrize("name", ["epsilon_stop", "tau_init",
+                                      "tau_hi_init", "q", "rho",
+                                      "interval_tol"])
+    def test_bool_is_not_a_float(self, name):
+        # True would pass as 1.0: as epsilon_stop it stops a rayleigh 3 x 5
+        # solve after one iteration.
+        make = r.SolverConfig if name == "epsilon_stop" else LineSearchConfig
+        with pytest.raises(ValueError, match=f"{name} must be .*True"):
+            make(**{name: True})
 
     @pytest.mark.parametrize("ls", [{"q": 0.1}, None, (1.0, 100.0)],
                              ids=["dict", "None", "tuple"])
@@ -202,15 +214,17 @@ class TestRayObjective:
     the oracle's ``restrict`` ray, with l(0) = f0 when it is handed on."""
 
     def test_value_at_zero_is_exact(self):
+        # The search takes l(0) = f0 as handed on, never reading it: a null
+        # step returns it bit for bit.  The rays' own l(0) is the oracle's
+        # value: exact on the generic ray, to round-off on the closed-form
+        # one.
         oracle, x, eta = rayleigh_ray(1)
         f = oracle.value(x)
-        assert line_search(oracle, x, eta, LineSearchConfig(), f0=f).phi0 == f
-        # Unseeded, l(0) is read from the ray: exact on the generic ray, to
-        # round-off on the closed-form one.
-        assert line_search(GenericOnly(oracle), x, eta,
-                           LineSearchConfig()).phi0 == f
-        assert line_search(oracle, x, eta, LineSearchConfig()).phi0 \
-            == pytest.approx(f, rel=1e-14)
+        res = line_search(oracle, x, 0.0 * eta, LineSearchConfig(), f0=f)
+        assert res.sign == 0 and res.phi_at_t.hex() == f.hex()
+        assert GenericOnly(oracle).restrict(x, eta).value(0.0) == f
+        assert oracle.restrict(x, eta).value(0.0) == pytest.approx(f,
+                                                                   rel=1e-14)
 
     def test_value_matches_retract_bitwise(self):
         # The reference ray is the retraction itself, bit for bit; the
@@ -221,7 +235,8 @@ class TestRayObjective:
         for t in (0.17, 1.3, 4.0):
             assert ray.value(t) == oracle.value(r.retract(x, t * eta))
         for v in (eta, -eta):
-            res = line_search(GenericOnly(oracle), x, v, LineSearchConfig())
+            res = line_search(GenericOnly(oracle), x, v, LineSearchConfig(),
+                              f0=oracle.value(x))
             assert res.t != 0.0
             assert res.phi_at_t == oracle.value(res.x_new)
 
@@ -281,10 +296,22 @@ class TestRayObjective:
 class TestLineSearch:
     def test_descent_step_on_quadratic_sphere(self):
         oracle, x, eta = rayleigh_ray(9, m=1)
-        res = line_search(oracle, x, eta, LineSearchConfig())
+        f = oracle.value(x)
+        res = line_search(oracle, x, eta, LineSearchConfig(), f0=f)
         assert res.t > 0
-        assert res.phi_at_t < res.phi0
+        assert res.phi_at_t < f
         assert r.same_point(res.x_new, r.retract(x, res.t * eta))
+
+    def test_f0_is_required_and_the_result_holds_what_the_solver_reads(self):
+        # l(0) is never read from the ray, and the slopes are not part of
+        # the result: they are read from the ray (search_slopes).
+        oracle, x, eta = rayleigh_ray(9)
+        with pytest.raises(TypeError, match="f0"):
+            line_search(oracle, x, eta, LineSearchConfig())
+        assert [f.name for f in dataclasses.fields(r.LineSearchResult)] == [
+            "t", "phi_at_t", "x_new", "g_plus", "g_minus", "sign",
+            "tau_lo_final", "tau_hi_final", "tau_hi_start", "approximate",
+            "evals"]
 
     def test_null_step_at_ray_stationary_point(self):
         p = np.array([[0.0, 0.0, 1.0]])
@@ -292,9 +319,11 @@ class TestLineSearch:
         S = r.Sphere(3)
         x = S.point(p[0])
         eta = S.tangent(x, [1.0, 0.0, 0.0])
-        res = line_search(oracle, x, eta, LineSearchConfig())
+        res = line_search(oracle, x, eta, LineSearchConfig(),
+                          f0=oracle.value(x))
         assert res.sign == 0 and res.t == 0.0
-        assert res.dminus0 <= 0.0 <= res.dplus0
+        dplus0, dminus0, _, _ = search_slopes(oracle, x, eta, res)
+        assert dminus0 <= 0.0 <= dplus0
         assert res.x_new is x
 
     def test_sign_symmetry(self):
@@ -305,8 +334,9 @@ class TestLineSearch:
             oracle = r.generate_instance(kind, 3, 5, seed=seed)
             x = oracle.manifold.random_point(np.random.default_rng(200 + seed))
             eta = random_descent_direction(oracle, x, 300 + seed)
-            fwd = line_search(oracle, x, eta, LineSearchConfig())
-            bwd = line_search(oracle, x, -eta, LineSearchConfig())
+            f = oracle.value(x)
+            fwd = line_search(oracle, x, eta, LineSearchConfig(), f0=f)
+            bwd = line_search(oracle, x, -eta, LineSearchConfig(), f0=f)
             assert (fwd.sign, bwd.sign) == (1, -1)
             assert bwd.t == -fwd.t
             assert bwd.phi_at_t.hex() == fwd.phi_at_t.hex()
@@ -323,19 +353,23 @@ class TestLineSearch:
             x = oracle.manifold.random_point(rng)
             xi = oracle.manifold.random_tangent(x, rng)
             eta = -1.0 * oracle.active_subgrad(x, xi)
-            res = line_search(oracle, x, eta, LineSearchConfig())
-            assert res.phi_at_t <= res.phi0 + 1e-12 * (1 + abs(res.phi0))
+            f = oracle.value(x)
+            res = line_search(oracle, x, eta, LineSearchConfig(), f0=f)
+            assert res.phi_at_t <= f + 1e-12 * (1 + abs(f))
 
     def test_bracket_first_order_conditions(self):
         # l'_-(tau_lo) <= tol and l'_+(tau_hi) >= -tol at termination
         for seed in range(20):
             oracle, x, eta = rayleigh_ray(seed, n=5, m=8)
-            res = line_search(oracle, x, eta, LineSearchConfig())
+            res = line_search(oracle, x, eta, LineSearchConfig(),
+                              f0=oracle.value(x))
             if res.sign == 0:
                 continue
-            tol = 1e-6 * (1.0 + abs(res.dplus0))
-            assert res.dminus_at_lo <= tol
-            assert res.dplus_at_hi >= -tol
+            dplus0, _, dminus_at_lo, dplus_at_hi = search_slopes(oracle, x,
+                                                                 eta, res)
+            tol = 1e-6 * (1.0 + abs(dplus0))
+            assert dminus_at_lo <= tol
+            assert dplus_at_hi >= -tol
 
     def test_injectivity_clamp_on_sphere(self):
         oracle, x, _ = rayleigh_ray(11)
@@ -343,7 +377,8 @@ class TestLineSearch:
         eta = 10.0 * oracle.manifold.random_tangent(x, rng)
         g = oracle.active_subgrad(x, eta)
         eta = (-10.0 / r.norm(g)) * g  # descent direction with norm 10
-        res = line_search(oracle, x, eta, LineSearchConfig())
+        res = line_search(oracle, x, eta, LineSearchConfig(),
+                          f0=oracle.value(x))
         bound = np.pi / r.norm(eta)
         assert res.tau_hi_start <= bound
         assert abs(res.t) * r.norm(eta) <= np.pi
@@ -365,7 +400,8 @@ class TestLineSearch:
         oracle, x, v = rayleigh_ray(11)
         cfg = LineSearchConfig()
         with pytest.raises(ValueError, match="direction norm") as err:
-            line_search(oracle, x, v, cfg, dir_norm=math.inf)
+            line_search(oracle, x, v, cfg, f0=oracle.value(x),
+                        dir_norm=math.inf)
         assert "tau_init" not in str(err.value)
 
     def test_clamped_solve_builds_no_config(self, monkeypatch):
@@ -383,13 +419,14 @@ class TestLineSearch:
             res = r.conjugate_subgradient_solve(
                 oracle, r.initial_point("rayleigh", 5, 14), cfg, seed=14)
         assert len(searches) == res.iters >= 1
-        clamped = [ls for ls in searches
-                   if ls.tau_hi_start < cfg.ls.tau_hi_init]
+        clamped = [s for s in searches
+                   if s.res.tau_hi_start < cfg.ls.tau_hi_init]
         assert clamped and built == []
 
     def test_endpoint_subgradients_live_at_new_point(self):
         oracle, x, eta = rayleigh_ray(13)
-        res = line_search(oracle, x, eta, LineSearchConfig())
+        res = line_search(oracle, x, eta, LineSearchConfig(),
+                          f0=oracle.value(x))
         assert r.same_point(res.g_plus.base, res.x_new)
         assert r.same_point(res.g_minus.base, res.x_new)
         assert r.check_tangent(res.g_plus) and r.check_tangent(res.g_minus)
@@ -397,7 +434,8 @@ class TestLineSearch:
     def test_trace_records_emitted(self):
         oracle, x, eta = rayleigh_ray(14)
         raw = []
-        line_search(oracle, x, eta, LineSearchConfig(), trace=raw)
+        line_search(oracle, x, eta, LineSearchConfig(), f0=oracle.value(x),
+                    trace=raw)
         trace = list(irp_records(raw))
         assert trace
         assert {"i", "tau_lo", "tau", "tau_hi", "l_tau", "l_lo",
@@ -536,9 +574,9 @@ class TestRaySubgrad:
         # The search reads its endpoint subgradients from the ray: only
         # the values it read are evaluations.
         spy = SpyRays(oracle)
-        res = line_search(spy, x, v, LineSearchConfig())
+        res = line_search(spy, x, v, LineSearchConfig(), f0=oracle.value(x))
         assert res.sign == 1 and spy.calls["subgrad"] == 2
-        assert res.evals == spy.calls["value"] == res.irp_iters + 1
+        assert res.evals == spy.calls["value"] >= 1
 
     @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
     def test_no_oracle_calls(self, kind):
@@ -550,8 +588,9 @@ class TestRaySubgrad:
         x0 = r.initial_point(kind, n, 150)
         eta = random_descent_direction(oracle, x0, 151)
         spy = SpyOracle(oracle)
+        f0 = oracle.value(x0)
         for v, sign, restricts in ((eta, 1, 1), (-eta, -1, 3)):
-            res = line_search(spy, x0, v, LineSearchConfig())
+            res = line_search(spy, x0, v, LineSearchConfig(), f0=f0)
             assert res.sign == sign
             assert spy.calls == {**NO_CALLS, "restrict": restricts}
         spy.calls = dict(NO_CALLS)
@@ -560,7 +599,7 @@ class TestRaySubgrad:
                                                 r.SolverConfig(max_iters=20),
                                                 seed=150)
         assert res.iters >= 1
-        rays = len(searches) + sum(ls.sign == -1 for ls in searches)
+        rays = len(searches) + sum(s.res.sign == -1 for s in searches)
         assert spy.calls == {**NO_CALLS, "restrict": rays, "value": 1,
                              "active_subgrad": 1}
 
@@ -570,7 +609,7 @@ class TestRaySubgrad:
         S = r.Sphere(3)
         x = S.point(p[0])
         res = line_search(spy, x, S.tangent(x, [1.0, 0.0, 0.0]),
-                          LineSearchConfig())
+                          LineSearchConfig(), f0=spy.oracle.value(x))
         assert res.sign == 0
         assert np.allclose(res.g_plus.data, [1.0, 0.0, 0.0], atol=1e-15)
         assert np.allclose(res.g_minus.data, [-1.0, 0.0, 0.0], atol=1e-15)
@@ -669,22 +708,25 @@ class TestRestrictedRay:
             eta = random_descent_direction(oracle, x, 90 + seed)
             if kind == "karcher":
                 eta = (1.0 / r.norm(eta)) * eta
+            f = oracle.value(x)
             for v in (eta, -eta):  # forward and mirrored searches
-                fast = line_search(oracle, x, v, LineSearchConfig())
+                fast = line_search(oracle, x, v, LineSearchConfig(), f0=f)
                 ref = line_search(GenericOnly(oracle), x, v,
-                                  LineSearchConfig())
-                assert (fast.t, fast.sign, fast.evals, fast.irp_iters) == (
-                    ref.t, ref.sign, ref.evals, ref.irp_iters)
+                                  LineSearchConfig(), f0=f)
+                assert (fast.t, fast.sign, fast.evals) == (
+                    ref.t, ref.sign, ref.evals)
                 assert r.same_point(fast.x_new, ref.x_new)
                 assert fast.phi_at_t == pytest.approx(ref.phi_at_t, rel=1e-12)
                 for g, g_ref in ((fast.g_plus, ref.g_plus),
                                  (fast.g_minus, ref.g_minus)):
                     assert r.same_point(g.base, g_ref.base)
                     assert r.norm(g - g_ref) <= 1e-10 * r.norm(g_ref) + 1e-12
-                assert fast.dplus_at_hi == pytest.approx(
-                    ref.dplus_at_hi, rel=1e-10, abs=1e-12)
-                assert fast.dminus_at_lo == pytest.approx(
-                    ref.dminus_at_lo, rel=1e-10, abs=1e-12)
+                # The slopes at the final bracket, each on its own rays.
+                *_, lo, hi = search_slopes(oracle, x, v, fast)
+                *_, ref_lo, ref_hi = search_slopes(GenericOnly(oracle), x, v,
+                                                   ref)
+                assert hi == pytest.approx(ref_hi, rel=1e-10, abs=1e-12)
+                assert lo == pytest.approx(ref_lo, rel=1e-10, abs=1e-12)
 
 
 class TestRayObjectiveChoice:
@@ -696,9 +738,9 @@ class TestRayObjectiveChoice:
         v = random_descent_direction(oracle, x, 105)
         assert type(oracle.restrict(x, v)) is r.objectives.MedianRay
         spy = SpyRays(oracle)
-        res = line_search(spy, x, v, LineSearchConfig())
-        assert spy.calls["slopes"] >= 2 and res.irp_iters >= 2
-        assert res.evals == spy.calls["value"] == res.irp_iters + 1
+        res = line_search(spy, x, v, LineSearchConfig(), f0=oracle.value(x))
+        assert spy.calls["slopes"] >= 2 and res.evals >= 2
+        assert res.evals == spy.calls["value"]
 
 
 @pytest.mark.parametrize("kind,n,m,rel", [("rayleigh", 50, 200, 1e-12),
@@ -759,7 +801,7 @@ class TestBasePointAtRayEntry:
         rays = []
         spy.restrict = lambda *a: rays.append(a) or restrict(*a)
         with pytest.raises(r.BasePointMismatchError):
-            line_search(spy, x, v, LineSearchConfig())
+            line_search(spy, x, v, LineSearchConfig(), f0=oracle.value(x))
         assert rays == []
         assert spy.calls == NO_CALLS
 
@@ -1084,8 +1126,8 @@ class TestChainProperties:
                                                    hide={"values"})
             assert trace == ref_trace
             assert res.evals == ref.evals == ref_spy.calls["value"]
-            assert (res.t, res.irp_iters, res.tau_hi_final) \
-                == (ref.t, ref.irp_iters, ref.tau_hi_final)
+            assert (res.t, res.evals, res.tau_hi_final) \
+                == (ref.t, ref.evals, ref.tau_hi_final)
             assert res.x_new.data.tobytes() == ref.x_new.data.tobytes()
             assert spy.calls["values"] <= 1
 
@@ -1174,7 +1216,8 @@ class TestRayMemo:
             x = oracle.manifold.random_point(np.random.default_rng(seed))
             v = random_descent_direction(oracle, x, 185 + seed)
             kept = KeptRays(oracle)
-            res = line_search(kept, x, v, LineSearchConfig())
+            res = line_search(kept, x, v, LineSearchConfig(),
+                              f0=oracle.value(x))
             [ray] = kept.rays
             assert 1 <= len(ray._memo) <= 2 and 0.0 in ray._memo
             assert set(ray._memo) <= {0.0, res.tau_hi_final,
@@ -1280,8 +1323,8 @@ class TestLineSearchTail:
                                                           monkeypatch):
         # The tail of a search, after the IRP (or after the start bracket
         # of a null step), retracts each distinct nonzero step among t,
-        # tau_lo and tau_hi once, and the slopes and subgradient at an
-        # endpoint share one per-step computation of the ray.
+        # tau_lo and tau_hi once, and computes the ray's per-step state at
+        # each endpoint at most once.
         cases = tail_cases(kind)
         log = []
         cls = TestRayMemo.RAY[kind]
@@ -1300,8 +1343,9 @@ class TestLineSearchTail:
                 r.linesearch, hook,
                 lambda *a, fn=fn: (fn(*a), log.append(("tail", None)))[0])
         for label, oracle, x, v in cases:
+            f0 = oracle.value(x)
             log.clear()
-            res = line_search(oracle, x, v, LineSearchConfig())
+            res = line_search(oracle, x, v, LineSearchConfig(), f0=f0)
             assert self.CASES[label](res), label
             ends = {res.tau_lo_final, res.tau_hi_final}
             assert log.count(("retract", None)) == len({abs(res.t), *ends}
@@ -1327,31 +1371,35 @@ def chain_cases():
 class TestSearchWork:
     CASES = {**TestLineSearchTail.CASES,
              "chain": lambda res: res.sign == 1 and res.t == 0.0
-             and res.irp_iters == 21,
+             and res.evals == 21,
              "later": lambda res: res.sign == 1 and res.t > 0.0}
 
-    @pytest.mark.parametrize("seeded", [True, False])
-    @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
-    def test_evaluations_are_the_trials(self, kind, seeded):
-        # A search reads l(t) once per trial, each trial at its own step,
-        # and l(0) only when f0 is not given: so its evaluations are its
-        # trials, plus one without f0.  The ray's ``value`` calls are those
-        # reads, less the trials a batched chain answers.
+    @staticmethod
+    def _searches(kind):
+        """(label, result, trace records, spy, hide) of spied searches on
+        ``tail_cases``, plus on rayleigh ``chain_cases`` and every case
+        again with the batched values hidden."""
         cases = tail_cases(kind)
         hides = [()]
         if kind == "rayleigh":
             cases += chain_cases()
             hides.append({"values"})
         for (label, oracle, x, v), hide in product(cases, hides):
-            f0 = oracle.value(x) if seeded else None
             spy, raw = SpyRays(oracle, hide), []
-            res = line_search(spy, x, v, LineSearchConfig(), f0=f0,
-                              trace=raw)
-            assert self.CASES[label](res), label
-            trace = list(irp_records(raw))
+            res = line_search(spy, x, v, LineSearchConfig(),
+                              f0=oracle.value(x), trace=raw)
+            assert TestSearchWork.CASES[label](res), label
+            yield label, res, list(irp_records(raw)), spy, hide
+
+    @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
+    def test_evaluations_are_the_trials(self, kind):
+        # A search reads l(t) once per trial, each trial at its own step,
+        # and never l(0), which the caller hands on: so its evaluations are
+        # its trials.  The ray's ``value`` calls are those reads, less the
+        # trials a batched chain answers.
+        for label, res, trace, spy, hide in self._searches(kind):
             trials = [rec["tau"] for rec in trace]
-            assert res.evals == res.irp_iters + (not seeded) \
-                == len(trials) + (not seeded), label
+            assert res.evals == len(trials), label
             assert len(set(trials)) == len(trials) and 0.0 not in trials, label
             steps = [args[0] for name, *args in spy.log if name == "value"]
             # A failed first trial hands the rest of the all-fail chain to
@@ -1363,6 +1411,15 @@ class TestSearchWork:
                              if rec["branch"] != "upper"), len(trace) - 1) \
                 if batched else 0
             assert spy.calls["values"] == batched, label
-            assert steps == ([] if seeded else [0.0]) + trials[:1] \
-                + trials[1 + on_chain:], label
+            assert steps == trials[:1] + trials[1 + on_chain:], label
             assert spy.calls["restrict"] == 1 + (res.sign < 0), label
+
+    @pytest.mark.parametrize("kind", ["rayleigh", "median", "karcher"])
+    def test_slopes_are_read_at_0_and_at_each_decrease(self, kind):
+        # The sign of a search needs the slopes at 0, and the IRP reads them
+        # at each trial that decreases l; the tail reads none, since the
+        # endpoint subgradients need no slopes.  A backward search counts
+        # the slopes at 0 on its forward ray.
+        for label, _, trace, spy, _ in self._searches(kind):
+            decreases = sum(rec["l_tau"] < rec["l_lo"] for rec in trace)
+            assert spy.calls["slopes"] == 1 + decreases, label

@@ -12,7 +12,7 @@ import rcsopt as r
 from rcsopt.linesearch import IRP_FIELDS
 
 from oracles import (SpyRay, geodesic_grid_min, grid_min_norm_alpha,
-                     line_searches, stall_search)
+                     line_searches, search_slopes, stall_search)
 
 SOLVERS = [r.conjugate_subgradient_solve, r.subgradient_descent_solve]
 
@@ -269,7 +269,7 @@ class TestConjugateSubgradientSolve:
         with line_searches() as searches:
             res = r.conjugate_subgradient_solve(oracle, x0, seed=0)
         assert (res.stop_reason, res.iters) == ("edge_stop", 1)
-        ls, last = searches[-1], res.trajectory[-1]
+        ls, last = searches[-1].res, res.trajectory[-1]
         assert ls.sign != 0 and ls.tau_hi_final >= ls.tau_hi_start
         assert last.ortho == pytest.approx(-1.0) and last.eta_norm <= 1e-8
         assert res.f > 0.13
@@ -305,8 +305,8 @@ class TestConjugateSubgradientSolve:
             oracle, res, searches = solve_with_searches(
                 "rayleigh", 3, 5, seed, max_iters=100)
             assert res.f == res.trajectory[-1].f
-            for ls, row in zip(searches, res.trajectory[1:]):
-                assert row.f == ls.phi_at_t
+            for search, row in zip(searches, res.trajectory[1:]):
+                assert row.f == search.res.phi_at_t
             assert abs(res.f - oracle.value(res.x)) <= 1e-13 * abs(res.f)
 
     def test_nf_at_least_iters(self):
@@ -314,13 +314,15 @@ class TestConjugateSubgradientSolve:
         assert res.nf >= res.iters >= 1
 
     def test_null_flag_implies_entry_condition(self):
-        _, res, searches = solve_with_searches("rayleigh", 4, 10, 27,
-                                               max_iters=300)
+        oracle, res, searches = solve_with_searches("rayleigh", 4, 10, 27,
+                                                    max_iters=300)
         assert res.iters >= 1
-        for ls, row in zip(searches, res.trajectory):
-            assert row.null == (ls.sign == 0)
+        for search, row in zip(searches, res.trajectory):
+            assert row.null == (search.res.sign == 0)
             if row.null:
-                assert ls.dminus0 <= 0.0 <= ls.dplus0
+                dplus0, dminus0, _, _ = search_slopes(
+                    oracle, search.x, search.v, search.res)
+                assert dminus0 <= 0.0 <= dplus0
 
     def test_deterministic_given_seed(self):
         _, res1 = solve_small("rayleigh", 3, 6, 28, max_iters=120)
@@ -527,7 +529,8 @@ class TestRawLoopReplay:
             res = r.conjugate_subgradient_solve(
                 oracle, x0, r.SolverConfig(max_iters=5), seed=44, record=True)
         cases.append((oracle, res, searches))
-        return [(res, searches) for _, res, searches in cases]
+        return [(res, [s.res for s in searches])
+                for _, res, searches in cases]
 
     def test_conjugate_rows_match_public_algebra(self):
         seen = {"null": 0, "zero": 0, "move": 0}
@@ -731,11 +734,11 @@ class TestEvaluationCount:
         with line_searches() as searches:
             res = r.conjugate_subgradient_solve(oracle, x0, cfg, seed=53)
         assert len(searches) == res.iters >= 1
-        assert res.nf == 1 + sum(ls.evals for ls in searches)
+        assert res.nf == 1 + sum(s.res.evals for s in searches)
         rows = res.trajectory
         assert rows[0].nf_cum == 1 and rows[-1].nf_cum == res.nf
-        for ls, prev, row in zip(searches, rows, rows[1:]):
-            assert row.nf_cum == prev.nf_cum + ls.evals
+        for s, prev, row in zip(searches, rows, rows[1:]):
+            assert row.nf_cum == prev.nf_cum + s.res.evals
         # Counted independently: one value_and_subgrad pass plus one ray
         # value call per evaluation, with the batched values hidden.
         log = CallLog(oracle, hide_ray={"values"})
@@ -925,9 +928,9 @@ class TestRecord:
                 _, got = _sunk(r.conjugate_subgradient_solve, oracle, x0,
                                r.SolverConfig(max_iters=cap), seed=seed)
             assert len(searches) == len(got) - 1
-            for (row, entries, _), ls in zip(got, searches):
+            for (row, entries, _), ls in zip(got, (s.res for s in searches)):
                 # One IRP_FIELDS tuple per trial the search made.
-                assert len(entries) == ls.irp_iters
+                assert len(entries) == ls.evals
                 assert all(type(e) is tuple and len(e) == len(IRP_FIELDS)
                            for e in entries)
                 trials = list(r.irp_records(entries))
